@@ -11,16 +11,17 @@
 //! covering all scenes — amortizing launch overhead and summing warps into
 //! far better occupancy.
 //!
-//! The three-level DDA loop becomes a **masked lockstep**: all scenes enter
-//! loop 2 (displacement control) and loop 3 (open–close iteration)
-//! together, and per-scene convergence masks drop finished scenes out of
-//! subsequent phases — a scene whose open–close iteration converged at
-//! global iteration k simply stops contributing launches, exactly like a
-//! masked-off scene slice in a real packed kernel. Each scene's own
-//! control-flow decisions (convergence, Δt retries, freeze flags) are
-//! evaluated with scene-local data, so per-scene trajectories are
-//! **bit-identical** to stepping the same scene alone in a
-//! [`GpuPipeline`](super::GpuPipeline).
+//! The three-level DDA loop runs as the step engine's **masked lockstep**
+//! (`pipeline/engine.rs`): all scenes enter loop 2 (displacement control)
+//! and loop 3 (open–close iteration) together, and per-scene convergence
+//! masks drop finished scenes out of subsequent phases — a scene whose
+//! open–close iteration converged at global iteration k simply stops
+//! contributing launches, exactly like a masked-off scene slice in a real
+//! packed kernel. Each scene's own control-flow decisions are evaluated
+//! with scene-local data, so per-scene trajectories are **bit-identical**
+//! to stepping the same scene alone in a
+//! [`GpuPipeline`](super::GpuPipeline) — which is the same engine with one
+//! scene. This module adds only the slot lifecycle on top.
 //!
 //! # Scene lifecycle and fault isolation
 //!
@@ -36,9 +37,10 @@
 //!   (divergence), and watch for a pinned open–close loop. The scans are
 //!   host-side — no launches, no modeled time — so healthy scenes stay bit-
 //!   and time-identical to an unmonitored run.
-//! - **Graceful degradation**: a batched Block-Jacobi solve that breaks
-//!   down is re-solved solo under scalar Jacobi (the last ladder rung);
-//!   success marks the scene [`SlotState::Degraded`] but keeps it moving.
+//! - **Graceful degradation**: a scene whose configured preconditioner
+//!   rung fails to construct or breaks down walks its own fallback ladder
+//!   ([`DdaParams::solver_ladder`]); a lower rung that succeeds marks the
+//!   scene [`SlotState::Degraded`] but keeps it moving.
 //! - **Fault isolation**: a faulted scene's step is *not committed* — its
 //!   system and warm-start stay frozen — its Δt backs off exponentially,
 //!   and [`HealthPolicy::retry_budget`] consecutive failures quarantine it.
@@ -49,74 +51,18 @@
 //! the launches the N scenes would have issued solo versus the merged
 //! launches the batch actually modeled.
 
-use super::driver::{StepOutcome, MAX_RETRIES};
-use super::health::{all_finite, HealthPolicy, SceneHealth, SlotState, StepError};
-use super::solver_cache::SolverCache;
+use super::engine::{step_scenes, SceneCore};
+use super::health::{HealthPolicy, SceneHealth, SlotState, StepError};
 use super::{ModuleTimes, StepReport};
-use crate::assembly::{assemble_contacts_gpu_scheduled, AssembledSystem};
-use crate::assembly_cache::{AssemblyCache, AssemblyStats};
-use crate::contact::init::init_contacts_classified;
-use crate::contact::{
-    detect_broad_gpu, narrow_phase_gpu_scheduled, transfer_contacts_gpu_scheduled, Contact,
-    ContactOrder, ContactWorkspace, GeomSoa,
-};
-use crate::interpenetration::{check_gpu, BranchScheme, GapArrays};
-use crate::openclose::{categorize_gpu, open_close_gpu, open_close_gpu_masked};
-use crate::params::{AssemblyReuse, DdaParams, SolverWarmStart};
-use crate::stiffness::perblock::{build_diag_gpu, BlockSoa};
+use crate::contact::Contact;
+use crate::params::DdaParams;
 use crate::system::BlockSystem;
-use crate::update::{max_displacement, update_system};
-use dda_simt::serial::CpuCounter;
-use dda_simt::{BatchSummary, Device, KernelStats};
-use dda_solver::precond::Jacobi;
-use dda_solver::{
-    pcg_fused, pcg_fused_batch, pcg_fused_mixed, PcgBatchEntry, PrecondKind, SolveResult,
-    SolverPrecision,
-};
-use dda_sparse::Block6;
-
-/// One scene's slice of the batch: its own block system, parameters,
-/// contact set, warm-start vector, and solver cache.
-struct BatchScene {
-    sys: BlockSystem,
-    params: DdaParams,
-    times: ModuleTimes,
-    contacts: Vec<Contact>,
-    x_prev: Vec<f64>,
-    cache: SolverCache,
-    acache: AssemblyCache,
-    // Staged PCG starting iterate (warm iterate or `x_prev`), a scratch
-    // buffer so the batched-entry borrow never conflicts with the solver
-    // cache's `try_prepare`.
-    x0: Vec<f64>,
-    ws: ContactWorkspace,
-    gsoa: Option<GeomSoa>,
-    bsoa: Option<BlockSoa>,
-}
-
-impl BatchScene {
-    fn new(sys: BlockSystem, params: DdaParams) -> BatchScene {
-        let n = sys.len();
-        BatchScene {
-            sys,
-            params,
-            times: ModuleTimes::default(),
-            contacts: Vec::new(),
-            x_prev: vec![0.0; 6 * n],
-            cache: SolverCache::default(),
-            acache: AssemblyCache::new(),
-            x0: Vec::new(),
-            ws: ContactWorkspace::new(),
-            gsoa: None,
-            bsoa: None,
-        }
-    }
-}
+use dda_simt::Device;
 
 /// One batch position: the scene payload (absent once retired) plus its
 /// lifecycle health record.
 struct SceneSlot {
-    scene: Option<BatchScene>,
+    scene: Option<SceneCore>,
     health: SceneHealth,
 }
 
@@ -162,7 +108,7 @@ impl SceneBatch {
         let slots = scenes
             .into_iter()
             .map(|(sys, params)| SceneSlot {
-                scene: Some(BatchScene::new(sys, params)),
+                scene: Some(SceneCore::new(sys, params)),
                 health: SceneHealth::new_running(),
             })
             .collect();
@@ -242,18 +188,7 @@ impl SceneBatch {
     /// bit-identical to never having left the batch. Placement follows
     /// [`SceneBatch::admit`] (retired slot first, else append).
     pub fn admit_state(&mut self, st: SceneState) -> usize {
-        let SceneState {
-            sys,
-            params,
-            contacts,
-            x_prev,
-            times,
-            health,
-        } = st;
-        let mut scene = BatchScene::new(sys, params);
-        scene.contacts = contacts;
-        scene.x_prev = x_prev;
-        scene.times = times;
+        let (scene, health) = SceneCore::from_state(st);
         let slot = SceneSlot {
             scene: Some(scene),
             health,
@@ -289,15 +224,7 @@ impl SceneBatch {
     pub fn extract(&mut self, i: usize) -> Option<SceneState> {
         let slot = self.slots.get_mut(i)?;
         let health = std::mem::replace(&mut slot.health, SceneHealth::retired());
-        let sc = slot.scene.take()?;
-        Some(SceneState {
-            sys: sc.sys,
-            params: sc.params,
-            contacts: sc.contacts,
-            x_prev: sc.x_prev,
-            times: sc.times,
-            health,
-        })
+        Some(slot.scene.take()?.into_state(health))
     }
 
     /// A clone of slot `i`'s full scene state (`None` for empty slots) —
@@ -305,15 +232,7 @@ impl SceneBatch {
     /// for the snapshot to be resumable.
     pub fn scene_state(&self, i: usize) -> Option<SceneState> {
         let slot = self.slots.get(i)?;
-        let sc = slot.scene.as_ref()?;
-        Some(SceneState {
-            sys: sc.sys.clone(),
-            params: sc.params.clone(),
-            contacts: sc.contacts.clone(),
-            x_prev: sc.x_prev.clone(),
-            times: sc.times,
-            health: slot.health.clone(),
-        })
+        Some(slot.scene.as_ref()?.state(slot.health.clone()))
     }
 
     /// Compacts the batch at a step boundary: retired slots are removed and
@@ -394,7 +313,7 @@ impl SceneBatch {
         &self.dev
     }
 
-    fn scene(&self, i: usize) -> Option<&BatchScene> {
+    fn scene(&self, i: usize) -> Option<&SceneCore> {
         self.slots.get(i)?.scene.as_ref()
     }
 
@@ -432,7 +351,8 @@ impl SceneBatch {
     }
 
     /// Scene `i`'s ordering-cache diagnostics `(resorts, reuses,
-    /// switches)` (all zero under [`ContactOrder::Discovery`]).
+    /// switches)` (all zero under
+    /// [`ContactOrder::Discovery`](crate::contact::ContactOrder::Discovery)).
     pub fn contact_order_stats(&self, i: usize) -> Option<(u64, u64, u64)> {
         self.scene(i).map(|sc| sc.ws.order.stats())
     }
@@ -458,18 +378,6 @@ impl SceneBatch {
         (self.launches_in, self.launches_out)
     }
 
-    /// Folds a phase's batch summary into the per-scene module times and
-    /// the step's launch accounting.
-    fn charge(&mut self, s: BatchSummary, field: fn(&mut ModuleTimes) -> &mut f64) {
-        self.launches_in += s.launches_in;
-        self.launches_out += s.launches_out;
-        for (slot, &sec) in self.slots.iter_mut().zip(&s.per_segment_seconds) {
-            if let Some(sc) = slot.scene.as_mut() {
-                *field(&mut sc.times) += sec;
-            }
-        }
-    }
-
     /// Books a fault against slot `i`: Δt backs off exponentially and the
     /// scene keeps retrying until the budget is spent, then quarantines
     /// frozen at its last accepted state.
@@ -489,715 +397,70 @@ impl SceneBatch {
         }
     }
 
-    /// Attempts the degraded solo re-solve for slot `i` after the batched
-    /// Block-Jacobi solve (or its factorization) failed: scalar Jacobi —
-    /// the last ladder rung — in the scene's own batch region.
-    fn rescue_solve(&mut self, i: usize, asm: &AssembledSystem) -> Result<SolveResult, StepError> {
-        let n = self.slots.len();
-        self.dev.batch_begin(n);
-        self.dev.batch_segment(i);
-        let res = match self.slots[i].scene.as_mut() {
-            None => Err(StepError::Internal {
-                what: "rescued slot lost its scene",
-            }),
-            Some(sc) => (|| {
-                // Ladder descent: cold-start from the previous step's
-                // solution and drop the warm iterate, which the degraded
-                // solve is about to invalidate (gpu.rs mirror).
-                sc.cache.clear_warm();
-                // The rescue rung honors the scene's precision mode so a
-                // rescued batch scene stays bit-identical to the same
-                // scene descending to the Jacobi rung solo.
-                let f32_shadow = sc.params.precision == SolverPrecision::Mixed;
-                let (h, h32, _, ws) = sc
-                    .cache
-                    .try_prepare(&self.dev, &asm.matrix, false, f32_shadow)
-                    .map_err(|error| StepError::PreconditionerFailed { error })?;
-                let j = Jacobi::try_new(&self.dev, h)
-                    .map_err(|error| StepError::PreconditionerFailed { error })?;
-                Ok(match h32 {
-                    Some(h32) => pcg_fused_mixed(
-                        &self.dev,
-                        h,
-                        h32,
-                        &asm.rhs,
-                        &sc.x_prev,
-                        &j,
-                        sc.params.pcg,
-                        ws,
-                    ),
-                    None => pcg_fused(&self.dev, h, &asm.rhs, &sc.x_prev, &j, sc.params.pcg, ws),
-                })
-            })(),
-        };
-        let s = self.dev.batch_end();
-        self.charge(s, |t| &mut t.solving);
-        let r = res?;
-        if let Some(error) = r.error {
-            Err(StepError::SolverBreakdown { error })
-        } else if !all_finite(&r.x) {
-            Err(StepError::NonFiniteSolution { oc_iteration: 0 })
-        } else {
-            Ok(r)
-        }
-    }
-
     /// Advances every stepping scene one time step, returning one report
-    /// per slot (quarantined/retired slots get a default report).
+    /// per slot (slots that did not step, or whose step faulted and was
+    /// not committed, get a default report).
     pub fn step(&mut self) -> Vec<StepReport> {
-        let n = self.slots.len();
-        let mut reports = vec![StepReport::default(); n];
-        self.launches_in = 0;
-        self.launches_out = 0;
         self.step_index += 1;
-        // Per-scene snapshots for the step report's phase/assembly deltas.
-        let times_at_start: Vec<ModuleTimes> = self
+        let policy = self.policy;
+        let (mut scenes, mut healths): (Vec<_>, Vec<_>) = self
             .slots
-            .iter()
-            .map(|s| s.scene.as_ref().map(|sc| sc.times).unwrap_or_default())
-            .collect();
-        let asm_at_start: Vec<AssemblyStats> = self
-            .slots
-            .iter()
+            .iter_mut()
             .map(|s| {
-                s.scene
-                    .as_ref()
-                    .map(|sc| sc.acache.stats())
-                    .unwrap_or_default()
+                let stepping = s.health.is_stepping();
+                (s.scene.as_mut().filter(|_| stepping), &mut s.health)
             })
-            .collect();
-        let mut warm_starts = vec![0usize; n];
-
-        let mut stepping: Vec<bool> = self
-            .slots
-            .iter()
-            .map(|s| s.health.is_stepping() && s.scene.is_some())
-            .collect();
-        if !stepping.iter().any(|&a| a) {
-            return reports;
-        }
-        // Faults detected mid-step; a faulted scene leaves the lockstep
-        // immediately and its step is never committed.
-        let mut fault: Vec<Option<StepError>> = vec![None; n];
-
-        // ---- Phase: contact detection (all scenes, one merged launch set)
-        self.dev.batch_begin(n);
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if !stepping[i] {
-                continue;
-            }
-            let Some(sc) = slot.scene.as_mut() else {
-                fault[i] = Some(StepError::Internal {
-                    what: "stepping slot lost its scene",
-                });
-                stepping[i] = false;
-                continue;
-            };
-            self.dev.batch_segment(i);
-            let touch = sc.params.touch_tol * sc.params.max_displacement;
-            let gsoa = GeomSoa::build(&sc.sys);
-            detect_broad_gpu(
-                &self.dev,
-                &gsoa,
-                sc.params.broad_phase,
-                sc.params.contact_range,
-                sc.params.broad_slack,
-                &mut sc.ws,
-            );
-            let class_sorted = sc.params.contact_order == ContactOrder::ClassSorted;
-            let mut contacts = narrow_phase_gpu_scheduled(
-                &self.dev,
-                &gsoa,
-                &sc.ws.pairs,
-                sc.params.contact_range,
-                if class_sorted {
-                    sc.ws.order.pair_schedule(sc.ws.pairs.len())
-                } else {
-                    None
-                },
-            );
-            transfer_contacts_gpu_scheduled(
-                &self.dev,
-                &sc.contacts,
-                &mut contacts,
-                if class_sorted {
-                    sc.ws.order.contact_schedule(sc.contacts.len())
-                } else {
-                    None
-                },
-            );
-            init_contacts_classified(&self.dev, &gsoa, &mut contacts, touch);
-            sc.contacts = contacts;
-            if class_sorted {
-                // Same revalidation as the solo pipeline: the device
-                // re-sort (when the budget is spent) is charged inside
-                // this scene's batch segment.
-                let resorted = sc.ws.order.refresh(&self.dev, &sc.contacts);
-                sc.ws
-                    .order
-                    .refresh_pairs(&sc.ws.pairs, &sc.contacts, resorted);
-            }
-            reports[i].n_contacts = sc.contacts.len();
-            for c in sc.contacts.iter_mut() {
-                c.flips = 0;
-            }
-            sc.gsoa = Some(gsoa);
-            sc.bsoa = Some(BlockSoa::build(&sc.sys));
-            if sc.params.assembly_reuse == AssemblyReuse::Incremental {
-                // Detection rebuilt the contact list: rebind the assembly
-                // cache (full recompute on the first iteration, joint
-                // params refilled, pending deltas cleared).
-                sc.acache.begin_step(&sc.sys, &sc.contacts);
-            }
-        }
-        let s = self.dev.batch_end();
-        self.charge(s, |t| &mut t.contact_detection);
-
-        // ---- Loops 2–3: masked lockstep across scenes ------------------------
-        let mut active = stepping.clone(); // still inside loop 2
-        let mut outcomes: Vec<Option<StepOutcome>> = (0..n).map(|_| None).collect();
-        let mut diag: Vec<Option<(Vec<Block6>, Vec<f64>)>> = (0..n).map(|_| None).collect();
-        let mut rescued = vec![false; n];
-        let mut attempt = 0;
-        while active.iter().any(|&a| a) {
-            // Phase: diagonal building (Δt changed for retrying scenes).
-            self.dev.batch_begin(n);
-            for (i, slot) in self.slots.iter_mut().enumerate() {
-                if !active[i] {
-                    continue;
-                }
-                let Some(sc) = slot.scene.as_mut() else {
-                    fault[i] = Some(StepError::Internal {
-                        what: "active slot lost its scene",
-                    });
-                    active[i] = false;
-                    continue;
-                };
-                let Some(bsoa) = sc.bsoa.as_ref() else {
-                    fault[i] = Some(StepError::Internal {
-                        what: "detection skipped the block SoA build",
-                    });
-                    active[i] = false;
-                    continue;
-                };
-                self.dev.batch_segment(i);
-                // Attempt start (loop 2): the warm iterate belongs to the
-                // previous attempt's open–close loop, not this one.
-                sc.cache.clear_warm();
-                diag[i] = Some(build_diag_gpu(&self.dev, &sc.sys, bsoa, &sc.params));
-            }
-            let s = self.dev.batch_end();
-            self.charge(s, |t| &mut t.diag_building);
-
-            // Loop 3 state for this attempt.
-            let mut in_oc = active.clone();
-            let mut d: Vec<Vec<f64>> = self
-                .slots
-                .iter()
-                .map(|slot| {
-                    slot.scene
-                        .as_ref()
-                        .map(|sc| sc.x_prev.clone())
-                        .unwrap_or_default()
-                })
-                .collect();
-            let mut gaps: Vec<GapArrays> = (0..n).map(|_| GapArrays::default()).collect();
-            let mut oc_conv = vec![false; n];
-            let mut asms: Vec<Option<AssembledSystem>> = (0..n).map(|_| None).collect();
-            for i in 0..n {
-                if active[i] {
-                    reports[i].oc_iterations = 0;
-                }
-            }
-            let mut oc_iter = 0;
-            while in_oc.iter().any(|&a| a) {
-                // Phase: non-diagonal building.
-                self.dev.batch_begin(n);
-                for (i, slot) in self.slots.iter_mut().enumerate() {
-                    if !in_oc[i] {
-                        continue;
-                    }
-                    let Some(sc) = slot.scene.as_mut() else {
-                        fault[i] = Some(StepError::Internal {
-                            what: "iterating slot lost its scene",
-                        });
-                        in_oc[i] = false;
-                        active[i] = false;
-                        continue;
-                    };
-                    let (Some((dg, rhs0)), Some(gsoa)) = (diag[i].as_ref(), sc.gsoa.as_ref())
-                    else {
-                        fault[i] = Some(StepError::Internal {
-                            what: "diag/detection output missing at assembly",
-                        });
-                        in_oc[i] = false;
-                        active[i] = false;
-                        continue;
-                    };
-                    self.dev.batch_segment(i);
-                    let sched = if sc.params.contact_order == ContactOrder::ClassSorted {
-                        sc.ws.order.contact_schedule(sc.contacts.len())
-                    } else {
-                        None
-                    };
-                    #[allow(unused_mut)]
-                    let mut asm = match sc.params.assembly_reuse {
-                        AssemblyReuse::Recompute => assemble_contacts_gpu_scheduled(
-                            &self.dev,
-                            &sc.sys,
-                            gsoa,
-                            &sc.contacts,
-                            &sc.params,
-                            dg.clone(),
-                            rhs0.clone(),
-                            sched,
-                        ),
-                        AssemblyReuse::Incremental => sc.acache.assemble(
-                            &self.dev,
-                            &sc.sys,
-                            gsoa,
-                            &sc.contacts,
-                            &sc.params,
-                            dg.clone(),
-                            rhs0.clone(),
-                            sched,
-                        ),
-                    };
-                    #[cfg(feature = "fault-inject")]
-                    {
-                        use dda_simt::Fault;
-                        if self.dev.fault_fires(Fault::NanRhs) {
-                            asm.rhs[0] = f64::NAN;
-                        }
-                        if self.dev.fault_fires(Fault::IndefiniteOperator) {
-                            for db in asm.matrix.diag.iter_mut() {
-                                *db = db.scale(-1.0);
-                            }
-                        }
-                    }
-                    reports[i].n_upper = asm.matrix.n_upper();
-                    reports[i].oc_iterations += 1;
-                    asms[i] = Some(asm);
-                }
-                let s = self.dev.batch_end();
-                self.charge(s, |t| &mut t.nondiag_building);
-
-                // Health check: a NaN/Inf right-hand side never reaches the
-                // solver (host-side scan, no launches).
-                for i in 0..n {
-                    if !in_oc[i] {
-                        continue;
-                    }
-                    let Some(asm) = asms[i].as_ref() else {
-                        fault[i] = Some(StepError::Internal {
-                            what: "assembly output missing at RHS scan",
-                        });
-                        in_oc[i] = false;
-                        active[i] = false;
-                        continue;
-                    };
-                    if !all_finite(&asm.rhs) {
-                        fault[i] = Some(StepError::NonFiniteRhs {
-                            oc_iteration: reports[i].oc_iterations,
-                        });
-                        in_oc[i] = false;
-                        active[i] = false;
-                    }
-                }
-
-                // Phase: equation solving — per-scene format/preconditioner
-                // prep, then the masked batched fused PCG over all active
-                // scenes' systems. Scenes whose factorization fails drop to
-                // the rescue path instead of joining the batch.
-                let mut entries = Vec::new();
-                let mut idxs = Vec::new();
-                let mut needs_rescue = Vec::new();
-                let mut warm_used = vec![false; n];
-                self.dev.batch_begin(n);
-                for (i, (slot, asm)) in self.slots.iter_mut().zip(asms.iter()).enumerate() {
-                    if !in_oc[i] {
-                        continue;
-                    }
-                    let Some(sc) = slot.scene.as_mut() else {
-                        fault[i] = Some(StepError::Internal {
-                            what: "solving slot lost its scene",
-                        });
-                        in_oc[i] = false;
-                        active[i] = false;
-                        continue;
-                    };
-                    let Some(asm) = asm.as_ref() else {
-                        fault[i] = Some(StepError::Internal {
-                            what: "assembly output missing at solve",
-                        });
-                        in_oc[i] = false;
-                        active[i] = false;
-                        continue;
-                    };
-                    self.dev.batch_segment(i);
-                    let BatchScene {
-                        cache,
-                        x_prev,
-                        x0,
-                        params,
-                        ..
-                    } = sc;
-                    // Stage the starting iterate: the batched Block-Jacobi
-                    // solve is the configured rung, so the warm iterate
-                    // applies here; the rescue path always cold-starts
-                    // from the previous step's solution (gpu.rs mirror).
-                    let want_warm = params.warm_start == SolverWarmStart::PrevIterate;
-                    x0.clear();
-                    match cache.warm_iterate().filter(|_| want_warm) {
-                        Some(w) => {
-                            x0.extend_from_slice(w);
-                            warm_used[i] = true;
-                        }
-                        None => x0.extend_from_slice(x_prev),
-                    }
-                    let f32_shadow = params.precision == SolverPrecision::Mixed;
-                    match cache.try_prepare(&self.dev, &asm.matrix, true, f32_shadow) {
-                        Ok((h, h32, Some(m), ws)) => {
-                            entries.push(PcgBatchEntry {
-                                h,
-                                h32,
-                                b: &asm.rhs,
-                                x0: x0.as_slice(),
-                                m,
-                                opts: params.pcg,
-                                precision: params.precision,
-                                ws,
-                            });
-                            idxs.push(i);
-                        }
-                        // A missing factorization (contract breach) degrades
-                        // to the solo rescue path instead of panicking.
-                        Ok((_, _, None, _)) | Err(_) => needs_rescue.push(i),
-                    }
-                }
-                let prep = self.dev.batch_end();
-                let (results, solve_sum) = pcg_fused_batch(&self.dev, &mut entries);
-                drop(entries);
-                self.charge(prep, |t| &mut t.solving);
-                self.launches_in += solve_sum.launches_in;
-                self.launches_out += solve_sum.launches_out;
-                let mut last_conv = vec![false; n];
-                for (k, (res, &i)) in results.into_iter().zip(&idxs).enumerate() {
-                    if let Some(sc) = self.slots[i].scene.as_mut() {
-                        sc.times.solving += solve_sum.per_segment_seconds[k];
-                    }
-                    if res.broke_down() || !all_finite(&res.x) {
-                        needs_rescue.push(i);
-                        continue;
-                    }
-                    reports[i].pcg_iterations += res.iterations;
-                    reports[i].last_solve_iterations = res.iterations;
-                    last_conv[i] = res.converged;
-                    if warm_used[i] {
-                        warm_starts[i] += 1;
-                    }
-                    // A healthy configured-rung solve seeds the next
-                    // re-solve of this open–close loop.
-                    if let Some(sc) = self.slots[i].scene.as_mut() {
-                        if sc.params.warm_start == SolverWarmStart::PrevIterate {
-                            sc.cache.set_warm(&res.x);
-                        }
-                    }
-                    d[i] = res.x;
-                }
-                // Degraded re-solve: scalar Jacobi in the scene's own batch
-                // region. Failure here is a fault; success keeps the scene
-                // stepping under Degraded.
-                for &i in &needs_rescue {
-                    let Some(asm) = asms[i].take() else {
-                        fault[i] = Some(StepError::Internal {
-                            what: "assembly output missing at rescue",
-                        });
-                        in_oc[i] = false;
-                        active[i] = false;
-                        continue;
-                    };
-                    match self.rescue_solve(i, &asm) {
-                        Ok(res) => {
-                            reports[i].pcg_iterations += res.iterations;
-                            reports[i].last_solve_iterations = res.iterations;
-                            reports[i].fallback_level = reports[i].fallback_level.max(1);
-                            reports[i].fallback_rung = PrecondKind::Jacobi;
-                            last_conv[i] = res.converged;
-                            d[i] = res.x;
-                            rescued[i] = true;
-                            self.slots[i].health.fallback_solves += 1;
-                            self.slots[i].health.state = SlotState::Degraded;
-                        }
-                        Err(e) => {
-                            fault[i] = Some(e);
-                            in_oc[i] = false;
-                            active[i] = false;
-                        }
-                    }
-                    asms[i] = Some(asm);
-                }
-                // Health check: NaN that slipped through a "successful"
-                // solve (e.g. NaN off-diagonals with a finite diagonal).
-                for i in 0..n {
-                    if in_oc[i] && !all_finite(&d[i]) {
-                        fault[i] = Some(StepError::NonFiniteSolution {
-                            oc_iteration: reports[i].oc_iterations,
-                        });
-                        in_oc[i] = false;
-                        active[i] = false;
-                    }
-                }
-
-                // Phase: interpenetration checking + open–close update.
-                self.dev.batch_begin(n);
-                for (i, slot) in self.slots.iter_mut().enumerate() {
-                    if !in_oc[i] {
-                        continue;
-                    }
-                    let Some(sc) = slot.scene.as_mut() else {
-                        fault[i] = Some(StepError::Internal {
-                            what: "checking slot lost its scene",
-                        });
-                        in_oc[i] = false;
-                        active[i] = false;
-                        continue;
-                    };
-                    let Some(gsoa) = sc.gsoa.as_ref() else {
-                        fault[i] = Some(StepError::Internal {
-                            what: "detection output missing at gap check",
-                        });
-                        in_oc[i] = false;
-                        active[i] = false;
-                        continue;
-                    };
-                    self.dev.batch_segment(i);
-                    let open_tol = 1e-6 * sc.params.max_displacement;
-                    let freeze = oc_iter + 3 >= sc.params.oc_max_iters;
-                    gaps[i] = check_gpu(
-                        &self.dev,
-                        gsoa,
-                        &sc.sys,
-                        &sc.contacts,
-                        &d[i],
-                        sc.params.penalty,
-                        sc.params.shear_ratio,
-                        BranchScheme::Restructured,
-                    );
-                    #[allow(unused_mut)]
-                    let mut changes = match sc.params.assembly_reuse {
-                        AssemblyReuse::Recompute => {
-                            open_close_gpu(&self.dev, &mut sc.contacts, &gaps[i], open_tol, freeze)
-                        }
-                        AssemblyReuse::Incremental => open_close_gpu_masked(
-                            &self.dev,
-                            &mut sc.contacts,
-                            &gaps[i],
-                            open_tol,
-                            freeze,
-                            Some(sc.acache.dirty_mask()),
-                        ),
-                    };
-                    #[cfg(feature = "fault-inject")]
-                    if self.dev.fault_fires(dda_simt::Fault::OcPin) {
-                        changes = changes.max(1);
-                    }
-                    // Scene-local convergence mask: a converged (or
-                    // iteration-capped) scene stops contributing launches.
-                    if changes == 0 && last_conv[i] {
-                        oc_conv[i] = true;
-                        in_oc[i] = false;
-                    } else if oc_iter + 1 >= sc.params.oc_max_iters {
-                        in_oc[i] = false;
-                    }
-                }
-                let s = self.dev.batch_end();
-                self.charge(s, |t| &mut t.interpenetration);
-                // Health check: gap measures must stay finite (host-side).
-                for i in 0..n {
-                    if !active[i] || in_oc[i] {
-                        continue;
-                    }
-                    if !gaps[i].all_finite() {
-                        fault[i] = Some(StepError::NonFiniteGaps {
-                            oc_iteration: reports[i].oc_iterations,
-                        });
-                        active[i] = false;
-                    }
-                }
-                oc_iter += 1;
-            }
-
-            // Displacement control, per scene on the host (scalar controls
-            // are the only thing that crosses back, as in the paper).
-            for (i, slot) in self.slots.iter_mut().enumerate() {
-                if !active[i] {
-                    continue;
-                }
-                let Some(sc) = slot.scene.as_mut() else {
-                    fault[i] = Some(StepError::Internal {
-                        what: "controlled slot lost its scene",
-                    });
-                    active[i] = false;
-                    continue;
-                };
-                reports[i].oc_converged = oc_conv[i];
-                let maxd = max_displacement(&sc.sys, &d[i]);
-                reports[i].max_displacement = maxd;
-                if !maxd.is_finite()
-                    || maxd > self.policy.divergence_factor * sc.params.max_displacement
-                {
-                    fault[i] = Some(StepError::Diverged {
-                        max_displacement: maxd,
-                    });
-                    active[i] = false;
-                    continue;
-                }
-                let too_big = maxd > 2.0 * sc.params.max_displacement;
-                if (too_big || !oc_conv[i]) && attempt < MAX_RETRIES && sc.params.reduce_dt() {
-                    reports[i].retries += 1; // scene stays active for the next attempt
-                } else {
-                    outcomes[i] = Some(StepOutcome {
-                        d: std::mem::take(&mut d[i]),
-                        gaps: std::mem::take(&mut gaps[i]),
-                        oc_converged: oc_conv[i],
-                        too_big,
-                        retries: reports[i].retries,
-                    });
-                    active[i] = false;
-                }
-            }
-            attempt += 1;
-        }
-
+            .unzip();
         // Stall detector: an accepted-but-dirty step extends the scene's
         // streak; past the policy limit the step is demoted to a fault so
         // a permanently pinned open–close loop quarantines instead of
         // spinning at the Δt floor forever.
-        for i in 0..n {
-            if fault[i].is_some() || !stepping[i] {
-                continue;
-            }
-            let Some(out) = outcomes[i].as_ref() else {
-                continue;
-            };
-            if out.oc_converged {
-                self.slots[i].health.oc_stall_streak = 0;
+        let stall_detector = |i: usize, out: &super::StepOutcome| {
+            let h: &mut SceneHealth = healths[i];
+            h.oc_stall_streak = if out.oc_converged {
+                0
             } else {
-                self.slots[i].health.oc_stall_streak += 1;
-                let streak = self.slots[i].health.oc_stall_streak;
-                if streak >= self.policy.oc_stall_limit {
-                    fault[i] = Some(StepError::OcStalled { streak });
-                    outcomes[i] = None;
-                }
-            }
-        }
-
-        // ---- Phase: third classification (C1…C5) -----------------------------
-        self.dev.batch_begin(n);
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if !stepping[i] || fault[i].is_some() {
-                continue;
-            }
-            let Some(sc) = slot.scene.as_mut() else {
-                fault[i] = Some(StepError::Internal {
-                    what: "classified slot lost its scene",
+                h.oc_stall_streak + 1
+            };
+            if h.oc_stall_streak >= policy.oc_stall_limit {
+                return Err(StepError::OcStalled {
+                    streak: h.oc_stall_streak,
                 });
-                continue;
-            };
-            self.dev.batch_segment(i);
-            reports[i].categories = categorize_gpu(&self.dev, &sc.contacts);
-        }
-        let s = self.dev.batch_end();
-        self.charge(s, |t| &mut t.interpenetration);
+            }
+            Ok(())
+        };
+        let step = step_scenes(
+            &self.dev,
+            &mut scenes,
+            policy.divergence_factor,
+            stall_detector,
+        );
+        self.launches_in = step.launches_in;
+        self.launches_out = step.launches_out;
 
-        // ---- Phase: data updating (commit) -----------------------------------
-        // Faulted scenes are conspicuously absent: their systems and
-        // warm-starts stay frozen at the last accepted state.
-        self.dev.batch_begin(n);
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            let Some(out) = outcomes[i].take() else {
-                continue;
-            };
-            if fault[i].is_some() {
-                continue;
-            }
-            let Some(sc) = slot.scene.as_mut() else {
-                fault[i] = Some(StepError::Internal {
-                    what: "committing slot lost its scene",
-                });
-                continue;
-            };
-            self.dev.batch_segment(i);
-            reports[i].max_open_penetration = out.gaps.max_open_penetration(&sc.contacts);
-            let mut uc = CpuCounter::new();
-            update_system(
-                &mut sc.sys,
-                &out.d,
-                &mut sc.contacts,
-                &out.gaps,
-                &sc.params,
-                &mut uc,
-            );
-            let nd = 6 * sc.sys.len() as u64; // one thread per DOF
-            self.dev.record_external(
-                "update.apply",
-                KernelStats {
-                    launches: 2,
-                    threads: nd,
-                    warps: nd.div_ceil(32).max(1),
-                    flops: uc.flops,
-                    warp_flops: uc.flops * 2,
-                    gmem_bytes: uc.bytes,
-                    gmem_transactions: uc.bytes.div_ceil(128),
-                    ..Default::default()
-                },
-            );
-            reports[i].dt = sc.params.dt;
-            out.recover_dt_if_clean(&mut sc.params);
-            sc.x_prev = out.d;
-            // Committed geometry moved at most the accepted step's largest
-            // vertex displacement — the broad-phase cache's validity
-            // bound. Faulted scenes never reach this point, so their
-            // frozen geometry keeps the cache valid.
-            sc.ws.cache.note_motion(reports[i].max_displacement);
-            // Open–close flips of the committed step charge the ordering
-            // cache's switch budget (no-op counters under Discovery, where
-            // the cache never holds a permutation).
-            if sc.params.contact_order == ContactOrder::ClassSorted {
-                sc.ws
-                    .order
-                    .note_flips(sc.contacts.iter().map(|c| c.flips as u64).sum());
-            }
-            // Committed step: clear the failure streak; a scene that got
-            // here without needing the rescue solve is healthy again.
-            slot.health.consecutive_failures = 0;
-            slot.health.steps_committed += 1;
-            if slot.health.state == SlotState::Degraded && !rescued[i] {
-                slot.health.state = SlotState::Running;
-            }
-        }
-        let s = self.dev.batch_end();
-        self.charge(s, |t| &mut t.updating);
-
-        // ---- Fault bookkeeping ----------------------------------------------
-        for i in 0..n {
-            if let Some(err) = fault[i] {
-                self.record_fault(i, err);
-            }
-        }
-
-        // Per-scene phase/assembly deltas (faulted scenes report what they
-        // actually spent — the modeled time is real even when the step is
-        // not committed).
-        for (i, slot) in self.slots.iter().enumerate() {
+        let mut reports = vec![StepReport::default(); self.slots.len()];
+        for (i, result) in step.results.into_iter().enumerate() {
+            let Some(result) = result else { continue };
+            let slot = &mut self.slots[i];
             if let Some(sc) = slot.scene.as_ref() {
-                reports[i].phase_times = sc.times.delta_since(&times_at_start[i]);
-                reports[i].assembly = sc.acache.stats().delta_since(&asm_at_start[i]);
-                reports[i].warm_starts = warm_starts[i];
+                slot.health.fallback_solves = sc.fallback_solves;
+            }
+            match result {
+                Ok(report) => {
+                    // Committed step: clear the failure streak; a scene
+                    // that got here on its configured rung is healthy.
+                    slot.health.consecutive_failures = 0;
+                    slot.health.steps_committed += 1;
+                    slot.health.state = if report.fallback_level > 0 {
+                        SlotState::Degraded
+                    } else {
+                        SlotState::Running
+                    };
+                    reports[i] = report;
+                }
+                Err(err) => self.record_fault(i, err),
             }
         }
-
         reports
     }
 

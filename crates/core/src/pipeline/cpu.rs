@@ -1,9 +1,9 @@
 //! The serial reference pipeline (Fig 1), timed under the E5620 model.
 
-use super::driver::{drive_step, StepBackend};
-use super::health::StepError;
+use super::driver::{StepOutcome, MAX_RETRIES};
+use super::health::{all_finite, StepError};
 use super::{ModuleTimes, StepReport};
-use crate::assembly::{assemble_contacts_serial, AssembledSystem};
+use crate::assembly::assemble_contacts_serial;
 use crate::contact::{
     detect_broad_serial, init::init_contacts_serial, narrow_phase_serial, transfer_contacts_serial,
     Contact, ContactWorkspace,
@@ -18,8 +18,7 @@ use dda_simt::profile::DeviceProfile;
 use dda_simt::serial::CpuCounter;
 use dda_simt::TimingModel;
 use dda_solver::serial::pcg_serial_bj;
-use dda_solver::{SolveError, SolveResult};
-use dda_sparse::{Block6, SymBlockMatrix};
+use dda_solver::SolveError;
 
 /// The serial DDA driver.
 pub struct CpuPipeline {
@@ -136,8 +135,8 @@ impl CpuPipeline {
             c.flips = 0;
         }
 
-        // ---- Loops 2–3 (shared driver) -------------------------------------
-        let outcome = drive_step(self, &mut report)?;
+        // ---- Loops 2–3 ----------------------------------------------------
+        let outcome = self.drive(&mut report)?;
 
         // ---- Data updating ----------------------------------------------------
         report.max_open_penetration = outcome.gaps.max_open_penetration(&self.contacts);
@@ -173,76 +172,119 @@ impl CpuPipeline {
     }
 }
 
-impl StepBackend for CpuPipeline {
-    fn params(&self) -> &DdaParams {
-        &self.params
-    }
+impl CpuPipeline {
+    /// Loop 2 (displacement control) around loop 3 (open–close iteration)
+    /// for one time step, filling the loop fields of `report`. This is the
+    /// reference the GPU step engine is validated against, so it shares no
+    /// loop code with it.
+    ///
+    /// Health checks sit at the phase boundaries: a NaN/Inf right-hand
+    /// side, solution, gap array, or displacement measure aborts the step
+    /// with a structured [`StepError`] instead of propagating garbage into
+    /// the system state.
+    fn drive(&mut self, report: &mut StepReport) -> Result<StepOutcome, StepError> {
+        let open_tol = 1e-6 * self.params.max_displacement;
+        let mut attempt = 0;
+        loop {
+            // Diagonal building (depends on Δt, so it is redone per attempt).
+            let mut dc = CpuCounter::new();
+            let (diag, rhs0) = build_diag_serial(&self.sys, &self.params, &mut dc);
+            self.times.diag_building += self.charge(dc);
 
-    fn params_mut(&mut self) -> &mut DdaParams {
-        &mut self.params
-    }
+            // ---- Loop 3: open–close iteration ----------------------------
+            let mut d = self.x_prev.clone();
+            let mut gaps = GapArrays::default();
+            let mut oc_converged = false;
+            report.oc_iterations = 0;
+            for oc_iter in 0..self.params.oc_max_iters {
+                report.oc_iterations += 1;
+                let oc_iteration = report.oc_iterations;
+                let freeze = oc_iter + 3 >= self.params.oc_max_iters;
 
-    fn x_prev(&self) -> &[f64] {
-        &self.x_prev
-    }
+                let mut nd = CpuCounter::new();
+                let asm = assemble_contacts_serial(
+                    &self.sys,
+                    &self.contacts,
+                    &self.params,
+                    diag.clone(),
+                    rhs0.clone(),
+                    &mut nd,
+                );
+                self.times.nondiag_building += self.charge(nd);
+                report.n_upper = asm.matrix.n_upper();
+                if !all_finite(&asm.rhs) {
+                    return Err(StepError::NonFiniteRhs { oc_iteration });
+                }
 
-    fn build_diag(&mut self) -> (Vec<Block6>, Vec<f64>) {
-        let mut dc = CpuCounter::new();
-        let out = build_diag_serial(&self.sys, &self.params, &mut dc);
-        self.times.diag_building += self.charge(dc);
-        out
-    }
+                let mut sc = CpuCounter::new();
+                let res = pcg_serial_bj(
+                    &asm.matrix,
+                    &asm.rhs,
+                    &self.x_prev,
+                    self.params.pcg,
+                    &mut sc,
+                );
+                self.times.solving += self.charge(sc);
+                // The serial reference has no fallback ladder: a singular
+                // preconditioner means the scene input is malformed, so
+                // surface it. Curvature breakdowns still return an iterate
+                // for Δt retry.
+                if let Some(error @ SolveError::SingularPreconditioner { .. }) = res.error {
+                    return Err(StepError::SolverBreakdown { error });
+                }
+                report.pcg_iterations += res.iterations;
+                report.last_solve_iterations = res.iterations;
+                if !all_finite(&res.x) {
+                    return Err(StepError::NonFiniteSolution { oc_iteration });
+                }
+                d = res.x;
 
-    fn assemble(&mut self, diag: &[Block6], rhs0: &[f64]) -> AssembledSystem {
-        let mut nd = CpuCounter::new();
-        let asm = assemble_contacts_serial(
-            &self.sys,
-            &self.contacts,
-            &self.params,
-            diag.to_vec(),
-            rhs0.to_vec(),
-            &mut nd,
-        );
-        self.times.nondiag_building += self.charge(nd);
-        asm
-    }
+                let mut ic = CpuCounter::new();
+                gaps = check_serial(
+                    &self.sys,
+                    &self.contacts,
+                    &d,
+                    self.params.penalty,
+                    self.params.shear_ratio,
+                    &mut ic,
+                );
+                self.times.interpenetration += self.charge(ic);
+                if !gaps.all_finite() {
+                    return Err(StepError::NonFiniteGaps { oc_iteration });
+                }
+                let mut oc = CpuCounter::new();
+                let changes =
+                    open_close_serial(&mut self.contacts, &gaps, open_tol, freeze, &mut oc);
+                self.times.interpenetration += self.charge(oc);
+                if changes == 0 && res.converged {
+                    oc_converged = true;
+                    break;
+                }
+            }
+            report.oc_converged = oc_converged;
 
-    fn solve(&mut self, matrix: &SymBlockMatrix, rhs: &[f64]) -> Result<SolveResult, StepError> {
-        let mut sc = CpuCounter::new();
-        let res = pcg_serial_bj(matrix, rhs, &self.x_prev, self.params.pcg, &mut sc);
-        self.times.solving += self.charge(sc);
-        // The serial reference has no fallback ladder: a singular
-        // preconditioner means the scene input is malformed, so surface it.
-        // Curvature breakdowns still return an iterate for Δt retry.
-        if let Some(error @ SolveError::SingularPreconditioner { .. }) = res.error {
-            return Err(StepError::SolverBreakdown { error });
+            // ---- Displacement control ------------------------------------
+            let maxd = max_displacement(&self.sys, &d);
+            report.max_displacement = maxd;
+            if !maxd.is_finite() {
+                return Err(StepError::Diverged {
+                    max_displacement: maxd,
+                });
+            }
+            let too_big = maxd > 2.0 * self.params.max_displacement;
+            if (too_big || !oc_converged) && attempt < MAX_RETRIES && self.params.reduce_dt() {
+                report.retries += 1;
+                attempt += 1;
+                continue;
+            }
+            return Ok(StepOutcome {
+                d,
+                gaps,
+                oc_converged,
+                too_big,
+                retries: report.retries,
+            });
         }
-        Ok(res)
-    }
-
-    fn check(&mut self, d: &[f64]) -> GapArrays {
-        let mut ic = CpuCounter::new();
-        let gaps = check_serial(
-            &self.sys,
-            &self.contacts,
-            d,
-            self.params.penalty,
-            self.params.shear_ratio,
-            &mut ic,
-        );
-        self.times.interpenetration += self.charge(ic);
-        gaps
-    }
-
-    fn open_close(&mut self, gaps: &GapArrays, open_tol: f64, freeze: bool) -> usize {
-        let mut ic = CpuCounter::new();
-        let changes = open_close_serial(&mut self.contacts, gaps, open_tol, freeze, &mut ic);
-        self.times.interpenetration += self.charge(ic);
-        changes
-    }
-
-    fn max_displacement(&self, d: &[f64]) -> f64 {
-        max_displacement(&self.sys, d)
     }
 }
 

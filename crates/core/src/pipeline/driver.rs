@@ -1,53 +1,14 @@
-//! The shared step driver: loop 2 (displacement control) around loop 3
-//! (open–close iteration).
-//!
-//! The CPU and GPU pipelines execute the same three-level nested loop and
-//! previously each carried its own copy of the attempt/retry/accept logic
-//! (drifting was only a matter of time, and both ended in an
-//! `accepted.expect(..)` that a future edit could turn into a panic). The
-//! control flow now lives here once, parameterized over a [`StepBackend`]
-//! that supplies the per-platform phase implementations; the result is a
-//! structured [`StepOutcome`] that always exists — acceptance is the loop's
-//! exit condition, not a post-hoc unwrap.
+//! What loop 2 (displacement control) settles on, shared by the serial
+//! reference pipeline and the GPU step engine. The loops themselves are
+//! deliberately *not* shared: the serial pipeline is the oracle the engine
+//! is checked against, so it must not run the code it checks.
 
-use super::health::{all_finite, StepError};
-use super::StepReport;
-use crate::assembly::AssembledSystem;
 use crate::interpenetration::GapArrays;
 use crate::params::DdaParams;
-use dda_solver::SolveResult;
-use dda_sparse::{Block6, SymBlockMatrix};
 
 /// Maximum times a step is redone with a reduced Δt before being accepted
 /// as-is (Shi's code behaves the same once the Δt floor is hit).
 pub(crate) const MAX_RETRIES: usize = 4;
-
-/// Per-platform phase implementations consumed by [`drive_step`]. Each
-/// method runs one pipeline phase on its own substrate (serial counters or
-/// simulated device) and charges its own module times.
-pub(crate) trait StepBackend {
-    /// Analysis parameters (Δt evolves during the step).
-    fn params(&self) -> &DdaParams;
-    /// Mutable parameters, for the Δt reductions of loop 2.
-    fn params_mut(&mut self) -> &mut DdaParams;
-    /// Previous step's solution (PCG warm start and loop-3 seed).
-    fn x_prev(&self) -> &[f64];
-    /// Diagonal building: per-block stiffness/inertia and base RHS.
-    fn build_diag(&mut self) -> (Vec<Block6>, Vec<f64>);
-    /// Non-diagonal building: contact springs assembled onto the diagonal.
-    fn assemble(&mut self, diag: &[Block6], rhs0: &[f64]) -> AssembledSystem;
-    /// Equation solving. `Err` means the solver could not produce any
-    /// iterate at all (e.g. every preconditioner rung failed to
-    /// construct); a breakdown that still yields a finite iterate comes
-    /// back as `Ok` with [`SolveResult::error`] set.
-    fn solve(&mut self, matrix: &SymBlockMatrix, rhs: &[f64]) -> Result<SolveResult, StepError>;
-    /// Interpenetration / contact-measure checking under displacements `d`.
-    fn check(&mut self, d: &[f64]) -> GapArrays;
-    /// Open–close state update; returns the number of state changes.
-    fn open_close(&mut self, gaps: &GapArrays, open_tol: f64, freeze: bool) -> usize;
-    /// Largest block displacement measure of `d` (displacement control).
-    fn max_displacement(&self, d: &[f64]) -> f64;
-}
 
 /// What loop 2 settled on: the accepted displacements and gap measures,
 /// plus the quality of the acceptance. Unlike the old `Option` + `expect`
@@ -83,87 +44,5 @@ impl StepOutcome {
         if self.clean() && self.retries == 0 {
             params.recover_dt();
         }
-    }
-}
-
-/// Runs loops 2 and 3 for one time step on `backend`, filling the loop
-/// fields of `report` (`oc_iterations`, `pcg_iterations`,
-/// `last_solve_iterations`, `n_upper`, `oc_converged`, `max_displacement`,
-/// `retries`).
-///
-/// Health checks sit at the phase boundaries: a NaN/Inf right-hand side,
-/// solution, gap array, or displacement measure aborts the step with a
-/// structured [`StepError`] instead of propagating garbage into the
-/// system state. The scans are host-side (no launches, no modeled time),
-/// so healthy runs are bit- and time-identical to the unchecked driver.
-pub(crate) fn drive_step<B: StepBackend + ?Sized>(
-    backend: &mut B,
-    report: &mut StepReport,
-) -> Result<StepOutcome, StepError> {
-    let open_tol = 1e-6 * backend.params().max_displacement;
-    let mut attempt = 0;
-    loop {
-        // Diagonal building (depends on Δt, so it is redone per attempt).
-        let (diag, rhs0) = backend.build_diag();
-
-        // ---- Loop 3: open–close iteration --------------------------------
-        let mut d = backend.x_prev().to_vec();
-        let mut gaps = GapArrays::default();
-        let mut oc_converged = false;
-        report.oc_iterations = 0;
-        for oc_iter in 0..backend.params().oc_max_iters {
-            report.oc_iterations += 1;
-            let freeze = oc_iter + 3 >= backend.params().oc_max_iters;
-            let asm = backend.assemble(&diag, &rhs0);
-            report.n_upper = asm.matrix.n_upper();
-            if !all_finite(&asm.rhs) {
-                return Err(StepError::NonFiniteRhs {
-                    oc_iteration: report.oc_iterations,
-                });
-            }
-            let res = backend.solve(&asm.matrix, &asm.rhs)?;
-            report.pcg_iterations += res.iterations;
-            report.last_solve_iterations = res.iterations;
-            if !all_finite(&res.x) {
-                return Err(StepError::NonFiniteSolution {
-                    oc_iteration: report.oc_iterations,
-                });
-            }
-            d = res.x;
-            gaps = backend.check(&d);
-            if !gaps.all_finite() {
-                return Err(StepError::NonFiniteGaps {
-                    oc_iteration: report.oc_iterations,
-                });
-            }
-            let changes = backend.open_close(&gaps, open_tol, freeze);
-            if changes == 0 && res.converged {
-                oc_converged = true;
-                break;
-            }
-        }
-        report.oc_converged = oc_converged;
-
-        // ---- Displacement control ----------------------------------------
-        let maxd = backend.max_displacement(&d);
-        report.max_displacement = maxd;
-        if !maxd.is_finite() {
-            return Err(StepError::Diverged {
-                max_displacement: maxd,
-            });
-        }
-        let too_big = maxd > 2.0 * backend.params().max_displacement;
-        if (too_big || !oc_converged) && attempt < MAX_RETRIES && backend.params_mut().reduce_dt() {
-            report.retries += 1;
-            attempt += 1;
-            continue;
-        }
-        return Ok(StepOutcome {
-            d,
-            gaps,
-            oc_converged,
-            too_big,
-            retries: report.retries,
-        });
     }
 }

@@ -7,111 +7,50 @@
 //! contact set, stiffness system, and solver state stay in device
 //! buffers across modules; only scalar controls (iteration counts,
 //! convergence flags, Δt decisions) cross back, as in the paper.
+//!
+//! [`GpuPipeline`] is the one-scene shell over the step engine
+//! (`pipeline/engine.rs`): it owns the scene and the device, and turns a
+//! scene fault into an `Err`.
 
-use super::driver::{drive_step, StepBackend};
-use super::health::StepError;
-use super::solver_cache::SolverCache;
-use super::{ModuleTimes, StepReport};
-use crate::assembly::{assemble_contacts_gpu_scheduled, AssembledSystem};
-use crate::assembly_cache::AssemblyCache;
-use crate::contact::init::init_contacts_classified;
-use crate::contact::{
-    detect_broad_gpu, narrow_phase_gpu_scheduled, transfer_contacts_gpu_scheduled, Contact,
-    ContactOrder, ContactWorkspace, GeomSoa,
-};
-use crate::interpenetration::{check_gpu, BranchScheme, GapArrays};
-use crate::openclose::{categorize_gpu, open_close_gpu, open_close_gpu_masked};
-use crate::params::{AssemblyReuse, DdaParams, SolverWarmStart};
-use crate::stiffness::perblock::{build_diag_gpu, BlockSoa};
-use crate::system::BlockSystem;
-use crate::update::{max_displacement, update_system};
-use dda_simt::serial::CpuCounter;
-use dda_simt::{Device, KernelStats};
-use dda_solver::precond::{Amg2, BlockJacobi, Identity, Ilu0, Jacobi, Preconditioner, SsorAi};
-use dda_solver::{
-    pcg, pcg_fused, pcg_fused_mixed, HsbcsrMat, PcgOptions, PcgWorkspace, PrecondError,
-    SolveResult, SolverPrecision,
-};
-use dda_sparse::{Block6, Csr, Hsbcsr, Hsbcsr32, SymBlockMatrix};
+use super::batch::SceneState;
+use super::engine::{step_scenes, SceneCore};
+use super::health::{SceneHealth, StepError};
+use super::StepReport;
+use crate::contact::Contact;
+use dda_simt::Device;
+use dda_solver::SolverPrecision;
 
 // The policy enum lives with the preconditioners; re-exported here because
 // the pipeline API has always been its home.
 pub use dda_solver::PrecondKind;
 
-/// One fused solve, dispatched on the scene's precision mode: a present
-/// fp32 shadow selects the mixed-precision refinement loop (fp32-storage /
-/// fp64-accumulate inner PCG inside an fp64 outer loop, with a
-/// deterministic pure-fp64 fallback), its absence the pure-fp64 solver.
-#[allow(clippy::too_many_arguments)]
-fn pcg_dispatch<P: Preconditioner + ?Sized>(
-    dev: &Device,
-    h: &Hsbcsr,
-    h32: Option<&Hsbcsr32>,
-    rhs: &[f64],
-    x0: &[f64],
-    m: &P,
-    opts: PcgOptions,
-    ws: &mut PcgWorkspace,
-) -> SolveResult {
-    match h32 {
-        Some(h32) => pcg_fused_mixed(dev, h, h32, rhs, x0, m, opts, ws),
-        None => pcg_fused(dev, h, rhs, x0, m, opts, ws),
+/// The GPU DDA driver. Dereferences to its scene, so `pipe.sys`,
+/// `pipe.params` (analysis controls) and `pipe.times` (accumulated modeled
+/// device seconds per module) are plain field accesses.
+pub struct GpuPipeline {
+    scene: SceneCore,
+    dev: Device,
+}
+
+impl std::ops::Deref for GpuPipeline {
+    type Target = SceneCore;
+    fn deref(&self) -> &SceneCore {
+        &self.scene
     }
 }
 
-/// The GPU DDA driver.
-pub struct GpuPipeline {
-    /// The evolving block system (host mirror of device state).
-    pub sys: BlockSystem,
-    /// Analysis controls.
-    pub params: DdaParams,
-    /// Accumulated modeled device seconds per module.
-    pub times: ModuleTimes,
-    dev: Device,
-    contacts: Vec<Contact>,
-    x_prev: Vec<f64>,
-    ws: ContactWorkspace,
-    cache: SolverCache,
-    acache: AssemblyCache,
-    legacy_solver: bool,
-    // Per-step SoA mirrors, built once per step() and consumed by the
-    // backend phases the shared driver calls.
-    gsoa: Option<GeomSoa>,
-    bsoa: Option<BlockSoa>,
-    // Deepest ladder rung any solve of the current step needed.
-    step_fallback_level: usize,
-    // Lifetime count of solves that left the configured rung.
-    fallback_solves: usize,
-    // Staged PCG starting iterate for the next solve attempt
-    // (capacity-reused; either the previous step's solution or, under
-    // `SolverWarmStart::PrevIterate`, the previous healthy iterate of the
-    // current open–close loop).
-    x0: Vec<f64>,
-    // Solves this step that warm-started from a previous iterate.
-    step_warm_starts: usize,
+impl std::ops::DerefMut for GpuPipeline {
+    fn deref_mut(&mut self) -> &mut SceneCore {
+        &mut self.scene
+    }
 }
 
 impl GpuPipeline {
     /// Creates a pipeline on `dev` (typically a Tesla K20/K40 profile).
-    pub fn new(sys: BlockSystem, params: DdaParams, dev: Device) -> GpuPipeline {
-        let n = sys.len();
+    pub fn new(sys: crate::BlockSystem, params: crate::DdaParams, dev: Device) -> GpuPipeline {
         GpuPipeline {
-            sys,
-            params,
-            times: ModuleTimes::default(),
+            scene: SceneCore::new(sys, params),
             dev,
-            contacts: Vec::new(),
-            x_prev: vec![0.0; 6 * n],
-            ws: ContactWorkspace::new(),
-            cache: SolverCache::default(),
-            acache: AssemblyCache::new(),
-            legacy_solver: false,
-            gsoa: None,
-            bsoa: None,
-            step_fallback_level: 0,
-            fallback_solves: 0,
-            x0: Vec::new(),
-            step_warm_starts: 0,
         }
     }
 
@@ -130,15 +69,6 @@ impl GpuPipeline {
         self
     }
 
-    /// Benchmark baseline: run the equation-solving module the pre-fusion
-    /// way — fresh HSBCSR conversion and preconditioner per solve, unfused
-    /// ~12-launch PCG, no workspace reuse. The `bench1` binary flips this
-    /// on to measure the fused/cached path's before/after in one process.
-    pub fn with_legacy_solver(mut self, on: bool) -> GpuPipeline {
-        self.legacy_solver = on;
-        self
-    }
-
     /// The device (for trace inspection).
     pub fn device(&self) -> &Device {
         &self.dev
@@ -150,235 +80,23 @@ impl GpuPipeline {
     /// taken at a step boundary to be resumable. Derived solver caches
     /// are deliberately excluded: they rebuild deterministically and only
     /// shift modeled *time* attribution, never trajectory values.
-    pub fn scene_state(&self) -> super::batch::SceneState {
-        super::batch::SceneState {
-            sys: self.sys.clone(),
-            params: self.params.clone(),
-            contacts: self.contacts.clone(),
-            x_prev: self.x_prev.clone(),
-            times: self.times,
-            health: super::health::SceneHealth::new_running(),
-        }
+    pub fn scene_state(&self) -> SceneState {
+        self.scene.state(SceneHealth::new_running())
     }
 
     /// Rebuilds a pipeline on `dev` from a captured state — the restore
     /// half. Continuing the restored pipeline reproduces the original's
     /// trajectory bit for bit.
-    pub fn from_state(st: super::batch::SceneState, dev: Device) -> GpuPipeline {
-        let mut p = GpuPipeline::new(st.sys, st.params, dev);
-        p.contacts = st.contacts;
-        p.x_prev = st.x_prev;
-        p.times = st.times;
-        p
+    pub fn from_state(st: SceneState, dev: Device) -> GpuPipeline {
+        GpuPipeline {
+            scene: SceneCore::from_state(st).0,
+            dev,
+        }
     }
 
     /// Current contact set.
     pub fn contacts(&self) -> &[Contact] {
         &self.contacts
-    }
-
-    fn mark(&self) -> f64 {
-        self.dev.modeled_seconds()
-    }
-
-    /// One solve attempt on a specific ladder rung, starting from the
-    /// staged iterate `self.x0`. `Err` is a preconditioner construction
-    /// failure (zero pivot, singular block) — the caller descends the
-    /// ladder on it.
-    fn solve_attempt(
-        &mut self,
-        matrix: &SymBlockMatrix,
-        rhs: &[f64],
-        kind: PrecondKind,
-    ) -> Result<SolveResult, PrecondError> {
-        let f32_shadow = self.params.precision == SolverPrecision::Mixed;
-        let opts = self.params.pcg;
-        match kind {
-            PrecondKind::None => {
-                let (h, h32, _, ws) = self
-                    .cache
-                    .try_prepare(&self.dev, matrix, false, f32_shadow)?;
-                Ok(pcg_dispatch(
-                    &self.dev, h, h32, rhs, &self.x0, &Identity, opts, ws,
-                ))
-            }
-            PrecondKind::BlockJacobi => {
-                let (h, h32, bj, ws) = self
-                    .cache
-                    .try_prepare(&self.dev, matrix, true, f32_shadow)?;
-                let bj = bj.expect("try_prepare(want_bj) returns a factorization");
-                Ok(pcg_dispatch(&self.dev, h, h32, rhs, &self.x0, bj, opts, ws))
-            }
-            PrecondKind::SsorAi => {
-                let (h, h32, _, ws) = self
-                    .cache
-                    .try_prepare(&self.dev, matrix, false, f32_shadow)?;
-                let ssor = SsorAi::try_new(&self.dev, h, 1.0)?;
-                Ok(pcg_dispatch(
-                    &self.dev, h, h32, rhs, &self.x0, &ssor, opts, ws,
-                ))
-            }
-            PrecondKind::Ilu0 => {
-                let (h, h32, _, ws) = self
-                    .cache
-                    .try_prepare(&self.dev, matrix, false, f32_shadow)?;
-                let csr = Csr::from_sym_full(matrix);
-                let ilu = Ilu0::try_new(&self.dev, &csr)?;
-                Ok(pcg_dispatch(
-                    &self.dev, h, h32, rhs, &self.x0, &ilu, opts, ws,
-                ))
-            }
-            PrecondKind::Jacobi => {
-                let (h, h32, _, ws) = self
-                    .cache
-                    .try_prepare(&self.dev, matrix, false, f32_shadow)?;
-                let j = Jacobi::try_new(&self.dev, h)?;
-                Ok(pcg_dispatch(&self.dev, h, h32, rhs, &self.x0, &j, opts, ws))
-            }
-            PrecondKind::Amg2 => {
-                // The AMG2 hierarchy borrows the cached format (like
-                // SSOR-AI); a singular Galerkin coarse operator surfaces as
-                // `PrecondError::SingularCoarse` and descends the ladder to
-                // ILU0. The smoother/coarse cycle always runs fp64 — only
-                // the Krylov SpMV streams the fp32 shadow under `Mixed`.
-                let (h, h32, _, ws) = self
-                    .cache
-                    .try_prepare(&self.dev, matrix, false, f32_shadow)?;
-                let amg = Amg2::try_new(&self.dev, h)?;
-                Ok(pcg_dispatch(
-                    &self.dev, h, h32, rhs, &self.x0, &amg, opts, ws,
-                ))
-            }
-        }
-    }
-
-    /// Solves the assembled system with the configured preconditioner,
-    /// reusing the cached HSBCSR structure / preconditioner storage / PCG
-    /// workspace whenever the contact pattern is unchanged.
-    ///
-    /// Graceful degradation: a rung whose preconditioner fails to
-    /// construct, or whose solve breaks down (indefinite curvature,
-    /// non-finite iterate), hands the system to the next rung of the
-    /// params-derived ladder ([`DdaParams::solver_ladder`]). The rung
-    /// actually used is recorded in [`StepReport::fallback_level`] (depth)
-    /// and [`StepReport::fallback_rung`] (name). Only when every rung
-    /// fails to even construct does the solve error out.
-    fn solve_fused(
-        &mut self,
-        matrix: &SymBlockMatrix,
-        rhs: &[f64],
-    ) -> Result<SolveResult, StepError> {
-        let rungs = self.params.solver_ladder();
-        let want_warm = self.params.warm_start == SolverWarmStart::PrevIterate;
-        let mut last_construct_err = None;
-        let mut last_result = None;
-        for (level, &kind) in rungs.iter().enumerate() {
-            // Stage the starting iterate: the warm iterate only on the
-            // configured rung — a ladder descent is a rescue and always
-            // cold-starts deterministically from the previous step's
-            // solution (and discards the warm iterate, which the degraded
-            // solve may be about to invalidate).
-            let warm_this = level == 0 && want_warm && self.cache.warm_iterate().is_some();
-            self.x0.clear();
-            if warm_this {
-                let w = self.cache.warm_iterate().expect("checked above");
-                self.x0.extend_from_slice(w);
-            } else {
-                self.x0.extend_from_slice(&self.x_prev);
-                if level > 0 {
-                    self.cache.clear_warm();
-                }
-            }
-            match self.solve_attempt(matrix, rhs, kind) {
-                Err(e) => {
-                    last_construct_err = Some(e);
-                    continue;
-                }
-                Ok(res) => {
-                    let healthy = !res.broke_down() && res.x.iter().all(|v| v.is_finite());
-                    if healthy || level + 1 == rungs.len() {
-                        self.note_fallback(level);
-                        if warm_this {
-                            self.step_warm_starts += 1;
-                        }
-                        if healthy && level == 0 && want_warm {
-                            // The next re-solve of this open–close loop
-                            // starts here.
-                            self.cache.set_warm(&res.x);
-                        } else {
-                            self.cache.clear_warm();
-                        }
-                        return Ok(res);
-                    }
-                    last_result = Some((level, res));
-                }
-            }
-        }
-        // The deepest rungs failed to construct. Fall back to the best
-        // iterate an earlier rung produced, or report the ladder exhausted.
-        self.cache.clear_warm();
-        match last_result {
-            Some((level, res)) => {
-                self.note_fallback(level);
-                Ok(res)
-            }
-            None => Err(StepError::PreconditionerFailed {
-                error: last_construct_err.expect("ladder has at least one rung"),
-            }),
-        }
-    }
-
-    fn note_fallback(&mut self, level: usize) {
-        self.step_fallback_level = self.step_fallback_level.max(level);
-        if level > 0 {
-            self.fallback_solves += 1;
-        }
-    }
-
-    /// The pre-fusion equation-solving module, kept verbatim as the
-    /// benchmark baseline: every solve converts the matrix from scratch,
-    /// constructs its preconditioner from scratch, and runs the unfused
-    /// textbook PCG loop.
-    fn solve_legacy(&mut self, matrix: &SymBlockMatrix, rhs: &[f64]) -> SolveResult {
-        let h = Hsbcsr::from_sym(matrix);
-        let bytes = h.data_bytes() as u64;
-        self.dev.record_external(
-            "format.hsbcsr",
-            KernelStats {
-                launches: 1,
-                threads: (h.n + h.n_nd) as u64,
-                warps: ((h.n + h.n_nd) as u64).div_ceil(32),
-                gmem_bytes: 2 * bytes,
-                gmem_transactions: (2 * bytes).div_ceil(128),
-                ..Default::default()
-            },
-        );
-        let a = HsbcsrMat { m: &h };
-        match self.params.precond {
-            PrecondKind::None => pcg(&self.dev, &a, rhs, &self.x_prev, &Identity, self.params.pcg),
-            PrecondKind::BlockJacobi => {
-                let bj = BlockJacobi::new(&self.dev, &h);
-                pcg(&self.dev, &a, rhs, &self.x_prev, &bj, self.params.pcg)
-            }
-            PrecondKind::SsorAi => {
-                let ssor = SsorAi::new(&self.dev, &h, 1.0);
-                pcg(&self.dev, &a, rhs, &self.x_prev, &ssor, self.params.pcg)
-            }
-            PrecondKind::Ilu0 => {
-                let csr = Csr::from_sym_full(matrix);
-                let ilu = Ilu0::new(&self.dev, &csr);
-                pcg(&self.dev, &a, rhs, &self.x_prev, &ilu, self.params.pcg)
-            }
-            PrecondKind::Jacobi => {
-                let j = Jacobi::new(&self.dev, &h);
-                pcg(&self.dev, &a, rhs, &self.x_prev, &j, self.params.pcg)
-            }
-            PrecondKind::Amg2 => {
-                let amg = Amg2::try_new(&self.dev, &h)
-                    .expect("legacy baseline assumes a well-posed operator");
-                pcg(&self.dev, &a, rhs, &self.x_prev, &amg, self.params.pcg)
-            }
-        }
     }
 
     /// Solver-cache diagnostics: `(value_refills, full_rebuilds)` of the
@@ -395,14 +113,14 @@ impl GpuPipeline {
     }
 
     /// Assembly-cache diagnostics: lifetime reuse counters (all zero
-    /// under [`AssemblyReuse::Recompute`]).
+    /// under [`AssemblyReuse::Recompute`](crate::AssemblyReuse::Recompute)).
     pub fn assembly_cache_stats(&self) -> crate::assembly_cache::AssemblyStats {
         self.acache.stats()
     }
 
     /// Ordering-cache diagnostics: `(resorts, reuses, switches)` of the
     /// class-sorted contact scheduler (all zero under
-    /// [`ContactOrder::Discovery`]).
+    /// [`ContactOrder::Discovery`](crate::contact::ContactOrder::Discovery)).
     pub fn contact_order_stats(&self) -> (u64, u64, u64) {
         self.ws.order.stats()
     }
@@ -420,133 +138,20 @@ impl GpuPipeline {
     }
 
     /// Advances one time step, reporting scene-health faults as structured
-    /// errors instead of panicking. On `Err` the system state is left as it
-    /// was before the step (the commit phase never ran), so the caller can
-    /// retry with a smaller Δt or quarantine the scene.
+    /// errors instead of panicking. On `Err` nothing of the step was
+    /// committed — system, contact set and warm start are as they were (Δt
+    /// keeps any reductions the step's retries took) — so the caller can
+    /// retry with a smaller Δt or give the scene up.
     pub fn try_step(&mut self) -> Result<StepReport, StepError> {
-        let mut report = StepReport::default();
-        let times_at_start = self.times;
-        let asm_at_start = self.acache.stats();
-        self.step_warm_starts = 0;
-        let touch = self.params.touch_tol * self.params.max_displacement;
-
-        // ---- Contact detection (broad, narrow, transfer, init) --------------
-        let t0 = self.mark();
-        let gsoa = GeomSoa::build(&self.sys);
-        detect_broad_gpu(
+        // A solo scene has no health policy: any finite displacement is
+        // left to Δt control, and every accepted attempt commits.
+        let mut step = step_scenes(
             &self.dev,
-            &gsoa,
-            self.params.broad_phase,
-            self.params.contact_range,
-            self.params.broad_slack,
-            &mut self.ws,
+            &mut [Some(&mut self.scene)],
+            f64::INFINITY,
+            |_, _| Ok(()),
         );
-        let class_sorted = self.params.contact_order == ContactOrder::ClassSorted;
-        let mut contacts = narrow_phase_gpu_scheduled(
-            &self.dev,
-            &gsoa,
-            &self.ws.pairs,
-            self.params.contact_range,
-            if class_sorted {
-                self.ws.order.pair_schedule(self.ws.pairs.len())
-            } else {
-                None
-            },
-        );
-        transfer_contacts_gpu_scheduled(
-            &self.dev,
-            &self.contacts,
-            &mut contacts,
-            if class_sorted {
-                self.ws.order.contact_schedule(self.contacts.len())
-            } else {
-                None
-            },
-        );
-        init_contacts_classified(&self.dev, &gsoa, &mut contacts, touch);
-        self.contacts = contacts;
-        if class_sorted {
-            // Revalidate (or device-re-sort) the scheduling permutation
-            // against the freshly classified stream; the radix-sort cost
-            // lands in this module's time like the rest of detection.
-            let resorted = self.ws.order.refresh(&self.dev, &self.contacts);
-            self.ws
-                .order
-                .refresh_pairs(&self.ws.pairs, &self.contacts, resorted);
-        }
-        self.times.contact_detection += self.mark() - t0;
-        report.n_contacts = self.contacts.len();
-        for c in self.contacts.iter_mut() {
-            c.flips = 0;
-        }
-
-        self.gsoa = Some(gsoa);
-        self.bsoa = Some(BlockSoa::build(&self.sys));
-        if self.params.assembly_reuse == AssemblyReuse::Incremental {
-            // Detection rebuilt the contact list: rebind the assembly
-            // cache (full recompute on the first iteration, joint params
-            // refilled, pending deltas cleared).
-            self.acache.begin_step(&self.sys, &self.contacts);
-        }
-
-        // ---- Loops 2–3 (shared driver) ---------------------------------------
-        self.step_fallback_level = 0;
-        let outcome = drive_step(self, &mut report)?;
-        report.fallback_level = self.step_fallback_level;
-        report.fallback_rung = self.params.solver_ladder()[self.step_fallback_level];
-        // Open–close flips this step are class switches the standing
-        // scheduling permutation has not seen; charge them to its budget.
-        if class_sorted {
-            self.ws
-                .order
-                .note_flips(self.contacts.iter().map(|c| c.flips as u64).sum());
-        }
-
-        // Third classification (C1…C5) for the report — part of the
-        // checking/classification machinery's cost.
-        let t_cat = self.mark();
-        report.categories = categorize_gpu(&self.dev, &self.contacts);
-        self.times.interpenetration += self.mark() - t_cat;
-
-        // ---- Data updating -----------------------------------------------------
-        report.max_open_penetration = outcome.gaps.max_open_penetration(&self.contacts);
-        let t_up = self.mark();
-        let mut uc = CpuCounter::new();
-        update_system(
-            &mut self.sys,
-            &outcome.d,
-            &mut self.contacts,
-            &outcome.gaps,
-            &self.params,
-            &mut uc,
-        );
-        // The update kernels are a straightforward per-block map; charge
-        // their modeled device cost from the same work tally.
-        let n = 6 * self.sys.len() as u64; // one thread per DOF
-        self.dev.record_external(
-            "update.apply",
-            KernelStats {
-                launches: 2,
-                threads: n,
-                warps: n.div_ceil(32).max(1),
-                flops: uc.flops,
-                warp_flops: uc.flops * 2,
-                gmem_bytes: uc.bytes,
-                gmem_transactions: uc.bytes.div_ceil(128),
-                ..Default::default()
-            },
-        );
-        self.times.updating += self.mark() - t_up;
-        report.dt = self.params.dt;
-        outcome.recover_dt_if_clean(&mut self.params);
-        self.x_prev = outcome.d;
-        // Committed geometry moved at most the accepted step's maximum
-        // vertex displacement — the broad-phase cache's validity bound.
-        self.ws.cache.note_motion(report.max_displacement);
-        report.phase_times = self.times.delta_since(&times_at_start);
-        report.assembly = self.acache.stats().delta_since(&asm_at_start);
-        report.warm_starts = self.step_warm_starts;
-        Ok(report)
+        step.results.pop().flatten().expect("the one scene stepped")
     }
 
     /// Advances one time step, panicking on a scene-health fault (the
@@ -562,124 +167,14 @@ impl GpuPipeline {
     }
 }
 
-impl StepBackend for GpuPipeline {
-    fn params(&self) -> &DdaParams {
-        &self.params
-    }
-
-    fn params_mut(&mut self) -> &mut DdaParams {
-        &mut self.params
-    }
-
-    fn x_prev(&self) -> &[f64] {
-        &self.x_prev
-    }
-
-    fn build_diag(&mut self) -> (Vec<Block6>, Vec<f64>) {
-        // Attempt start (loop 2): the warm iterate belongs to the previous
-        // attempt's open–close loop — a retried step re-solves a different
-        // system (smaller Δt), so its first solve starts from the previous
-        // step's solution like the reference path.
-        self.cache.clear_warm();
-        let t = self.mark();
-        let bsoa = self.bsoa.as_ref().expect("step() builds the block SoA");
-        let out = build_diag_gpu(&self.dev, &self.sys, bsoa, &self.params);
-        self.times.diag_building += self.mark() - t;
-        out
-    }
-
-    fn assemble(&mut self, diag: &[Block6], rhs0: &[f64]) -> AssembledSystem {
-        let t = self.mark();
-        let gsoa = self.gsoa.as_ref().expect("step() builds the geometry SoA");
-        let sched = if self.params.contact_order == ContactOrder::ClassSorted {
-            self.ws.order.contact_schedule(self.contacts.len())
-        } else {
-            None
-        };
-        let asm = match self.params.assembly_reuse {
-            AssemblyReuse::Recompute => assemble_contacts_gpu_scheduled(
-                &self.dev,
-                &self.sys,
-                gsoa,
-                &self.contacts,
-                &self.params,
-                diag.to_vec(),
-                rhs0.to_vec(),
-                sched,
-            ),
-            AssemblyReuse::Incremental => self.acache.assemble(
-                &self.dev,
-                &self.sys,
-                gsoa,
-                &self.contacts,
-                &self.params,
-                diag.to_vec(),
-                rhs0.to_vec(),
-                sched,
-            ),
-        };
-        self.times.nondiag_building += self.mark() - t;
-        asm
-    }
-
-    fn solve(&mut self, matrix: &SymBlockMatrix, rhs: &[f64]) -> Result<SolveResult, StepError> {
-        let t = self.mark();
-        let res = if self.legacy_solver {
-            Ok(self.solve_legacy(matrix, rhs))
-        } else {
-            self.solve_fused(matrix, rhs)
-        };
-        self.times.solving += self.mark() - t;
-        res
-    }
-
-    fn check(&mut self, d: &[f64]) -> GapArrays {
-        let t = self.mark();
-        let gsoa = self.gsoa.as_ref().expect("step() builds the geometry SoA");
-        let gaps = check_gpu(
-            &self.dev,
-            gsoa,
-            &self.sys,
-            &self.contacts,
-            d,
-            self.params.penalty,
-            self.params.shear_ratio,
-            BranchScheme::Restructured,
-        );
-        self.times.interpenetration += self.mark() - t;
-        gaps
-    }
-
-    fn open_close(&mut self, gaps: &GapArrays, open_tol: f64, freeze: bool) -> usize {
-        let t = self.mark();
-        let changes = match self.params.assembly_reuse {
-            AssemblyReuse::Recompute => {
-                open_close_gpu(&self.dev, &mut self.contacts, gaps, open_tol, freeze)
-            }
-            AssemblyReuse::Incremental => open_close_gpu_masked(
-                &self.dev,
-                &mut self.contacts,
-                gaps,
-                open_tol,
-                freeze,
-                Some(self.acache.dirty_mask()),
-            ),
-        };
-        self.times.interpenetration += self.mark() - t;
-        changes
-    }
-
-    fn max_displacement(&self, d: &[f64]) -> f64 {
-        max_displacement(&self.sys, d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::block::Block;
     use crate::material::{BlockMaterial, JointMaterial};
+    use crate::params::DdaParams;
     use crate::pipeline::CpuPipeline;
+    use crate::system::BlockSystem;
     use dda_geom::Polygon;
     use dda_simt::DeviceProfile;
 
@@ -766,28 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_solver_matches_fused_trajectory() {
-        // The benchmark baseline must be physically equivalent: same contact
-        // history, same open–close iterations, centroids within solver drift.
-        let (sys, params) = stack();
-        let mut fused = GpuPipeline::new(sys.clone(), params.clone(), k40());
-        let mut legacy = GpuPipeline::new(sys, params, k40()).with_legacy_solver(true);
-        for step in 0..3 {
-            let rf = fused.step();
-            let rl = legacy.step();
-            assert_eq!(rf.n_contacts, rl.n_contacts, "step {step}");
-            assert_eq!(rf.oc_iterations, rl.oc_iterations, "step {step}");
-            for (bf, bl) in fused.sys.blocks.iter().zip(&legacy.sys.blocks) {
-                assert!(bf.centroid().dist(bl.centroid()) < 1e-7, "step {step}");
-            }
-        }
-        // And it really is the heavier path: more launches for the same work.
-        let lf = fused.device().trace().records.len();
-        let ll = legacy.device().trace().records.len();
-        assert!(ll > lf, "legacy {ll} launches vs fused {lf}");
-    }
-
-    #[test]
     fn all_preconditioners_run_the_pipeline() {
         for pk in [
             PrecondKind::None,
@@ -841,77 +314,6 @@ mod tests {
                 .all(|r| !r.name.ends_with(".f32")),
             "full-precision pipeline must never touch fp32 kernels"
         );
-    }
-
-    /// A diagonally dominant SPD test matrix with a contact-like coupling.
-    fn spd_matrix(n: usize) -> SymBlockMatrix {
-        let diag = (0..n)
-            .map(|i| Block6::diag(&[50.0 + i as f64; 6]))
-            .collect();
-        let upper = (0..n - 1)
-            .map(|i| (i as u32, i as u32 + 1, Block6::diag(&[-1.0; 6])))
-            .collect();
-        SymBlockMatrix::new(diag, upper)
-    }
-
-    #[test]
-    fn ladder_descends_on_breakdown_and_reports_depth() {
-        // Negate the operator: every rung constructs (diagonal blocks are
-        // negated but invertible) yet PCG breaks down on the first
-        // curvature. The ladder must walk every rung, return the last
-        // rung's broken result, and record the full descent depth.
-        let (sys, params) = stack();
-        let mut gpu = GpuPipeline::new(sys, params, k40()).with_precond(PrecondKind::Ilu0);
-        let mut m = spd_matrix(4);
-        for d in m.diag.iter_mut() {
-            *d = d.scale(-1.0);
-        }
-        for (_, _, b) in m.upper.iter_mut() {
-            *b = b.scale(-1.0);
-        }
-        gpu.x_prev = vec![0.0; 6 * 4];
-        let rhs = vec![1.0; 6 * 4];
-        let res = gpu.solve_fused(&m, &rhs).expect("rungs construct fine");
-        assert!(
-            res.broke_down(),
-            "negative-definite operator must break down"
-        );
-        assert_eq!(
-            gpu.step_fallback_level,
-            PrecondKind::Ilu0.ladder().len() - 1,
-            "ladder must be walked to the last rung"
-        );
-        assert_eq!(gpu.fallback_solves(), 1);
-    }
-
-    #[test]
-    fn ladder_exhaustion_reports_structured_error() {
-        // A zero diagonal defeats every rung's construction (zero pivot,
-        // singular block, zero scalar diagonal): the solve must surface a
-        // structured error, not panic inside a factorization.
-        let (sys, params) = stack();
-        let mut gpu = GpuPipeline::new(sys, params, k40()).with_precond(PrecondKind::BlockJacobi);
-        let mut m = spd_matrix(4);
-        m.diag[2] = Block6::ZERO;
-        gpu.x_prev = vec![0.0; 6 * 4];
-        let rhs = vec![1.0; 6 * 4];
-        match gpu.solve_fused(&m, &rhs) {
-            Err(StepError::PreconditionerFailed { .. }) => {}
-            other => panic!("expected PreconditionerFailed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn healthy_solve_stays_on_configured_rung() {
-        let (sys, params) = stack();
-        let mut gpu = GpuPipeline::new(sys, params, k40()).with_precond(PrecondKind::Ilu0);
-        let m = spd_matrix(4);
-        gpu.x_prev = vec![0.0; 6 * 4];
-        let rhs = vec![1.0; 6 * 4];
-        let res = gpu.solve_fused(&m, &rhs).expect("SPD system solves");
-        assert!(res.converged && !res.broke_down());
-        assert_eq!(gpu.step_fallback_level, 0, "no fallback on a healthy solve");
-        assert_eq!(gpu.fallback_solves(), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! NaN contamination from degenerate contacts, and open–close loops that
 //! never settle. Before this module any of those either panicked, silently
 //! returned a stale iterate, or stalled a whole lockstep batch. The types
-//! here make every failure mode a *value*: the step drivers return
+//! here make every failure mode a *value*: the step loops return
 //! [`StepError`] instead of panicking, and the batched runtime folds those
 //! errors into a per-scene [`SceneHealth`] record whose [`SlotState`]
 //! walks `Running → Degraded → Quarantined → Retired`.
@@ -56,9 +56,10 @@ pub enum StepError {
         streak: usize,
     },
     /// An internal pipeline invariant broke (a phase's output was missing
-    /// for a scene that should have produced it). Never expected in
-    /// practice; surfaced as a per-scene fault instead of a process panic
-    /// so one corrupted slot cannot take down the whole batch.
+    /// for a scene that should have produced it). The step engine cannot
+    /// reach such a state any more — a scene's lane owns its phase outputs
+    /// for the whole step — so nothing raises this; the variant stays so
+    /// checkpoints that recorded one still decode.
     Internal {
         /// The violated invariant, for diagnostics.
         what: &'static str,

@@ -10,6 +10,7 @@
 pub mod batch;
 pub mod cpu;
 pub(crate) mod driver;
+pub(crate) mod engine;
 pub mod fleet;
 pub mod gpu;
 pub mod health;

@@ -1,10 +1,52 @@
-//! Cached equation-solving state, shared by the GPU pipeline and the
-//! batched multi-scene runtime.
+//! Cached equation-solving state of one scene, owned by the step engine.
 
 use dda_simt::{Device, KernelStats};
-use dda_solver::precond::BlockJacobi;
-use dda_solver::{PcgWorkspace, PrecondError};
-use dda_sparse::{Hsbcsr, Hsbcsr32, SymBlockMatrix};
+use dda_solver::precond::{Amg2, BlockJacobi, Identity, Ilu0, Jacobi, Preconditioner, SsorAi};
+use dda_solver::{PcgBatchEntry, PcgOptions, PcgWorkspace, PrecondError};
+use dda_solver::{PrecondKind, SolverPrecision};
+use dda_sparse::{Csr, Hsbcsr, Hsbcsr32, SymBlockMatrix};
+
+/// Everything one ladder rung's solve borrows from the cache: the
+/// refreshed format (and fp32 shadow), the rung's preconditioner, and the
+/// persistent PCG workspace.
+pub(crate) struct RungSolve<'a> {
+    h: &'a Hsbcsr,
+    h32: Option<&'a Hsbcsr32>,
+    m: RungPrecond<'a>,
+    ws: &'a mut PcgWorkspace,
+}
+
+/// Block-Jacobi lives in the cache (refactored in place); every other
+/// rung is built per solve and borrows the cached format.
+enum RungPrecond<'a> {
+    Cached(&'a BlockJacobi),
+    Built(Box<dyn Preconditioner + 'a>),
+}
+
+impl RungSolve<'_> {
+    /// This rung's system as a batched-PCG entry.
+    pub(crate) fn entry<'e>(
+        &'e mut self,
+        b: &'e [f64],
+        x0: &'e [f64],
+        opts: PcgOptions,
+        precision: SolverPrecision,
+    ) -> PcgBatchEntry<'e> {
+        PcgBatchEntry {
+            h: self.h,
+            h32: self.h32,
+            b,
+            x0,
+            m: match &self.m {
+                RungPrecond::Cached(bj) => *bj,
+                RungPrecond::Built(m) => m.as_ref(),
+            },
+            opts,
+            precision,
+            ws: self.ws,
+        }
+    }
+}
 
 /// Cached equation-solving state, reused across open–close iterations and
 /// time steps. The open–close loop usually toggles no contacts between
@@ -47,9 +89,40 @@ impl SolverCache {
         self.warm_valid = true;
     }
 
-    /// Drop the warm iterate (attempt start, ladder descent, rescue).
+    /// Drop the warm iterate (attempt start, ladder descent).
     pub(crate) fn clear_warm(&mut self) {
         self.warm_valid = false;
+    }
+
+    /// Refreshes the cache for `matrix` and constructs the preconditioner of
+    /// ladder rung `kind` on it. `Err` is a construction failure (zero
+    /// pivot, singular block, singular AMG2 coarse operator) — the caller
+    /// descends the ladder on it.
+    pub(crate) fn prepare(
+        &mut self,
+        dev: &Device,
+        matrix: &SymBlockMatrix,
+        kind: PrecondKind,
+        want_f32: bool,
+    ) -> Result<RungSolve<'_>, PrecondError> {
+        let want_bj = kind == PrecondKind::BlockJacobi;
+        let (h, h32, bj, ws) = self.try_prepare(dev, matrix, want_bj, want_f32)?;
+        let m = match kind {
+            PrecondKind::None => RungPrecond::Built(Box::new(Identity)),
+            PrecondKind::BlockJacobi => {
+                RungPrecond::Cached(bj.expect("try_prepare(want_bj) returns a factorization"))
+            }
+            PrecondKind::SsorAi => RungPrecond::Built(Box::new(SsorAi::try_new(dev, h, 1.0)?)),
+            PrecondKind::Ilu0 => {
+                let csr = Csr::from_sym_full(matrix);
+                RungPrecond::Built(Box::new(Ilu0::try_new(dev, &csr)?))
+            }
+            PrecondKind::Jacobi => RungPrecond::Built(Box::new(Jacobi::try_new(dev, h)?)),
+            // The smoother/coarse cycle always runs fp64 — only the Krylov
+            // SpMV streams the fp32 shadow under `Mixed`.
+            PrecondKind::Amg2 => RungPrecond::Built(Box::new(Amg2::try_new(dev, h)?)),
+        };
+        Ok(RungSolve { h, h32, m, ws })
     }
 
     /// Refreshes the cached format (and, when `want_bj`, the Block-Jacobi
@@ -68,7 +141,7 @@ impl SolverCache {
     /// a structured [`PrecondError`] so the caller's fallback ladder can
     /// degrade instead of panicking inside the factorization kernel.
     #[allow(clippy::type_complexity)]
-    pub(crate) fn try_prepare(
+    fn try_prepare(
         &mut self,
         dev: &Device,
         matrix: &SymBlockMatrix,

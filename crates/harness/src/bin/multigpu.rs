@@ -2,8 +2,8 @@
 //! simulated GPUs, under the crash-durable [`FleetRouter`].
 //!
 //! The original form of this exhibit scaled a single HSBCSR SpMV across
-//! devices (that shape survives in `bench6`'s multi-GPU rows). This one
-//! scales the *pipeline*: a seeded churn stream of whole scenes is routed
+//! devices with a modeled all-reduce (`MultiGpuSpmv`, since deleted —
+//! nothing else called it). This one scales the *pipeline*: a seeded churn stream of whole scenes is routed
 //! across fleets of 1/2/4/8 modeled K40s with locality-aware placement,
 //! every placement journaled to a write-ahead log, and throughput is
 //! scenes per modeled second. Scene-level routing has no all-reduce, so

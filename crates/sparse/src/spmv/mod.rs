@@ -18,7 +18,6 @@
 pub mod bcsr_kernel;
 pub mod csr;
 pub mod hsbcsr;
-pub mod multi;
 
 pub use bcsr_kernel::spmv_bcsr;
 pub use csr::{spmv_csr_scalar, spmv_csr_vector};
@@ -26,4 +25,3 @@ pub use hsbcsr::{
     spmv_hsbcsr, spmv_hsbcsr_fused_pq, spmv_hsbcsr_fused_pq_f32, spmv_hsbcsr_fused_pq_f32v,
     spmv_hsbcsr_into, spmv_hsbcsr_into_f32, spmv_hsbcsr_into_f32v, SpmvWorkspace, Stage1Smem,
 };
-pub use multi::{MultiGpuSpmv, MultiSpmvReport};

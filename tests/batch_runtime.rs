@@ -10,9 +10,12 @@
 //!   that agree to reduction-order noise.
 //! * **Batch equivalence**: `SceneBatch` is a scheduling change, not a
 //!   physics change — each scene's trajectory and step reports must be
-//!   *bit-identical* to stepping the same scene alone in a `GpuPipeline`.
+//!   *bit-identical* to stepping the same scene alone in a `GpuPipeline`,
+//!   whichever preconditioner rung the scene was submitted with.
 
-use dda_repro::core::pipeline::{CpuPipeline, GpuPipeline, SceneBatch};
+use dda_repro::core::pipeline::{
+    system_fingerprint, CpuPipeline, GpuPipeline, PrecondKind, SceneBatch,
+};
 use dda_repro::core::SlotState;
 use dda_repro::simt::{Device, DeviceProfile};
 use dda_repro::workloads::{
@@ -133,6 +136,125 @@ fn scene_batch_matches_solo_pipelines_bitwise() {
             }
         }
     }
+}
+
+/// A batch honours each scene's configured preconditioner: one scene per
+/// `PrecondKind`, stepped together, is bitwise the six solo runs — state,
+/// PCG iteration counts and the rung that carried the step. (The batched
+/// solve used to run Block-Jacobi whatever the scene asked for.)
+#[test]
+fn mixed_preconditioner_batch_matches_solo_pipelines_bitwise() {
+    const KINDS: [PrecondKind; 6] = [
+        PrecondKind::None,
+        PrecondKind::BlockJacobi,
+        PrecondKind::SsorAi,
+        PrecondKind::Ilu0,
+        PrecondKind::Jacobi,
+        PrecondKind::Amg2,
+    ];
+    let scenes: Vec<_> = rockfall_fleet(&FleetConfig::default().with_scenes(6).with_rocks(4))
+        .into_iter()
+        .zip(KINDS)
+        .map(|((sys, params), kind)| (sys, params.with_precond(kind)))
+        .collect();
+    let mut solos: Vec<GpuPipeline> = scenes
+        .iter()
+        .cloned()
+        .map(|(sys, params)| GpuPipeline::new(sys, params, k40()))
+        .collect();
+    let mut batch = SceneBatch::new(k40(), scenes);
+    let mut iterations = [0; 6];
+    for step in 0..4 {
+        let rb = batch.step();
+        for (i, solo) in solos.iter_mut().enumerate() {
+            let rs = solo.step();
+            let kind = KINDS[i];
+            assert_eq!(
+                rs.pcg_iterations, rb[i].pcg_iterations,
+                "{kind:?} step {step}"
+            );
+            assert_eq!(rs.fallback_rung, kind, "{kind:?} step {step}: solo rung");
+            assert_eq!(
+                rb[i].fallback_rung, kind,
+                "{kind:?} step {step}: batch rung"
+            );
+            assert_eq!(rb[i].fallback_level, 0, "{kind:?} step {step}");
+            assert_eq!(
+                system_fingerprint(&solo.sys),
+                system_fingerprint(batch.sys(i).expect("live scene")),
+                "{kind:?} step {step}: state"
+            );
+            iterations[i] += rs.pcg_iterations;
+        }
+    }
+    // The rungs really differ: plain CG needs more iterations than ILU(0).
+    assert!(
+        iterations[0] > iterations[3],
+        "None {} vs ILU0 {}",
+        iterations[0],
+        iterations[3]
+    );
+}
+
+/// A singular AMG2 coarse operator on one slot descends that scene's own
+/// ladder (AMG2 → ILU0) inside the batch exactly as it does solo, and the
+/// batch-mates never notice.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn singular_coarse_operator_descends_in_a_batch_as_it_does_solo() {
+    use dda_repro::simt::Fault;
+    const VICTIM: usize = 1;
+    let scenes: Vec<_> = rockfall_fleet(&FleetConfig::default().with_scenes(3).with_rocks(4))
+        .into_iter()
+        .enumerate()
+        .map(|(i, (sys, params))| match i {
+            VICTIM => (sys, params.with_precond(PrecondKind::Amg2)),
+            _ => (sys, params),
+        })
+        .collect();
+
+    let solo_dev = k40();
+    solo_dev.arm_fault(0, Fault::CoarseSingular, usize::MAX);
+    let (sys, params) = scenes[VICTIM].clone();
+    let mut solo = GpuPipeline::new(sys, params, solo_dev);
+
+    let mut unarmed = SceneBatch::new(k40(), scenes.clone());
+    let dev = k40();
+    dev.arm_fault(VICTIM, Fault::CoarseSingular, usize::MAX);
+    let mut batch = SceneBatch::new(dev, scenes);
+
+    for step in 0..4 {
+        let rs = solo.step();
+        let rb = batch.step();
+        unarmed.step();
+        assert_eq!(rs.fallback_level, 1, "step {step}: one rung down, solo");
+        assert_eq!(rb[VICTIM].fallback_level, 1, "step {step}: one rung down");
+        assert_eq!(rb[VICTIM].fallback_rung, PrecondKind::Ilu0, "step {step}");
+        assert_eq!(rs.fallback_rung, PrecondKind::Ilu0, "step {step}");
+        assert_eq!(rs.pcg_iterations, rb[VICTIM].pcg_iterations, "step {step}");
+        assert_eq!(
+            system_fingerprint(&solo.sys),
+            system_fingerprint(batch.sys(VICTIM).expect("live scene")),
+            "step {step}: the descended scene matches its solo run"
+        );
+        for mate in [0, 2] {
+            assert_eq!(rb[mate].fallback_level, 0, "step {step} mate {mate}");
+            assert_eq!(batch.health(mate).state, SlotState::Running);
+            assert_eq!(
+                system_fingerprint(batch.sys(mate).expect("live scene")),
+                system_fingerprint(unarmed.sys(mate).expect("live scene")),
+                "step {step}: batch-mate {mate} diverged from the unarmed run"
+            );
+        }
+    }
+    assert_eq!(batch.health(VICTIM).state, SlotState::Degraded);
+    assert_eq!(
+        batch.health(VICTIM).total_faults,
+        0,
+        "a descent is not a fault"
+    );
+    assert_eq!(batch.health(VICTIM).fallback_solves, solo.fallback_solves());
+    assert!(solo.fallback_solves() >= 4);
 }
 
 proptest! {

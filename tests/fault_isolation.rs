@@ -5,10 +5,15 @@
 //! batch-mate's trajectory stays **bit-identical** to an unpoisoned run of
 //! the same fleet. Each test drives one injected failure mode end to end
 //! through `SceneBatch` using the deterministic device injector.
+//!
+//! The solo pipeline runs the same step engine as a one-scene batch
+//! (segment 0), so the same hooks reach it: the `solo_*` tests pin that a
+//! faulted `GpuPipeline::try_step` returns the structured error with
+//! nothing committed.
 
 #![cfg(feature = "fault-inject")]
 
-use dda_repro::core::pipeline::SceneBatch;
+use dda_repro::core::pipeline::{system_fingerprint, GpuPipeline, SceneBatch};
 use dda_repro::core::{BlockSystem, DdaParams, HealthPolicy, SlotState, StepError};
 use dda_repro::simt::{Device, DeviceProfile, Fault};
 use dda_repro::workloads::{rockfall_fleet, FleetConfig};
@@ -193,4 +198,102 @@ fn quarantined_slot_can_be_retired_and_reused() {
     batch.step();
     assert_eq!(batch.health(0).state, SlotState::Running);
     assert!(batch.health(0).consecutive_failures == 0);
+}
+
+/// A solo pipeline on an armable device, three healthy steps in.
+fn warmed_solo() -> GpuPipeline {
+    let (sys, params) = fleet(1).pop().expect("fleet is non-empty");
+    let mut pipe = GpuPipeline::new(sys, params, k40());
+    pipe.run(3);
+    pipe
+}
+
+/// Everything a committed step may change, bit for bit.
+fn committed_state(pipe: &GpuPipeline) -> (u64, u64, Vec<u64>, usize) {
+    let st = pipe.scene_state();
+    (
+        system_fingerprint(&pipe.sys),
+        pipe.params.dt.to_bits(),
+        st.x_prev.iter().map(|x| x.to_bits()).collect(),
+        st.contacts.len(),
+    )
+}
+
+#[test]
+fn solo_nan_rhs_returns_err_and_commits_nothing() {
+    let mut pipe = warmed_solo();
+    let before = committed_state(&pipe);
+    let contacts = pipe.contacts().to_vec();
+    pipe.device().arm_fault(0, Fault::NanRhs, 1);
+    match pipe.try_step() {
+        Err(StepError::NonFiniteRhs { oc_iteration }) => assert_eq!(oc_iteration, 1),
+        other => panic!("expected NonFiniteRhs, got {other:?}"),
+    }
+    assert_eq!(
+        committed_state(&pipe),
+        before,
+        "a faulted step commits nothing"
+    );
+    assert_eq!(pipe.contacts(), contacts, "contact set must be untouched");
+    // The injector is spent: the same step now goes through.
+    assert!(pipe.try_step().is_ok());
+}
+
+#[test]
+fn solo_oc_pin_retries_like_the_one_slot_batch() {
+    let mut solo = warmed_solo();
+    let mut batch = SceneBatch::new(k40(), fleet(1));
+    batch.run(3);
+    // Pin open–close for exactly one attempt's worth of iterations: the
+    // first attempt is rejected, the Δt-cut retry converges and commits.
+    let oc_budget = solo.params.oc_max_iters;
+    solo.device().arm_fault(0, Fault::OcPin, oc_budget);
+    batch.device().arm_fault(0, Fault::OcPin, oc_budget);
+    let rs = solo.try_step().expect("the retry commits");
+    let rb = batch.step();
+    assert!(rs.retries >= 1, "the pinned attempt must force a Δt cut");
+    assert_eq!(rs.retries, rb[0].retries);
+    assert_eq!(rs.dt.to_bits(), rb[0].dt.to_bits());
+    assert_eq!(
+        system_fingerprint(&solo.sys),
+        system_fingerprint(batch.sys(0).expect("live scene"))
+    );
+}
+
+#[test]
+fn solo_indefinite_operator_walks_the_ladder_to_its_last_rung() {
+    let mut pipe = warmed_solo();
+    let before = committed_state(&pipe);
+    pipe.device()
+        .arm_fault(0, Fault::IndefiniteOperator, usize::MAX);
+    // Block-Jacobi breaks down, so does scalar Jacobi below it: the last
+    // rung's breakdown is the step's error — its iterate is not a solution.
+    match pipe.try_step() {
+        Err(StepError::SolverBreakdown { .. }) => {}
+        other => panic!("expected SolverBreakdown, got {other:?}"),
+    }
+    assert_eq!(
+        pipe.fallback_solves(),
+        1,
+        "one solve left the configured rung"
+    );
+    assert_eq!(
+        committed_state(&pipe),
+        before,
+        "a faulted step commits nothing"
+    );
+
+    // The one-slot batch sees the same descent and the same error.
+    let dev = k40();
+    let mut batch = SceneBatch::new(dev, fleet(1));
+    batch.run(3);
+    batch
+        .device()
+        .arm_fault(0, Fault::IndefiniteOperator, usize::MAX);
+    batch.step();
+    assert_eq!(batch.health(0).fallback_solves, 1);
+    assert!(matches!(
+        batch.health(0).last_error,
+        Some(StepError::SolverBreakdown { .. })
+    ));
 }

@@ -272,11 +272,7 @@ mod fault_paths {
     fn singular_coarse_operator_falls_back_to_ilu0() {
         let dev = k40();
         dev.arm_fault(0, Fault::CoarseSingular, usize::MAX);
-        // The injector only fires inside a batch region with a current
-        // segment; open one around the solo pipeline (the unmatched
-        // region only affects modeled-time attribution, not results).
-        dev.batch_begin(1);
-        dev.batch_segment(0);
+        // A solo pipeline is segment 0 of a one-scene step.
         let (sys, params) = small_slope();
         let mut p = GpuPipeline::new(sys, params, dev).with_precond(PrecondKind::Amg2);
         let r = p.step();
