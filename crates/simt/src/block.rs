@@ -13,13 +13,14 @@
 //! per-warp divergence groups for masked execution.
 
 use crate::buffer::GBuf;
+use crate::coalesce::{range_transactions, SegSet, SEG_SHIFT, TEX_SEG_SHIFT};
 use crate::stats::KernelStats;
-use crate::{SMEM_BANKS, TEX_TRANSACTION_BYTES, TRANSACTION_BYTES, WARP_SIZE};
+use crate::{SMEM_BANKS, WARP_SIZE};
 
 thread_local! {
-    /// Reused per-warp transaction-segment scratch for address accounting.
-    static SEG_SCRATCH: std::cell::RefCell<Vec<u64>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    /// Reused per-warp segment set for gather / scatter accounting.
+    static SEG_SCRATCH: std::cell::RefCell<SegSet> =
+        const { std::cell::RefCell::new(SegSet::new()) };
 }
 
 /// Execution context handed to a per-block kernel closure.
@@ -42,46 +43,39 @@ impl Block {
         }
     }
 
+    /// Chunks the per-thread addresses into warps and counts the distinct
+    /// transaction segments of each.
     fn account_addresses<I: Iterator<Item = u64>>(&mut self, addrs: I, elem_bytes: u64, tex: bool) {
-        // Chunk the per-thread addresses into warps and count distinct
-        // transaction segments per warp. The segment scratch is per-thread
-        // and reused across every launch, so accounting never allocates.
-        let granularity = if tex {
-            TEX_TRANSACTION_BYTES
-        } else {
-            TRANSACTION_BYTES
-        };
-        SEG_SCRATCH.with(|cell| {
-            let mut segs = cell.borrow_mut();
-            segs.clear();
+        let shift = if tex { TEX_SEG_SHIFT } else { SEG_SHIFT };
+        let transactions = SEG_SCRATCH.with(|cell| {
+            let mut set = cell.borrow_mut();
+            set.clear();
+            let mut transactions = 0;
             let mut in_warp = 0usize;
-            let flush = |segs: &mut Vec<u64>, stats: &mut KernelStats| {
-                if segs.is_empty() {
-                    return;
-                }
-                segs.sort_unstable();
-                segs.dedup();
-                if tex {
-                    stats.tex_transactions += segs.len() as u64;
-                } else {
-                    stats.gmem_transactions += segs.len() as u64;
-                }
-                segs.clear();
-            };
-            for (addr, bytes) in addrs.map(|a| (a, elem_bytes)) {
-                let first = addr / granularity;
-                let last = (addr + bytes - 1) / granularity;
-                for s in first..=last {
-                    segs.push(s);
-                }
+            for addr in addrs {
+                set.touch(addr, elem_bytes, shift);
                 in_warp += 1;
                 if in_warp == WARP_SIZE {
-                    flush(&mut segs, &mut self.stats);
+                    transactions += set.count();
+                    set.clear();
                     in_warp = 0;
                 }
             }
-            flush(&mut segs, &mut self.stats);
+            transactions + set.count()
         });
+        if tex {
+            self.stats.tex_transactions += transactions;
+        } else {
+            self.stats.gmem_transactions += transactions;
+        }
+    }
+
+    /// Accounts thread `t < count` touching `buf[start + t]`.
+    fn account_range<T: Copy + Send>(&mut self, buf: &GBuf<T>, start: usize, count: usize) {
+        let elem_bytes = u64::from(buf.elem_bytes());
+        self.stats.gmem_bytes += count as u64 * elem_bytes;
+        self.stats.gmem_transactions +=
+            range_transactions(buf.addr(start), count, elem_bytes, SEG_SHIFT);
     }
 
     /// Every thread `t < count` loads `buf[start + t]`; returns the values.
@@ -105,12 +99,7 @@ impl Block {
         count: usize,
         out: &mut Vec<T>,
     ) {
-        self.stats.gmem_bytes += (count * buf.elem_bytes() as usize) as u64;
-        self.account_addresses(
-            (0..count).map(|t| buf.addr(start + t)),
-            u64::from(buf.elem_bytes()),
-            false,
-        );
+        self.account_range(buf, start, count);
         out.clear();
         out.extend((0..count).map(|t| buf.get(start + t)));
     }
@@ -172,12 +161,7 @@ impl Block {
 
     /// Every thread `t < vals.len()` stores `vals[t]` to `buf[start + t]`.
     pub fn gst_range<T: Copy + Send>(&mut self, buf: &GBuf<T>, start: usize, vals: &[T]) {
-        self.stats.gmem_bytes += (vals.len() * buf.elem_bytes() as usize) as u64;
-        self.account_addresses(
-            (0..vals.len()).map(|t| buf.addr(start + t)),
-            u64::from(buf.elem_bytes()),
-            false,
-        );
+        self.account_range(buf, start, vals.len());
         for (t, &v) in vals.iter().enumerate() {
             buf.set(start + t, v, self.epoch);
         }
@@ -384,6 +368,113 @@ mod tests {
         let _ = b.gld_gather(&buf, &idxs);
         // Every access in its own 128-byte segment.
         assert_eq!(b.stats.gmem_transactions, 256);
+    }
+
+    /// The block-path rule as it was first written: chunk the per-thread
+    /// addresses into warps, sort + dedup each chunk's segments.
+    fn reference_transactions(addrs: &[u64], elem_bytes: u64, tex: bool) -> u64 {
+        let granularity = if tex {
+            crate::TEX_TRANSACTION_BYTES
+        } else {
+            crate::TRANSACTION_BYTES
+        };
+        addrs
+            .chunks(WARP_SIZE)
+            .map(|warp| {
+                crate::coalesce::reference_count(warp.iter().map(|&a| (a, elem_bytes)), granularity)
+            })
+            .sum()
+    }
+
+    /// Runs every instrumented memory operation of [`Block`] over `idxs`
+    /// (and the two range operations over `idxs.len()` elements from about
+    /// `idxs[0]`) on `buf`, against the oracle.
+    fn check_block_ops<T: Copy + Send>(buf: &GBuf<T>, idxs: &[usize], what: &str) {
+        let elem_bytes = u64::from(buf.elem_bytes());
+        let bytes = idxs.len() as u64 * elem_bytes;
+        let addrs: Vec<u64> = idxs.iter().map(|&i| buf.addr(i)).collect();
+        let expect = |b: &Block, gmem: u64, tex: u64, op: &str| {
+            let want = KernelStats {
+                gmem_bytes: bytes,
+                gmem_transactions: gmem,
+                tex_transactions: tex,
+                ..KernelStats::default()
+            };
+            assert_eq!(b.stats, want, "{op}, {what}");
+        };
+        let scattered = reference_transactions(&addrs, elem_bytes, false);
+
+        let mut b = block();
+        b.gld_gather(buf, idxs);
+        expect(&b, scattered, 0, "gld_gather");
+
+        let mut b = block();
+        b.gld_gather_tex(buf, idxs);
+        let tex = reference_transactions(&addrs, elem_bytes, true);
+        expect(&b, 0, tex, "gld_gather_tex");
+
+        let mut b = block();
+        let pairs: Vec<(usize, T)> = idxs.iter().map(|&i| (i, buf.get(i))).collect();
+        b.gst_scatter(buf, &pairs);
+        expect(&b, scattered, 0, "gst_scatter");
+
+        let start = idxs[0].min(buf.len() - idxs.len());
+        let range: Vec<u64> = (0..idxs.len()).map(|t| buf.addr(start + t)).collect();
+        let ranged = reference_transactions(&range, elem_bytes, false);
+
+        let mut b = block();
+        let vals = b.gld_range(buf, start, idxs.len());
+        expect(&b, ranged, 0, "gld_range");
+
+        let mut b = block();
+        b.gst_range(buf, start, &vals);
+        expect(&b, ranged, 0, "gst_range");
+    }
+
+    #[test]
+    fn streaming_count_matches_the_sort_dedup_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const LEN: usize = 4096;
+        let mut words = vec![0u32; LEN];
+        let mut reals = vec![0.0f64; LEN];
+        let mut skewed = vec![0.0f64; LEN];
+        let mut rows = vec![[0.0f64; 6]; LEN];
+        let mut mats = vec![[0.0f64; 36]; LEN];
+        // No conflict checking: the generator repeats store targets.
+        let words = GBuf::new_rw(&mut words, 4096, false);
+        let reals = GBuf::new_rw(&mut reals, 1 << 20, false);
+        let skewed = GBuf::new_rw(&mut skewed, (1 << 21) + 100, false);
+        let rows = GBuf::new_rw(&mut rows, 1 << 22, false);
+        let mats = GBuf::new_rw(&mut mats, (1 << 23) + 8, false);
+
+        let mut rng = StdRng::seed_from_u64(0xB10C_5E75);
+        for case in 0..2_500 {
+            // Up to a full block of threads, tail warps included.
+            let count = [256, 256, 32, rng.gen_range(1..257)][rng.gen_range(0..4)];
+            let base = rng.gen_range(0..LEN - 256 * 8);
+            let stride = [1, 2, 5, 8][rng.gen_range(0..4)];
+            let shape = rng.gen_range(0..6);
+            let idxs: Vec<usize> = (0..count)
+                .map(|t| match shape {
+                    0 => base + t * stride,
+                    1 => base + (count - 1 - t) * stride,
+                    // Six threads per row of six: the `0..5 ×6` gather.
+                    2 => base + (t / 36) * 6 + t % 6,
+                    3 => base,
+                    4 => rng.gen_range(0..LEN - 256),
+                    _ => base + (t % 2) * 900 + t / 2,
+                })
+                .collect();
+            let what = format!("case {case}: shape {shape}, {count} threads");
+            match rng.gen_range(0..5) {
+                0 => check_block_ops(&words, &idxs, &what),
+                1 => check_block_ops(&reals, &idxs, &what),
+                2 => check_block_ops(&skewed, &idxs, &what),
+                3 => check_block_ops(&rows, &idxs, &what),
+                _ => check_block_ops(&mats, &idxs, &what),
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::batch::{BatchState, BatchSummary};
 use crate::block::Block;
 use crate::buffer::GBuf;
-use crate::lane::{aggregate_warp, Lane, LaneRec};
+use crate::lane::{Lane, WarpAcc, WarpTotals};
 use crate::profile::DeviceProfile;
 use crate::stats::{DeviceTrace, KernelStats, LaunchRecord};
 use crate::timing::TimingModel;
@@ -18,12 +18,34 @@ use std::sync::Mutex;
 const PARALLEL_WARP_THRESHOLD: usize = 64;
 
 thread_local! {
-    /// Per-thread warp replay scratch: 32 [`LaneRec`]s whose inner vectors
+    /// Per-thread slot accumulators of the warp in flight; their vectors
     /// keep their capacity across launches, so the steady-state hot loop
-    /// records lane traces without touching the heap.
-    static WARP_SCRATCH: RefCell<Vec<LaneRec>> = const { RefCell::new(Vec::new()) };
+    /// accounts lane accesses without touching the heap.
+    static WARP_SCRATCH: RefCell<WarpAcc> = const { RefCell::new(WarpAcc::new()) };
     /// Per-thread counter accumulator for the launch in flight.
     static LOCAL_STATS: RefCell<KernelStats> = const { RefCell::new(KernelStats::new()) };
+}
+
+/// The launch trace and its modeled seconds so far. The total is added to
+/// in push order from the empty sum, i.e. it is the same left fold as
+/// [`DeviceTrace::total_seconds`] and equal to it bit for bit, without
+/// walking the records on every [`Device::modeled_seconds`] call.
+struct TraceLog {
+    trace: DeviceTrace,
+    seconds: f64,
+}
+
+impl TraceLog {
+    fn new() -> TraceLog {
+        let trace = DeviceTrace::default();
+        let seconds = trace.total_seconds();
+        TraceLog { trace, seconds }
+    }
+
+    fn push(&mut self, record: LaunchRecord) {
+        self.seconds += record.seconds;
+        self.trace.records.push(record);
+    }
 }
 
 /// A simulated GPU (or the serial-CPU baseline platform).
@@ -36,7 +58,7 @@ pub struct Device {
     profile: DeviceProfile,
     model: TimingModel,
     check_conflicts: bool,
-    trace: Mutex<DeviceTrace>,
+    trace: Mutex<TraceLog>,
     batch: Mutex<Option<BatchState>>,
     next_base: AtomicU64,
     epoch: AtomicU32,
@@ -54,7 +76,7 @@ impl Device {
             profile,
             model: TimingModel::default(),
             check_conflicts: false,
-            trace: Mutex::new(DeviceTrace::default()),
+            trace: Mutex::new(TraceLog::new()),
             batch: Mutex::new(None),
             next_base: AtomicU64::new(1 << 12),
             epoch: AtomicU32::new(0),
@@ -138,35 +160,24 @@ impl Device {
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let n_warps = threads.div_ceil(WARP_SIZE);
 
-        let run_warp = |w: usize, scratch: &mut [LaneRec], stats: &mut KernelStats| {
-            for lane_idx in 0..WARP_SIZE {
-                let gid = w * WARP_SIZE + lane_idx;
-                let rec = &mut scratch[lane_idx];
-                rec.clear();
-                if gid < threads {
-                    rec.set_active();
-                    let mut lane = Lane {
-                        gid,
-                        lane_id: lane_idx as u32,
-                        warp_id: w,
-                        epoch,
-                        rec,
-                    };
-                    f(&mut lane);
-                }
+        let run_warp = |w: usize, acc: &mut WarpAcc, stats: &mut KernelStats| {
+            let first = w * WARP_SIZE;
+            let mut totals = WarpTotals::default();
+            acc.begin();
+            for gid in first..threads.min(first + WARP_SIZE) {
+                let mut lane = Lane::new(gid, epoch, acc);
+                f(&mut lane);
+                lane.retire(&mut totals);
             }
-            aggregate_warp(scratch, stats);
+            acc.finish(totals, stats);
         };
 
         let mut stats = if n_warps <= PARALLEL_WARP_THRESHOLD {
             WARP_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                if scratch.len() < WARP_SIZE {
-                    scratch.resize_with(WARP_SIZE, LaneRec::default);
-                }
+                let mut acc = cell.borrow_mut();
                 let mut stats = KernelStats::default();
                 for w in 0..n_warps {
-                    run_warp(w, &mut scratch, &mut stats);
+                    run_warp(w, &mut acc, &mut stats);
                 }
                 stats
             })
@@ -174,12 +185,8 @@ impl Device {
             let total = Mutex::new(KernelStats::default());
             let task = |w: usize| {
                 WARP_SCRATCH.with(|cell| {
-                    let mut scratch = cell.borrow_mut();
-                    if scratch.len() < WARP_SIZE {
-                        scratch.resize_with(WARP_SIZE, LaneRec::default);
-                    }
                     LOCAL_STATS.with(|stats| {
-                        run_warp(w, &mut scratch, &mut stats.borrow_mut());
+                        run_warp(w, &mut cell.borrow_mut(), &mut stats.borrow_mut());
                     });
                 });
             };
@@ -260,7 +267,7 @@ impl Device {
             return 0.0;
         }
         let seconds = self.model.seconds(&stats, &self.profile);
-        self.trace.lock().unwrap().records.push(LaunchRecord {
+        self.trace.lock().unwrap().push(LaunchRecord {
             name,
             stats,
             seconds,
@@ -302,7 +309,10 @@ impl Device {
             .take()
             .expect("batch_end() without batch_begin()");
         let (records, summary) = state.finish(&self.model, &self.profile);
-        self.trace.lock().unwrap().records.extend(records);
+        let mut log = self.trace.lock().unwrap();
+        for record in records {
+            log.push(record);
+        }
         summary
     }
 
@@ -470,23 +480,25 @@ impl Device {
 
     /// Snapshot of the launch trace.
     pub fn trace(&self) -> DeviceTrace {
-        self.trace.lock().unwrap().clone()
+        self.trace.lock().unwrap().trace.clone()
     }
 
     /// Total modeled seconds since the last reset.
     pub fn modeled_seconds(&self) -> f64 {
-        self.trace.lock().unwrap().total_seconds()
+        self.trace.lock().unwrap().seconds
     }
 
     /// Clears the launch trace (retaining its capacity, so a warmed device
     /// records subsequent launches without reallocating).
     pub fn reset_trace(&self) {
-        self.trace.lock().unwrap().records.clear();
+        let mut log = self.trace.lock().unwrap();
+        log.trace.records.clear();
+        log.seconds = log.trace.total_seconds();
     }
 
     /// Takes the launch trace, leaving it empty.
     pub fn take_trace(&self) -> DeviceTrace {
-        std::mem::take(&mut *self.trace.lock().unwrap())
+        std::mem::replace(&mut *self.trace.lock().unwrap(), TraceLog::new()).trace
     }
 }
 
@@ -639,6 +651,50 @@ mod tests {
         dev.launch("nop", 32, |_| {});
         dev.reset_trace();
         assert!(dev.trace().is_empty());
+    }
+
+    #[test]
+    fn modeled_seconds_is_the_trace_total_bit_for_bit() {
+        let dev = k40();
+        let check = |what: &str| {
+            assert_eq!(
+                dev.modeled_seconds().to_bits(),
+                dev.trace().total_seconds().to_bits(),
+                "{what}"
+            );
+        };
+        let x: Vec<f64> = (0..4096).map(|i| i as f64).collect();
+        let bx = dev.bind_ro(&x);
+        let work = |n: usize| {
+            dev.launch("ld", n, |lane| {
+                let v = lane.ld(&bx, lane.gid);
+                lane.flop(3);
+                std::hint::black_box(v);
+            });
+            dev.launch_blocks("blk", n.div_ceil(256), 256, |blk| blk.flop_all(7));
+        };
+        check("empty");
+        for n in [33, 700, 4096, 95] {
+            work(n);
+            check("after launches");
+        }
+        dev.batch_begin(3);
+        for s in 0..3 {
+            dev.batch_segment(s);
+            work(100 * (s + 1));
+            check("inside a batch region");
+        }
+        dev.batch_end();
+        check("after the batch region");
+        dev.reset_trace();
+        check("after reset");
+        work(1000);
+        check("after reset + launches");
+        let taken = dev.take_trace();
+        assert_eq!(taken.len(), 2);
+        check("after take");
+        work(64);
+        check("after take + launches");
     }
 
     #[test]

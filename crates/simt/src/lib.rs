@@ -65,6 +65,7 @@
 pub mod batch;
 pub mod block;
 pub mod buffer;
+pub(crate) mod coalesce;
 pub mod device;
 #[cfg(feature = "fault-inject")]
 pub mod inject;

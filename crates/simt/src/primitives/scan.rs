@@ -8,49 +8,70 @@
 
 use super::BLOCK;
 use crate::device::Device;
+use std::cell::RefCell;
+
+thread_local! {
+    /// Host-side staging of one tile — `(loaded, warp-total words, result)`
+    /// — reused by every tile a thread runs so the kernels never allocate.
+    static TILE: RefCell<(Vec<u32>, Vec<u32>, Vec<u32>)> =
+        const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
+}
 
 /// Exclusive prefix sum of `input`; returns the scanned vector and the
 /// total sum.
 ///
 /// `scan[i] = input[0] + … + input[i-1]`, `scan[0] = 0`.
 pub fn scan_exclusive_u32(dev: &Device, input: &[u32]) -> (Vec<u32>, u32) {
+    let mut out = Vec::new();
+    let total = scan_exclusive_u32_into(dev, input, &mut out);
+    (out, total)
+}
+
+/// [`scan_exclusive_u32`] into a caller-owned vector, for callers that scan
+/// in a loop (the radix sort, once per digit pass).
+pub(crate) fn scan_exclusive_u32_into(dev: &Device, input: &[u32], out: &mut Vec<u32>) -> u32 {
     let n = input.len();
+    out.clear();
     if n == 0 {
-        return (Vec::new(), 0);
+        return 0;
     }
+    out.resize(n, 0);
     let n_blocks = n.div_ceil(BLOCK);
-    let mut out = vec![0u32; n];
     let mut sums = vec![0u32; n_blocks];
 
     // Kernel 1: per-tile exclusive scan + tile total.
     {
         let b_in = dev.bind_ro(input);
-        let b_out = dev.bind(&mut out);
+        let b_out = dev.bind(out.as_mut_slice());
         let b_sums = dev.bind(&mut sums);
         dev.launch_blocks("scan.tile", n_blocks, BLOCK, |blk| {
-            let start = blk.block_id * BLOCK;
-            let count = BLOCK.min(n - start);
-            let vals = blk.gld_range(&b_in, start, count);
-            // Warp shuffle scans + one shared-memory pass for warp totals.
-            blk.shfl_reduce_cost(count, 32);
-            let warp_words: Vec<u32> = (0..count.div_ceil(32) as u32).collect();
-            blk.smem_access(&warp_words);
-            blk.sync();
-            blk.flop_masked(count, 1);
+            TILE.with(|cell| {
+                let (vals, warp_words, scanned) = &mut *cell.borrow_mut();
+                let start = blk.block_id * BLOCK;
+                let count = BLOCK.min(n - start);
+                blk.gld_range_into(&b_in, start, count, vals);
+                // Warp shuffle scans + one shared-memory pass for warp totals.
+                blk.shfl_reduce_cost(count, 32);
+                warp_words.clear();
+                warp_words.extend(0..count.div_ceil(32) as u32);
+                blk.smem_access(warp_words);
+                blk.sync();
+                blk.flop_masked(count, 1);
 
-            let mut acc = 0u32;
-            let mut scanned = Vec::with_capacity(count);
-            for v in vals {
-                scanned.push(acc);
-                acc = acc.wrapping_add(v);
-            }
-            blk.gst_range(&b_out, start, &scanned);
-            blk.gst_one(&b_sums, blk.block_id, acc);
+                let mut acc = 0u32;
+                scanned.clear();
+                for &v in vals.iter() {
+                    scanned.push(acc);
+                    acc = acc.wrapping_add(v);
+                }
+                blk.gst_range(&b_out, start, scanned);
+                blk.gst_one(&b_sums, blk.block_id, acc);
+            });
         });
     }
 
     if n_blocks == 1 {
-        return (out, sums[0]);
+        return sums[0];
     }
 
     // Scan the tile totals (recursive for very large inputs).
@@ -58,7 +79,7 @@ pub fn scan_exclusive_u32(dev: &Device, input: &[u32]) -> (Vec<u32>, u32) {
 
     // Kernel 3: add tile offsets.
     {
-        let b_out = dev.bind(&mut out);
+        let b_out = dev.bind(out.as_mut_slice());
         let b_off = dev.bind_ro(&sums_scanned);
         dev.launch_blocks("scan.add_offsets", n_blocks, BLOCK, |blk| {
             let start = blk.block_id * BLOCK;
@@ -67,14 +88,18 @@ pub fn scan_exclusive_u32(dev: &Device, input: &[u32]) -> (Vec<u32>, u32) {
             if offset == 0 {
                 return; // first tile needs no update; still a real launch
             }
-            let vals = blk.gld_range(&b_out, start, count);
-            blk.flop_masked(count, 1);
-            let shifted: Vec<u32> = vals.iter().map(|v| v.wrapping_add(offset)).collect();
-            blk.gst_range(&b_out, start, &shifted);
+            TILE.with(|cell| {
+                let (vals, _, shifted) = &mut *cell.borrow_mut();
+                blk.gld_range_into(&b_out, start, count, vals);
+                blk.flop_masked(count, 1);
+                shifted.clear();
+                shifted.extend(vals.iter().map(|v| v.wrapping_add(offset)));
+                blk.gst_range(&b_out, start, shifted);
+            });
         });
     }
 
-    (out, total)
+    total
 }
 
 #[cfg(test)]

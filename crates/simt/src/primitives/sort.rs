@@ -12,12 +12,31 @@
 //! steps — the contact set changes slowly) coalesce better than random
 //! ones, exactly as on hardware.
 
-use super::scan::scan_exclusive_u32;
+use super::scan::scan_exclusive_u32_into;
 use super::BLOCK;
 use crate::device::Device;
+use std::cell::RefCell;
 
 const RADIX_BITS: u32 = 8;
 const RADIX: usize = 1 << RADIX_BITS;
+
+/// Host-side staging of one 256-key tile, reused by every tile a thread
+/// runs so the kernels below never allocate.
+#[derive(Default)]
+struct TileScratch {
+    keys: Vec<u64>,
+    vals: Vec<u32>,
+    words: Vec<u32>,
+    counts: Vec<(usize, u32)>,
+    off_idx: Vec<usize>,
+    offs: Vec<u32>,
+    key_pairs: Vec<(usize, u64)>,
+    val_pairs: Vec<(usize, u32)>,
+}
+
+thread_local! {
+    static TILE: RefCell<TileScratch> = RefCell::new(TileScratch::default());
+}
 
 /// Sorts `keys` ascending, carrying `payload` along. Stable.
 ///
@@ -34,52 +53,58 @@ pub fn sort_pairs_u64(dev: &Device, keys: &[u64], payload: &[u32]) -> (Vec<u64>,
     let significant_bits = 64 - max_key.leading_zeros();
     let passes = significant_bits.div_ceil(RADIX_BITS).max(1);
 
+    let n_blocks = n.div_ceil(BLOCK);
+    // Ping-pong key/payload buffers, and the histogram and its scan, live
+    // across passes: every pass overwrites all of each.
     let mut cur_keys = keys.to_vec();
     let mut cur_vals = payload.to_vec();
-    let n_blocks = n.div_ceil(BLOCK);
+    let mut next_keys = vec![0u64; n];
+    let mut next_vals = vec![0u32; n];
+    let mut counts = vec![0u32; RADIX * n_blocks];
+    let mut offsets = Vec::new();
 
     for pass in 0..passes {
         let shift = pass * RADIX_BITS;
+        let digit_of = |k: u64| ((k >> shift) as usize) & (RADIX - 1);
 
         // Kernel 1: per-tile digit histogram, digit-major layout
         // counts[d * n_blocks + b].
-        let mut counts = vec![0u32; RADIX * n_blocks];
         {
             let b_keys = dev.bind_ro(&cur_keys);
             let b_counts = dev.bind(&mut counts);
             dev.launch_blocks("radix.histogram", n_blocks, BLOCK, |blk| {
-                let start = blk.block_id * BLOCK;
-                let count = BLOCK.min(n - start);
-                let tile = blk.gld_range(&b_keys, start, count);
-                // Shared-memory digit counters: the bank pattern of the
-                // actual digits is measured (conflict replays are real).
-                let words: Vec<u32> = tile
-                    .iter()
-                    .map(|&k| ((k >> shift) as u32) & (RADIX as u32 - 1))
-                    .collect();
-                blk.smem_access(&words);
-                blk.flop_masked(count, 2);
-                blk.sync();
+                TILE.with(|cell| {
+                    let tile = &mut *cell.borrow_mut();
+                    let start = blk.block_id * BLOCK;
+                    let count = BLOCK.min(n - start);
+                    blk.gld_range_into(&b_keys, start, count, &mut tile.keys);
+                    // Shared-memory digit counters: the bank pattern of the
+                    // actual digits is measured (conflict replays are real).
+                    tile.words.clear();
+                    tile.words
+                        .extend(tile.keys.iter().map(|&k| digit_of(k) as u32));
+                    blk.smem_access(&tile.words);
+                    blk.flop_masked(count, 2);
+                    blk.sync();
 
-                let mut local = [0u32; RADIX];
-                for &k in &tile {
-                    local[((k >> shift) as usize) & (RADIX - 1)] += 1;
-                }
-                // 256 counters written by 256 threads, coalesced but strided
-                // across the digit-major array.
-                let pairs: Vec<(usize, u32)> = (0..RADIX)
-                    .map(|d| (d * n_blocks + blk.block_id, local[d]))
-                    .collect();
-                blk.gst_scatter(&b_counts, &pairs);
+                    let mut local = [0u32; RADIX];
+                    for &k in &tile.keys {
+                        local[digit_of(k)] += 1;
+                    }
+                    // 256 counters written by 256 threads, coalesced but
+                    // strided across the digit-major array.
+                    tile.counts.clear();
+                    tile.counts
+                        .extend((0..RADIX).map(|d| (d * n_blocks + blk.block_id, local[d])));
+                    blk.gst_scatter(&b_counts, &tile.counts);
+                });
             });
         }
 
         // Kernel 2 (sequence): scan the digit-major counts.
-        let (offsets, _total) = scan_exclusive_u32(dev, &counts);
+        scan_exclusive_u32_into(dev, &counts, &mut offsets);
 
         // Kernel 3: stable scatter.
-        let mut next_keys = vec![0u64; n];
-        let mut next_vals = vec![0u32; n];
         {
             let b_keys = dev.bind_ro(&cur_keys);
             let b_vals = dev.bind_ro(&cur_vals);
@@ -87,41 +112,48 @@ pub fn sort_pairs_u64(dev: &Device, keys: &[u64], payload: &[u32]) -> (Vec<u64>,
             let b_nk = dev.bind(&mut next_keys);
             let b_nv = dev.bind(&mut next_vals);
             dev.launch_blocks("radix.scatter", n_blocks, BLOCK, |blk| {
-                let start = blk.block_id * BLOCK;
-                let count = BLOCK.min(n - start);
-                let tile_keys = blk.gld_range(&b_keys, start, count);
-                let tile_vals = blk.gld_range(&b_vals, start, count);
-                // Per-digit tile offsets.
-                let digit_of = |k: u64| ((k >> shift) as usize) & (RADIX - 1);
-                let used: Vec<usize> = {
-                    let mut ds: Vec<usize> = tile_keys.iter().map(|&k| digit_of(k)).collect();
-                    ds.sort_unstable();
-                    ds.dedup();
-                    ds
-                };
-                let off_idx: Vec<usize> =
-                    used.iter().map(|&d| d * n_blocks + blk.block_id).collect();
-                let tile_off = blk.gld_gather(&b_off, &off_idx);
-                let mut local_rank = [0u32; RADIX];
-                let mut key_pairs = Vec::with_capacity(count);
-                let mut val_pairs = Vec::with_capacity(count);
-                for (i, &k) in tile_keys.iter().enumerate() {
-                    let d = digit_of(k);
-                    let base = tile_off[used.binary_search(&d).unwrap()];
-                    let pos = base as usize + local_rank[d] as usize;
-                    local_rank[d] += 1;
-                    key_pairs.push((pos, k));
-                    val_pairs.push((pos, tile_vals[i]));
-                }
-                blk.flop_masked(count, 4);
-                blk.block_scan_cost(count);
-                blk.gst_scatter(&b_nk, &key_pairs);
-                blk.gst_scatter(&b_nv, &val_pairs);
+                TILE.with(|cell| {
+                    let tile = &mut *cell.borrow_mut();
+                    let start = blk.block_id * BLOCK;
+                    let count = BLOCK.min(n - start);
+                    blk.gld_range_into(&b_keys, start, count, &mut tile.keys);
+                    blk.gld_range_into(&b_vals, start, count, &mut tile.vals);
+                    // Per-digit tile offsets, fetched for the digits the
+                    // tile holds, in ascending digit order.
+                    let mut held = [false; RADIX];
+                    for &k in &tile.keys {
+                        held[digit_of(k)] = true;
+                    }
+                    tile.off_idx.clear();
+                    tile.off_idx.extend(
+                        (0..RADIX)
+                            .filter(|&d| held[d])
+                            .map(|d| d * n_blocks + blk.block_id),
+                    );
+                    blk.gld_gather_into(&b_off, &tile.off_idx, &mut tile.offs);
+                    // next[d]: where the tile's next key of digit d goes.
+                    let mut next = [0usize; RADIX];
+                    for (d, &off) in (0..RADIX).filter(|&d| held[d]).zip(&tile.offs) {
+                        next[d] = off as usize;
+                    }
+                    tile.key_pairs.clear();
+                    tile.val_pairs.clear();
+                    for (&k, &v) in tile.keys.iter().zip(&tile.vals) {
+                        let pos = &mut next[digit_of(k)];
+                        tile.key_pairs.push((*pos, k));
+                        tile.val_pairs.push((*pos, v));
+                        *pos += 1;
+                    }
+                    blk.flop_masked(count, 4);
+                    blk.block_scan_cost(count);
+                    blk.gst_scatter(&b_nk, &tile.key_pairs);
+                    blk.gst_scatter(&b_nv, &tile.val_pairs);
+                });
             });
         }
 
-        cur_keys = next_keys;
-        cur_vals = next_vals;
+        std::mem::swap(&mut cur_keys, &mut next_keys);
+        std::mem::swap(&mut cur_vals, &mut next_vals);
     }
 
     (cur_keys, cur_vals)

@@ -1,0 +1,113 @@
+//! Golden digest of every simulated statistic the device records.
+//!
+//! The constants below were captured on the commit *before* the simt
+//! transaction counting was rewritten as a streaming pass and the radix-sort
+//! and scan tiles lost their per-tile allocations. Both changes are host-only:
+//! they may make the simulator faster, they may not move a single counter or
+//! modeled second. The digest covers every `LaunchRecord` of the trace — name,
+//! all `KernelStats` fields, `seconds.to_bits()` — so it is wider than the
+//! benchmark's `modeled_us_per_op`, and it must not depend on the opt level
+//! (CI runs it in debug and `--release`).
+
+use dda_repro::core::contact::BroadPhaseMode;
+use dda_repro::core::pipeline::{GpuPipeline, SceneBatch};
+use dda_repro::core::{BlockSystem, DdaParams};
+use dda_repro::simt::{Device, DeviceProfile, DeviceTrace};
+use dda_repro::workloads::{
+    rockfall_case, scatter_case, slope_case, RockfallConfig, ScatterConfig, SlopeConfig,
+};
+
+const STEPS: usize = 8;
+
+/// `(records, digest)` of the solo slope, rockfall and scatter traces.
+const GOLDEN_SOLO: [(usize, u64); 3] = [
+    (16253, 0x23de4acd162408ce),
+    (1293, 0xa03f535f65a9ccc5),
+    (1179, 0x5c397a2d2770eb13),
+];
+
+/// `(records, digest)` of the shared device after the 8-scene batch.
+const GOLDEN_BATCH: (usize, u64) = (13048, 0x83160b2130561f78);
+
+fn k40() -> Device {
+    Device::new(DeviceProfile::tesla_k40())
+}
+
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn digest(trace: &DeviceTrace) -> (usize, u64) {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for r in &trace.records {
+        fnv1a(&mut h, r.name.as_bytes());
+        let s = &r.stats;
+        for v in [
+            s.launches,
+            s.threads,
+            s.warps,
+            s.flops,
+            s.warp_flops,
+            s.gmem_transactions,
+            s.gmem_bytes,
+            s.tex_transactions,
+            s.smem_accesses,
+            s.smem_replays,
+            s.branch_groups,
+            s.divergent_branch_groups,
+            s.shuffles,
+            s.syncs,
+            r.seconds.to_bits(),
+        ] {
+            fnv1a(&mut h, &v.to_le_bytes());
+        }
+    }
+    (trace.len(), h)
+}
+
+fn solo_scenes() -> Vec<(BlockSystem, DdaParams)> {
+    let (sys, params) = scatter_case(&ScatterConfig::default().with_rocks(420));
+    assert_eq!(params.broad_phase, BroadPhaseMode::GridCached);
+    vec![
+        slope_case(&SlopeConfig::default().with_target_blocks(60)),
+        rockfall_case(&RockfallConfig::default().with_rocks(40)),
+        (sys, params),
+    ]
+}
+
+#[test]
+fn solo_traces_match_the_parent_commit() {
+    let mut widest = 0;
+    let got: Vec<(usize, u64)> = solo_scenes()
+        .into_iter()
+        .map(|(sys, params)| {
+            let mut pipe = GpuPipeline::new(sys, params, k40());
+            pipe.run(STEPS);
+            let trace = pipe.device().trace();
+            widest = widest.max(trace.records.iter().map(|r| r.stats.warps).max().unwrap());
+            digest(&trace)
+        })
+        .collect();
+    // More than 64 warps in one launch is past both dispatch cut-offs, so
+    // the per-thread partial counters and their merge are under the digest.
+    assert!(widest > 64, "no launch took the pool path ({widest} warps)");
+    assert_eq!(got, GOLDEN_SOLO, "got {got:#018x?}");
+}
+
+#[test]
+fn batch_trace_matches_the_parent_commit() {
+    let scenes = (0..8)
+        .map(|k| match k % 3 {
+            0 => rockfall_case(&RockfallConfig::default().with_rocks(6 + k)),
+            1 => scatter_case(&ScatterConfig::default().with_rocks(20 + 4 * k)),
+            _ => slope_case(&SlopeConfig::default().with_target_blocks(12 + k)),
+        })
+        .collect();
+    let mut batch = SceneBatch::new(k40(), scenes);
+    batch.run(STEPS);
+    let got = digest(&batch.device().trace());
+    assert_eq!(got, GOLDEN_BATCH, "got {got:#018x?}");
+}
