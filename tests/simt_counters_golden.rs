@@ -10,9 +10,10 @@
 //! (CI runs it in debug and `--release`).
 
 use dda_repro::core::contact::BroadPhaseMode;
-use dda_repro::core::pipeline::{GpuPipeline, SceneBatch};
+use dda_repro::core::pipeline::{system_fingerprint, GpuPipeline, PrecondKind, SceneBatch};
 use dda_repro::core::{BlockSystem, DdaParams};
 use dda_repro::simt::{Device, DeviceProfile, DeviceTrace};
+use dda_repro::solver::SolverPrecision;
 use dda_repro::workloads::{
     rockfall_case, scatter_case, slope_case, RockfallConfig, ScatterConfig, SlopeConfig,
 };
@@ -28,6 +29,20 @@ const GOLDEN_SOLO: [(usize, u64); 3] = [
 
 /// `(records, digest)` of the shared device after the 8-scene batch.
 const GOLDEN_BATCH: (usize, u64) = (13048, 0x83160b2130561f78);
+
+/// `(records, digest)` under `SolverPrecision::Mixed`, with the final block
+/// state and `x_prev` folded in: rockfall and slope on Block-Jacobi (the
+/// five-launch fp32 fast path), rockfall on SSOR-AI (the promote → apply →
+/// demote bridge). Captured on the commit before the fp64/fp32 solver twins
+/// were merged into one generic core.
+const GOLDEN_MIXED_SOLO: [(usize, u64); 3] = [
+    (1676, 0x952c30ab48e75be3),
+    (16942, 0x3e98a036abe25a7f),
+    (2008, 0x4fe374429fde3e68),
+];
+
+/// The 8-scene batch of [`GOLDEN_BATCH`] with every scene on `Mixed`.
+const GOLDEN_MIXED_BATCH: (usize, u64) = (15645, 0xb9c1bec822816189);
 
 fn k40() -> Device {
     Device::new(DeviceProfile::tesla_k40())
@@ -68,6 +83,23 @@ fn digest(trace: &DeviceTrace) -> (usize, u64) {
     (trace.len(), h)
 }
 
+/// [`digest`] continued over a scene's final state: the fp32 kernels leave
+/// the counters alone when they round differently, the solution bits do not.
+fn digest_with_state(trace: &DeviceTrace, scenes: &[(&BlockSystem, Vec<f64>)]) -> (usize, u64) {
+    let (len, mut h) = digest(trace);
+    for (sys, x_prev) in scenes {
+        fnv1a(&mut h, &system_fingerprint(sys).to_le_bytes());
+        for x in x_prev {
+            fnv1a(&mut h, &x.to_bits().to_le_bytes());
+        }
+    }
+    (len, h)
+}
+
+fn launches(trace: &DeviceTrace, kernel: &str) -> usize {
+    trace.records.iter().filter(|r| r.name == kernel).count()
+}
+
 fn solo_scenes() -> Vec<(BlockSystem, DdaParams)> {
     let (sys, params) = scatter_case(&ScatterConfig::default().with_rocks(420));
     assert_eq!(params.broad_phase, BroadPhaseMode::GridCached);
@@ -97,17 +129,68 @@ fn solo_traces_match_the_parent_commit() {
     assert_eq!(got, GOLDEN_SOLO, "got {got:#018x?}");
 }
 
-#[test]
-fn batch_trace_matches_the_parent_commit() {
-    let scenes = (0..8)
+fn batch_scenes() -> Vec<(BlockSystem, DdaParams)> {
+    (0..8)
         .map(|k| match k % 3 {
             0 => rockfall_case(&RockfallConfig::default().with_rocks(6 + k)),
             1 => scatter_case(&ScatterConfig::default().with_rocks(20 + 4 * k)),
             _ => slope_case(&SlopeConfig::default().with_target_blocks(12 + k)),
         })
-        .collect();
-    let mut batch = SceneBatch::new(k40(), scenes);
+        .collect()
+}
+
+#[test]
+fn batch_trace_matches_the_parent_commit() {
+    let mut batch = SceneBatch::new(k40(), batch_scenes());
     batch.run(STEPS);
     let got = digest(&batch.device().trace());
     assert_eq!(got, GOLDEN_BATCH, "got {got:#018x?}");
+}
+
+#[test]
+fn mixed_solo_traces_match_the_parent_commit() {
+    let rockfall = || rockfall_case(&RockfallConfig::default().with_rocks(40));
+    let slope = slope_case(&SlopeConfig::default().with_target_blocks(60));
+    let got: Vec<(usize, u64)> = [
+        (rockfall(), PrecondKind::BlockJacobi),
+        (slope, PrecondKind::BlockJacobi),
+        (rockfall(), PrecondKind::SsorAi),
+    ]
+    .into_iter()
+    .map(|((sys, params), precond)| {
+        let params = params
+            .with_precision(SolverPrecision::Mixed)
+            .with_precond(precond);
+        let mut pipe = GpuPipeline::new(sys, params, k40());
+        pipe.run(STEPS);
+        let trace = pipe.device().trace();
+        // The fp32 inner loop ran, and on SSOR-AI through the fp64 bridge.
+        assert!(launches(&trace, "pcg.fused.axpy2norm.f32") > 0);
+        let bridged = launches(&trace, "vec.promote") > 0;
+        assert_eq!(bridged, precond == PrecondKind::SsorAi);
+        digest_with_state(&trace, &[(&pipe.sys, pipe.scene_state().x_prev)])
+    })
+    .collect();
+    assert_eq!(got, GOLDEN_MIXED_SOLO, "got {got:#018x?}");
+}
+
+#[test]
+fn mixed_batch_trace_matches_the_parent_commit() {
+    let scenes: Vec<_> = batch_scenes()
+        .into_iter()
+        .map(|(sys, params)| (sys, params.with_precision(SolverPrecision::Mixed)))
+        .collect();
+    let n = scenes.len();
+    let mut batch = SceneBatch::new(k40(), scenes);
+    batch.run(STEPS);
+    let trace = batch.device().trace();
+    assert!(launches(&trace, "pcg.fused.axpy2norm.f32") > 0);
+    let states: Vec<_> = (0..n)
+        .map(|k| {
+            let x_prev = batch.scene_state(k).expect("live scene").x_prev;
+            (batch.sys(k).expect("live scene"), x_prev)
+        })
+        .collect();
+    let got = digest_with_state(&trace, &states);
+    assert_eq!(got, GOLDEN_MIXED_BATCH, "got {got:#018x?}");
 }
