@@ -20,8 +20,7 @@
 //! step must be allocation-free.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use dda_core::contact::{
     broad_phase_serial_ws, detect_broad_serial, narrow_phase_serial, BroadPhaseMode,
@@ -34,21 +33,42 @@ use dda_simt::serial::CpuCounter;
 
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+// Armed and counted per thread: the libtest harness runs the audits of one
+// binary on parallel threads, and a process-wide flag would charge one
+// test's warm-up allocations to another's armed window. `const`-initialised
+// `Cell`s need no lazy init and no destructor, so reading them inside the
+// allocator is safe.
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_if_armed() {
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            ALLOCS.with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+/// Runs `f` with this thread's allocation counter armed; returns the
+/// number of heap allocations `f` performed and its result.
+fn count_allocs<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (ALLOCS.with(Cell::get), out)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -59,10 +79,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Serializes the armed sections: the counter is global, so two audits
-/// running on parallel test threads would see each other's allocations.
-static GATE: Mutex<()> = Mutex::new(());
 
 fn grid_system(nx: usize, ny: usize, gap: f64) -> BlockSystem {
     let mut blocks = Vec::new();
@@ -114,29 +130,25 @@ fn warmed_serial_broad_phases_allocate_nothing() {
     assert!(!expected.is_empty(), "audit needs real pair work");
 
     // Measure.
-    let _gate = GATE.lock().unwrap();
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    broad_phase_serial_ws(&sys, range, &mut counter, &mut ws_all);
-    detect_broad_serial(
-        &sys,
-        BroadPhaseMode::Grid,
-        range,
-        slack,
-        &mut counter,
-        &mut ws_grid,
-    );
-    detect_broad_serial(
-        &sys,
-        BroadPhaseMode::GridCached,
-        range,
-        slack,
-        &mut counter,
-        &mut ws_cached,
-    );
-    ARMED.store(false, Ordering::SeqCst);
-
-    let n_allocs = ALLOCS.load(Ordering::SeqCst);
+    let (n_allocs, ()) = count_allocs(|| {
+        broad_phase_serial_ws(&sys, range, &mut counter, &mut ws_all);
+        detect_broad_serial(
+            &sys,
+            BroadPhaseMode::Grid,
+            range,
+            slack,
+            &mut counter,
+            &mut ws_grid,
+        );
+        detect_broad_serial(
+            &sys,
+            BroadPhaseMode::GridCached,
+            range,
+            slack,
+            &mut counter,
+            &mut ws_cached,
+        );
+    });
     assert_eq!(
         n_allocs, 0,
         "warmed serial broad phases performed {n_allocs} heap allocations"
@@ -170,22 +182,18 @@ fn warmed_assembly_cache_bookkeeping_allocates_nothing() {
     // then several open–close iterations' dirty-mask accumulate/consume
     // cycles (the device-side recompute/splice launches sit between these
     // in the pipeline and are audited for capacity reuse separately).
-    let _gate = GATE.lock().unwrap();
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    acache.begin_step(&sys, &contacts);
-    for it in 0..4 {
-        let mask = acache.dirty_mask();
-        for (k, m) in mask.iter_mut().enumerate() {
-            *m = u32::from(k % (it + 2) == 0);
+    let (n_allocs, ()) = count_allocs(|| {
+        acache.begin_step(&sys, &contacts);
+        for it in 0..4 {
+            let mask = acache.dirty_mask();
+            for (k, m) in mask.iter_mut().enumerate() {
+                *m = u32::from(k % (it + 2) == 0);
+            }
+            mask.fill(0);
+            let _ = acache.stats();
         }
-        mask.fill(0);
-        let _ = acache.stats();
-    }
-    acache.invalidate();
-    ARMED.store(false, Ordering::SeqCst);
-
-    let n_allocs = ALLOCS.load(Ordering::SeqCst);
+        acache.invalidate();
+    });
     assert_eq!(
         n_allocs, 0,
         "warmed assembly-cache bookkeeping performed {n_allocs} heap allocations"

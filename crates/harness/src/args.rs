@@ -17,22 +17,46 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `std::env::args`, with per-experiment defaults.
+    /// Parses `std::env::args` with per-experiment defaults; prints the
+    /// problem and exits with status 2 on a bad value.
     pub fn parse(default_blocks: usize, default_rocks: usize, default_steps: usize) -> Args {
         let argv: Vec<String> = std::env::args().collect();
-        let get = |name: &str| -> Option<u64> {
-            argv.iter()
-                .position(|a| a == name)
-                .and_then(|p| argv.get(p + 1))
-                .and_then(|v| v.parse().ok())
+        let defaults = Args {
+            blocks: default_blocks,
+            rocks: default_rocks,
+            steps: default_steps,
+            seed: 20170529,
+            full: false,
         };
-        Args {
-            blocks: get("--blocks").map_or(default_blocks, |v| v as usize),
-            rocks: get("--rocks").map_or(default_rocks, |v| v as usize),
-            steps: get("--steps").map_or(default_steps, |v| v as usize),
-            seed: get("--seed").unwrap_or(20170529),
-            full: argv.iter().any(|a| a == "--full"),
-        }
+        Args::parse_from(&argv, defaults).unwrap_or_else(|msg| {
+            eprintln!("{}: {msg}", argv.first().map_or("harness", String::as_str));
+            std::process::exit(2);
+        })
+    }
+
+    /// Overrides `defaults` with the shared flags found in `argv`. A flag
+    /// that is present must carry a parsable value. Anything else in `argv`
+    /// is left alone: binaries read their own extra flags (`--scenes`,
+    /// `--sizes`, `--scatter`) themselves.
+    pub fn parse_from(argv: &[String], defaults: Args) -> Result<Args, String> {
+        let get = |name: &str| -> Result<Option<u64>, String> {
+            let Some(p) = argv.iter().position(|a| a == name) else {
+                return Ok(None);
+            };
+            let v = argv
+                .get(p + 1)
+                .ok_or_else(|| format!("{name} needs a value"))?;
+            v.parse()
+                .map(Some)
+                .map_err(|_| format!("{name}: `{v}` is not a non-negative integer"))
+        };
+        Ok(Args {
+            blocks: get("--blocks")?.map_or(defaults.blocks, |v| v as usize),
+            rocks: get("--rocks")?.map_or(defaults.rocks, |v| v as usize),
+            steps: get("--steps")?.map_or(defaults.steps, |v| v as usize),
+            seed: get("--seed")?.unwrap_or(defaults.seed),
+            full: defaults.full || argv.iter().any(|a| a == "--full"),
+        })
     }
 }
 
@@ -40,14 +64,50 @@ impl Args {
 mod tests {
     use super::*;
 
+    const DEFAULTS: Args = Args {
+        blocks: 123,
+        rocks: 45,
+        steps: 6,
+        seed: 7,
+        full: false,
+    };
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Args::parse_from(&argv, DEFAULTS)
+    }
+
     #[test]
-    fn defaults_apply_without_flags() {
-        // Can't inject argv easily; just check defaults flow through when
-        // the flags are absent from the test runner's argv.
-        let a = Args::parse(123, 45, 6);
-        assert_eq!(a.blocks, 123);
-        assert_eq!(a.rocks, 45);
-        assert_eq!(a.steps, 6);
-        assert!(!a.full, "test runner argv should not contain --full");
+    fn flags_override_defaults_or_are_rejected() {
+        // (command line, expected (blocks, rocks, steps, seed, full) or the
+        // flag the error must name)
+        type Fields = (usize, usize, usize, u64, bool);
+        let cases: [(&str, Result<Fields, &str>); 9] = [
+            ("bin", Ok((123, 45, 6, 7, false))),
+            ("bin --steps 10", Ok((123, 45, 10, 7, false))),
+            (
+                "bin --full --seed 9 --rocks 2 --blocks 8",
+                Ok((8, 2, 6, 9, true)),
+            ),
+            // Extra flags of individual binaries pass through untouched.
+            (
+                "bin --scenes 4 --sizes 200,800 --rocks 3",
+                Ok((123, 3, 6, 7, false)),
+            ),
+            ("bin --steps 1o", Err("--steps")),
+            ("bin --seed -1", Err("--seed")),
+            ("bin --blocks 4.5", Err("--blocks")),
+            ("bin --steps 3 --rocks", Err("--rocks")),
+            ("bin --rocks --steps 3", Err("--rocks")),
+        ];
+        for (line, want) in cases {
+            match (parse(line), want) {
+                (Ok(a), Ok(want)) => {
+                    assert_eq!((a.blocks, a.rocks, a.steps, a.seed, a.full), want, "{line}")
+                }
+                (Err(msg), Err(flag)) => assert!(msg.starts_with(flag), "{line}: {msg}"),
+                (got, want) => panic!("{line}: got {got:?}, want {want:?}"),
+            }
+        }
     }
 }

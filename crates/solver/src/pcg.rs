@@ -24,15 +24,14 @@
 use crate::precond::Preconditioner;
 use crate::traits::MatVec;
 use crate::vecops::{
-    axpy, axpy_widen, demote, dot, dot_partials_into, dot_partials_into_f32, fused_axpy2_norm,
-    fused_axpy2_norm_f32, fused_precond_rz, fused_precond_rz_f32, fused_xpby_beta,
-    fused_xpby_beta_f32, norm_sq, promote, reduce_partials, xpby,
+    axpy, axpy_widen, demote, dot, dot_partials_into, fused_axpy2_norm, fused_precond_rz,
+    fused_xpby_beta, norm_sq, promote, reduce_partials, xpby,
 };
 use dda_simt::{BatchSummary, Device};
 use dda_sparse::spmv::{
-    spmv_hsbcsr_fused_pq, spmv_hsbcsr_fused_pq_f32v, spmv_hsbcsr_into, SpmvWorkspace, Stage1Smem,
+    spmv_hsbcsr_f32, spmv_hsbcsr_fused_pq, spmv_hsbcsr_into, SpmvWorkspace, Stage1Smem,
 };
-use dda_sparse::{Hsbcsr, Hsbcsr32};
+use dda_sparse::{Hsbcsr, Hsbcsr32, Scalar};
 use serde::{Deserialize, Serialize};
 
 /// Numeric mode for the fused solver's value streams.
@@ -212,11 +211,7 @@ pub fn pcg<A: MatVec + ?Sized, P: Preconditioner + ?Sized>(
             error: Some(SolveError::NonFinite { iteration: 0 }),
         };
     }
-    let threshold_sq = if b_norm_sq > 0.0 {
-        opts.tol * opts.tol * b_norm_sq
-    } else {
-        opts.tol * opts.tol
-    };
+    let threshold_sq = threshold_sq(opts, b_norm_sq);
 
     let mut x = x0.to_vec();
     // r = b − A x
@@ -278,37 +273,154 @@ pub fn pcg<A: MatVec + ?Sized, P: Preconditioner + ?Sized>(
     }
 }
 
+/// The iterate vectors of one fused solve and the SpMV staging arrays, all
+/// stored as `S`.
+#[derive(Debug, Default)]
+struct IterVecs<S: Scalar> {
+    x: Vec<S>,
+    r: Vec<S>,
+    z: Vec<S>,
+    p: Vec<S>,
+    q: Vec<S>,
+    spmv: SpmvWorkspace<S>,
+}
+
 /// Persistent state for [`pcg_fused`]: the SpMV workspace plus every
 /// iteration vector and partial-sum buffer. Holding one workspace across
 /// solves makes the fused solver's steady state allocation-free (the
 /// returned solution is the only per-solve allocation).
 #[derive(Debug, Default)]
 pub struct PcgWorkspace {
-    spmv: SpmvWorkspace,
-    q: Vec<f64>,
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    x: Vec<f64>,
+    v64: IterVecs<f64>,
+    // Iterates of the mixed driver's fp32 correction solves; empty until
+    // the first Mixed solve.
+    v32: IterVecs<f32>,
+    // Partial sums never narrow, so both instantiations share them.
     norm_partials: Vec<f64>,
     rz_partials: Vec<f64>,
-    // Outer-loop state of the mixed-precision refinement driver; kept
-    // apart from the inner-solve vectors above.
+    // Outer-loop state of the mixed-precision refinement driver.
     outer_x: Vec<f64>,
     outer_r: Vec<f64>,
-    // fp32 iterate vectors of the mixed driver's inner correction solves
-    // ([`pcg_fused_core32`]); empty until the first Mixed solve.
-    x32: Vec<f32>,
-    r32: Vec<f32>,
-    z32: Vec<f32>,
-    p32: Vec<f32>,
-    q32: Vec<f32>,
 }
 
 impl PcgWorkspace {
     /// An empty workspace; buffers grow on first use and are reused after.
     pub fn new() -> PcgWorkspace {
         PcgWorkspace::default()
+    }
+}
+
+/// How the iteration obtains `z = M⁻¹ r`.
+enum Apply<'a, S, F> {
+    /// Inside the `precond_rz` kernel — the five-launch iteration: flat
+    /// block-diagonal inverses, or `None` for the identity.
+    Fused(Option<&'a [S]>),
+    /// Through a separate apply `F(r, z)` between the fused BLAS-1 kernels
+    /// (SSOR/ILU0/AMG2 applies are not single block-diagonal products).
+    Bridged(F),
+}
+
+/// How [`iterate`] ended.
+struct LoopEnd {
+    iterations: usize,
+    converged: bool,
+    r_norm_sq: f64,
+    error: Option<SolveError>,
+}
+
+impl LoopEnd {
+    /// An exit before the first iteration.
+    fn at_setup(r_norm_sq: f64, error: Option<SolveError>) -> LoopEnd {
+        LoopEnd {
+            iterations: 0,
+            converged: error.is_none(),
+            r_norm_sq,
+            error,
+        }
+    }
+}
+
+/// The fused PCG iteration, written once for both storage types. Expects
+/// `v.r`, `v.z`, `v.p = v.z` and `rz = r·z` set up by the caller; `v.x`
+/// holds the iterate on return. `spmv_pq(p, ws, q)` computes `q = A p` with
+/// the `p·q` partials fused into stage 2.
+#[deny(clippy::float_cmp)]
+#[allow(clippy::too_many_arguments)]
+fn iterate<S: Scalar>(
+    dev: &Device,
+    mut spmv_pq: impl FnMut(&[S], &mut SpmvWorkspace<S>, &mut [S]),
+    mut apply: Apply<'_, S, impl FnMut(&[S], &mut Vec<S>)>,
+    v: &mut IterVecs<S>,
+    norm_partials: &mut Vec<f64>,
+    rz_partials: &mut Vec<f64>,
+    mut rz: f64,
+    mut r_norm_sq: f64,
+    threshold_sq: f64,
+    max_iters: usize,
+) -> LoopEnd {
+    let mut iterations = 0;
+    let mut converged = false;
+    let mut error = None;
+    while iterations < max_iters {
+        iterations += 1;
+        // Launches 1–2: q = A p with per-row-block p·q partials fused into
+        // SpMV stage 2.
+        spmv_pq(&v.p, &mut v.spmv, &mut v.q);
+        // Launch 3: α from the partials (device-guarded), x and r updates,
+        // ‖r‖² tile partials.
+        let pq = fused_axpy2_norm(
+            dev,
+            &v.spmv.pq_partials,
+            rz,
+            &v.p,
+            &v.q,
+            &mut v.x,
+            &mut v.r,
+            norm_partials,
+        );
+        if pq <= 0.0 || !pq.is_finite() {
+            // Indefinite or broken operator — the kernel left x and r
+            // untouched; bail with the current iterate and a reason.
+            error = Some(breakdown_reason(pq, iterations));
+            break;
+        }
+        match &mut apply {
+            Apply::Fused(dinv) => {
+                // Launch 4: ‖r‖² reduce + z = D⁻¹r (or z = r) + r·z partials.
+                r_norm_sq =
+                    fused_precond_rz(dev, *dinv, &v.r, &mut v.z, norm_partials, rz_partials);
+                if r_norm_sq <= threshold_sq {
+                    converged = true;
+                    break;
+                }
+            }
+            Apply::Bridged(m_apply) => {
+                r_norm_sq = reduce_partials(dev, norm_partials);
+                if r_norm_sq <= threshold_sq {
+                    converged = true;
+                    break;
+                }
+                m_apply(&v.r, &mut v.z);
+                dot_partials_into(dev, &v.r, &v.z, rz_partials);
+            }
+        }
+        // Launch 5: β from the partials, p ← z + β p.
+        rz = fused_xpby_beta(dev, rz_partials, rz, &v.z, &mut v.p);
+    }
+    LoopEnd {
+        iterations,
+        converged,
+        r_norm_sq,
+        error,
+    }
+}
+
+/// `tol²·‖b‖²`, or `tol²` for a zero right-hand side.
+fn threshold_sq(opts: PcgOptions, b_norm_sq: f64) -> f64 {
+    if b_norm_sq > 0.0 {
+        opts.tol * opts.tol * b_norm_sq
+    } else {
+        opts.tol * opts.tol
     }
 }
 
@@ -342,21 +454,6 @@ pub fn pcg_fused<P: Preconditioner + ?Sized>(
     opts: PcgOptions,
     ws: &mut PcgWorkspace,
 ) -> SolveResult {
-    pcg_fused_core(dev, h, b, x0, m, opts, ws)
-}
-
-/// The fused fp64 iteration behind [`pcg_fused`] — bit-identical to the
-/// historical path (the mixed driver's fp32 inner solves live in their own
-/// sibling, [`pcg_fused_core32`], precisely so this one never changes).
-fn pcg_fused_core<P: Preconditioner + ?Sized>(
-    dev: &Device,
-    h: &Hsbcsr,
-    b: &[f64],
-    x0: &[f64],
-    m: &P,
-    opts: PcgOptions,
-    ws: &mut PcgWorkspace,
-) -> SolveResult {
     let n = h.n * 6;
     assert_eq!(b.len(), n, "rhs dimension mismatch");
     assert_eq!(x0.len(), n, "initial guess dimension mismatch");
@@ -372,141 +469,83 @@ fn pcg_fused_core<P: Preconditioner + ?Sized>(
             error: Some(SolveError::NonFinite { iteration: 0 }),
         };
     }
-    let threshold_sq = if b_norm_sq > 0.0 {
-        opts.tol * opts.tol * b_norm_sq
-    } else {
-        opts.tol * opts.tol
-    };
+    let threshold_sq = threshold_sq(opts, b_norm_sq);
 
-    ws.x.clear();
-    ws.x.extend_from_slice(x0);
+    let PcgWorkspace {
+        v64: v,
+        norm_partials,
+        rz_partials,
+        ..
+    } = ws;
+    v.x.clear();
+    v.x.extend_from_slice(x0);
     // r = b − A x (setup launches; the 5-launch budget is per iteration).
-    ws.q.clear();
-    ws.q.resize(n, 0.0);
-    spmv_hsbcsr_into(dev, h, &ws.x, Stage1Smem::Proposed, &mut ws.spmv, &mut ws.q);
-    ws.r.clear();
-    ws.r.extend_from_slice(b);
-    axpy(dev, -1.0, &ws.q, &mut ws.r);
+    v.q.clear();
+    v.q.resize(n, 0.0);
+    spmv_hsbcsr_into(dev, h, &v.x, Stage1Smem::Proposed, &mut v.spmv, &mut v.q);
+    v.r.clear();
+    v.r.extend_from_slice(b);
+    axpy(dev, -1.0, &v.q, &mut v.r);
 
-    let mut r_norm_sq = norm_sq(dev, &ws.r);
-    if r_norm_sq <= threshold_sq {
-        return SolveResult {
-            x: ws.x.clone(),
-            iterations: 0,
-            converged: true,
-            residual: r_norm_sq.sqrt(),
-            error: None,
-        };
-    }
+    let r_norm_sq = norm_sq(dev, &v.r);
+    let end = if r_norm_sq <= threshold_sq {
+        LoopEnd::at_setup(r_norm_sq, None)
+    } else {
+        let z0 = m.apply(dev, &v.r);
+        v.z.clear();
+        v.z.extend_from_slice(&z0);
+        v.p.clear();
+        v.p.extend_from_slice(&v.z);
+        let rz = dot(dev, &v.r, &v.z);
 
-    let z0 = m.apply(dev, &ws.r);
-    ws.z.clear();
-    ws.z.extend_from_slice(&z0);
-    ws.p.clear();
-    ws.p.extend_from_slice(&ws.z);
-    let mut rz = dot(dev, &ws.r, &ws.z);
-
-    let dinv = m.block_diag_inv();
-    let fast_precond = dinv.is_some() || m.is_identity();
-
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut error = None;
-    while iterations < opts.max_iters {
-        iterations += 1;
-        // Launches 1–2: q = A p with per-row-block p·q partials fused into
-        // SpMV stage 2.
-        spmv_hsbcsr_fused_pq(dev, h, &ws.p, Stage1Smem::Proposed, &mut ws.spmv, &mut ws.q);
-        // Launch 3: α from the partials (device-guarded), x and r updates,
-        // ‖r‖² tile partials.
-        let pq = fused_axpy2_norm(
-            dev,
-            &ws.spmv.pq_partials,
-            rz,
-            &ws.p,
-            &ws.q,
-            &mut ws.x,
-            &mut ws.r,
-            &mut ws.norm_partials,
-        );
-        if pq <= 0.0 || !pq.is_finite() {
-            // Indefinite or broken operator — the kernel left x and r
-            // untouched; bail with the current iterate and a reason.
-            error = Some(breakdown_reason(pq, iterations));
-            break;
-        }
-        if fast_precond {
-            // Launch 4: ‖r‖² reduce + z = D⁻¹r (or z = r) + r·z partials.
-            r_norm_sq = fused_precond_rz(
-                dev,
-                dinv,
-                &ws.r,
-                &mut ws.z,
-                &ws.norm_partials,
-                &mut ws.rz_partials,
-            );
-            if r_norm_sq <= threshold_sq {
-                converged = true;
-                break;
-            }
-            // Launch 5: β from the partials, p ← z + β p.
-            rz = fused_xpby_beta(dev, &ws.rz_partials, rz, &ws.z, &mut ws.p);
+        let dinv = m.block_diag_inv();
+        let apply = if dinv.is_some() || m.is_identity() {
+            Apply::Fused(dinv)
         } else {
-            // Fallback: fused BLAS-1 around an unfused preconditioner
-            // apply (SSOR/ILU applies are not single block-diagonal
-            // products).
-            r_norm_sq = reduce_partials(dev, &ws.norm_partials);
-            if r_norm_sq <= threshold_sq {
-                converged = true;
-                break;
-            }
-            let z = m.apply(dev, &ws.r);
-            ws.z.clear();
-            ws.z.extend_from_slice(&z);
-            dot_partials_into(dev, &ws.r, &ws.z, &mut ws.rz_partials);
-            rz = fused_xpby_beta(dev, &ws.rz_partials, rz, &ws.z, &mut ws.p);
-        }
-    }
-
+            Apply::Bridged(|r: &[f64], z: &mut Vec<f64>| {
+                let out = m.apply(dev, r);
+                z.clear();
+                z.extend_from_slice(&out);
+            })
+        };
+        iterate(
+            dev,
+            |p, sws, q| spmv_hsbcsr_fused_pq(dev, h, p, Stage1Smem::Proposed, sws, q),
+            apply,
+            v,
+            norm_partials,
+            rz_partials,
+            rz,
+            r_norm_sq,
+            threshold_sq,
+            opts.max_iters,
+        )
+    };
     SolveResult {
-        x: ws.x.clone(),
-        iterations,
-        converged,
-        residual: r_norm_sq.max(0.0).sqrt(),
-        error,
+        x: v.x.clone(),
+        iterations: end.iterations,
+        converged: end.converged,
+        residual: end.r_norm_sq.max(0.0).sqrt(),
+        error: end.error,
     }
 }
 
-/// How an fp32 inner correction solve ended; the solution itself stays in
-/// `ws.x32` (fp32 — it folds into the fp64 outer iterate via
-/// [`axpy_widen`] without ever materialising an fp64 copy).
-struct InnerOutcome {
-    iterations: usize,
-    error: Option<SolveError>,
-}
-
-impl InnerOutcome {
-    fn broke_down(&self) -> bool {
-        self.error.is_some()
-    }
-}
-
-/// The fp32 inner iteration of [`pcg_fused_mixed`]: solves `A₃₂ δ = r`
-/// from zero with every iterate vector stored fp32, so SpMV values,
-/// staging arrays, vectors, *and* the Block-Jacobi inverses all stream at
-/// half the bytes. Every accumulation, update scalar, and partial-sum
-/// buffer stays fp64 (the fp32-storage/fp64-accumulate contract).
+/// The fp32 correction solve of [`pcg_fused_mixed`]: `A₃₂ δ = b` from zero
+/// with every iterate vector stored fp32, so SpMV values, staging arrays,
+/// vectors, *and* the Block-Jacobi inverses all stream at half the bytes
+/// through the same [`iterate`] as the fp64 solve. `δ` stays in `ws.v32.x`
+/// (it folds into the fp64 outer iterate via [`axpy_widen`] without ever
+/// materialising an fp64 copy).
 ///
-/// A deliberate line-for-line sibling of [`pcg_fused_core`] rather than a
-/// generic instantiation, so the fp64 path stays literally untouched and
-/// trivially bit-identical. Two structural differences: `x0` is always
-/// zero, so the setup SpMV of the general core (whose `A·0` is exactly
-/// zero) collapses to one demotion launch; and `b_norm_sq` arrives from
-/// the caller, whose outer residual norm *is* `‖b‖²` here — recomputing it
-/// would waste a launch.
+/// The set-up differs from [`pcg_fused`]'s: `x0` is zero, so `r = b − A·0`
+/// collapses to one demotion launch; `b_norm_sq` arrives from the caller,
+/// whose outer residual norm *is* `‖b‖²` here; and `z₀`, `r·z₀` come from
+/// the fused kernel. Preconditioners without fp32 block-diagonal inverses
+/// bridge through their fp64 apply (promote → apply → demote) and pay that
+/// traffic honestly.
 #[deny(clippy::float_cmp)]
 #[allow(clippy::too_many_arguments)]
-fn pcg_fused_core32<P: Preconditioner + ?Sized>(
+fn correct_f32<P: Preconditioner + ?Sized>(
     dev: &Device,
     h: &Hsbcsr,
     h32: &Hsbcsr32,
@@ -515,116 +554,73 @@ fn pcg_fused_core32<P: Preconditioner + ?Sized>(
     m: &P,
     opts: PcgOptions,
     ws: &mut PcgWorkspace,
-) -> InnerOutcome {
+) -> LoopEnd {
     let n = h.n * 6;
     assert_eq!(b.len(), n, "rhs dimension mismatch");
+    let PcgWorkspace {
+        v64,
+        v32: v,
+        norm_partials,
+        rz_partials,
+        ..
+    } = ws;
 
-    ws.x32.clear();
-    ws.x32.resize(n, 0.0);
+    v.x.clear();
+    v.x.resize(n, 0.0);
     if !b_norm_sq.is_finite() {
-        return InnerOutcome {
-            iterations: 0,
-            error: Some(SolveError::NonFinite { iteration: 0 }),
-        };
+        return LoopEnd::at_setup(b_norm_sq, Some(SolveError::NonFinite { iteration: 0 }));
     }
-    let threshold_sq = if b_norm_sq > 0.0 {
-        opts.tol * opts.tol * b_norm_sq
-    } else {
-        opts.tol * opts.tol
-    };
+    let threshold_sq = threshold_sq(opts, b_norm_sq);
 
     // x = 0 ⇒ r = b, demoted once.
-    demote(dev, b, &mut ws.r32);
-    let mut r_norm_sq = b_norm_sq;
-    if r_norm_sq <= threshold_sq {
-        return InnerOutcome {
-            iterations: 0,
-            error: None,
-        };
+    demote(dev, b, &mut v.r);
+    if b_norm_sq <= threshold_sq {
+        return LoopEnd::at_setup(b_norm_sq, None);
     }
 
-    let dinv32 = m.block_diag_inv_f32();
-    let fast_precond = dinv32.is_some() || m.is_identity();
+    let dinv = m.block_diag_inv_f32();
+    let mut apply = if dinv.is_some() || m.is_identity() {
+        Apply::Fused(dinv)
+    } else {
+        let r64 = &mut v64.q;
+        Apply::Bridged(move |r: &[f32], z: &mut Vec<f32>| {
+            promote(dev, r, r64);
+            let out = m.apply(dev, r64);
+            demote(dev, &out, z);
+        })
+    };
 
     // z₀ = M⁻¹ r and rz₀ = r·z (the fast path reuses the fused kernel so
     // z and the r·z partials cost one launch, plus the final reduce).
-    ws.z32.clear();
-    ws.z32.resize(n, 0.0);
-    if fast_precond {
-        fused_precond_rz_f32(dev, dinv32, &ws.r32, &mut ws.z32, &[], &mut ws.rz_partials);
-    } else {
-        promote(dev, &ws.r32, &mut ws.q);
-        let z = m.apply(dev, &ws.q);
-        demote(dev, &z, &mut ws.z32);
-        dot_partials_into_f32(dev, &ws.r32, &ws.z32, &mut ws.rz_partials);
-    }
-    let mut rz = reduce_partials(dev, &ws.rz_partials);
-    ws.p32.clear();
-    ws.p32.extend_from_slice(&ws.z32);
-    ws.q32.clear();
-    ws.q32.resize(n, 0.0);
-
-    let mut iterations = 0;
-    let mut error = None;
-    while iterations < opts.max_iters {
-        iterations += 1;
-        // Launches 1–2: q = A₃₂ p, fully-fp32 streams, fused p·q partials.
-        spmv_hsbcsr_fused_pq_f32v(
-            dev,
-            h,
-            h32,
-            &ws.p32,
-            Stage1Smem::Proposed,
-            &mut ws.spmv,
-            &mut ws.q32,
-        );
-        // Launch 3: α, x/r updates, ‖r‖² partials — fp32 storage twin.
-        let pq = fused_axpy2_norm_f32(
-            dev,
-            &ws.spmv.pq_partials,
-            rz,
-            &ws.p32,
-            &ws.q32,
-            &mut ws.x32,
-            &mut ws.r32,
-            &mut ws.norm_partials,
-        );
-        if pq <= 0.0 || !pq.is_finite() {
-            error = Some(breakdown_reason(pq, iterations));
-            break;
+    v.z.clear();
+    v.z.resize(n, 0.0);
+    match &mut apply {
+        Apply::Fused(dinv) => {
+            fused_precond_rz(dev, *dinv, &v.r, &mut v.z, &[], rz_partials);
         }
-        if fast_precond {
-            // Launch 4: ‖r‖² reduce + z = D⁻¹r (fp32 inverses) + r·z.
-            r_norm_sq = fused_precond_rz_f32(
-                dev,
-                dinv32,
-                &ws.r32,
-                &mut ws.z32,
-                &ws.norm_partials,
-                &mut ws.rz_partials,
-            );
-            if r_norm_sq <= threshold_sq {
-                break;
-            }
-            // Launch 5: β, p ← z + β p.
-            rz = fused_xpby_beta_f32(dev, &ws.rz_partials, rz, &ws.z32, &mut ws.p32);
-        } else {
-            // Fallback: promote/demote bridge around the fp64 apply
-            // (SSOR/ILU0/AMG2 kernels stay fp64; those rungs pay the
-            // bridge traffic honestly).
-            r_norm_sq = reduce_partials(dev, &ws.norm_partials);
-            if r_norm_sq <= threshold_sq {
-                break;
-            }
-            promote(dev, &ws.r32, &mut ws.q);
-            let z = m.apply(dev, &ws.q);
-            demote(dev, &z, &mut ws.z32);
-            dot_partials_into_f32(dev, &ws.r32, &ws.z32, &mut ws.rz_partials);
-            rz = fused_xpby_beta_f32(dev, &ws.rz_partials, rz, &ws.z32, &mut ws.p32);
+        Apply::Bridged(m_apply) => {
+            m_apply(&v.r, &mut v.z);
+            dot_partials_into(dev, &v.r, &v.z, rz_partials);
         }
     }
+    let rz = reduce_partials(dev, rz_partials);
+    v.p.clear();
+    v.p.extend_from_slice(&v.z);
+    v.q.clear();
+    v.q.resize(n, 0.0);
 
-    InnerOutcome { iterations, error }
+    iterate(
+        dev,
+        |p, sws, q| spmv_hsbcsr_f32(dev, h, h32, p, Stage1Smem::Proposed, sws, q, true),
+        apply,
+        v,
+        norm_partials,
+        rz_partials,
+        rz,
+        b_norm_sq,
+        threshold_sq,
+        opts.max_iters,
+    )
 }
 
 /// Inner-loop relative tolerance for the fp32 correction solves: tighter
@@ -683,11 +679,7 @@ pub fn pcg_fused_mixed<P: Preconditioner + ?Sized>(
             error: Some(SolveError::NonFinite { iteration: 0 }),
         };
     }
-    let threshold_sq = if b_norm_sq > 0.0 {
-        opts.tol * opts.tol * b_norm_sq
-    } else {
-        opts.tol * opts.tol
-    };
+    let threshold_sq = threshold_sq(opts, b_norm_sq);
 
     // The inner solves reuse the workspace wholesale, so the outer state
     // is moved out for the duration of the refinement.
@@ -755,14 +747,14 @@ fn refine_mixed<P: Preconditioner + ?Sized>(
             tol: MIXED_INNER_TOL,
             max_iters: opts.max_iters - iterations,
         };
-        let inner = pcg_fused_core32(dev, h, h32, outer_r, r_norm_sq, m, inner_opts, ws);
+        let inner = correct_f32(dev, h, h32, outer_r, r_norm_sq, m, inner_opts, ws);
         iterations += inner.iterations.max(1);
-        if inner.broke_down() {
+        if inner.error.is_some() {
             return None;
         }
-        // x ← x + δ (the fp32 correction lives in ws.x32 after the core
-        // call; the fold-in widens on the fly).
-        axpy_widen(dev, &ws.x32, outer_x);
+        // x ← x + δ (the fp32 correction lives in ws.v32.x after the
+        // solve; the fold-in widens on the fly).
+        axpy_widen(dev, &ws.v32.x, outer_x);
         // Refresh the full-precision residual and retest convergence.
         let new_norm_sq = outer_residual(dev, h, b, outer_x, ws, outer_r);
         if !new_norm_sq.is_finite() {
@@ -806,12 +798,13 @@ fn outer_residual(
     outer_r: &mut Vec<f64>,
 ) -> f64 {
     let n = h.n * 6;
-    ws.q.clear();
-    ws.q.resize(n, 0.0);
-    spmv_hsbcsr_into(dev, h, x, Stage1Smem::Proposed, &mut ws.spmv, &mut ws.q);
+    let v = &mut ws.v64;
+    v.q.clear();
+    v.q.resize(n, 0.0);
+    spmv_hsbcsr_into(dev, h, x, Stage1Smem::Proposed, &mut v.spmv, &mut v.q);
     outer_r.clear();
     outer_r.extend_from_slice(b);
-    axpy(dev, -1.0, &ws.q, outer_r);
+    axpy(dev, -1.0, &v.q, outer_r);
     norm_sq(dev, outer_r)
 }
 

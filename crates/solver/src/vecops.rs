@@ -15,38 +15,20 @@
 //! 256-tile ordering, so the only reassociation relative to the unfused
 //! loop is the `p·q` dot, whose partials tile by SpMV row block.
 
+//!
+//! The fused kernels and the tile-partial dot are generic over the storage
+//! [`Scalar`] of their vectors (`f64`, or `f32` for the mixed solver's
+//! inner loop): elements widen on load and round once on store, every
+//! product and reduction accumulates in `f64`, and the partial-sum buffers
+//! stay `f64`, so the update scalars (α, β, ‖r‖², r·z) carry full precision
+//! between launches. For `f64` the hooks are the identity.
+
 use dda_simt::Device;
-use std::cell::RefCell;
+use dda_sparse::{Scalar, Scratch};
 
 /// Reduction/update tile width — matches the unfused [`dot`] so the fused
 /// partials reassociate identically.
 const TILE: usize = 256;
-
-/// Per-host-thread scratch for the fused kernels' tile loads; reused across
-/// launches so the solver's hot loop allocates nothing.
-#[derive(Debug, Default)]
-struct FusedScratch {
-    va: Vec<f64>,
-    vb: Vec<f64>,
-    vc: Vec<f64>,
-    vd: Vec<f64>,
-    red: Vec<f64>,
-    out: Vec<f64>,
-    ia: Vec<usize>,
-    ib: Vec<usize>,
-    // fp32 tile twins for the `_f32` kernel variants of the mixed solver's
-    // inner loop; empty until that loop first runs.
-    va32: Vec<f32>,
-    vb32: Vec<f32>,
-    vc32: Vec<f32>,
-    vd32: Vec<f32>,
-    red32: Vec<f32>,
-    out32: Vec<f32>,
-}
-
-thread_local! {
-    static FUSED_SCRATCH: RefCell<FusedScratch> = RefCell::new(FusedScratch::default());
-}
 
 /// `y ← a·x + y`.
 pub fn axpy(dev: &Device, a: f64, x: &[f64], y: &mut [f64]) {
@@ -92,7 +74,7 @@ pub fn copy(dev: &Device, x: &[f64], y: &mut [f64]) {
 
 /// The tile-partial stage of [`dot`], allocation-free: fills `partials`
 /// with one 256-tile partial sum per block (reusing its capacity).
-pub fn dot_partials_into(dev: &Device, x: &[f64], y: &[f64], partials: &mut Vec<f64>) {
+pub fn dot_partials_into<S: Scalar>(dev: &Device, x: &[S], y: &[S], partials: &mut Vec<f64>) {
     assert_eq!(x.len(), y.len());
     let n = x.len();
     let n_blocks = n.div_ceil(TILE);
@@ -104,10 +86,9 @@ pub fn dot_partials_into(dev: &Device, x: &[f64], y: &[f64], partials: &mut Vec<
     let bx = dev.bind_ro(x);
     let by = dev.bind_ro(y);
     let bp = dev.bind(partials.as_mut_slice());
-    dev.launch_blocks("vec.dot.partial", n_blocks, 256, |blk| {
-        FUSED_SCRATCH.with(|cell| {
-            let mut s = cell.borrow_mut();
-            let FusedScratch { va, vb, .. } = &mut *s;
+    dev.launch_blocks(S::DOT_PARTIAL, n_blocks, 256, |blk| {
+        S::with_scratch(|scratch| {
+            let [va, vb, ..] = &mut scratch.tiles;
             let start = blk.block_id * TILE;
             let count = TILE.min(n - start);
             blk.gld_range_into(&bx, start, count, va);
@@ -115,7 +96,11 @@ pub fn dot_partials_into(dev: &Device, x: &[f64], y: &[f64], partials: &mut Vec<
             blk.flop_masked(count, 2);
             blk.shfl_reduce_cost(count, 32);
             blk.sync();
-            let partial: f64 = va.iter().zip(vb.iter()).map(|(a, b)| a * b).sum();
+            let partial: f64 = va
+                .iter()
+                .zip(vb.iter())
+                .map(|(a, b)| a.widen() * b.widen())
+                .sum();
             blk.gst_one(&bp, blk.block_id, partial);
         });
     });
@@ -194,21 +179,23 @@ pub fn norm_sq(dev: &Device, x: &[f64]) -> f64 {
 ///    (with the device-side breakdown guard: `pq ≤ 0` or non-finite leaves
 ///    `x` and `r` untouched so the host bails with the current iterate,
 ///    matching the unfused loop);
-/// 2. `x ← x + α p` and `r ← r − α q` (bitwise the unfused [`axpy`] pair);
+/// 2. `x ← x + α p` and `r ← r − α q` (for `f64`, bitwise the unfused
+///    [`axpy`] pair);
 /// 3. one `‖r‖²` partial per 256-tile into `norm_partials`, in the unfused
-///    [`dot`] tile order.
+///    [`dot`] tile order, from the stored (rounded) `r`.
 ///
 /// Returns the reduced `p·q` (same summation order as the in-kernel reduce)
 /// for the host-side breakdown check.
+#[deny(clippy::float_cmp)]
 #[allow(clippy::too_many_arguments)]
-pub fn fused_axpy2_norm(
+pub fn fused_axpy2_norm<S: Scalar>(
     dev: &Device,
     pq_partials: &[f64],
     rz: f64,
-    p: &[f64],
-    q: &[f64],
-    x: &mut [f64],
-    r: &mut [f64],
+    p: &[S],
+    q: &[S],
+    x: &mut [S],
+    r: &mut [S],
     norm_partials: &mut Vec<f64>,
 ) -> f64 {
     let n = p.len();
@@ -227,18 +214,13 @@ pub fn fused_axpy2_norm(
         let b_x = dev.bind(&mut *x);
         let b_r = dev.bind(&mut *r);
         let b_np = dev.bind(norm_partials.as_mut_slice());
-        dev.launch_blocks("pcg.fused.axpy2norm", n_tiles, 256, |blk| {
-            FUSED_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                let FusedScratch {
-                    va,
-                    vb,
-                    vc,
-                    vd,
+        dev.launch_blocks(S::AXPY2NORM, n_tiles, 256, |blk| {
+            S::with_scratch(|scratch| {
+                let Scratch {
+                    tiles: [va, vb, vc, vd, out, ..],
                     red,
-                    out,
                     ..
-                } = &mut *scratch;
+                } = scratch;
                 // Redundant per-block p·q reduction (n_pq is tiny; a reduce
                 // launch would cost more than every block re-summing it).
                 blk.gld_range_into(&b_pq, 0, n_pq, red);
@@ -258,15 +240,21 @@ pub fn fused_axpy2_norm(
                 // x + αp and r − αq, both 2 flops per element.
                 blk.flop_masked(count, 4);
                 out.clear();
-                out.extend((0..count).map(|t| alpha * va[t] + vc[t]));
+                out.extend((0..count).map(|t| S::narrow(alpha * va[t].widen() + vc[t].widen())));
                 blk.gst_range(&b_x, start, out);
                 out.clear();
-                out.extend((0..count).map(|t| -alpha * vb[t] + vd[t]));
+                out.extend((0..count).map(|t| S::narrow(-alpha * vb[t].widen() + vd[t].widen())));
                 blk.gst_range(&b_r, start, out);
                 // ‖r‖² tile partial, unfused dot order.
                 blk.flop_masked(count, 2);
                 blk.shfl_reduce_cost(count, 32);
-                let partial: f64 = out.iter().map(|v| v * v).sum();
+                let partial: f64 = out
+                    .iter()
+                    .map(|v| {
+                        let w = v.widen();
+                        w * w
+                    })
+                    .sum();
                 blk.gst_one(&b_np, blk.block_id, partial);
             });
         });
@@ -279,16 +267,19 @@ pub fn fused_axpy2_norm(
 /// 1. (block 0) the final `‖r‖²` reduction of `norm_partials` — the scalar
 ///    the host reads back for the convergence test;
 /// 2. `z ← D⁻¹ r` when `dinv` holds flat 6×6 block-diagonal inverses
-///    (the exact arithmetic order of the Block-Jacobi apply kernel), or
-///    `z ← r` for the identity preconditioner;
+///    (the exact arithmetic order of the Block-Jacobi apply kernel; stored
+///    as `S` like the vectors, so the fp32 instantiation halves the
+///    kernel's dominant traffic), or `z ← r` for the identity
+///    preconditioner;
 /// 3. one `r·z` partial per 256-tile into `rz_partials`.
 ///
 /// Returns `‖r‖²` (host mirror of the charged device reduce).
-pub fn fused_precond_rz(
+#[deny(clippy::float_cmp)]
+pub fn fused_precond_rz<S: Scalar>(
     dev: &Device,
-    dinv: Option<&[f64]>,
-    r: &[f64],
-    z: &mut [f64],
+    dinv: Option<&[S]>,
+    r: &[S],
+    z: &mut [S],
     norm_partials: &[f64],
     rz_partials: &mut Vec<f64>,
 ) -> f64 {
@@ -304,18 +295,14 @@ pub fn fused_precond_rz(
         let b_z = dev.bind(&mut *z);
         let b_rz = dev.bind(rz_partials.as_mut_slice());
         let b_dinv = dinv.map(|d| dev.bind_ro(d));
-        dev.launch_blocks("pcg.fused.precond_rz", n_tiles, 256, |blk| {
-            FUSED_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                let FusedScratch {
-                    va,
-                    vd,
+        dev.launch_blocks(S::PRECOND_RZ, n_tiles, 256, |blk| {
+            S::with_scratch(|scratch| {
+                let Scratch {
+                    tiles: [va, vd, gat, out, ..],
                     red,
-                    out,
-                    ia,
-                    ib,
+                    idx: [ia, ib],
                     ..
-                } = &mut *scratch;
+                } = scratch;
                 if blk.block_id == 0 {
                     // Final ‖r‖² reduction (dot.final order); the host reads
                     // the scalar back without a dedicated launch.
@@ -341,14 +328,14 @@ pub fn fused_precond_rz(
                     ib.extend(
                         (start..start + count).flat_map(|g| (0..6).map(move |c| (g / 6) * 6 + c)),
                     );
-                    blk.gld_gather_tex_into(&b_r, ib, red);
+                    blk.gld_gather_tex_into(&b_r, ib, gat);
                     blk.flop_masked(count, 12);
                     out.extend((0..count).map(|t| {
-                        let mut acc = 0.0;
+                        let mut acc = 0.0f64;
                         for c in 0..6 {
-                            acc += va[t * 6 + c] * red[t * 6 + c];
+                            acc += va[t * 6 + c].widen() * gat[t * 6 + c].widen();
                         }
-                        acc
+                        S::narrow(acc)
                     }));
                 } else {
                     // Identity preconditioner: z = r.
@@ -358,7 +345,11 @@ pub fn fused_precond_rz(
                 // r·z tile partial, unfused dot order.
                 blk.flop_masked(count, 2);
                 blk.shfl_reduce_cost(count, 32);
-                let partial: f64 = vd.iter().zip(out.iter()).map(|(rv, zv)| rv * zv).sum();
+                let partial: f64 = vd
+                    .iter()
+                    .zip(out.iter())
+                    .map(|(rv, zv)| rv.widen() * zv.widen())
+                    .sum();
                 blk.gst_one(&b_rz, blk.block_id, partial);
             });
         });
@@ -369,16 +360,17 @@ pub fn fused_precond_rz(
 /// Fused direction-update kernel: one launch performing
 ///
 /// 1. redundant per-block reduction of `rz_partials` → `rz_new`, then
-///    `β = rz_new / rz_old`;
-/// 2. `p ← z + β p` (bitwise the unfused [`xpby`]).
+///    `β = rz_new / rz_old` (in fp64);
+/// 2. `p ← z + β p` (for `f64`, bitwise the unfused [`xpby`]).
 ///
 /// Returns `rz_new` (host mirror of the charged device reduce).
-pub fn fused_xpby_beta(
+#[deny(clippy::float_cmp)]
+pub fn fused_xpby_beta<S: Scalar>(
     dev: &Device,
     rz_partials: &[f64],
     rz_old: f64,
-    z: &[f64],
-    p: &mut [f64],
+    z: &[S],
+    p: &mut [S],
 ) -> f64 {
     let n = z.len();
     assert_eq!(p.len(), n);
@@ -388,12 +380,13 @@ pub fn fused_xpby_beta(
         let b_rz = dev.bind_ro(rz_partials);
         let b_z = dev.bind_ro(z);
         let b_p = dev.bind(&mut *p);
-        dev.launch_blocks("pcg.fused.xpby_beta", n_tiles, 256, |blk| {
-            FUSED_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                let FusedScratch {
-                    va, vb, red, out, ..
-                } = &mut *scratch;
+        dev.launch_blocks(S::XPBY_BETA, n_tiles, 256, |blk| {
+            S::with_scratch(|scratch| {
+                let Scratch {
+                    tiles: [va, vb, out, ..],
+                    red,
+                    ..
+                } = scratch;
                 blk.gld_range_into(&b_rz, 0, n_rz, red);
                 blk.flop_masked(n_rz.min(256), 1);
                 let rz_new = reduce_partials_host(red);
@@ -405,7 +398,7 @@ pub fn fused_xpby_beta(
                 blk.gld_range_into(&b_p, start, count, vb);
                 blk.flop_masked(count, 2);
                 out.clear();
-                out.extend((0..count).map(|t| va[t] + beta * vb[t]));
+                out.extend((0..count).map(|t| S::narrow(va[t].widen() + beta * vb[t].widen())));
                 blk.gst_range(&b_p, start, out);
             });
         });
@@ -413,17 +406,7 @@ pub fn fused_xpby_beta(
     reduce_partials_host(rz_partials)
 }
 
-// ---------------------------------------------------------------------------
-// fp32 vector kernels for the mixed solver's inner loop.
-//
-// Storage (and therefore global-memory bytes) is fp32; every product and
-// reduction accumulates in f64 and every partial-sum buffer stays f64, so
-// the update scalars (α, β, ‖r‖², r·z) carry full precision between
-// launches — the same fp32-storage/fp64-accumulate contract as the SpMV.
-// The kernels are deliberate line-for-line twins of their f64 originals
-// (same tile order, same breakdown guard, same redundant reductions) so the
-// only behavioural difference is the per-element rounding on store.
-// ---------------------------------------------------------------------------
+// ---- Conversions between the mixed solver's fp64 outer and fp32 inner state ----
 
 /// `y ← y + x` with `x` fp32 and `y` fp64 — the promotion step that folds
 /// an fp32 inner correction into the fp64 refinement iterate in one launch
@@ -468,260 +451,6 @@ pub fn promote(dev: &Device, x: &[f32], y: &mut Vec<f64>) {
         let v = lane.ld(&bx, lane.gid);
         lane.st(&by, lane.gid, f64::from(v));
     });
-}
-
-/// fp32-storage [`dot_partials_into`]: the tile partials stay fp64.
-pub fn dot_partials_into_f32(dev: &Device, x: &[f32], y: &[f32], partials: &mut Vec<f64>) {
-    assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let n_blocks = n.div_ceil(TILE);
-    partials.clear();
-    partials.resize(n_blocks, 0.0);
-    if n == 0 {
-        return;
-    }
-    let bx = dev.bind_ro(x);
-    let by = dev.bind_ro(y);
-    let bp = dev.bind(partials.as_mut_slice());
-    dev.launch_blocks("vec.dot.partial.f32", n_blocks, 256, |blk| {
-        FUSED_SCRATCH.with(|cell| {
-            let mut s = cell.borrow_mut();
-            let FusedScratch { va32, vb32, .. } = &mut *s;
-            let start = blk.block_id * TILE;
-            let count = TILE.min(n - start);
-            blk.gld_range_into(&bx, start, count, va32);
-            blk.gld_range_into(&by, start, count, vb32);
-            blk.flop_masked(count, 2);
-            blk.shfl_reduce_cost(count, 32);
-            blk.sync();
-            let partial: f64 = va32
-                .iter()
-                .zip(vb32.iter())
-                .map(|(&a, &b)| f64::from(a) * f64::from(b))
-                .sum();
-            blk.gst_one(&bp, blk.block_id, partial);
-        });
-    });
-}
-
-/// fp32-storage twin of [`fused_axpy2_norm`]: `p`, `q`, `x`, `r` stream at
-/// 4 bytes, the `p·q` and `‖r‖²` partials stay fp64, and the device-side
-/// breakdown guard is identical.
-#[deny(clippy::float_cmp)]
-#[allow(clippy::too_many_arguments)]
-pub fn fused_axpy2_norm_f32(
-    dev: &Device,
-    pq_partials: &[f64],
-    rz: f64,
-    p: &[f32],
-    q: &[f32],
-    x: &mut [f32],
-    r: &mut [f32],
-    norm_partials: &mut Vec<f64>,
-) -> f64 {
-    let n = p.len();
-    assert_eq!(q.len(), n);
-    assert_eq!(x.len(), n);
-    assert_eq!(r.len(), n);
-    let n_tiles = n.div_ceil(TILE).max(1);
-    norm_partials.clear();
-    norm_partials.resize(n_tiles, 0.0);
-    let n_pq = pq_partials.len();
-    let pqv: f64 = pq_partials.iter().sum();
-    {
-        let b_pq = dev.bind_ro(pq_partials);
-        let b_p = dev.bind_ro(p);
-        let b_q = dev.bind_ro(q);
-        let b_x = dev.bind(&mut *x);
-        let b_r = dev.bind(&mut *r);
-        let b_np = dev.bind(norm_partials.as_mut_slice());
-        dev.launch_blocks("pcg.fused.axpy2norm.f32", n_tiles, 256, |blk| {
-            FUSED_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                let FusedScratch {
-                    red,
-                    va32,
-                    vb32,
-                    vc32,
-                    vd32,
-                    out32,
-                    ..
-                } = &mut *scratch;
-                blk.gld_range_into(&b_pq, 0, n_pq, red);
-                blk.flop_masked(n_pq.min(256), 1);
-                let pq: f64 = red.iter().sum();
-                if pq <= 0.0 || !pq.is_finite() {
-                    return;
-                }
-                let alpha = rz / pq;
-                blk.flop_one(1);
-                let start = blk.block_id * TILE;
-                let count = TILE.min(n - start);
-                blk.gld_range_into(&b_p, start, count, va32);
-                blk.gld_range_into(&b_q, start, count, vb32);
-                blk.gld_range_into(&b_x, start, count, vc32);
-                blk.gld_range_into(&b_r, start, count, vd32);
-                blk.flop_masked(count, 4);
-                out32.clear();
-                out32.extend(
-                    (0..count).map(|t| (alpha * f64::from(va32[t]) + f64::from(vc32[t])) as f32),
-                );
-                blk.gst_range(&b_x, start, out32);
-                out32.clear();
-                out32.extend(
-                    (0..count).map(|t| (-alpha * f64::from(vb32[t]) + f64::from(vd32[t])) as f32),
-                );
-                blk.gst_range(&b_r, start, out32);
-                blk.flop_masked(count, 2);
-                blk.shfl_reduce_cost(count, 32);
-                let partial: f64 = out32
-                    .iter()
-                    .map(|&v| {
-                        let w = f64::from(v);
-                        w * w
-                    })
-                    .sum();
-                blk.gst_one(&b_np, blk.block_id, partial);
-            });
-        });
-    }
-    pqv
-}
-
-/// fp32-storage twin of [`fused_precond_rz`]: the block-diagonal inverses
-/// stream from the fp32 shadow `dinv` (halving the kernel's dominant
-/// traffic), `r`/`z` are fp32, and the `‖r‖²`/`r·z` partials stay fp64.
-#[deny(clippy::float_cmp)]
-pub fn fused_precond_rz_f32(
-    dev: &Device,
-    dinv: Option<&[f32]>,
-    r: &[f32],
-    z: &mut [f32],
-    norm_partials: &[f64],
-    rz_partials: &mut Vec<f64>,
-) -> f64 {
-    let n = r.len();
-    assert_eq!(z.len(), n);
-    let n_tiles = n.div_ceil(TILE).max(1);
-    rz_partials.clear();
-    rz_partials.resize(n_tiles, 0.0);
-    let np_len = norm_partials.len();
-    {
-        let b_np = dev.bind_ro(norm_partials);
-        let b_r = dev.bind_ro(r);
-        let b_z = dev.bind(&mut *z);
-        let b_rz = dev.bind(rz_partials.as_mut_slice());
-        let b_dinv = dinv.map(|d| dev.bind_ro(d));
-        dev.launch_blocks("pcg.fused.precond_rz.f32", n_tiles, 256, |blk| {
-            FUSED_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                let FusedScratch {
-                    red,
-                    ia,
-                    ib,
-                    va32,
-                    vd32,
-                    red32,
-                    out32,
-                    ..
-                } = &mut *scratch;
-                if blk.block_id == 0 {
-                    blk.gld_range_into(&b_np, 0, np_len, red);
-                    blk.flop_masked(np_len.min(256), 1);
-                    blk.shfl_reduce_cost(np_len.min(256), 32);
-                }
-                let start = blk.block_id * TILE;
-                let count = TILE.min(n - start);
-                blk.gld_range_into(&b_r, start, count, vd32);
-                out32.clear();
-                if let Some(b_dinv) = &b_dinv {
-                    // Same gather pattern as the f64 kernel; the products
-                    // widen before accumulating.
-                    ia.clear();
-                    ia.extend((start..start + count).flat_map(|g| {
-                        let (i, rr) = (g / 6, g % 6);
-                        (0..6).map(move |c| i * 36 + rr * 6 + c)
-                    }));
-                    blk.gld_gather_into(b_dinv, ia, va32);
-                    ib.clear();
-                    ib.extend(
-                        (start..start + count).flat_map(|g| (0..6).map(move |c| (g / 6) * 6 + c)),
-                    );
-                    blk.gld_gather_tex_into(&b_r, ib, red32);
-                    blk.flop_masked(count, 12);
-                    out32.extend((0..count).map(|t| {
-                        let mut acc = 0.0f64;
-                        for c in 0..6 {
-                            acc += f64::from(va32[t * 6 + c]) * f64::from(red32[t * 6 + c]);
-                        }
-                        acc as f32
-                    }));
-                } else {
-                    // Identity preconditioner: z = r.
-                    out32.extend_from_slice(vd32);
-                }
-                blk.gst_range(&b_z, start, out32);
-                blk.flop_masked(count, 2);
-                blk.shfl_reduce_cost(count, 32);
-                let partial: f64 = vd32
-                    .iter()
-                    .zip(out32.iter())
-                    .map(|(&rv, &zv)| f64::from(rv) * f64::from(zv))
-                    .sum();
-                blk.gst_one(&b_rz, blk.block_id, partial);
-            });
-        });
-    }
-    reduce_partials_host(norm_partials)
-}
-
-/// fp32-storage twin of [`fused_xpby_beta`]: `z`/`p` stream at 4 bytes,
-/// `β` is reduced and applied in fp64.
-#[deny(clippy::float_cmp)]
-pub fn fused_xpby_beta_f32(
-    dev: &Device,
-    rz_partials: &[f64],
-    rz_old: f64,
-    z: &[f32],
-    p: &mut [f32],
-) -> f64 {
-    let n = z.len();
-    assert_eq!(p.len(), n);
-    let n_tiles = n.div_ceil(TILE).max(1);
-    let n_rz = rz_partials.len();
-    {
-        let b_rz = dev.bind_ro(rz_partials);
-        let b_z = dev.bind_ro(z);
-        let b_p = dev.bind(&mut *p);
-        dev.launch_blocks("pcg.fused.xpby_beta.f32", n_tiles, 256, |blk| {
-            FUSED_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                let FusedScratch {
-                    red,
-                    va32,
-                    vb32,
-                    out32,
-                    ..
-                } = &mut *scratch;
-                blk.gld_range_into(&b_rz, 0, n_rz, red);
-                blk.flop_masked(n_rz.min(256), 1);
-                let rz_new = reduce_partials_host(red);
-                let beta = rz_new / rz_old;
-                blk.flop_one(1);
-                let start = blk.block_id * TILE;
-                let count = TILE.min(n - start);
-                blk.gld_range_into(&b_z, start, count, va32);
-                blk.gld_range_into(&b_p, start, count, vb32);
-                blk.flop_masked(count, 2);
-                out32.clear();
-                out32.extend(
-                    (0..count).map(|t| (f64::from(va32[t]) + beta * f64::from(vb32[t])) as f32),
-                );
-                blk.gst_range(&b_p, start, out32);
-            });
-        });
-    }
-    reduce_partials_host(rz_partials)
 }
 
 #[cfg(test)]
@@ -793,5 +522,115 @@ mod tests {
         let by = d.trace().by_kernel();
         assert!(by.contains_key("vec.dot.partial"));
         assert!(by.contains_key("vec.dot.final"));
+    }
+
+    /// `sin`-patterned fp32-representable test vector and its exact widening.
+    fn vec_pair(n: usize, phase: f32) -> (Vec<f32>, Vec<f64>) {
+        let v32: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37 + phase).sin()).collect();
+        let v64 = v32.iter().map(|&v| f64::from(v)).collect();
+        (v32, v64)
+    }
+
+    fn narrowed(v: &[f64]) -> Vec<f32> {
+        v.iter().map(|&x| x as f32).collect()
+    }
+
+    /// Bytes of the only launch on `d`, which must be `kernel`.
+    fn launch_bytes(d: &Device, kernel: &str) -> u64 {
+        let trace = d.trace();
+        assert_eq!(trace.records.len(), 1);
+        assert_eq!(trace.records[0].name, kernel);
+        trace.records[0].stats.gmem_bytes
+    }
+
+    #[test]
+    fn f32_instantiations_round_the_f64_result_once_at_half_the_vector_bytes() {
+        // One check per generic kernel. Fed the same fp32-representable
+        // inputs, the two instantiations accumulate the identical f64
+        // values, so every vector the f32 kernel stores is the f64 kernel's
+        // rounded once; partials (fp64 in both) differ only through the
+        // rounded vector they are formed from, ≤ 2⁻²⁴ relative per factor;
+        // and the byte counters differ by exactly 4 bytes per vector element
+        // moved (the vector traffic halves, the partial traffic does not).
+        const EPS32: f64 = 1.0 / (1u64 << 24) as f64;
+        let n = 6 * 170; // four tiles, the last one partial
+        let (p32, p64) = vec_pair(n, 0.1);
+        let (q32, q64) = vec_pair(n, 1.3);
+        let (x32, x64) = vec_pair(n, 2.2);
+        let (r32, r64) = vec_pair(n, 0.7);
+        let (dinv32, dinv64) = vec_pair(6 * n, 0.4);
+        let partials = [0.75, 1.5, 0.25];
+        let elems = |k: usize| 4 * (k * n) as u64;
+
+        // vec.dot.partial: same f64 products, same order — bit-equal.
+        let (d64, d32) = (dev(), dev());
+        let (mut out64, mut out32) = (Vec::new(), Vec::new());
+        dot_partials_into(&d64, &p64, &q64, &mut out64);
+        dot_partials_into(&d32, &p32, &q32, &mut out32);
+        assert_eq!(out64, out32);
+        assert_eq!(
+            launch_bytes(&d64, "vec.dot.partial") - launch_bytes(&d32, "vec.dot.partial.f32"),
+            elems(2)
+        );
+
+        // pcg.fused.axpy2norm: 4 vector loads + 2 stores per element.
+        let (d64, d32) = (dev(), dev());
+        let (mut xa, mut ra) = (x64.clone(), r64.clone());
+        let (mut xb, mut rb) = (x32.clone(), r32.clone());
+        let (mut np64, mut np32) = (Vec::new(), Vec::new());
+        let pq64 = fused_axpy2_norm(
+            &d64, &partials, 0.5, &p64, &q64, &mut xa, &mut ra, &mut np64,
+        );
+        let pq32 = fused_axpy2_norm(
+            &d32, &partials, 0.5, &p32, &q32, &mut xb, &mut rb, &mut np32,
+        );
+        assert_eq!(pq64.to_bits(), pq32.to_bits());
+        assert_eq!(xb, narrowed(&xa));
+        assert_eq!(rb, narrowed(&ra));
+        for (a, b) in np64.iter().zip(&np32) {
+            assert!((a - b).abs() <= 2.5 * EPS32 * a, "‖r‖² partial {b} vs {a}");
+        }
+        assert_eq!(
+            launch_bytes(&d64, "pcg.fused.axpy2norm")
+                - launch_bytes(&d32, "pcg.fused.axpy2norm.f32"),
+            elems(6)
+        );
+
+        // pcg.fused.precond_rz, block-diagonal (r, 6 D⁻¹ + 6 r gathers, z
+        // per element) and identity (r, z).
+        for (dinv, moved) in [(Some((&dinv64, &dinv32)), 14), (None, 2)] {
+            let (d64, d32) = (dev(), dev());
+            let (mut z64, mut z32) = (vec![0.0f64; n], vec![0.0f32; n]);
+            let (mut rz64, mut rz32) = (Vec::new(), Vec::new());
+            let dinv_a = dinv.map(|d| d.0.as_slice());
+            let dinv_b = dinv.map(|d| d.1.as_slice());
+            let n64 = fused_precond_rz(&d64, dinv_a, &r64, &mut z64, &partials, &mut rz64);
+            let n32 = fused_precond_rz(&d32, dinv_b, &r32, &mut z32, &partials, &mut rz32);
+            assert_eq!(n64.to_bits(), n32.to_bits());
+            assert_eq!(z32, narrowed(&z64));
+            for (t, (a, b)) in rz64.iter().zip(&rz32).enumerate() {
+                let tile = t * TILE..n.min((t + 1) * TILE);
+                let mass: f64 = tile.map(|i| (r64[i] * z64[i]).abs()).sum();
+                assert!((a - b).abs() <= EPS32 * mass, "r·z partial {b} vs {a}");
+            }
+            assert_eq!(
+                launch_bytes(&d64, "pcg.fused.precond_rz")
+                    - launch_bytes(&d32, "pcg.fused.precond_rz.f32"),
+                elems(moved)
+            );
+        }
+
+        // pcg.fused.xpby_beta: z and p loads, p store.
+        let (d64, d32) = (dev(), dev());
+        let (mut pa, mut pb) = (p64.clone(), p32.clone());
+        let rz_a = fused_xpby_beta(&d64, &partials, 2.0, &q64, &mut pa);
+        let rz_b = fused_xpby_beta(&d32, &partials, 2.0, &q32, &mut pb);
+        assert_eq!(rz_a.to_bits(), rz_b.to_bits());
+        assert_eq!(pb, narrowed(&pa));
+        assert_eq!(
+            launch_bytes(&d64, "pcg.fused.xpby_beta")
+                - launch_bytes(&d32, "pcg.fused.xpby_beta.f32"),
+            elems(3)
+        );
     }
 }

@@ -22,6 +22,7 @@
 //! upper and the lower vector chunk and reduces per row.
 
 use crate::block6::Block6;
+use crate::scalar::Scalar;
 use crate::sym::SymBlockMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -317,7 +318,7 @@ impl Hsbcsr {
         self.refill_impl(m, Some(shadow))
     }
 
-    fn refill_impl(&mut self, m: &SymBlockMatrix, shadow: Option<&mut Hsbcsr32>) -> bool {
+    fn refill_impl(&mut self, m: &SymBlockMatrix, mut shadow: Option<&mut Hsbcsr32>) -> bool {
         if m.n_blocks() != self.n || m.n_upper() != self.n_nd {
             return false;
         }
@@ -327,24 +328,21 @@ impl Hsbcsr {
                 return false;
             }
         }
-        match shadow {
-            None => {
-                for (i, b) in m.diag.iter().enumerate() {
-                    write_sliced(&mut self.d_data, self.pad_d, i, b);
-                }
-                for (k, (_, _, b)) in m.upper.iter().enumerate() {
-                    write_sliced(&mut self.nd_data_up, self.pad_nd, k, b);
-                }
+        if let Some(sh) = shadow.as_deref_mut() {
+            sh.d_data.resize(self.d_data.len(), 0.0);
+            sh.nd_data_up.resize(self.nd_data_up.len(), 0.0);
+        }
+        // One sweep: each block is written to every precision while hot.
+        for (i, b) in m.diag.iter().enumerate() {
+            write_sliced(&mut self.d_data, self.pad_d, i, b);
+            if let Some(sh) = shadow.as_deref_mut() {
+                write_sliced(&mut sh.d_data, self.pad_d, i, b);
             }
-            Some(sh) => {
-                sh.d_data.resize(self.d_data.len(), 0.0);
-                sh.nd_data_up.resize(self.nd_data_up.len(), 0.0);
-                for (i, b) in m.diag.iter().enumerate() {
-                    write_sliced_both(&mut self.d_data, &mut sh.d_data, self.pad_d, i, b);
-                }
-                for (k, (_, _, b)) in m.upper.iter().enumerate() {
-                    write_sliced_both(&mut self.nd_data_up, &mut sh.nd_data_up, self.pad_nd, k, b);
-                }
+        }
+        for (k, (_, _, b)) in m.upper.iter().enumerate() {
+            write_sliced(&mut self.nd_data_up, self.pad_nd, k, b);
+            if let Some(sh) = shadow.as_deref_mut() {
+                write_sliced(&mut sh.nd_data_up, self.pad_nd, k, b);
             }
         }
         true
@@ -355,23 +353,10 @@ fn pad(n: usize) -> usize {
     n.div_ceil(SLICE_ALIGN) * SLICE_ALIGN
 }
 
-fn write_sliced(data: &mut [f64], pad: usize, slot: usize, b: &Block6) {
+fn write_sliced<S: Scalar>(data: &mut [S], pad: usize, slot: usize, b: &Block6) {
     for r in 0..6 {
         for c in 0..6 {
-            data[Hsbcsr::sliced_index(pad, slot, r, c)] = b.0[r][c];
-        }
-    }
-}
-
-/// One block written to both precisions in the same pass — the fused
-/// fp64+fp32 refill sweep.
-fn write_sliced_both(data: &mut [f64], data32: &mut [f32], pad: usize, slot: usize, b: &Block6) {
-    for r in 0..6 {
-        for c in 0..6 {
-            let i = Hsbcsr::sliced_index(pad, slot, r, c);
-            let v = b.0[r][c];
-            data[i] = v;
-            data32[i] = v as f32;
+            data[Hsbcsr::sliced_index(pad, slot, r, c)] = S::narrow(b.0[r][c]);
         }
     }
 }

@@ -22,6 +22,5 @@ pub mod hsbcsr;
 pub use bcsr_kernel::spmv_bcsr;
 pub use csr::{spmv_csr_scalar, spmv_csr_vector};
 pub use hsbcsr::{
-    spmv_hsbcsr, spmv_hsbcsr_fused_pq, spmv_hsbcsr_fused_pq_f32, spmv_hsbcsr_fused_pq_f32v,
-    spmv_hsbcsr_into, spmv_hsbcsr_into_f32, spmv_hsbcsr_into_f32v, SpmvWorkspace, Stage1Smem,
+    spmv_hsbcsr, spmv_hsbcsr_f32, spmv_hsbcsr_fused_pq, spmv_hsbcsr_into, SpmvWorkspace, Stage1Smem,
 };

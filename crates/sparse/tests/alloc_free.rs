@@ -13,32 +13,52 @@
 //! reuses the same thread-local scratch but warms per worker thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use dda_simt::{Device, DeviceProfile};
 use dda_sparse::spmv::{
-    spmv_hsbcsr_fused_pq, spmv_hsbcsr_fused_pq_f32, spmv_hsbcsr_into, spmv_hsbcsr_into_f32,
-    SpmvWorkspace, Stage1Smem,
+    spmv_hsbcsr_f32, spmv_hsbcsr_fused_pq, spmv_hsbcsr_into, SpmvWorkspace, Stage1Smem,
 };
 use dda_sparse::{Hsbcsr, Hsbcsr32, SymBlockMatrix};
 
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+// Armed and counted per thread: the libtest harness runs the audits of one
+// binary on parallel threads, and a process-wide flag would charge one
+// test's warm-up allocations to another's armed window. `const`-initialised
+// `Cell`s need no lazy init and no destructor, so reading them inside the
+// allocator is safe.
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_if_armed() {
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            ALLOCS.with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+/// Runs `f` with this thread's allocation counter armed; returns the
+/// number of heap allocations `f` performed and its result.
+fn count_allocs<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (ALLOCS.with(Cell::get), out)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_if_armed();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -69,12 +89,10 @@ fn warmed_spmv_steady_state_allocates_nothing() {
     dev.reset_trace();
 
     // Measure.
-    ARMED.store(true, Ordering::SeqCst);
-    spmv_hsbcsr_into(&dev, &h, &x, Stage1Smem::Proposed, &mut ws, &mut y);
-    spmv_hsbcsr_fused_pq(&dev, &h, &x, Stage1Smem::Proposed, &mut ws, &mut y);
-    ARMED.store(false, Ordering::SeqCst);
-
-    let n_allocs = ALLOCS.load(Ordering::SeqCst);
+    let (n_allocs, ()) = count_allocs(|| {
+        spmv_hsbcsr_into(&dev, &h, &x, Stage1Smem::Proposed, &mut ws, &mut y);
+        spmv_hsbcsr_fused_pq(&dev, &h, &x, Stage1Smem::Proposed, &mut ws, &mut y);
+    });
     assert_eq!(
         n_allocs, 0,
         "warmed SpMV steady state performed {n_allocs} heap allocations"
@@ -110,46 +128,47 @@ fn scale_values(m: &mut SymBlockMatrix, factor: f64) {
 fn warmed_shadow_refill_and_f32_spmv_allocate_nothing() {
     // The mixed-precision path must add zero extra heap traffic per step:
     // the fp32 shadow is refilled in the *same* pass as the fp64 values
-    // (`refill_values_with_shadow`), and the f32 SpMV reuses the shared
-    // `SpmvWorkspace` plus the shadow's own capacity.
+    // (`refill_values_with_shadow`), and the fp32 SpMV reuses its
+    // `SpmvWorkspace<f32>` plus the shadow's own capacity.
     let dev = Device::new(DeviceProfile::tesla_k40());
     let mut m = SymBlockMatrix::random_spd(150, 4.0, 91);
     let mut h = Hsbcsr::from_sym(&m);
     let mut shadow = Hsbcsr32::new();
-    let x: Vec<f64> = (0..m.dim()).map(|i| (i as f64 * 0.23).cos()).collect();
+    let x: Vec<f32> = (0..m.dim()).map(|i| (i as f32 * 0.23).cos()).collect();
     let mut ws = SpmvWorkspace::new();
-    let mut y = vec![0.0f64; m.dim()];
+    let mut y = vec![0.0f32; m.dim()];
+    let scheme = Stage1Smem::Proposed;
 
-    // Warm: shadow capacity, workspace buffers (incl. f32 diagonal
-    // scratch), thread-local kernel scratch, trace capacity. Perturb the
-    // values between warm passes so the refill path actually runs.
+    // Warm: shadow capacity, workspace buffers, the fp32 thread-local
+    // kernel scratch, trace capacity. Perturb the values between warm
+    // passes so the refill path actually runs.
     for pass in 0..2 {
         scale_values(&mut m, 1.0 + 1e-3 * f64::from(pass));
         assert!(h.refill_values_with_shadow(&m, &mut shadow));
-        spmv_hsbcsr_into_f32(&dev, &h, &shadow, &x, Stage1Smem::Proposed, &mut ws, &mut y);
-        spmv_hsbcsr_fused_pq_f32(&dev, &h, &shadow, &x, Stage1Smem::Proposed, &mut ws, &mut y);
+        spmv_hsbcsr_f32(&dev, &h, &shadow, &x, scheme, &mut ws, &mut y, false);
+        spmv_hsbcsr_f32(&dev, &h, &shadow, &x, scheme, &mut ws, &mut y, true);
     }
     dev.reset_trace();
 
-    // Measure a full steady-state step: refill (with shadow) + f32 SpMV.
+    // Measure a full steady-state step: refill (with shadow) + fp32 SpMV.
     scale_values(&mut m, 1.0 + 5e-4);
-    ARMED.store(true, Ordering::SeqCst);
-    let refilled = h.refill_values_with_shadow(&m, &mut shadow);
-    spmv_hsbcsr_into_f32(&dev, &h, &shadow, &x, Stage1Smem::Proposed, &mut ws, &mut y);
-    spmv_hsbcsr_fused_pq_f32(&dev, &h, &shadow, &x, Stage1Smem::Proposed, &mut ws, &mut y);
-    ARMED.store(false, Ordering::SeqCst);
-
+    let (n_allocs, refilled) = count_allocs(|| {
+        let refilled = h.refill_values_with_shadow(&m, &mut shadow);
+        spmv_hsbcsr_f32(&dev, &h, &shadow, &x, scheme, &mut ws, &mut y, false);
+        spmv_hsbcsr_f32(&dev, &h, &shadow, &x, scheme, &mut ws, &mut y, true);
+        refilled
+    });
     assert!(refilled, "pattern unchanged, refill must succeed");
-    let n_allocs = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         n_allocs, 0,
-        "warmed shadow refill + f32 SpMV performed {n_allocs} heap allocations"
+        "warmed shadow refill + fp32 SpMV performed {n_allocs} heap allocations"
     );
 
-    // Accuracy: f32 storage, f64 accumulation — rounding-level agreement.
-    let y_ref = m.mul_vec(&x);
+    // Accuracy: fp32 storage, fp64 accumulation — rounding-level agreement.
+    let x64: Vec<f64> = x.iter().map(|&v| f64::from(v)).collect();
+    let y_ref = m.mul_vec(&x64);
     let scale: f64 = y_ref.iter().fold(1.0, |a, v| a.max(v.abs()));
     for i in 0..m.dim() {
-        assert!((y[i] - y_ref[i]).abs() < 1e-5 * scale, "i={i}");
+        assert!((f64::from(y[i]) - y_ref[i]).abs() < 1e-5 * scale, "i={i}");
     }
 }

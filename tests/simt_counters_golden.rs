@@ -96,10 +96,6 @@ fn digest_with_state(trace: &DeviceTrace, scenes: &[(&BlockSystem, Vec<f64>)]) -
     (len, h)
 }
 
-fn launches(trace: &DeviceTrace, kernel: &str) -> usize {
-    trace.records.iter().filter(|r| r.name == kernel).count()
-}
-
 fn solo_scenes() -> Vec<(BlockSystem, DdaParams)> {
     let (sys, params) = scatter_case(&ScatterConfig::default().with_rocks(420));
     assert_eq!(params.broad_phase, BroadPhaseMode::GridCached);
@@ -165,9 +161,12 @@ fn mixed_solo_traces_match_the_parent_commit() {
         pipe.run(STEPS);
         let trace = pipe.device().trace();
         // The fp32 inner loop ran, and on SSOR-AI through the fp64 bridge.
-        assert!(launches(&trace, "pcg.fused.axpy2norm.f32") > 0);
-        let bridged = launches(&trace, "vec.promote") > 0;
-        assert_eq!(bridged, precond == PrecondKind::SsorAi);
+        let by = trace.by_kernel();
+        assert!(by.contains_key("pcg.fused.axpy2norm.f32"));
+        assert_eq!(
+            by.contains_key("vec.promote"),
+            precond == PrecondKind::SsorAi
+        );
         digest_with_state(&trace, &[(&pipe.sys, pipe.scene_state().x_prev)])
     })
     .collect();
@@ -184,7 +183,7 @@ fn mixed_batch_trace_matches_the_parent_commit() {
     let mut batch = SceneBatch::new(k40(), scenes);
     batch.run(STEPS);
     let trace = batch.device().trace();
-    assert!(launches(&trace, "pcg.fused.axpy2norm.f32") > 0);
+    assert!(trace.by_kernel().contains_key("pcg.fused.axpy2norm.f32"));
     let states: Vec<_> = (0..n)
         .map(|k| {
             let x_prev = batch.scene_state(k).expect("live scene").x_prev;
