@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 
 use dda_core::contact::ContactOrder;
 use dda_core::pipeline::{GpuPipeline, SceneState};
-use dda_core::{BlockSystem, DdaParams};
+use dda_core::{AssemblyReuse, BlockSystem, DdaParams};
 use dda_harness::Args;
 use dda_simt::{Device, DeviceProfile, KernelStats};
 use dda_workloads::{rockfall_case, scatter_case, RockfallConfig, ScatterConfig};
@@ -160,6 +160,9 @@ fn run_workload(
     steps: usize,
 ) -> String {
     let n_blocks = sys.len();
+    // `nondiag.compute` is a kernel of the Fig 4 oracle: only there does
+    // the contact schedule reach assembly.
+    let params = params.with_assembly_reuse(AssemblyReuse::Recompute);
     let (state, settled) = settle(sys, params, min_contacts, settle_cap);
     let disc = measure(&state, ContactOrder::Discovery, steps);
     let sorted = measure(&state, ContactOrder::ClassSorted, steps);

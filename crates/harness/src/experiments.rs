@@ -5,7 +5,7 @@ use dda_core::assembly::assemble_serial;
 use dda_core::contact::init::{init_contacts_classified, init_contacts_monolithic};
 use dda_core::contact::{broad_phase_serial, narrow_phase_serial, GeomSoa};
 use dda_core::pipeline::{CpuPipeline, GpuPipeline, ModuleTimes, PrecondKind};
-use dda_core::{BlockSystem, DdaParams};
+use dda_core::{AssemblyReuse, BlockSystem, DdaParams};
 use dda_simt::serial::CpuCounter;
 use dda_simt::{Device, DeviceProfile};
 use dda_solver::precond::{Ilu0, Preconditioner};
@@ -247,6 +247,9 @@ pub struct CaseStudy {
 }
 
 fn run_case(label: &'static str, sys: BlockSystem, params: DdaParams, steps: usize) -> CaseStudy {
+    // Tables II/III measure the paper's Fig 4 assembly, whatever the
+    // default path is.
+    let params = params.with_assembly_reuse(AssemblyReuse::Recompute);
     let blocks = sys.len();
     let mut cpu = CpuPipeline::new(sys.clone(), params.clone());
     cpu.run(steps);

@@ -75,7 +75,11 @@ fn incremental_is_bitwise_identical_across_broad_phase_modes() {
     ] {
         let (sys, params) = rockfall(14);
         let params = params.with_broad_phase(mode);
-        let mut oracle = GpuPipeline::new(sys.clone(), params.clone(), k40());
+        let mut oracle = GpuPipeline::new(
+            sys.clone(),
+            params.clone().with_assembly_reuse(AssemblyReuse::Recompute),
+            k40(),
+        );
         let mut incr = GpuPipeline::new(
             sys,
             params.with_assembly_reuse(AssemblyReuse::Incremental),
@@ -132,7 +136,11 @@ fn incremental_is_bitwise_identical_across_broad_phase_modes() {
 fn incremental_composes_with_class_sorted_scheduling() {
     let (sys, params) = rockfall(12);
     let params = params.with_contact_order(ContactOrder::ClassSorted);
-    let mut oracle = GpuPipeline::new(sys.clone(), params.clone(), k40());
+    let mut oracle = GpuPipeline::new(
+        sys.clone(),
+        params.clone().with_assembly_reuse(AssemblyReuse::Recompute),
+        k40(),
+    );
     let mut incr = GpuPipeline::new(
         sys,
         params.with_assembly_reuse(AssemblyReuse::Incremental),

@@ -8,10 +8,13 @@
 //! all `KernelStats` fields, `seconds.to_bits()` — so it is wider than the
 //! benchmark's `modeled_us_per_op`, and it must not depend on the opt level
 //! (CI runs it in debug and `--release`).
+//!
+//! Every scene is pinned to `AssemblyReuse::Recompute`: the constants digest
+//! the paper's Fig 4 assembly stream, whatever path the default takes.
 
 use dda_repro::core::contact::BroadPhaseMode;
 use dda_repro::core::pipeline::{system_fingerprint, GpuPipeline, PrecondKind, SceneBatch};
-use dda_repro::core::{BlockSystem, DdaParams};
+use dda_repro::core::{AssemblyReuse, BlockSystem, DdaParams};
 use dda_repro::simt::{Device, DeviceProfile, DeviceTrace};
 use dda_repro::solver::SolverPrecision;
 use dda_repro::workloads::{
@@ -96,6 +99,11 @@ fn digest_with_state(trace: &DeviceTrace, scenes: &[(&BlockSystem, Vec<f64>)]) -
     (len, h)
 }
 
+/// Pins a scene to the Fig 4 oracle the constants were captured on.
+fn fig4((sys, params): (BlockSystem, DdaParams)) -> (BlockSystem, DdaParams) {
+    (sys, params.with_assembly_reuse(AssemblyReuse::Recompute))
+}
+
 fn solo_scenes() -> Vec<(BlockSystem, DdaParams)> {
     let (sys, params) = scatter_case(&ScatterConfig::default().with_rocks(420));
     assert_eq!(params.broad_phase, BroadPhaseMode::GridCached);
@@ -104,6 +112,9 @@ fn solo_scenes() -> Vec<(BlockSystem, DdaParams)> {
         rockfall_case(&RockfallConfig::default().with_rocks(40)),
         (sys, params),
     ]
+    .into_iter()
+    .map(fig4)
+    .collect()
 }
 
 #[test]
@@ -132,6 +143,7 @@ fn batch_scenes() -> Vec<(BlockSystem, DdaParams)> {
             1 => scatter_case(&ScatterConfig::default().with_rocks(20 + 4 * k)),
             _ => slope_case(&SlopeConfig::default().with_target_blocks(12 + k)),
         })
+        .map(fig4)
         .collect()
 }
 
@@ -145,8 +157,8 @@ fn batch_trace_matches_the_parent_commit() {
 
 #[test]
 fn mixed_solo_traces_match_the_parent_commit() {
-    let rockfall = || rockfall_case(&RockfallConfig::default().with_rocks(40));
-    let slope = slope_case(&SlopeConfig::default().with_target_blocks(60));
+    let rockfall = || fig4(rockfall_case(&RockfallConfig::default().with_rocks(40)));
+    let slope = fig4(slope_case(&SlopeConfig::default().with_target_blocks(60)));
     let got: Vec<(usize, u64)> = [
         (rockfall(), PrecondKind::BlockJacobi),
         (slope, PrecondKind::BlockJacobi),

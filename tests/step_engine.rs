@@ -6,10 +6,12 @@
 //! agreed on — each scene's state fingerprint after 12 steps, solo and as
 //! slot *k* of a five-scene batch — is the oracle now that only one loop is
 //! left; the modeled device seconds of both shapes are pinned to the bit
-//! beside it, so a refactor cannot silently move launches either.
+//! beside it, so a refactor cannot silently move launches either. The
+//! scenes are pinned to `AssemblyReuse::Recompute`, the Fig 4 assembly the
+//! seconds were captured on.
 
 use dda_repro::core::pipeline::{system_fingerprint, GpuPipeline, SceneBatch};
-use dda_repro::core::{Block, BlockMaterial, BlockSystem, DdaParams, JointMaterial};
+use dda_repro::core::{AssemblyReuse, Block, BlockMaterial, BlockSystem, DdaParams, JointMaterial};
 use dda_repro::geom::Polygon;
 use dda_repro::simt::{Device, DeviceProfile};
 use dda_repro::workloads::{rockfall_case, scatter_case, RockfallConfig, ScatterConfig};
@@ -71,6 +73,9 @@ fn scenes() -> Vec<(BlockSystem, DdaParams)> {
         rockfall_case(&RockfallConfig::default().with_rocks(24)),
         scatter_case(&ScatterConfig::default().with_rocks(48)),
     ]
+    .into_iter()
+    .map(|(sys, params)| (sys, params.with_assembly_reuse(AssemblyReuse::Recompute)))
+    .collect()
 }
 
 #[test]
