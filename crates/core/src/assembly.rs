@@ -17,17 +17,22 @@
 //! implemented the same way here: the argsort permutes indices, and the
 //! 36-value payloads are gathered once by the reduction kernel. The whole
 //! path runs with the simulator's write-conflict detector armed in tests.
+//!
+//! That stream is [`assemble_contacts_gpu`], the oracle. The engine's
+//! default path ([`crate::assembly_cache`]) sorts the keys once per contact
+//! list and replaces steps 1 and 4 by one gather launch; its two kernels
+//! live here, beside the spring evaluation they share with step 1.
 
 use crate::contact::types::Contact;
 use crate::contact::GeomSoa;
 use crate::params::DdaParams;
 use crate::stiffness::perblock::{build_diag_gpu, build_diag_serial, BlockSoa};
-use crate::stiffness::springs::contact_spring_terms;
+use crate::stiffness::springs::{contact_spring_terms, SpringTerms};
 use crate::system::BlockSystem;
 use dda_geom::Vec2;
 use dda_simt::primitives::{segment_starts, sort::argsort_u64};
 use dda_simt::serial::CpuCounter;
-use dda_simt::Device;
+use dda_simt::{Device, GBuf, Lane};
 use dda_sparse::{Block6, SymBlockMatrix};
 use std::collections::HashMap;
 
@@ -194,30 +199,74 @@ pub fn assemble_contacts_gpu_scheduled(
     let mut d_keys = vec![u64::MAX; nc * 3];
     let mut f_vals = vec![0.0f64; nc * 2 * 6];
     let mut f_keys = vec![u64::MAX; nc * 2];
-    compute_contact_stream(
-        dev,
-        n,
-        gsoa,
-        contacts,
-        &jparams,
-        params.penalty,
-        params.shear_ratio,
-        &mut d_vals,
-        &mut d_keys,
-        &mut f_vals,
-        &mut f_keys,
-        StreamPass::Full { sched },
-    );
+    {
+        let inp = SpringInputs::bind(dev, gsoa, contacts, &jparams, params);
+        let b_dv = dev.bind(&mut d_vals);
+        let b_dk = dev.bind(&mut d_keys);
+        let b_fv = dev.bind(&mut f_vals);
+        let b_fk = dev.bind(&mut f_keys);
+        let b_sched = sched.map(|s| dev.bind_ro(s));
+        dev.launch("nondiag.compute", nc, |lane| {
+            let t_idx = match &b_sched {
+                Some(b) => lane.ld(b, lane.gid) as usize,
+                None => lane.gid,
+            };
+            let c = lane.ld(&inp.contacts, t_idx);
+            // Open contacts and degenerate edges are abandoned: their
+            // slots keep the MAX key and sort to the tail.
+            if !lane.branch(0, c.state.closed()) {
+                return;
+            }
+            let Some(t) = inp.eval(lane, t_idx, &c) else {
+                return;
+            };
+
+            let store_block = |lane: &mut Lane, slot: usize, key: u64, b: &Block6| {
+                lane.st(&b_dk, slot, key);
+                for r in 0..6 {
+                    for cc in 0..6 {
+                        lane.st(&b_dv, slot * 36 + r * 6 + cc, b.0[r][cc]);
+                    }
+                }
+            };
+            let keys = contact_keys(&c, n);
+            store_block(lane, 3 * t_idx, keys[0], &t.kii);
+            store_block(lane, 3 * t_idx + 1, keys[1], &t.kjj);
+            let off = if c.i < c.j { t.kij } else { t.kji() };
+            store_block(lane, 3 * t_idx + 2, keys[2], &off);
+
+            lane.st(&b_fk, 2 * t_idx, c.i as u64);
+            lane.st(&b_fk, 2 * t_idx + 1, c.j as u64);
+            for k in 0..6 {
+                lane.st(&b_fv, 2 * t_idx * 6 + k, t.fi[k]);
+                lane.st(&b_fv, (2 * t_idx + 1) * 6 + k, t.fj[k]);
+            }
+        });
+    }
 
     // --- Steps 2–5: sort, boundaries, segmented reduction --------------------
-    let (diag_add, upper, _) = reduce_keyed_blocks(dev, &d_keys, &d_vals, n, None);
-    for (b, blk) in &diag_add {
-        diag[*b as usize] += *blk;
+    let plan = ReducePlan::build(dev, &d_keys);
+    let mut upper = Vec::new();
+    if plan.n_seg() > 0 {
+        let sums = reduce_segments(dev, "assembly.reduce_blocks", &plan, &d_vals, 36);
+        for (s, sum) in sums.chunks_exact(36).enumerate() {
+            let (r, c) = ((plan.key(s) / n) as u32, (plan.key(s) % n) as u32);
+            let blk = block_from(sum);
+            if r == c {
+                diag[r as usize] += blk;
+            } else {
+                upper.push((r, c, blk));
+            }
+        }
     }
-    let (f_add, _) = reduce_keyed_vec6(dev, &f_keys, &f_vals, None);
-    for (b, f) in &f_add {
-        for k in 0..6 {
-            rhs[6 * *b as usize + k] += f[k];
+    let plan = ReducePlan::build(dev, &f_keys);
+    if plan.n_seg() > 0 {
+        let sums = reduce_segments(dev, "assembly.reduce_forces", &plan, &f_vals, 6);
+        for (s, f) in sums.chunks_exact(6).enumerate() {
+            let b = plan.key(s) as usize;
+            for k in 0..6 {
+                rhs[6 * b + k] += f[k];
+            }
         }
     }
 
@@ -227,331 +276,277 @@ pub fn assemble_contacts_gpu_scheduled(
     }
 }
 
-/// Which contacts a contribution-stream launch recomputes.
-pub(crate) enum StreamPass<'a> {
-    /// Every contact: thread `t` computes contact `sched[t]` (or `t`) —
-    /// the paper's Fig 4 step 1, kernel `nondiag.compute`.
-    Full { sched: Option<&'a [u32]> },
-    /// Only the listed contacts (a compacted delta set): each thread first
-    /// resets its contact's keyed slots to the abandoned sentinel, then
-    /// recomputes them — kernel `nondiag.delta`. Slots of unlisted
-    /// contacts keep their previous bits, so splicing a delta pass over a
-    /// previously full stream reproduces the full recompute bit-for-bit.
-    Delta { changed: &'a [u32] },
+/// A 6×6 block from 36 row-major values.
+fn block_from(vals: &[f64]) -> Block6 {
+    let mut b = Block6::ZERO;
+    for (r, row) in b.0.iter_mut().enumerate() {
+        row.copy_from_slice(&vals[r * 6..r * 6 + 6]);
+    }
+    b
 }
 
-/// Launch one contribution-stream pass over the keyed arrays. The per-lane
-/// body is shared between the full and delta kernels so the two can never
-/// drift: a spliced stream is bitwise the stream a full recompute would
-/// have produced.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_contact_stream(
-    dev: &Device,
-    n: u64,
-    gsoa: &GeomSoa,
-    contacts: &[Contact],
-    jparams: &[f64],
+/// The three sub-matrix keys of a contact as `row · n + col` — `k_ii`,
+/// `k_jj`, and the upper-triangle block of the pair. They depend on
+/// `(i, j)` only: a contact's state decides whether its slots are live,
+/// never where they sort.
+pub(crate) fn contact_keys(c: &Contact, n: u64) -> [u64; 3] {
+    let (i, j) = (c.i as u64, c.j as u64);
+    [i * n + i, j * n + j, i.min(j) * n + i.max(j)]
+}
+
+/// Device views of what one contact's spring evaluation reads.
+struct SpringInputs<'a> {
+    contacts: GBuf<'a, Contact>,
+    vx: GBuf<'a, f64>,
+    vy: GBuf<'a, f64>,
+    vptr: GBuf<'a, u32>,
+    cx: GBuf<'a, f64>,
+    cy: GBuf<'a, f64>,
+    jparams: GBuf<'a, f64>,
     penalty: f64,
     shear_ratio: f64,
-    d_vals: &mut [f64],
-    d_keys: &mut [u64],
-    f_vals: &mut [f64],
-    f_keys: &mut [u64],
-    pass: StreamPass<'_>,
-) {
-    let (name, threads) = match &pass {
-        StreamPass::Full { .. } => ("nondiag.compute", contacts.len()),
-        StreamPass::Delta { changed } => ("nondiag.delta", changed.len()),
-    };
-    if threads == 0 {
-        return;
-    }
-    let b_c = dev.bind_ro(contacts);
-    let b_vx = dev.bind_ro(&gsoa.vx);
-    let b_vy = dev.bind_ro(&gsoa.vy);
-    let b_vp = dev.bind_ro(&gsoa.vptr);
-    let b_cx = dev.bind_ro(&gsoa.cx);
-    let b_cy = dev.bind_ro(&gsoa.cy);
-    let b_jp = dev.bind_ro(jparams);
-    let b_dv = dev.bind(d_vals);
-    let b_dk = dev.bind(d_keys);
-    let b_fv = dev.bind(f_vals);
-    let b_fk = dev.bind(f_keys);
-    let (b_sched, b_changed) = match &pass {
-        StreamPass::Full { sched } => (sched.map(|s| dev.bind_ro(s)), None),
-        StreamPass::Delta { changed } => (None, Some(dev.bind_ro(changed))),
-    };
-    dev.launch(name, threads, |lane| {
-        let t_idx = match (&b_changed, &b_sched) {
-            (Some(b), _) => lane.ld(b, lane.gid) as usize,
-            (None, Some(b)) => lane.ld(b, lane.gid) as usize,
-            (None, None) => lane.gid,
-        };
-        // Delta pass: the slots may hold a stale closed contribution, so
-        // an abandoned contact must rewrite its keys to the sentinel — the
-        // same end state the pre-initialized full pass leaves. (One store
-        // per slot per launch: the sentinel is written only on the abandon
-        // paths, never as a pre-clear the recompute would overwrite.)
-        let abandon = |lane: &mut dda_simt::Lane| {
-            if b_changed.is_some() {
-                lane.st(&b_dk, 3 * t_idx, u64::MAX);
-                lane.st(&b_dk, 3 * t_idx + 1, u64::MAX);
-                lane.st(&b_dk, 3 * t_idx + 2, u64::MAX);
-                lane.st(&b_fk, 2 * t_idx, u64::MAX);
-                lane.st(&b_fk, 2 * t_idx + 1, u64::MAX);
-            }
-        };
-        let c = lane.ld(&b_c, t_idx);
-        // Open/unchanged contacts are abandoned by the classification;
-        // their slots keep (or regain) the MAX key and sort to the tail.
-        if !lane.branch(0, c.state.closed()) {
-            abandon(lane);
-            return;
+}
+
+impl<'a> SpringInputs<'a> {
+    fn bind(
+        dev: &Device,
+        gsoa: &'a GeomSoa,
+        contacts: &'a [Contact],
+        jparams: &'a [f64],
+        params: &DdaParams,
+    ) -> Self {
+        SpringInputs {
+            contacts: dev.bind_ro(contacts),
+            vx: dev.bind_ro(&gsoa.vx),
+            vy: dev.bind_ro(&gsoa.vy),
+            vptr: dev.bind_ro(&gsoa.vptr),
+            cx: dev.bind_ro(&gsoa.cx),
+            cy: dev.bind_ro(&gsoa.cy),
+            jparams: dev.bind_ro(jparams),
+            penalty: params.penalty,
+            shear_ratio: params.shear_ratio,
         }
-        let i0 = lane.ld_tex(&b_vp, c.i as usize) as usize;
-        let j0 = lane.ld_tex(&b_vp, c.j as usize) as usize;
-        let nj = lane.ld_tex(&b_vp, c.j as usize + 1) as usize - j0;
+    }
+
+    /// Gathers closed contact `t`'s geometry and evaluates its springs —
+    /// one body for the Fig 4 store kernel and the segment gather, so the
+    /// two paths add the same bits.
+    fn eval(&self, lane: &mut Lane, t: usize, c: &Contact) -> Option<SpringTerms> {
+        let i0 = lane.ld_tex(&self.vptr, c.i as usize) as usize;
+        let j0 = lane.ld_tex(&self.vptr, c.j as usize) as usize;
+        let nj = lane.ld_tex(&self.vptr, c.j as usize + 1) as usize - j0;
         let p1 = Vec2::new(
-            lane.ld_tex(&b_vx, i0 + c.vertex as usize),
-            lane.ld_tex(&b_vy, i0 + c.vertex as usize),
+            lane.ld_tex(&self.vx, i0 + c.vertex as usize),
+            lane.ld_tex(&self.vy, i0 + c.vertex as usize),
         );
         let e = c.edge as usize;
-        let p2 = Vec2::new(lane.ld_tex(&b_vx, j0 + e), lane.ld_tex(&b_vy, j0 + e));
+        let p2 = Vec2::new(lane.ld_tex(&self.vx, j0 + e), lane.ld_tex(&self.vy, j0 + e));
         let e1 = (e + 1) % nj;
-        let p3 = Vec2::new(lane.ld_tex(&b_vx, j0 + e1), lane.ld_tex(&b_vy, j0 + e1));
+        let p3 = Vec2::new(
+            lane.ld_tex(&self.vx, j0 + e1),
+            lane.ld_tex(&self.vy, j0 + e1),
+        );
         let ci = Vec2::new(
-            lane.ld_tex(&b_cx, c.i as usize),
-            lane.ld_tex(&b_cy, c.i as usize),
+            lane.ld_tex(&self.cx, c.i as usize),
+            lane.ld_tex(&self.cy, c.i as usize),
         );
         let cj = Vec2::new(
-            lane.ld_tex(&b_cx, c.j as usize),
-            lane.ld_tex(&b_cy, c.j as usize),
+            lane.ld_tex(&self.cx, c.j as usize),
+            lane.ld_tex(&self.cy, c.j as usize),
         );
-        let tan_phi = lane.ld(&b_jp, 2 * t_idx);
-        let cohesion = lane.ld(&b_jp, 2 * t_idx + 1);
+        let tan_phi = lane.ld(&self.jparams, 2 * t);
+        let cohesion = lane.ld(&self.jparams, 2 * t + 1);
         lane.flop(600);
-        let Some(t) = contact_spring_terms(
-            &c,
+        contact_spring_terms(
+            c,
             ci,
             cj,
             p1,
             p2,
             p3,
-            penalty,
-            shear_ratio,
+            self.penalty,
+            self.shear_ratio,
             tan_phi,
             cohesion,
-        ) else {
-            abandon(lane);
-            return;
-        };
+        )
+    }
+}
 
-        let store_block = |lane: &mut dda_simt::Lane, slot: usize, key: u64, b: &Block6| {
-            lane.st(&b_dk, slot, key);
-            for r in 0..6 {
-                for cc in 0..6 {
-                    lane.st(&b_dv, slot * 36 + r * 6 + cc, b.0[r][cc]);
-                }
-            }
-        };
-        let (i, j) = (c.i as u64, c.j as u64);
-        store_block(lane, 3 * t_idx, i * n + i, &t.kii);
-        store_block(lane, 3 * t_idx + 1, j * n + j, &t.kjj);
-        let (r, col, off) = if i < j {
-            (i, j, t.kij)
+/// A keyed-reduction plan: the radix argsort and segment boundaries of one
+/// keyed array (Fig 4 steps 2–4). The sort is stable, so a segment lists
+/// its slots in increasing slot order.
+#[derive(Debug, Default)]
+pub(crate) struct ReducePlan {
+    /// Sorted keys, truncated to the valid (non-`u64::MAX`) prefix.
+    pub(crate) sorted_keys: Vec<u64>,
+    /// Argsort permutation over the valid prefix.
+    pub(crate) perm: Vec<u32>,
+    /// Segment starts over the valid prefix (`len = n_seg + 1`; empty when
+    /// no key is valid).
+    pub(crate) starts: Vec<u32>,
+}
+
+impl ReducePlan {
+    /// Argsort + segment boundaries of `keys` on the device.
+    pub(crate) fn build(dev: &Device, keys: &[u64]) -> ReducePlan {
+        let (mut sorted_keys, mut perm) = argsort_u64(dev, keys);
+        let valid = sorted_keys.partition_point(|&k| k != u64::MAX);
+        sorted_keys.truncate(valid);
+        perm.truncate(valid);
+        let starts = if valid > 0 {
+            segment_starts(dev, &sorted_keys).1
         } else {
-            (j, i, t.kji())
+            Vec::new()
         };
-        store_block(lane, 3 * t_idx + 2, r * n + col, &off);
+        ReducePlan {
+            sorted_keys,
+            perm,
+            starts,
+        }
+    }
 
-        lane.st(&b_fk, 2 * t_idx, i);
-        lane.st(&b_fk, 2 * t_idx + 1, j);
-        for k in 0..6 {
-            lane.st(&b_fv, 2 * t_idx * 6 + k, t.fi[k]);
-            lane.st(&b_fv, (2 * t_idx + 1) * 6 + k, t.fj[k]);
+    /// Number of segments (distinct keys).
+    pub(crate) fn n_seg(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// The key of segment `s`.
+    pub(crate) fn key(&self, s: usize) -> u64 {
+        self.sorted_keys[self.starts[s] as usize]
+    }
+}
+
+/// Segmented sum of `w`-wide payloads under `plan` (Fig 4 step 5): thread
+/// `s` adds segment `s`'s payloads in plan order from `+0.0`.
+fn reduce_segments(
+    dev: &Device,
+    name: &'static str,
+    plan: &ReducePlan,
+    vals: &[f64],
+    w: usize,
+) -> Vec<f64> {
+    let mut out = vec![0.0f64; plan.n_seg() * w];
+    let b_starts = dev.bind_ro(&plan.starts);
+    let b_perm = dev.bind_ro(&plan.perm);
+    let b_vals = dev.bind_ro(vals);
+    let b_out = dev.bind(&mut out);
+    dev.launch(name, plan.n_seg(), |lane| {
+        let s = lane.gid;
+        let lo = lane.ld(&b_starts, s) as usize;
+        let hi = lane.ld(&b_starts, s + 1) as usize;
+        let mut acc = [0.0f64; 36];
+        for m in lo..hi {
+            let src = lane.ld(&b_perm, m) as usize;
+            for (k, a) in acc[..w].iter_mut().enumerate() {
+                *a += lane.ld_tex(&b_vals, src * w + k);
+            }
+            lane.flop(w as u32);
+        }
+        for (k, v) in acc[..w].iter().enumerate() {
+            lane.st(&b_out, s * w + k, *v);
+        }
+    });
+    drop(b_out);
+    out
+}
+
+/// Kernel `nondiag.keys`: thread `t` writes contact `t`'s three
+/// [`contact_keys`] into slots `3t..3t + 3` — the state-independent key
+/// stream a gather plan is sorted from.
+pub(crate) fn contact_keys_gpu(dev: &Device, n: u64, contacts: &[Contact], keys: &mut [u64]) {
+    let b_c = dev.bind_ro(contacts);
+    let b_k = dev.bind(keys);
+    dev.launch("nondiag.keys", contacts.len(), |lane| {
+        let t = lane.gid;
+        let c = lane.ld(&b_c, t);
+        lane.flop(6);
+        for (role, key) in contact_keys(&c, n).into_iter().enumerate() {
+            lane.st(&b_k, 3 * t + role, key);
         }
     });
 }
 
-/// A memoized keyed-reduction plan: the radix argsort and segment
-/// boundaries of one keyed array (Fig 4 steps 2–4), valid for exactly the
-/// unsorted key stream it was built from. Validity is checked by host-side
-/// comparison against the snapshot — strictly stronger than tracking
-/// pair-list/permutation epochs, and it makes plan reuse self-invalidating
-/// on broad-phase rebinds (the keys change) without any wiring. The sort
-/// is deterministic, so reusing a valid plan is bitwise identical to
-/// re-sorting.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct ReducePlan {
-    /// Unsorted keys the plan was built from (full length, incl. MAX).
-    src_keys: Vec<u64>,
-    /// Sorted keys, truncated to the valid (non-MAX) prefix.
-    sorted_keys: Vec<u64>,
-    /// Argsort permutation over the valid prefix.
-    perm: Vec<u32>,
-    /// Segment starts over the valid prefix (`len = n_seg + 1`).
-    starts: Vec<u32>,
-}
-
-impl ReducePlan {
-    /// True when the plan matches `keys` and can be reused as-is.
-    fn matches(&self, keys: &[u64]) -> bool {
-        !self.src_keys.is_empty() && self.src_keys.as_slice() == keys
-    }
-
-    /// Rebuild the plan for `keys` (argsort + segment boundaries on
-    /// device), reusing buffer capacity. Returns whether it was a reuse.
-    fn prepare(&mut self, dev: &Device, keys: &[u64]) -> bool {
-        if self.matches(keys) {
-            return true;
-        }
-        let (sorted_keys, perm) = argsort_u64(dev, keys);
-        let valid = sorted_keys.partition_point(|&k| k != u64::MAX);
-        self.src_keys.clear();
-        self.src_keys.extend_from_slice(keys);
-        self.sorted_keys.clear();
-        self.sorted_keys.extend_from_slice(&sorted_keys[..valid]);
-        self.perm.clear();
-        self.perm.extend_from_slice(&perm[..valid]);
-        self.starts.clear();
-        if valid > 0 {
-            let (_, starts) = segment_starts(dev, &self.sorted_keys);
-            self.starts.extend_from_slice(&starts);
-        }
-        false
-    }
-}
-
-/// Sort + segment + reduce for 36-f64 payloads. Returns the diagonal
-/// additions, the sorted upper entries, and whether a cached plan was
-/// reused (always `false` without a plan). Keys of `u64::MAX` (abandoned
-/// slots) are dropped.
-#[allow(clippy::type_complexity)]
-pub(crate) fn reduce_keyed_blocks(
+/// Kernel `assembly.gather`: thread `s` owns segment `s` of `plan` (one
+/// distinct block pair) and walks its slots in plan order. Slot `3t + role`
+/// belongs to contact `t`; if the contact is closed and its edge is not
+/// degenerate the thread recomputes its spring terms and adds the role's
+/// block (`k_ii` | `k_jj` | upper) and, for the two diagonal roles, the
+/// role's force. The walk visits exactly the live slots the Fig 4 sort
+/// would have put in this segment, in the same order, and adds them from
+/// `+0.0`, so the sums are the oracle's bits; the diagonal segment of
+/// block `b` holds the slots the force stream's segment `b` holds, so the
+/// forces need no plan of their own.
+///
+/// Outputs are segment-minor (`out[k · n_seg + s]`) so a warp's stores
+/// coalesce, and are written only where `n_live[s] > 0`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gather_segments(
     dev: &Device,
-    keys: &[u64],
-    vals: &[f64],
-    n: u64,
-    plan: Option<&mut ReducePlan>,
-) -> (Vec<(u32, Block6)>, Vec<(u32, u32, Block6)>, bool) {
-    let mut scratch = ReducePlan::default();
-    let (plan, reused) = match plan {
-        Some(p) => {
-            let hit = p.prepare(dev, keys);
-            (&*p, hit)
-        }
-        None => {
-            scratch.prepare(dev, keys);
-            (&scratch, false)
-        }
-    };
-    let (sorted_keys, perm, starts) = (&plan.sorted_keys, &plan.perm, &plan.starts);
-    if sorted_keys.is_empty() {
-        return (Vec::new(), Vec::new(), reused);
-    }
-    let n_seg = starts.len() - 1;
-
-    let mut out = vec![0.0f64; n_seg * 36];
-    {
-        let b_starts = dev.bind_ro(starts);
-        let b_perm = dev.bind_ro(perm);
-        let b_vals = dev.bind_ro(vals);
-        let b_out = dev.bind(&mut out);
-        dev.launch("assembly.reduce_blocks", n_seg, |lane| {
-            let s = lane.gid;
-            let lo = lane.ld(&b_starts, s) as usize;
-            let hi = lane.ld(&b_starts, s + 1) as usize;
-            let mut acc = [0.0f64; 36];
-            for m in lo..hi {
-                let src = lane.ld(&b_perm, m) as usize;
-                for k in 0..36 {
-                    acc[k] += lane.ld_tex(&b_vals, src * 36 + k);
-                }
-                lane.flop(36);
+    gsoa: &GeomSoa,
+    contacts: &[Contact],
+    jparams: &[f64],
+    params: &DdaParams,
+    plan: &ReducePlan,
+    n_live: &mut [u32],
+    out: &mut [f64],
+    fout: &mut [f64],
+) {
+    let n_seg = plan.n_seg();
+    let inp = SpringInputs::bind(dev, gsoa, contacts, jparams, params);
+    let b_starts = dev.bind_ro(&plan.starts);
+    let b_perm = dev.bind_ro(&plan.perm);
+    let b_live = dev.bind(n_live);
+    let b_out = dev.bind(out);
+    let b_fout = dev.bind(fout);
+    dev.launch("assembly.gather", n_seg, |lane| {
+        let s = lane.gid;
+        let lo = lane.ld(&b_starts, s) as usize;
+        let hi = lane.ld(&b_starts, s + 1) as usize;
+        let mut acc = [0.0f64; 36];
+        let mut facc = [0.0f64; 6];
+        let (mut live, mut diagonal) = (0u32, false);
+        for m in lo..hi {
+            let slot = lane.ld(&b_perm, m) as usize;
+            let (t, role) = (slot / 3, slot % 3);
+            let c = lane.ld(&inp.contacts, t);
+            if !lane.branch(0, c.state.closed()) {
+                continue;
             }
-            for (k, v) in acc.iter().enumerate() {
-                lane.st(&b_out, s * 36 + k, *v);
+            let Some(terms) = inp.eval(lane, t, &c) else {
+                continue;
+            };
+            let (blk, force) = match role {
+                0 => (terms.kii, Some(terms.fi)),
+                1 => (terms.kjj, Some(terms.fj)),
+                _ if c.i < c.j => (terms.kij, None),
+                _ => (terms.kji(), None),
+            };
+            for (a, v) in acc.iter_mut().zip(blk.0.iter().flatten()) {
+                *a += v;
             }
-        });
-    }
-
-    let mut diag_add = Vec::new();
-    let mut upper = Vec::new();
-    for s in 0..n_seg {
-        let key = sorted_keys[starts[s] as usize];
-        let r = (key / n) as u32;
-        let c = (key % n) as u32;
-        let mut b = Block6::ZERO;
-        for rr in 0..6 {
-            for cc in 0..6 {
-                b.0[rr][cc] = out[s * 36 + rr * 6 + cc];
-            }
-        }
-        if r == c {
-            diag_add.push((r, b));
-        } else {
-            upper.push((r, c, b));
-        }
-    }
-    (diag_add, upper, reused)
-}
-
-/// Sort + segment + reduce for 6-f64 payloads (forces). Returns the
-/// per-block force additions and whether a cached plan was reused.
-pub(crate) fn reduce_keyed_vec6(
-    dev: &Device,
-    keys: &[u64],
-    vals: &[f64],
-    plan: Option<&mut ReducePlan>,
-) -> (Vec<(u32, [f64; 6])>, bool) {
-    let mut scratch = ReducePlan::default();
-    let (plan, reused) = match plan {
-        Some(p) => {
-            let hit = p.prepare(dev, keys);
-            (&*p, hit)
-        }
-        None => {
-            scratch.prepare(dev, keys);
-            (&scratch, false)
-        }
-    };
-    let (sorted_keys, perm, starts) = (&plan.sorted_keys, &plan.perm, &plan.starts);
-    if sorted_keys.is_empty() {
-        return (Vec::new(), reused);
-    }
-    let n_seg = starts.len() - 1;
-    let mut out = vec![0.0f64; n_seg * 6];
-    {
-        let b_starts = dev.bind_ro(starts);
-        let b_perm = dev.bind_ro(perm);
-        let b_vals = dev.bind_ro(vals);
-        let b_out = dev.bind(&mut out);
-        dev.launch("assembly.reduce_forces", n_seg, |lane| {
-            let s = lane.gid;
-            let lo = lane.ld(&b_starts, s) as usize;
-            let hi = lane.ld(&b_starts, s + 1) as usize;
-            let mut acc = [0.0f64; 6];
-            for m in lo..hi {
-                let src = lane.ld(&b_perm, m) as usize;
-                for k in 0..6 {
-                    acc[k] += lane.ld_tex(&b_vals, src * 6 + k);
+            lane.flop(36);
+            if let Some(f) = force {
+                for (a, v) in facc.iter_mut().zip(f) {
+                    *a += v;
                 }
                 lane.flop(6);
+                diagonal = true;
             }
-            for (k, v) in acc.iter().enumerate() {
-                lane.st(&b_out, s * 6 + k, *v);
+            live += 1;
+        }
+        lane.st(&b_live, s, live);
+        if !lane.branch(1, live > 0) {
+            return;
+        }
+        for (k, v) in acc.iter().enumerate() {
+            lane.st(&b_out, k * n_seg + s, *v);
+        }
+        if diagonal {
+            for (k, v) in facc.iter().enumerate() {
+                lane.st(&b_fout, k * n_seg + s, *v);
             }
-        });
-    }
-    let forces = (0..n_seg)
-        .map(|s| {
-            let b = sorted_keys[starts[s] as usize] as u32;
-            let mut f = [0.0f64; 6];
-            f.copy_from_slice(&out[s * 6..s * 6 + 6]);
-            (b, f)
-        })
-        .collect();
-    (forces, reused)
+        }
+    });
 }
 
 #[cfg(test)]

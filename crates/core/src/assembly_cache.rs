@@ -1,61 +1,56 @@
-//! Incremental re-assembly across the open–close iteration loop.
+//! The shipped non-diagonal assembly: a reduction plan per contact list, a
+//! segment gather per open–close iteration.
 //!
-//! Loop 3 re-assembles and re-solves until no contact changes state, but
-//! between iterations only the contacts whose open/closed/sliding state
-//! (or sliding bookkeeping) actually changed produce different
-//! contributions — the rest of the Fig 4 contribution stream is
-//! bit-for-bit the work of the previous iteration. [`AssemblyCache`]
-//! memoizes that stream and the keyed-reduction plan:
+//! One rule carries the module: **keys are geometry, liveness is state.** A
+//! contact's three sub-matrix keys depend on its block pair `(i, j)` only,
+//! and the contact list is fixed from detection to commit, so the radix
+//! sort and segment boundaries of Fig 4 are a property of the *list*. The
+//! open–close loop and the Δt retries change which contacts are closed —
+//! never where a contact's slots sort.
 //!
-//! * **Stream splice.** The keyed arrays (`D` and the force stream) are
-//!   retained across iterations. On iteration `k > 1` only the delta set
-//!   — contacts flagged by `open_close_gpu_masked` as having changed
-//!   `state`, `edge_ratio`, or `slide_dir` — is recomputed by the
-//!   `nondiag.delta` kernel, which shares its per-lane body with the full
-//!   `nondiag.compute` kernel. Unflagged slots keep their previous bits,
-//!   so the spliced stream equals a full recompute bit-for-bit, and the
-//!   deterministic keyed reduction downstream yields a bitwise-identical
-//!   system.
-//! * **Plan reuse.** The radix argsort and segment boundaries depend only
-//!   on the keys. The plan snapshot is compared against the fresh keys
-//!   (host-side memcmp); on a match the sort and boundary launches are
-//!   skipped entirely. Lock↔slide churn never changes keys, so settled
-//!   scenes reuse one plan across iterations *and* across steps; any
-//!   broad-phase rebind or open/close transition changes the keys and
-//!   self-invalidates the plan.
+//! * **Plan, per contact list.** [`AssemblyCache::begin_step`] compares the
+//!   fresh list's keys with the ones the standing plan was sorted from —
+//!   once per detection, on the host. Only when they differ does the next
+//!   assemble launch `nondiag.keys`, sort and find the boundaries again; a
+//!   settled scene sorts once for the whole run.
+//! * **Gather, per iteration.** Every assemble is one `assembly.gather`
+//!   launch, one thread per distinct block pair, that recomputes the spring
+//!   terms of its segment's closed contacts and adds them in plan order
+//!   (see [`gather_segments`]). Nothing per-contact is stored in between.
 //!
-//! The cache is a pure accelerator: `AssemblyReuse::Recompute` bypasses it
-//! and stays the reference oracle, and the parity suite asserts the two
-//! modes agree bitwise per step under random churn and injected faults.
+//! The result is bitwise the system `AssemblyReuse::Recompute` — Fig 4 from
+//! scratch, kept as the oracle and the paper-table path — assembles: a
+//! stable sort orders a segment by slot index, skipping the dead slots
+//! leaves the subsequence the oracle's sort of live keys produces, and both
+//! add the same function's output from `+0.0`. Segments with no live slot
+//! are dropped, as Fig 4 never materialises them, so the HSBCSR pattern and
+//! every solver-cache decision are the oracle's too.
 
 use crate::assembly::{
-    compute_contact_stream, fill_joint_params, reduce_keyed_blocks, reduce_keyed_vec6,
-    AssembledSystem, ReducePlan, StreamPass,
+    contact_keys, contact_keys_gpu, fill_joint_params, gather_segments, AssembledSystem, ReducePlan,
 };
 use crate::contact::types::Contact;
 use crate::contact::GeomSoa;
 use crate::params::DdaParams;
 use crate::system::BlockSystem;
-use dda_simt::primitives::compact_indices;
 use dda_simt::Device;
 use dda_sparse::{Block6, SymBlockMatrix};
 use serde::{Deserialize, Serialize};
 
-/// Lifetime counters of the incremental-assembly machinery; the per-step
-/// deltas ride on `StepReport` so benches read reuse rates directly
-/// instead of inferring them from kernel-name greps.
+/// Lifetime counters of the assembly cache; the per-step deltas ride on
+/// `StepReport` so benches read reuse rates directly instead of inferring
+/// them from kernel-name greps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AssemblyStats {
-    /// Full-stream recomputes (first iteration of a step, or after an
-    /// invalidation).
+    /// Assemblies run (every gather evaluates its contacts from scratch).
     pub full_builds: u64,
-    /// Per-contact contributions recomputed (full passes + delta sets).
+    /// Closed contacts evaluated, summed over assemblies.
     pub recomputed: u64,
-    /// Per-contact contributions spliced from the cached stream.
+    /// Always 0: no per-contact contribution outlives an assembly.
     pub spliced: u64,
-    /// Keyed-reduction plans rebuilt (argsort + segment boundaries ran).
+    /// Plans built (key launch + argsort + segment boundaries ran).
     pub plan_rebuilds: u64,
-    /// Keyed-reduction plans reused (sort and boundary launches skipped).
+    /// Assemblies served by a standing plan (no sort launched).
     pub plan_hits: u64,
 }
 
@@ -70,90 +65,58 @@ impl AssemblyStats {
             plan_hits: self.plan_hits - earlier.plan_hits,
         }
     }
-
-    /// Fraction of contributions spliced rather than recomputed.
-    pub fn splice_rate(&self) -> f64 {
-        let total = self.recomputed + self.spliced;
-        if total == 0 {
-            0.0
-        } else {
-            self.spliced as f64 / total as f64
-        }
-    }
 }
 
-/// Memoized per-contact contribution stream + keyed-reduction plans,
-/// living beside [`crate::pipeline::GpuPipeline`]'s solver cache. See the
-/// module docs for the reuse/invalidation rules.
+/// The standing reduction plan of a scene's contact list and the gather
+/// kernel's buffers, living beside [`crate::pipeline::GpuPipeline`]'s
+/// solver cache. See the module docs for the validity rule.
 #[derive(Debug, Default)]
 pub struct AssemblyCache {
-    d_vals: Vec<f64>,
-    d_keys: Vec<u64>,
-    f_vals: Vec<f64>,
-    f_keys: Vec<u64>,
+    /// Block count the plan's keys were formed with.
+    n: u64,
+    /// The key stream the plan was sorted from (three per contact).
+    keys: Vec<u64>,
+    plan: ReducePlan,
+    /// The current contact list's keys are not the plan's.
+    stale: bool,
     jparams: Vec<f64>,
-    dirty: Vec<u32>,
-    pending_all: bool,
-    nc: usize,
-    plan_blocks: ReducePlan,
-    plan_forces: ReducePlan,
+    n_live: Vec<u32>,
+    out: Vec<f64>,
+    fout: Vec<f64>,
     stats: AssemblyStats,
 }
 
 impl AssemblyCache {
-    /// Empty cache; the first `begin_step` sizes it.
+    /// Empty cache; the first assemble builds its plan.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Per-step rebind: size the stream buffers for the step's contact
-    /// population, refill the flattened joint parameters, clear pending
-    /// deltas, and force a full recompute on the next assemble (detection
-    /// rebuilt the contact list, so every cached slot is stale). All
-    /// buffers reuse capacity — a warmed cache rebinds without heap
-    /// traffic.
+    /// Per-detection rebind: refill the flattened joint parameters and
+    /// decide — once for every assembly until the next detection — whether
+    /// the standing plan still serves `contacts`. Host-side and, on a
+    /// warmed cache, allocation-free.
     pub fn begin_step(&mut self, sys: &BlockSystem, contacts: &[Contact]) {
-        let nc = contacts.len();
-        self.nc = nc;
-        self.d_vals.clear();
-        self.d_vals.resize(nc * 3 * 36, 0.0);
-        self.d_keys.clear();
-        self.d_keys.resize(nc * 3, u64::MAX);
-        self.f_vals.clear();
-        self.f_vals.resize(nc * 2 * 6, 0.0);
-        self.f_keys.clear();
-        self.f_keys.resize(nc * 2, u64::MAX);
-        self.dirty.clear();
-        self.dirty.resize(nc, 0);
         fill_joint_params(sys, contacts, &mut self.jparams);
-        self.pending_all = true;
+        let n = sys.len() as u64;
+        self.stale = self.n != n
+            || self.keys.len() != 3 * contacts.len()
+            || contacts
+                .iter()
+                .zip(self.keys.chunks_exact(3))
+                .any(|(c, k)| contact_keys(c, n) != k);
     }
 
-    /// Force the next assemble to recompute every contribution (the
-    /// reduction plans self-invalidate via key comparison and are kept).
-    pub fn invalidate(&mut self) {
-        self.pending_all = true;
-    }
-
-    /// The per-contact contribution-delta mask for
-    /// [`crate::openclose::open_close_gpu_masked`] to OR-accumulate into.
-    pub fn dirty_mask(&mut self) -> &mut [u32] {
-        &mut self.dirty
-    }
-
-    /// Lifetime reuse counters.
+    /// Lifetime counters.
     pub fn stats(&self) -> AssemblyStats {
         self.stats
     }
 
-    /// Incremental equivalent of
-    /// [`crate::assembly::assemble_contacts_gpu_scheduled`]: recompute the
-    /// pending delta set (or everything, after `begin_step`/`invalidate`),
-    /// splice into the cached stream, and run the keyed reduction under
-    /// the cached plans. Bitwise identical to the full recompute by
-    /// construction.
+    /// Adds the contact springs of `contacts` to `diag`/`rhs` — the same
+    /// bits as [`crate::assembly::assemble_contacts_gpu`]. A warmed call
+    /// under a standing plan allocates nothing but the returned system.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
+    pub fn assemble(
         &mut self,
         dev: &Device,
         sys: &BlockSystem,
@@ -162,92 +125,67 @@ impl AssemblyCache {
         params: &DdaParams,
         mut diag: Vec<Block6>,
         mut rhs: Vec<f64>,
-        sched: Option<&[u32]>,
     ) -> AssembledSystem {
         let nc = contacts.len();
         assert_eq!(
-            nc, self.nc,
+            self.jparams.len(),
+            2 * nc,
             "AssemblyCache::begin_step must precede assemble"
         );
-        if nc == 0 {
-            return AssembledSystem {
-                matrix: SymBlockMatrix::new(diag, Vec::new()),
-                rhs,
-            };
-        }
         let n = sys.len() as u64;
-        if self.pending_all {
-            self.d_keys.fill(u64::MAX);
-            self.f_keys.fill(u64::MAX);
-            compute_contact_stream(
+        if self.stale {
+            self.n = n;
+            self.keys.clear();
+            self.keys.resize(3 * nc, 0);
+            self.plan = if nc == 0 {
+                ReducePlan::default()
+            } else {
+                contact_keys_gpu(dev, n, contacts, &mut self.keys);
+                ReducePlan::build(dev, &self.keys)
+            };
+            let n_seg = self.plan.n_seg();
+            self.n_live.resize(n_seg, 0);
+            self.out.resize(36 * n_seg, 0.0);
+            self.fout.resize(6 * n_seg, 0.0);
+            self.stale = false;
+            self.stats.plan_rebuilds += 1;
+        } else {
+            self.stats.plan_hits += 1;
+        }
+        self.stats.full_builds += 1;
+        self.stats.recomputed += contacts.iter().filter(|c| c.state.closed()).count() as u64;
+
+        let n_seg = self.plan.n_seg();
+        let mut upper = Vec::with_capacity(n_seg);
+        if n_seg > 0 {
+            gather_segments(
                 dev,
-                n,
                 gsoa,
                 contacts,
                 &self.jparams,
-                params.penalty,
-                params.shear_ratio,
-                &mut self.d_vals,
-                &mut self.d_keys,
-                &mut self.f_vals,
-                &mut self.f_keys,
-                StreamPass::Full {
-                    sched: sched.filter(|s| s.len() == nc),
-                },
+                params,
+                &self.plan,
+                &mut self.n_live,
+                &mut self.out,
+                &mut self.fout,
             );
-            self.pending_all = false;
-            self.stats.full_builds += 1;
-            self.stats.recomputed += nc as u64;
-        } else {
-            let changed = compact_indices(dev, &self.dirty);
-            if !changed.is_empty() {
-                compute_contact_stream(
-                    dev,
-                    n,
-                    gsoa,
-                    contacts,
-                    &self.jparams,
-                    params.penalty,
-                    params.shear_ratio,
-                    &mut self.d_vals,
-                    &mut self.d_keys,
-                    &mut self.f_vals,
-                    &mut self.f_keys,
-                    StreamPass::Delta { changed: &changed },
-                );
+        }
+        for s in (0..n_seg).filter(|&s| self.n_live[s] > 0) {
+            let key = self.plan.key(s);
+            let (r, c) = ((key / n) as usize, (key % n) as usize);
+            let mut blk = Block6::ZERO;
+            for (k, v) in blk.0.iter_mut().flatten().enumerate() {
+                *v = self.out[k * n_seg + s];
             }
-            self.stats.recomputed += changed.len() as u64;
-            self.stats.spliced += (nc - changed.len()) as u64;
-        }
-        // The stream now reflects the current contact states; the deltas
-        // are consumed.
-        self.dirty.fill(0);
-
-        let (diag_add, upper, hit_b) = reduce_keyed_blocks(
-            dev,
-            &self.d_keys,
-            &self.d_vals,
-            n,
-            Some(&mut self.plan_blocks),
-        );
-        for (b, blk) in &diag_add {
-            diag[*b as usize] += *blk;
-        }
-        let (f_add, hit_f) =
-            reduce_keyed_vec6(dev, &self.f_keys, &self.f_vals, Some(&mut self.plan_forces));
-        for (b, f) in &f_add {
-            for k in 0..6 {
-                rhs[6 * *b as usize + k] += f[k];
-            }
-        }
-        for hit in [hit_b, hit_f] {
-            if hit {
-                self.stats.plan_hits += 1;
+            if r == c {
+                diag[r] += blk;
+                for k in 0..6 {
+                    rhs[6 * r + k] += self.fout[k * n_seg + s];
+                }
             } else {
-                self.stats.plan_rebuilds += 1;
+                upper.push((r as u32, c as u32, blk));
             }
         }
-
         AssembledSystem {
             matrix: SymBlockMatrix::new(diag, upper),
             rhs,
@@ -258,238 +196,250 @@ impl AssemblyCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assembly::assemble_contacts_gpu;
     use crate::block::Block;
-    use crate::contact::narrow::narrow_phase_serial;
     use crate::contact::types::ContactState;
+    use crate::contact::{broad_phase_serial, narrow_phase_serial};
     use crate::material::{BlockMaterial, JointMaterial};
     use crate::stiffness::perblock::{build_diag_gpu, BlockSoa};
     use dda_geom::Polygon;
     use dda_simt::serial::CpuCounter;
     use dda_simt::DeviceProfile;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn stack() -> (BlockSystem, Vec<Contact>, DdaParams) {
+    /// A 4 × 3 wall of unit blocks 5 mm apart: every joint carries several
+    /// contacts, in both `i < j` and `i > j` orientation, and every inner
+    /// block belongs to several pairs.
+    struct Wall {
+        sys: BlockSystem,
+        contacts: Vec<Contact>,
+        params: DdaParams,
+        gsoa: GeomSoa,
+        dev: Device,
+        diag: Vec<Block6>,
+        rhs: Vec<f64>,
+    }
+
+    fn wall() -> Wall {
+        let blocks = (0..12)
+            .map(|k| {
+                let (x, y) = ((k % 4) as f64 * 1.005, (k / 4) as f64 * 1.005);
+                Block::new(Polygon::rect(x, y, x + 1.0, y + 1.0), 0)
+            })
+            .collect();
         let sys = BlockSystem::new(
-            vec![
-                Block::new(Polygon::rect(-5.0, -1.0, 5.0, 0.0), 0).fixed(),
-                Block::new(Polygon::rect(0.0, 0.0, 1.0, 1.0), 0),
-                Block::new(Polygon::rect(1.0, 0.0, 2.0, 1.0), 0),
-            ],
+            blocks,
             BlockMaterial::rock(),
             JointMaterial::frictional(30.0),
         );
         let params = DdaParams::for_model(1.0, 5e9);
         let mut cnt = CpuCounter::new();
-        let mut contacts = narrow_phase_serial(
-            &sys,
-            &[(0, 1), (0, 2), (1, 2)],
-            params.contact_range,
-            &mut cnt,
+        let pairs = broad_phase_serial(&sys, params.contact_range, &mut cnt);
+        let contacts = narrow_phase_serial(&sys, &pairs, params.contact_range, &mut cnt);
+        assert!(contacts.iter().any(|c| c.i < c.j));
+        assert!(
+            contacts.iter().any(|c| c.i > c.j),
+            "the wall must hold a contact whose upper block is kji()"
         );
-        crate::contact::init::init_contacts_serial(
-            &sys,
-            &mut contacts,
-            params.touch_tol * params.max_displacement,
-            &mut cnt,
-        );
-        (sys, contacts, params)
+        let dev = Device::new(DeviceProfile::tesla_k40()).with_conflict_checking(true);
+        let (diag, rhs) = build_diag_gpu(&dev, &sys, &BlockSoa::build(&sys), &params);
+        Wall {
+            gsoa: GeomSoa::build(&sys),
+            sys,
+            contacts,
+            params,
+            dev,
+            diag,
+            rhs,
+        }
     }
 
-    fn dev() -> Device {
-        Device::new(DeviceProfile::tesla_k40()).with_conflict_checking(true)
+    impl Wall {
+        fn close_all(&mut self) {
+            for c in self.contacts.iter_mut() {
+                c.state = ContactState::Lock;
+            }
+        }
+
+        fn oracle(&self) -> AssembledSystem {
+            assemble_contacts_gpu(
+                &self.dev,
+                &self.sys,
+                &self.gsoa,
+                &self.contacts,
+                &self.params,
+                self.diag.clone(),
+                self.rhs.clone(),
+            )
+        }
+
+        /// One detection (`begin_step`) followed by one assembly.
+        fn step(&self, cache: &mut AssemblyCache) -> AssembledSystem {
+            cache.begin_step(&self.sys, &self.contacts);
+            self.gather(cache)
+        }
+
+        fn gather(&self, cache: &mut AssemblyCache) -> AssembledSystem {
+            cache.assemble(
+                &self.dev,
+                &self.sys,
+                &self.gsoa,
+                &self.contacts,
+                &self.params,
+                self.diag.clone(),
+                self.rhs.clone(),
+            )
+        }
+
+        fn radix_launches(&self) -> u64 {
+            let by = self.dev.trace().by_kernel();
+            by.iter()
+                .filter(|(k, _)| k.starts_with("radix."))
+                .map(|(_, (s, _))| s.launches)
+                .sum()
+        }
     }
 
     fn bits(asm: &AssembledSystem) -> Vec<u64> {
-        let mut v = Vec::new();
-        for b in &asm.matrix.diag {
-            for r in 0..6 {
-                for c in 0..6 {
-                    v.push(b.0[r][c].to_bits());
-                }
-            }
-        }
+        let block = |b: &Block6| {
+            b.0.iter()
+                .flatten()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let mut v: Vec<u64> = asm.matrix.diag.iter().flat_map(block).collect();
         for (r, c, b) in &asm.matrix.upper {
-            v.push(*r as u64);
-            v.push(*c as u64);
-            for rr in 0..6 {
-                for cc in 0..6 {
-                    v.push(b.0[rr][cc].to_bits());
-                }
-            }
+            v.extend([*r as u64, *c as u64]);
+            v.extend(block(b));
         }
         v.extend(asm.rhs.iter().map(|x| x.to_bits()));
         v
     }
 
-    /// Churn states between iterations, flagging exactly the changed
-    /// contacts, and check the spliced stream reduces to the same bits as
-    /// a from-scratch recompute of the mutated contact list.
     #[test]
-    fn spliced_stream_matches_full_recompute_bitwise() {
-        let (sys, mut contacts, params) = stack();
-        let d = dev();
-        let gsoa = GeomSoa::build(&sys);
-        let bsoa = BlockSoa::build(&sys);
-        let (dg, rhs0) = build_diag_gpu(&d, &sys, &bsoa, &params);
-
+    fn gather_matches_fig4_bitwise_over_random_states() {
+        let mut w = wall();
         let mut cache = AssemblyCache::new();
-        cache.begin_step(&sys, &contacts);
-        let first = cache.assemble(
-            &d,
-            &sys,
-            &gsoa,
-            &contacts,
-            &params,
-            dg.clone(),
-            rhs0.clone(),
-            None,
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut live_uppers = std::collections::BTreeSet::new();
+        for draw in 0..240 {
+            for c in w.contacts.iter_mut() {
+                c.state = [ContactState::Open, ContactState::Lock, ContactState::Slide]
+                    [rng.gen_range(0..3)];
+                c.edge_ratio = rng.gen();
+                c.slide_dir = [-1.0, 0.0, 1.0][rng.gen_range(0..3)];
+            }
+            let got = w.step(&mut cache);
+            assert_eq!(bits(&got), bits(&w.oracle()), "draw {draw}");
+            live_uppers.insert(got.matrix.n_upper());
+        }
+        assert!(
+            live_uppers.len() > 1,
+            "the draws never dropped a block pair"
         );
-        let oracle = crate::assembly::assemble_contacts_gpu(
-            &d,
-            &sys,
-            &gsoa,
-            &contacts,
-            &params,
-            dg.clone(),
-            rhs0.clone(),
+        let st = cache.stats();
+        assert_eq!(
+            (st.plan_rebuilds, st.plan_hits),
+            (1, 239),
+            "no state draw may move a key"
         );
-        assert_eq!(bits(&first), bits(&oracle), "full build must match");
+    }
 
-        // Iteration 2: flip one contact open, slide another, flag both.
-        let churn: Vec<(usize, ContactState, f64)> =
-            vec![(0, ContactState::Open, 0.0), (1, ContactState::Slide, 0.37)];
-        for &(k, s, ratio) in &churn {
-            if k < contacts.len() {
-                contacts[k].state = s;
-                if s == ContactState::Slide {
-                    contacts[k].edge_ratio = ratio;
-                    contacts[k].slide_dir = 1.0;
-                }
-                cache.dirty_mask()[k] = 1;
+    #[test]
+    fn open_contacts_leave_the_system_untouched() {
+        let w = wall();
+        assert!(w.contacts.iter().all(|c| !c.state.closed()));
+        let got = w.step(&mut AssemblyCache::new());
+        assert_eq!(got.matrix.n_upper(), 0);
+        let untouched = AssembledSystem {
+            matrix: SymBlockMatrix::new(w.diag.clone(), Vec::new()),
+            rhs: w.rhs.clone(),
+        };
+        assert_eq!(bits(&got), bits(&untouched));
+    }
+
+    #[test]
+    fn an_all_open_block_pair_is_dropped_not_zeroed() {
+        let mut w = wall();
+        w.close_all();
+        let all = w.step(&mut AssemblyCache::new());
+        let (r, c, _) = all.matrix.upper[0];
+        for k in w.contacts.iter_mut() {
+            if (k.i.min(k.j), k.i.max(k.j)) == (r, c) {
+                k.state = ContactState::Open;
             }
         }
-        let spliced = cache.assemble(
-            &d,
-            &sys,
-            &gsoa,
-            &contacts,
-            &params,
-            dg.clone(),
-            rhs0.clone(),
-            None,
-        );
-        let oracle2 = crate::assembly::assemble_contacts_gpu(
-            &d,
-            &sys,
-            &gsoa,
-            &contacts,
-            &params,
-            dg.clone(),
-            rhs0.clone(),
-        );
-        assert_eq!(bits(&spliced), bits(&oracle2), "spliced must match");
-        let st = cache.stats();
-        assert_eq!(st.full_builds, 1);
-        assert!(st.spliced > 0, "second iteration must splice");
-
-        // Iteration 3: nothing changed — pure splice, and the keys are
-        // unchanged so both plans must hit.
-        let before = cache.stats();
-        let again = cache.assemble(
-            &d,
-            &sys,
-            &gsoa,
-            &contacts,
-            &params,
-            dg.clone(),
-            rhs0.clone(),
-            None,
-        );
-        assert_eq!(bits(&again), bits(&oracle2));
-        let delta = cache.stats().delta_since(&before);
-        assert_eq!(delta.recomputed, 0);
-        assert_eq!(delta.plan_hits, 2, "unchanged keys must reuse both plans");
+        let got = w.step(&mut AssemblyCache::new());
+        assert_eq!(got.matrix.n_upper(), all.matrix.n_upper() - 1);
+        assert!(got.matrix.upper.iter().all(|u| (u.0, u.1) != (r, c)));
+        assert_eq!(bits(&got), bits(&w.oracle()));
     }
 
     #[test]
-    fn lock_slide_flip_reuses_plan() {
-        let (sys, mut contacts, params) = stack();
-        let d = dev();
-        let gsoa = GeomSoa::build(&sys);
-        let bsoa = BlockSoa::build(&sys);
-        let (dg, rhs0) = build_diag_gpu(&d, &sys, &bsoa, &params);
-        let locked = contacts.iter().position(|c| c.state == ContactState::Lock);
-        let Some(k) = locked else { return };
-
-        let mut cache = AssemblyCache::new();
-        cache.begin_step(&sys, &contacts);
-        let _ = cache.assemble(
-            &d,
-            &sys,
-            &gsoa,
-            &contacts,
-            &params,
-            dg.clone(),
-            rhs0.clone(),
-            None,
-        );
-        // Lock → slide keeps the contact closed: same keys, new values.
-        contacts[k].state = ContactState::Slide;
-        contacts[k].slide_dir = 1.0;
-        cache.dirty_mask()[k] = 1;
-        let before = cache.stats();
-        let spliced = cache.assemble(
-            &d,
-            &sys,
-            &gsoa,
-            &contacts,
-            &params,
-            dg.clone(),
-            rhs0.clone(),
-            None,
-        );
-        let oracle = crate::assembly::assemble_contacts_gpu(
-            &d,
-            &sys,
-            &gsoa,
-            &contacts,
-            &params,
-            dg.clone(),
-            rhs0.clone(),
-        );
-        assert_eq!(bits(&spliced), bits(&oracle));
-        let delta = cache.stats().delta_since(&before);
-        assert_eq!(delta.recomputed, 1);
+    fn degenerate_edge_contributes_nothing() {
+        let mut w = wall();
+        w.close_all();
+        // Collapse contact 0's edge in the device geometry: both paths see
+        // `contact_spring_terms` return `None` for every contact on it.
+        let c0 = w.contacts[0];
+        let j0 = w.gsoa.vptr[c0.j as usize] as usize;
+        let nj = w.gsoa.vptr[c0.j as usize + 1] as usize - j0;
+        let (e, e1) = (c0.edge as usize, (c0.edge as usize + 1) % nj);
+        w.gsoa.vx[j0 + e1] = w.gsoa.vx[j0 + e];
+        w.gsoa.vy[j0 + e1] = w.gsoa.vy[j0 + e];
+        let got = w.step(&mut AssemblyCache::new());
+        assert_eq!(bits(&got), bits(&w.oracle()));
+        for c in w.contacts.iter_mut() {
+            if (c.j, c.edge) == (c0.j, c0.edge) {
+                c.state = ContactState::Open;
+            }
+        }
         assert_eq!(
-            delta.plan_hits, 2,
-            "a closed-state flip keeps the keys, so the plans must hit"
+            bits(&got),
+            bits(&w.oracle()),
+            "a degenerate edge must weigh what an open contact weighs"
         );
     }
 
     #[test]
-    fn delta_kernel_traced_and_cheaper() {
-        let (sys, contacts, params) = stack();
-        let d = dev();
-        let gsoa = GeomSoa::build(&sys);
-        let bsoa = BlockSoa::build(&sys);
-        let (dg, rhs0) = build_diag_gpu(&d, &sys, &bsoa, &params);
+    fn one_plan_per_contact_list() {
+        let mut w = wall();
+        w.close_all();
         let mut cache = AssemblyCache::new();
-        cache.begin_step(&sys, &contacts);
-        let _ = cache.assemble(
-            &d,
-            &sys,
-            &gsoa,
-            &contacts,
-            &params,
-            dg.clone(),
-            rhs0.clone(),
-            None,
+
+        // Step 1: the first assembly sorts; churned re-iterations do not.
+        w.step(&mut cache);
+        let sorted_once = w.radix_launches();
+        assert!(sorted_once > 0);
+        for k in [0, 3] {
+            w.contacts[k].state = ContactState::Open;
+            w.contacts[k + 1].state = ContactState::Slide;
+            w.gather(&mut cache);
+        }
+        // Step 2: detection returns the same list.
+        w.step(&mut cache);
+        assert_eq!(
+            w.radix_launches(),
+            sorted_once,
+            "a standing plan must not sort"
         );
-        cache.dirty_mask()[0] = 1;
-        let _ = cache.assemble(&d, &sys, &gsoa, &contacts, &params, dg, rhs0, None);
-        let by = d.trace().by_kernel();
-        let (full, _) = by["nondiag.compute"];
-        let (delta, _) = by["nondiag.delta"];
-        assert_eq!(full.threads, contacts.len() as u64);
-        assert_eq!(delta.threads, 1, "delta pass touches only flagged contacts");
+        let st = cache.stats();
+        assert_eq!((st.plan_rebuilds, st.plan_hits), (1, 3));
+
+        // Removing a contact, then adding it back, rebuilds once each.
+        let last = w.contacts.pop().expect("the wall has contacts");
+        w.step(&mut cache);
+        w.gather(&mut cache);
+        assert_eq!(cache.stats().plan_rebuilds, 2);
+        w.contacts.push(last);
+        let got = w.step(&mut cache);
+        w.gather(&mut cache);
+        assert_eq!(cache.stats().plan_rebuilds, 3);
+        assert_eq!(bits(&got), bits(&w.oracle()));
+
+        let st = cache.stats();
+        assert_eq!(st.plan_rebuilds + st.plan_hits, 8, "one per assembly");
+        assert_eq!((st.full_builds, st.spliced), (8, 0));
     }
 }

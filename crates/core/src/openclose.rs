@@ -168,34 +168,9 @@ pub fn open_close_gpu(
     open_tol: f64,
     freeze: bool,
 ) -> usize {
-    open_close_gpu_masked(dev, contacts, gaps, open_tol, freeze, None)
-}
-
-/// [`open_close_gpu`] that additionally OR-accumulates a per-contact
-/// *contribution-delta* mask into `dirty`: entry `k` is set when contact
-/// `k`'s assembly-relevant fields changed this iteration. The stiffness
-/// contribution of a contact reads exactly its `state`, `edge_ratio`, and
-/// `slide_dir` (plus step-constant geometry), so the mask compares those
-/// bit-for-bit — note a still-sliding contact mutates `edge_ratio` via the
-/// slip bookkeeping *without* counting as a state change, which is why the
-/// mask cannot be derived from the flip flags. The mask is OR-accumulated
-/// (not overwritten) so deltas survive across iterations until the next
-/// incremental assembly consumes them. With `dirty: None` the kernel is
-/// bit- and cost-identical to the historical `open_close_gpu`.
-pub fn open_close_gpu_masked(
-    dev: &Device,
-    contacts: &mut [Contact],
-    gaps: &GapArrays,
-    open_tol: f64,
-    freeze: bool,
-    dirty: Option<&mut [u32]>,
-) -> usize {
     let nc = contacts.len();
     if nc == 0 {
         return 0;
-    }
-    if let Some(d) = &dirty {
-        assert_eq!(d.len(), nc, "dirty mask must have one entry per contact");
     }
     let mut flags = vec![0u32; nc];
     {
@@ -206,7 +181,6 @@ pub fn open_close_gpu_masked(
         let b_len = dev.bind_ro(&gaps.len);
         let b_c = dev.bind(contacts);
         let b_f = dev.bind(&mut flags);
-        let b_dirty = dirty.map(|d| dev.bind(d));
         dev.launch("openclose.update", nc, |lane| {
             let k = lane.gid;
             let mut c = lane.ld(&b_c, k);
@@ -215,9 +189,6 @@ pub fn open_close_gpu_masked(
             let m = lane.ld(&b_m, k);
             let lim = lane.ld(&b_lim, k);
             let l = lane.ld(&b_len, k);
-            let old_state = c.state;
-            let old_ratio = c.edge_ratio.to_bits();
-            let old_dir = c.slide_dir.to_bits();
             lane.flop(8);
             let mut new_state = decide(c.state, dn, ds, m, lim, c.slide_dir, open_tol);
             if (freeze || c.flips >= FREEZE_FLIPS)
@@ -238,13 +209,6 @@ pub fn open_close_gpu_masked(
             let slid_off = apply_slip(&mut c, ds, l);
             lane.st(&b_c, k, c);
             lane.st(&b_f, k, u32::from(flipped || slid_off));
-            if let Some(b_d) = &b_dirty {
-                let changed = c.state != old_state
-                    || c.edge_ratio.to_bits() != old_ratio
-                    || c.slide_dir.to_bits() != old_dir;
-                let prev = lane.ld(b_d, k);
-                lane.st(b_d, k, prev | u32::from(changed));
-            }
         });
     }
     let (_, total) = dda_simt::primitives::scan_exclusive_u32(dev, &flags);

@@ -10,22 +10,22 @@ use crate::contact::order::ContactOrder;
 use dda_solver::{PcgOptions, PrecondKind, SolverPrecision};
 use serde::{Deserialize, Serialize};
 
-/// Assembly strategy across the open–close iteration loop.
+/// Non-diagonal assembly path of the GPU engine.
 ///
-/// `Recompute` re-runs the full Fig 4 contribution stream every iteration
-/// and stays the reference oracle. `Incremental` memoizes the stream in an
-/// [`crate::assembly_cache::AssemblyCache`]: on iterations after the first
-/// only the contacts whose state/slip bookkeeping changed are recomputed
-/// and spliced in, and the keyed-reduction plan (radix sort + segment
-/// boundaries) is reused while the keys are unchanged. The two modes are
-/// bitwise identical by construction (the serial pipeline ignores the
-/// knob, like [`ContactOrder`]).
+/// `Incremental`, the default, keeps one reduction plan (radix sort +
+/// segment boundaries of the contact keys) per contact list in an
+/// [`crate::assembly_cache::AssemblyCache`] and assembles every open–close
+/// iteration with a single segment-gather launch. `Recompute` re-runs the
+/// paper's Fig 4 stream — store, sort, scan, segmented sum — from scratch
+/// every iteration; it is the oracle the default is held to and the path
+/// the paper tables measure. The two are bitwise identical by construction
+/// (the serial pipeline ignores the knob, like [`ContactOrder`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AssemblyReuse {
-    /// Full contribution recompute every open–close iteration (oracle).
-    #[default]
+    /// Fig 4 from scratch every open–close iteration (oracle).
     Recompute,
-    /// Delta recompute + stream splice + reduction-plan reuse.
+    /// Plan per contact list, gather per iteration.
+    #[default]
     Incremental,
 }
 
@@ -118,9 +118,13 @@ pub struct DdaParams {
     /// `(category, kind)`-uniform at the judgment sites. Scheduling is a
     /// permutation of *processing* order only — outputs are bitwise
     /// identical either way (and the serial pipeline ignores the knob).
+    /// The schedule orders per-contact threads, so it reaches the narrow
+    /// phase and transfer always but assembly only under
+    /// [`AssemblyReuse::Recompute`]: the default gather's threads are block
+    /// pairs.
     pub contact_order: ContactOrder,
-    /// Assembly strategy across open–close iterations (see
-    /// [`AssemblyReuse`]); bitwise-inert, like `contact_order`.
+    /// Non-diagonal assembly path (see [`AssemblyReuse`]); bitwise-inert,
+    /// like `contact_order`.
     pub assembly_reuse: AssemblyReuse,
     /// Initial-iterate policy for the per-iteration solves (see
     /// [`SolverWarmStart`]); `PrevIterate` trades bitwise reproducibility

@@ -28,7 +28,7 @@ use crate::contact::{
     ContactOrder, ContactWorkspace, GeomSoa,
 };
 use crate::interpenetration::{check_gpu, BranchScheme, GapArrays};
-use crate::openclose::{categorize_gpu, open_close_gpu, open_close_gpu_masked};
+use crate::openclose::{categorize_gpu, open_close_gpu};
 use crate::params::{AssemblyReuse, DdaParams, SolverWarmStart};
 use crate::stiffness::perblock::{build_diag_gpu, BlockSoa};
 use crate::system::BlockSystem;
@@ -573,9 +573,9 @@ fn detect(dev: &Device, l: &mut Lane<'_>) {
         c.flips = 0;
     }
     if sc.params.assembly_reuse == AssemblyReuse::Incremental {
-        // Detection rebuilt the contact list: rebind the assembly cache
-        // (full recompute on the first iteration, joint params refilled,
-        // pending deltas cleared).
+        // Detection rebuilt the contact list: whether the standing
+        // reduction plan still serves it is decided here, once for every
+        // assembly of the step.
         sc.acache.begin_step(&sc.sys, &sc.contacts);
     }
 }
@@ -583,6 +583,7 @@ fn detect(dev: &Device, l: &mut Lane<'_>) {
 /// Non-diagonal building: contact springs assembled onto the diagonal.
 fn assemble(dev: &Device, l: &mut Lane<'_>) {
     let sc = &mut *l.sc;
+    // Only Fig 4 has per-contact threads for the schedule to order.
     let sched = if sc.params.contact_order == ContactOrder::ClassSorted {
         sc.ws.order.contact_schedule(sc.contacts.len())
     } else {
@@ -601,16 +602,10 @@ fn assemble(dev: &Device, l: &mut Lane<'_>) {
             rhs0,
             sched,
         ),
-        AssemblyReuse::Incremental => sc.acache.assemble(
-            dev,
-            &sc.sys,
-            &l.gsoa,
-            &sc.contacts,
-            &sc.params,
-            diag,
-            rhs0,
-            sched,
-        ),
+        AssemblyReuse::Incremental => {
+            sc.acache
+                .assemble(dev, &sc.sys, &l.gsoa, &sc.contacts, &sc.params, diag, rhs0)
+        }
     };
     #[cfg(feature = "fault-inject")]
     {
@@ -657,19 +652,7 @@ fn check_and_update(dev: &Device, l: &mut Lane<'_>, oc_iter: usize) {
         });
     }
     #[allow(unused_mut)]
-    let mut changes = match sc.params.assembly_reuse {
-        AssemblyReuse::Recompute => {
-            open_close_gpu(dev, &mut sc.contacts, &l.gaps, open_tol, freeze)
-        }
-        AssemblyReuse::Incremental => open_close_gpu_masked(
-            dev,
-            &mut sc.contacts,
-            &l.gaps,
-            open_tol,
-            freeze,
-            Some(sc.acache.dirty_mask()),
-        ),
-    };
+    let mut changes = open_close_gpu(dev, &mut sc.contacts, &l.gaps, open_tol, freeze);
     #[cfg(feature = "fault-inject")]
     if dev.fault_fires(dda_simt::Fault::OcPin) {
         changes = changes.max(1);

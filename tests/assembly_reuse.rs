@@ -1,17 +1,17 @@
-//! Incremental re-assembly and warm-started re-solves: the parity
-//! contracts.
+//! The default assembly path against the Fig 4 oracle, and warm-started
+//! re-solves: the parity contracts.
 //!
-//! `AssemblyReuse::Incremental` memoizes the per-contact contribution
-//! stream and the keyed-reduction plans across open–close iterations,
-//! recomputing only the contacts the open–close update actually changed.
-//! The contract is *bitwise* equality with the always-recompute oracle:
-//! pair lists, contact histories, assembled solutions, and trajectories
-//! must match `AssemblyReuse::Recompute` exactly — on the solo GPU
-//! pipeline under every broad-phase mode and contact order, in the
+//! `AssemblyReuse::Incremental` (the default) sorts the contact keys once
+//! per contact list and assembles every open–close iteration with one
+//! segment-gather launch. The contract is *bitwise* equality with
+//! `AssemblyReuse::Recompute`, the paper's store → sort → reduce stream
+//! run from scratch every iteration: pair lists, contact histories,
+//! assembled solutions, and trajectories must match exactly — on the solo
+//! GPU pipeline under every broad-phase mode and contact order, in the
 //! batched runtime, through the checkpoint codec, and (knob-inert) on the
 //! CPU reference. Fault-injected runs (a pinned open–close loop, an
 //! indefinite operator driving the fallback ladder) must keep the same
-//! parity, because the delta tracking rides the open–close kernel itself.
+//! parity.
 //!
 //! `SolverWarmStart::PrevIterate` is the *tolerance-equivalent* knob: the
 //! re-solve starts from the previous iterate but is driven to the same
@@ -50,9 +50,8 @@ fn sys_bits(sys: &BlockSystem) -> Vec<u64> {
     bits
 }
 
-/// Contact identity and history, flattened. The splice predicate keys on
-/// `(state, edge_ratio, slide_dir)`, so these bits are exactly what a
-/// stale cache would corrupt first.
+/// Contact identity and history, flattened: a wrong assembly moves the
+/// solution, and the open–close update writes that into these bits first.
 fn contact_bits(contacts: &[dda_repro::core::contact::Contact]) -> Vec<u64> {
     let mut bits = Vec::new();
     for c in contacts {
@@ -104,30 +103,38 @@ fn incremental_is_bitwise_identical_across_broad_phase_modes() {
                 sys_bits(&incr.sys),
                 "{mode:?} step {step}: trajectory diverged"
             );
-            // The oracle never touches the cache; the incremental run
-            // reports exactly one full build per attempt and splices the
-            // rest.
+            // The oracle never touches the cache; the default run plans at
+            // most once per contact list and gathers every assembly under
+            // that plan.
             assert_eq!(
                 ro.assembly,
                 Default::default(),
                 "{mode:?} step {step}: Recompute must not touch the cache"
             );
-            if ri.oc_iterations > 1 {
-                multi_iter_steps += 1;
-                assert!(
-                    ri.assembly.spliced > 0,
-                    "{mode:?} step {step}: re-iterations must splice"
+            let a = ri.assembly;
+            assert!(a.plan_rebuilds <= 1, "{mode:?} step {step}: {a:?}");
+            assert_eq!(
+                a.plan_rebuilds + a.plan_hits,
+                a.full_builds,
+                "{mode:?} step {step}: every assembly runs under one plan"
+            );
+            assert_eq!(a.spliced, 0, "{mode:?} step {step}");
+            if ri.retries == 0 {
+                assert_eq!(
+                    a.full_builds, ri.oc_iterations as u64,
+                    "{mode:?} step {step}"
                 );
             }
+            multi_iter_steps += usize::from(ri.oc_iterations > 1);
         }
         assert!(
             multi_iter_steps > 0,
-            "{mode:?}: workload never re-iterated; the splice path went untested"
+            "{mode:?}: workload never re-iterated; plan reuse within a step went untested"
         );
         let stats = incr.assembly_cache_stats();
         assert!(
-            stats.plan_hits > 0,
-            "{mode:?}: reduction plans never reused"
+            stats.plan_rebuilds < 8 && stats.plan_hits > stats.plan_rebuilds,
+            "{mode:?}: the plan must outlive open–close iterations and steps: {stats:?}"
         );
     }
 }
@@ -292,11 +299,10 @@ fn warm_start_is_tolerance_equivalent_and_saves_iterations() {
     );
 }
 
-/// Fault-injected parity: the delta tracking rides the open–close kernel,
-/// so a pinned open–close loop (forced extra iterations, maximal splice
-/// pressure) and an indefinite operator (rescue solves, ladder descents)
-/// must leave Incremental bitwise equal to the oracle — both runs armed
-/// identically.
+/// Fault-injected parity: a pinned open–close loop (forced extra
+/// iterations under one standing plan) and an indefinite operator (rescue
+/// solves, ladder descents) must leave Incremental bitwise equal to the
+/// oracle — both runs armed identically.
 #[cfg(feature = "fault-inject")]
 mod faulted {
     use super::*;
