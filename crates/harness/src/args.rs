@@ -16,10 +16,23 @@ pub struct Args {
     pub full: bool,
 }
 
+/// The flags every harness binary shares.
+const SHARED_FLAGS: [&str; 5] = ["--blocks", "--rocks", "--steps", "--seed", "--full"];
+
 impl Args {
     /// Parses `std::env::args` with per-experiment defaults; prints the
-    /// problem and exits with status 2 on a bad value.
+    /// problem and exits with status 2 on a bad value or an unknown flag.
     pub fn parse(default_blocks: usize, default_rocks: usize, default_steps: usize) -> Args {
+        Args::parse_with(&[], default_blocks, default_rocks, default_steps)
+    }
+
+    /// [`Args::parse`] for a binary that reads the flags `own` itself.
+    pub fn parse_with(
+        own: &[&str],
+        default_blocks: usize,
+        default_rocks: usize,
+        default_steps: usize,
+    ) -> Args {
         let argv: Vec<String> = std::env::args().collect();
         let defaults = Args {
             blocks: default_blocks,
@@ -28,17 +41,23 @@ impl Args {
             seed: 20170529,
             full: false,
         };
-        Args::parse_from(&argv, defaults).unwrap_or_else(|msg| {
+        Args::parse_from(&argv, defaults, own).unwrap_or_else(|msg| {
             eprintln!("{}: {msg}", argv.first().map_or("harness", String::as_str));
             std::process::exit(2);
         })
     }
 
     /// Overrides `defaults` with the shared flags found in `argv`. A flag
-    /// that is present must carry a parsable value. Anything else in `argv`
-    /// is left alone: binaries read their own extra flags (`--scenes`,
-    /// `--sizes`, `--scatter`) themselves.
-    pub fn parse_from(argv: &[String], defaults: Args) -> Result<Args, String> {
+    /// that is present must carry a parsable value, and every `--flag` must
+    /// be a shared one or one of `own` — the flags the calling binary reads
+    /// itself (`--scenes`, `--sizes`, `--scatter`) — so a misspelt flag is an
+    /// error, not a run on the defaults.
+    pub fn parse_from(argv: &[String], defaults: Args, own: &[&str]) -> Result<Args, String> {
+        if let Some(unknown) = argv.iter().skip(1).find(|a| {
+            a.starts_with("--") && !SHARED_FLAGS.contains(&a.as_str()) && !own.contains(&a.as_str())
+        }) {
+            return Err(format!("{unknown}: unknown flag"));
+        }
         let get = |name: &str| -> Result<Option<u64>, String> {
             let Some(p) = argv.iter().position(|a| a == name) else {
                 return Ok(None);
@@ -72,9 +91,10 @@ mod tests {
         full: false,
     };
 
+    /// Parses `line` for a binary whose own flags are `--scenes`, `--sizes`.
     fn parse(line: &str) -> Result<Args, String> {
         let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
-        Args::parse_from(&argv, DEFAULTS)
+        Args::parse_from(&argv, DEFAULTS, &["--scenes", "--sizes"])
     }
 
     #[test]
@@ -82,18 +102,24 @@ mod tests {
         // (command line, expected (blocks, rocks, steps, seed, full) or the
         // flag the error must name)
         type Fields = (usize, usize, usize, u64, bool);
-        let cases: [(&str, Result<Fields, &str>); 9] = [
+        let cases: [(&str, Result<Fields, &str>); 13] = [
             ("bin", Ok((123, 45, 6, 7, false))),
             ("bin --steps 10", Ok((123, 45, 10, 7, false))),
             (
                 "bin --full --seed 9 --rocks 2 --blocks 8",
                 Ok((8, 2, 6, 9, true)),
             ),
-            // Extra flags of individual binaries pass through untouched.
+            // The binary's own flags pass through untouched.
             (
                 "bin --scenes 4 --sizes 200,800 --rocks 3",
                 Ok((123, 3, 6, 7, false)),
             ),
+            // Anything else that looks like a flag is rejected: a typo, a
+            // flag of some other binary, a typo behind valid flags.
+            ("bin --stpes 10", Err("--stpes")),
+            ("bin --scatter 48", Err("--scatter")),
+            ("bin --steps 3 --sceens 4", Err("--sceens")),
+            ("bin --steps 3 --", Err("--")),
             ("bin --steps 1o", Err("--steps")),
             ("bin --seed -1", Err("--seed")),
             ("bin --blocks 4.5", Err("--blocks")),

@@ -31,7 +31,7 @@ fn k40() -> Device {
 }
 
 fn main() {
-    let a = Args::parse(0, 4, 8);
+    let a = Args::parse_with(&["--scenes"], 0, 4, 8);
     let argv: Vec<String> = std::env::args().collect();
     let scenes = argv
         .iter()

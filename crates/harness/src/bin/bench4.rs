@@ -62,7 +62,7 @@ fn audit_terminal(sched: &BatchScheduler) -> (u64, u64, u64) {
 }
 
 fn main() {
-    let a = Args::parse(0, 2, 0);
+    let a = Args::parse_with(&["--scenes"], 0, 2, 0);
     let argv: Vec<String> = std::env::args().collect();
     let scenes = argv
         .iter()

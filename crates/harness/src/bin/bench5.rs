@@ -116,7 +116,7 @@ fn centroid_bits(sys: &BlockSystem) -> Vec<u64> {
 }
 
 fn main() {
-    let a = Args::parse(0, 0, 3);
+    let a = Args::parse_with(&["--sizes"], 0, 0, 3);
     let argv: Vec<String> = std::env::args().collect();
     let sizes: Vec<usize> = argv
         .iter()

@@ -245,7 +245,7 @@ fn run_workload(
 }
 
 fn main() {
-    let a = Args::parse(0, 120, 6);
+    let a = Args::parse_with(&["--scatter"], 0, 120, 6);
     let argv: Vec<String> = std::env::args().collect();
     let scatter_n: usize = argv
         .iter()

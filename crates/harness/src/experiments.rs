@@ -71,7 +71,7 @@ pub struct PrecondRow {
     pub name: &'static str,
     /// Mean PCG iterations per solve.
     pub avg_iterations: f64,
-    /// Mean construction time per solve (modeled seconds).
+    /// Mean time of one construction (modeled seconds).
     pub construct_s: f64,
     /// Mean application time per preconditioner apply (modeled seconds).
     pub apply_s: f64,
@@ -104,6 +104,13 @@ pub fn preconditioner_study(blocks: usize, steps: usize, seed: u64) -> Vec<Preco
         let applies = (total_iters + solves).max(1);
 
         let by = pipe.device().trace().by_kernel();
+        // Every construction is followed by exactly one `pcg_fused` call, and
+        // every call launches the fused residual once — retried attempts
+        // included, which `solves` (final attempts only) leaves out.
+        let constructions = by
+            .get("pcg.fused.residual")
+            .map_or(solves, |(stats, _)| stats.launches as usize)
+            .max(1);
         let time_of = |prefixes: &[&str]| -> f64 {
             by.iter()
                 .filter(|(k, _)| prefixes.iter().any(|p| k.starts_with(p)))
@@ -112,11 +119,12 @@ pub fn preconditioner_study(blocks: usize, steps: usize, seed: u64) -> Vec<Preco
         };
         let (construct_total, apply_total) = match kind {
             // The fused solver applies BJ inside `pcg.fused.precond_rz`
-            // (z = D⁻¹r fused with the norm reduce and r·z partials); only
-            // the setup apply still runs the standalone kernel.
+            // (z = D⁻¹r fused with the norm reduce and r·z partials), once
+            // per iteration and once in the set-up: `applies` launches. The
+            // standalone `precond.bj.apply` never runs on this path.
             PrecondKind::BlockJacobi => (
                 time_of(&["precond.bj.construct"]),
-                time_of(&["precond.bj.apply", "pcg.fused.precond_rz"]),
+                time_of(&["pcg.fused.precond_rz"]),
             ),
             PrecondKind::SsorAi => (
                 time_of(&["precond.bj.construct"]),
@@ -137,7 +145,7 @@ pub fn preconditioner_study(blocks: usize, steps: usize, seed: u64) -> Vec<Preco
         rows.push(PrecondRow {
             name,
             avg_iterations: total_iters as f64 / solves.max(1) as f64,
-            construct_s: construct_total / solves.max(1) as f64,
+            construct_s: construct_total / constructions as f64,
             apply_s: apply_total / applies as f64,
             total_solve_s: pipe.times.solving,
             samples,

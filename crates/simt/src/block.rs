@@ -104,6 +104,14 @@ impl Block {
         out.extend((0..count).map(|t| buf.get(start + t)));
     }
 
+    /// Cost of [`Block::gld_range`] without the values: for a range other
+    /// blocks of the *same* launch store (the last block of a
+    /// `__threadfence` reduction re-reading every block's partial), which the
+    /// host may only read once the launch is over.
+    pub fn gld_range_cost<T: Copy + Send>(&mut self, buf: &GBuf<T>, start: usize, count: usize) {
+        self.account_range(buf, start, count);
+    }
+
     /// Thread `t` loads `buf[idxs[t]]` (arbitrary gather); returns values.
     pub fn gld_gather<T: Copy + Send>(&mut self, buf: &GBuf<T>, idxs: &[usize]) -> Vec<T> {
         let mut out = Vec::with_capacity(idxs.len());

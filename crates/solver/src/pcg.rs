@@ -17,6 +17,10 @@
 //!   fused BLAS-1 train around an unfused apply. Launch overhead is the
 //!   dominant per-iteration fixed cost on the GPU (5 µs each under the
 //!   timing model), so the fusion cuts the solver's modeled time directly.
+//!   Its set-up is **4 launches** on that fast path (SpMV stage 1, stage
+//!   2, `residual`, `precond_rz`; ten in [`pcg`]), bit for bit the unfused
+//!   sequence — a step solves several systems of ~10 iterations each, so
+//!   what a solve pays before its first iteration is a real share.
 //!   The iterates match the unfused loop except for the `p·q` dot, whose
 //!   partials tile by SpMV row block instead of 256-scalar tiles — a
 //!   reassociation drift of order 1e-16 relative per iteration.
@@ -25,7 +29,7 @@ use crate::precond::Preconditioner;
 use crate::traits::MatVec;
 use crate::vecops::{
     axpy, axpy_widen, demote, dot, dot_partials_into, fused_axpy2_norm, fused_precond_rz,
-    fused_xpby_beta, norm_sq, promote, reduce_partials, xpby,
+    fused_residual, fused_xpby_beta, norm_sq, promote, reduce_partials, reduce_partials_host, xpby,
 };
 use dda_simt::{BatchSummary, Device};
 use dda_sparse::spmv::{
@@ -163,6 +167,18 @@ pub struct SolveResult {
 }
 
 impl SolveResult {
+    /// The rejection of a NaN/Inf right-hand side, which no iteration can
+    /// help: the warm start comes back untouched.
+    fn non_finite_rhs(x0: &[f64]) -> SolveResult {
+        SolveResult {
+            x: x0.to_vec(),
+            iterations: 0,
+            converged: false,
+            residual: f64::NAN,
+            error: Some(SolveError::NonFinite { iteration: 0 }),
+        }
+    }
+
     /// True when the solve ended in breakdown (as opposed to converging or
     /// merely hitting the iteration cap).
     pub fn broke_down(&self) -> bool {
@@ -202,14 +218,7 @@ pub fn pcg<A: MatVec + ?Sized, P: Preconditioner + ?Sized>(
 
     let b_norm_sq = norm_sq(dev, b);
     if !b_norm_sq.is_finite() {
-        // NaN/Inf already in the right-hand side: no iteration can help.
-        return SolveResult {
-            x: x0.to_vec(),
-            iterations: 0,
-            converged: false,
-            residual: f64::NAN,
-            error: Some(SolveError::NonFinite { iteration: 0 }),
-        };
+        return SolveResult::non_finite_rhs(x0);
     }
     let threshold_sq = threshold_sq(opts, b_norm_sq);
 
@@ -296,6 +305,7 @@ pub struct PcgWorkspace {
     // the first Mixed solve.
     v32: IterVecs<f32>,
     // Partial sums never narrow, so both instantiations share them.
+    b_partials: Vec<f64>,
     norm_partials: Vec<f64>,
     rz_partials: Vec<f64>,
     // Outer-loop state of the mixed-precision refinement driver.
@@ -338,6 +348,34 @@ impl LoopEnd {
             error,
         }
     }
+}
+
+/// The last set-up step, shared by both storage types: `z₀ = M⁻¹r`,
+/// `p₀ = z₀`, returning `r·z₀`. The fused apply is one launch whose tile
+/// partials the host reduces itself; a bridged apply is followed by the
+/// unfused dot.
+fn first_direction<S: Scalar>(
+    dev: &Device,
+    apply: &mut Apply<'_, S, impl FnMut(&[S], &mut Vec<S>)>,
+    v: &mut IterVecs<S>,
+    rz_partials: &mut Vec<f64>,
+) -> f64 {
+    v.z.clear();
+    v.z.resize(v.r.len(), S::default());
+    let rz = match apply {
+        Apply::Fused(dinv) => {
+            fused_precond_rz(dev, *dinv, &v.r, &mut v.z, &[], rz_partials);
+            reduce_partials_host(rz_partials)
+        }
+        Apply::Bridged(m_apply) => {
+            m_apply(&v.r, &mut v.z);
+            dot_partials_into(dev, &v.r, &v.z, rz_partials);
+            reduce_partials(dev, rz_partials)
+        }
+    };
+    v.p.clear();
+    v.p.extend_from_slice(&v.z);
+    rz
 }
 
 /// The fused PCG iteration, written once for both storage types. Expects
@@ -458,19 +496,13 @@ pub fn pcg_fused<P: Preconditioner + ?Sized>(
     assert_eq!(b.len(), n, "rhs dimension mismatch");
     assert_eq!(x0.len(), n, "initial guess dimension mismatch");
 
-    let b_norm_sq = norm_sq(dev, b);
+    // Set-up launches 1–3 (the 5-launch budget is per iteration).
+    let mut r = std::mem::take(&mut ws.v64.r);
+    let (b_norm_sq, r_norm_sq) = residual(dev, h, b, x0, ws, &mut r);
+    ws.v64.r = r;
     if !b_norm_sq.is_finite() {
-        // NaN/Inf already in the right-hand side: no iteration can help.
-        return SolveResult {
-            x: x0.to_vec(),
-            iterations: 0,
-            converged: false,
-            residual: f64::NAN,
-            error: Some(SolveError::NonFinite { iteration: 0 }),
-        };
+        return SolveResult::non_finite_rhs(x0);
     }
-    let threshold_sq = threshold_sq(opts, b_norm_sq);
-
     let PcgWorkspace {
         v64: v,
         norm_partials,
@@ -479,27 +511,13 @@ pub fn pcg_fused<P: Preconditioner + ?Sized>(
     } = ws;
     v.x.clear();
     v.x.extend_from_slice(x0);
-    // r = b − A x (setup launches; the 5-launch budget is per iteration).
-    v.q.clear();
-    v.q.resize(n, 0.0);
-    spmv_hsbcsr_into(dev, h, &v.x, Stage1Smem::Proposed, &mut v.spmv, &mut v.q);
-    v.r.clear();
-    v.r.extend_from_slice(b);
-    axpy(dev, -1.0, &v.q, &mut v.r);
+    let threshold_sq = threshold_sq(opts, b_norm_sq);
 
-    let r_norm_sq = norm_sq(dev, &v.r);
     let end = if r_norm_sq <= threshold_sq {
         LoopEnd::at_setup(r_norm_sq, None)
     } else {
-        let z0 = m.apply(dev, &v.r);
-        v.z.clear();
-        v.z.extend_from_slice(&z0);
-        v.p.clear();
-        v.p.extend_from_slice(&v.z);
-        let rz = dot(dev, &v.r, &v.z);
-
         let dinv = m.block_diag_inv();
-        let apply = if dinv.is_some() || m.is_identity() {
+        let mut apply = if dinv.is_some() || m.is_identity() {
             Apply::Fused(dinv)
         } else {
             Apply::Bridged(|r: &[f64], z: &mut Vec<f64>| {
@@ -508,6 +526,8 @@ pub fn pcg_fused<P: Preconditioner + ?Sized>(
                 z.extend_from_slice(&out);
             })
         };
+        // Set-up launch 4 (fused apply): z₀, p₀ and r·z₀.
+        let rz = first_direction(dev, &mut apply, v, rz_partials);
         iterate(
             dev,
             |p, sws, q| spmv_hsbcsr_fused_pq(dev, h, p, Stage1Smem::Proposed, sws, q),
@@ -537,12 +557,12 @@ pub fn pcg_fused<P: Preconditioner + ?Sized>(
 /// (it folds into the fp64 outer iterate via [`axpy_widen`] without ever
 /// materialising an fp64 copy).
 ///
-/// The set-up differs from [`pcg_fused`]'s: `x0` is zero, so `r = b − A·0`
-/// collapses to one demotion launch; `b_norm_sq` arrives from the caller,
-/// whose outer residual norm *is* `‖b‖²` here; and `z₀`, `r·z₀` come from
-/// the fused kernel. Preconditioners without fp32 block-diagonal inverses
-/// bridge through their fp64 apply (promote → apply → demote) and pay that
-/// traffic honestly.
+/// The set-up differs from [`pcg_fused`]'s in its residual only: `x0` is
+/// zero, so `r = b − A·0` collapses to one demotion launch, and `b_norm_sq`
+/// arrives from the caller, whose outer residual norm *is* `‖b‖²` here.
+/// Preconditioners without fp32 block-diagonal inverses bridge through
+/// their fp64 apply (promote → apply → demote) and pay that traffic
+/// honestly.
 #[deny(clippy::float_cmp)]
 #[allow(clippy::too_many_arguments)]
 fn correct_f32<P: Preconditioner + ?Sized>(
@@ -590,22 +610,7 @@ fn correct_f32<P: Preconditioner + ?Sized>(
         })
     };
 
-    // z₀ = M⁻¹ r and rz₀ = r·z (the fast path reuses the fused kernel so
-    // z and the r·z partials cost one launch, plus the final reduce).
-    v.z.clear();
-    v.z.resize(n, 0.0);
-    match &mut apply {
-        Apply::Fused(dinv) => {
-            fused_precond_rz(dev, *dinv, &v.r, &mut v.z, &[], rz_partials);
-        }
-        Apply::Bridged(m_apply) => {
-            m_apply(&v.r, &mut v.z);
-            dot_partials_into(dev, &v.r, &v.z, rz_partials);
-        }
-    }
-    let rz = reduce_partials(dev, rz_partials);
-    v.p.clear();
-    v.p.extend_from_slice(&v.z);
+    let rz = first_direction(dev, &mut apply, v, rz_partials);
     v.q.clear();
     v.q.resize(n, 0.0);
 
@@ -668,36 +673,11 @@ pub fn pcg_fused_mixed<P: Preconditioner + ?Sized>(
     assert_eq!(x0.len(), n, "initial guess dimension mismatch");
     assert!(h32.matches(h), "fp32 shadow out of sync with its Hsbcsr");
 
-    let b_norm_sq = norm_sq(dev, b);
-    if !b_norm_sq.is_finite() {
-        // Same early rejection as the pure path — bit-identical outcome.
-        return SolveResult {
-            x: x0.to_vec(),
-            iterations: 0,
-            converged: false,
-            residual: f64::NAN,
-            error: Some(SolveError::NonFinite { iteration: 0 }),
-        };
-    }
-    let threshold_sq = threshold_sq(opts, b_norm_sq);
-
     // The inner solves reuse the workspace wholesale, so the outer state
     // is moved out for the duration of the refinement.
     let mut outer_x = std::mem::take(&mut ws.outer_x);
     let mut outer_r = std::mem::take(&mut ws.outer_r);
-    let refined = refine_mixed(
-        dev,
-        h,
-        h32,
-        b,
-        x0,
-        m,
-        opts,
-        threshold_sq,
-        ws,
-        &mut outer_x,
-        &mut outer_r,
-    );
+    let refined = refine_mixed(dev, h, h32, b, x0, m, opts, ws, &mut outer_x, &mut outer_r);
     ws.outer_x = outer_x;
     ws.outer_r = outer_r;
     match refined {
@@ -720,7 +700,6 @@ fn refine_mixed<P: Preconditioner + ?Sized>(
     x0: &[f64],
     m: &P,
     opts: PcgOptions,
-    threshold_sq: f64,
     ws: &mut PcgWorkspace,
     outer_x: &mut Vec<f64>,
     outer_r: &mut Vec<f64>,
@@ -728,8 +707,13 @@ fn refine_mixed<P: Preconditioner + ?Sized>(
     outer_x.clear();
     outer_x.extend_from_slice(x0);
 
-    // Full-precision residual r = b − A₆₄ x (fp64 streams).
-    let mut r_norm_sq = outer_residual(dev, h, b, outer_x, ws, outer_r);
+    // Full-precision residual r = b − A₆₄ x (fp64 streams) — the set-up of
+    // the pure path, with the same early rejection and bit-identical outcome.
+    let (b_norm_sq, mut r_norm_sq) = residual(dev, h, b, outer_x, ws, outer_r);
+    if !b_norm_sq.is_finite() {
+        return Some(SolveResult::non_finite_rhs(x0));
+    }
+    let threshold_sq = threshold_sq(opts, b_norm_sq);
     if r_norm_sq <= threshold_sq {
         return Some(SolveResult {
             x: outer_x.clone(),
@@ -756,7 +740,7 @@ fn refine_mixed<P: Preconditioner + ?Sized>(
         // solve; the fold-in widens on the fly).
         axpy_widen(dev, &ws.v32.x, outer_x);
         // Refresh the full-precision residual and retest convergence.
-        let new_norm_sq = outer_residual(dev, h, b, outer_x, ws, outer_r);
+        let (_, new_norm_sq) = residual(dev, h, b, outer_x, ws, outer_r);
         if !new_norm_sq.is_finite() {
             return None;
         }
@@ -787,25 +771,22 @@ fn refine_mixed<P: Preconditioner + ?Sized>(
     })
 }
 
-/// `outer_r ← b − A₆₄·x`, returning `‖outer_r‖²` — the fp64 half of every
-/// refinement pass (two SpMV stages, one axpy, one norm).
-fn outer_residual(
+/// `r ← b − A₆₄·x` in three launches (two SpMV stages and the fused
+/// residual), returning `(‖b‖², ‖r‖²)`: the set-up of [`pcg_fused`] and the
+/// fp64 half of every refinement pass of [`pcg_fused_mixed`].
+fn residual(
     dev: &Device,
     h: &Hsbcsr,
     b: &[f64],
     x: &[f64],
     ws: &mut PcgWorkspace,
-    outer_r: &mut Vec<f64>,
-) -> f64 {
-    let n = h.n * 6;
+    r: &mut Vec<f64>,
+) -> (f64, f64) {
     let v = &mut ws.v64;
     v.q.clear();
-    v.q.resize(n, 0.0);
+    v.q.resize(h.n * 6, 0.0);
     spmv_hsbcsr_into(dev, h, x, Stage1Smem::Proposed, &mut v.spmv, &mut v.q);
-    outer_r.clear();
-    outer_r.extend_from_slice(b);
-    axpy(dev, -1.0, &v.q, outer_r);
-    norm_sq(dev, outer_r)
+    fused_residual(dev, b, &v.q, r, &mut ws.b_partials, &mut ws.norm_partials)
 }
 
 /// One scene's system inside a batched PCG call: the same inputs
@@ -1104,6 +1085,200 @@ mod tests {
             for i in 0..m.dim() {
                 assert!((res.x[i] - reference.x[i]).abs() <= 1e-10 * scale);
             }
+        }
+    }
+
+    /// The set-up as it ran before it was fused — `norm_sq(b)`, SpMV,
+    /// `axpy`, `norm_sq(r)`, the preconditioner's own apply, `dot(r, z)`, ten
+    /// launches for Block-Jacobi — in front of the same [`iterate`]: the
+    /// oracle for the fused set-up, bit for bit. Returns `‖b‖²`, then `r`,
+    /// `z₀`, `r·z₀` where the set-up got that far, and the solve.
+    #[allow(clippy::type_complexity)]
+    fn unfused_setup_solve(
+        dev: &Device,
+        h: &Hsbcsr,
+        b: &[f64],
+        x0: &[f64],
+        m: &dyn Preconditioner,
+        opts: PcgOptions,
+    ) -> (f64, Option<(Vec<f64>, Vec<f64>, f64)>, SolveResult) {
+        let b_norm_sq = norm_sq(dev, b);
+        if !b_norm_sq.is_finite() {
+            return (b_norm_sq, None, SolveResult::non_finite_rhs(x0));
+        }
+        let threshold_sq = threshold_sq(opts, b_norm_sq);
+        let mut ws = PcgWorkspace::new();
+        let PcgWorkspace {
+            v64: v,
+            norm_partials,
+            rz_partials,
+            ..
+        } = &mut ws;
+        v.x = x0.to_vec();
+        v.q = HsbcsrMat { m: h }.apply(dev, x0);
+        v.r = b.to_vec();
+        axpy(dev, -1.0, &v.q, &mut v.r);
+        let r_norm_sq = norm_sq(dev, &v.r);
+        let (first, end) = if r_norm_sq <= threshold_sq {
+            (None, LoopEnd::at_setup(r_norm_sq, None))
+        } else {
+            v.z = m.apply(dev, &v.r);
+            v.p = v.z.clone();
+            let rz = dot(dev, &v.r, &v.z);
+            let first = Some((v.r.clone(), v.z.clone(), rz));
+            let dinv = m.block_diag_inv();
+            let apply = if dinv.is_some() || m.is_identity() {
+                Apply::Fused(dinv)
+            } else {
+                Apply::Bridged(|r: &[f64], z: &mut Vec<f64>| *z = m.apply(dev, r))
+            };
+            let end = iterate(
+                dev,
+                |p, sws, q| spmv_hsbcsr_fused_pq(dev, h, p, Stage1Smem::Proposed, sws, q),
+                apply,
+                v,
+                norm_partials,
+                rz_partials,
+                rz,
+                r_norm_sq,
+                threshold_sq,
+                opts.max_iters,
+            );
+            (first, end)
+        };
+        let res = SolveResult {
+            x: v.x.clone(),
+            iterations: end.iterations,
+            converged: end.converged,
+            residual: end.r_norm_sq.max(0.0).sqrt(),
+            error: end.error,
+        };
+        (b_norm_sq, first, res)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_setup_equals_the_unfused_sequence_bitwise() {
+        // 100 blocks = 600 rows = three 256-tiles, so the final reductions
+        // really reduce.
+        let (m, b) = problem(100, 29);
+        let h = Hsbcsr::from_sym(&m);
+        let d = dev();
+        let opts = PcgOptions::default();
+        let bj = BlockJacobi::new(&d, &h);
+        let ssor = SsorAi::new(&d, &h, 1.0);
+        let preconds: [(&str, &dyn Preconditioner); 3] =
+            [("BJ", &bj), ("identity", &Identity), ("SSOR-AI", &ssor)];
+
+        let zero = vec![0.0; m.dim()];
+        let cold = pcg(&d, &HsbcsrMat { m: &h }, &b, &zero, &bj, opts);
+        let warm: Vec<f64> = cold.x.iter().map(|v| v * 1.001).collect();
+        let mut nan_b = b.clone();
+        nan_b[301] = f64::NAN;
+        let mut inf_b = b.clone();
+        inf_b[7] = f64::INFINITY;
+        let cases: [(&str, &[f64], &[f64]); 6] = [
+            ("cold", &b, &zero),
+            ("warm", &b, &warm),
+            ("converged x0", &b, &cold.x),
+            ("zero b", &zero, &zero),
+            ("NaN b", &nan_b, &warm),
+            ("Inf b", &inf_b, &zero),
+        ];
+
+        let mut ws = PcgWorkspace::new();
+        for (pname, m_) in preconds {
+            for (cname, b_, x0) in cases {
+                let what = format!("{pname}, {cname}");
+                let (b_sq, first, want) = unfused_setup_solve(&d, &h, b_, x0, m_, opts);
+
+                // The solve: iteration count, final x, residual, error.
+                let got = pcg_fused(&d, &h, b_, x0, m_, opts, &mut ws);
+                assert_eq!(got.iterations, want.iterations, "{what}");
+                assert_eq!(bits(&got.x), bits(&want.x), "{what}");
+                assert_eq!(got.residual.to_bits(), want.residual.to_bits(), "{what}");
+                assert_eq!((got.converged, got.error), (want.converged, want.error));
+                if b_sq.is_finite() {
+                    // Same trajectory as the textbook loop (which differs in
+                    // the p·q tiling only).
+                    let unfused = pcg(&d, &HsbcsrMat { m: &h }, b_, x0, m_, opts);
+                    assert_eq!(got.iterations, unfused.iterations, "{what}");
+                }
+
+                // The set-up's own values.
+                let mut r = Vec::new();
+                let (got_b_sq, _) = residual(&d, &h, b_, x0, &mut ws, &mut r);
+                assert_eq!(got_b_sq.to_bits(), b_sq.to_bits(), "{what}");
+                let Some((want_r, want_z, want_rz)) = first else {
+                    continue;
+                };
+                assert_eq!(bits(&r), bits(&want_r), "{what}");
+                ws.v64.r = r;
+                let dinv = m_.block_diag_inv();
+                let mut apply = if dinv.is_some() || m_.is_identity() {
+                    Apply::Fused(dinv)
+                } else {
+                    Apply::Bridged(|r: &[f64], z: &mut Vec<f64>| *z = m_.apply(&d, r))
+                };
+                let rz = first_direction(&d, &mut apply, &mut ws.v64, &mut ws.rz_partials);
+                assert_eq!(bits(&ws.v64.z), bits(&want_z), "{what}");
+                assert_eq!(bits(&ws.v64.p), bits(&want_z), "{what}");
+                assert_eq!(rz.to_bits(), want_rz.to_bits(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_setup_costs_at_most_four_launches() {
+        // Three 256-tiles: the unfused set-up would add a `vec.dot.final`
+        // to each of its three dots.
+        let (m, b) = problem(100, 31);
+        let h = Hsbcsr::from_sym(&m);
+        let d = dev();
+        let bj = BlockJacobi::new(&d, &h);
+        let x0 = vec![0.0; m.dim()];
+        let mut ws = PcgWorkspace::new();
+        let capped = PcgOptions {
+            tol: 1e-30,
+            max_iters: 3,
+        };
+
+        d.reset_trace();
+        let res = pcg_fused(&d, &h, &b, &x0, &bj, capped, &mut ws);
+        assert_eq!(res.iterations, 3);
+        let names: Vec<_> = d.trace().records.iter().map(|r| r.name).collect();
+        assert_eq!(
+            names[..names.len() - 3 * 5],
+            [
+                "spmv.hsbcsr.stage1",
+                "spmv.hsbcsr.stage2",
+                "pcg.fused.residual",
+                "pcg.fused.precond_rz"
+            ]
+        );
+
+        // The fp64 half of a Mixed refinement pass is the first three.
+        d.reset_trace();
+        let mut r = Vec::new();
+        residual(&d, &h, &b, &x0, &mut ws, &mut r);
+        assert_eq!(d.trace().records.len(), 3);
+        d.reset_trace();
+        let h32 = shadow_of(&h);
+        let mixed = pcg_fused_mixed(&d, &h, &h32, &b, &x0, &bj, PcgOptions::default(), &mut ws);
+        assert!(mixed.converged);
+        let by = d.trace().by_kernel();
+        let passes = by["pcg.fused.residual"].0.launches;
+        assert_eq!(by["spmv.hsbcsr.stage1"].0.launches, passes);
+        for gone in [
+            "vec.axpy",
+            "vec.dot.partial",
+            "vec.dot.final",
+            "precond.bj.apply",
+        ] {
+            assert!(!by.contains_key(gone), "{gone} still launched");
         }
     }
 

@@ -8,8 +8,25 @@
 
 use super::{PrecondError, Preconditioner};
 use dda_simt::Device;
-use dda_sparse::{Block6, Hsbcsr};
+use dda_sparse::{Block6, Hsbcsr, Scalar, Scratch};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// DDA blocks per thread block of the construction kernel (one thread each):
+/// the tile's staged inverses, `TILE × SMEM_ROW` doubles, fit Kepler's 48 KB
+/// of shared memory.
+const TILE: usize = 128;
+
+/// Shared-memory row stride of one staged inverse, in 8-byte words.
+const SMEM_ROW: usize = 37;
+
+/// The row-major 6×6 block held in `row`.
+fn block_of(row: &[f64]) -> Block6 {
+    let mut b = Block6::ZERO;
+    for (dst, src) in b.0.iter_mut().zip(row.chunks_exact(6)) {
+        dst.copy_from_slice(src);
+    }
+    b
+}
 
 /// Block-Jacobi preconditioner with precomputed 6×6 inverses.
 pub struct BlockJacobi {
@@ -72,41 +89,81 @@ impl BlockJacobi {
     }
 
     fn compute(&mut self, dev: &Device, m: &Hsbcsr) -> Result<(), PrecondError> {
-        // Lanes run concurrently, so a failed inverse is flagged through an
-        // atomic min (lowest failing block wins) and checked after the
-        // launch; the kernel itself never panics on scene data.
+        // Thread blocks run concurrently, so a failed inverse is flagged
+        // through an atomic min (lowest failing block wins) and checked
+        // after the launch; the kernel itself never panics on scene data.
         let singular = AtomicUsize::new(usize::MAX);
         {
+            let n = m.n;
             let b_d = dev.bind_ro(&m.d_data);
             let b_out = dev.bind(self.dinv.as_mut_slice());
             let b_out32 = dev.bind(self.dinv32.as_mut_slice());
             let pad = m.pad_d;
             let flag = &singular;
-            dev.launch("precond.bj.construct", m.n, |lane| {
-                let i = lane.gid;
-                let mut blk = Block6::ZERO;
-                let mut finite = true;
-                for r in 0..6 {
-                    for c in 0..6 {
-                        // Sliced layout: coalesced across threads.
-                        let v = lane.ld(&b_d, Hsbcsr::sliced_index(pad, i, r, c));
-                        finite &= v.is_finite();
-                        blk.0[r][c] = v;
+            dev.launch_blocks("precond.bj.construct", n.div_ceil(TILE), TILE, |blk| {
+                f64::with_scratch(|scratch| {
+                    let Scratch {
+                        tiles: [slice, staged, ..],
+                        words: [smem, ..],
+                        ..
+                    } = scratch;
+                    let start = blk.block_id * TILE;
+                    let count = TILE.min(n - start);
+                    // One thread per DDA block. The sliced layout makes each
+                    // of the 36 entry loads one coalesced range per tile.
+                    staged.clear();
+                    staged.resize(count * 36, 0.0);
+                    for e in 0..36 {
+                        let at = Hsbcsr::sliced_index(pad, start, e / 6, e % 6);
+                        blk.gld_range_into(&b_d, at, count, slice);
+                        for (t, &v) in slice.iter().enumerate() {
+                            staged[t * 36 + e] = v;
+                        }
                     }
-                }
-                // 6×6 Gauss–Jordan ≈ 2·6³ flops.
-                lane.flop(430);
-                let inv = if finite { blk.inverse() } else { None };
-                let out = inv.unwrap_or_else(|| {
-                    flag.fetch_min(i, Ordering::Relaxed);
-                    Block6::ZERO
+                    // 6×6 Gauss–Jordan ≈ 2·6³ flops.
+                    blk.flop_masked(count, 430);
+                    for (t, row) in staged.chunks_exact_mut(36).enumerate() {
+                        let inv = row
+                            .iter()
+                            .all(|v| v.is_finite())
+                            .then(|| block_of(row).inverse())
+                            .flatten()
+                            .unwrap_or_else(|| {
+                                flag.fetch_min(start + t, Ordering::Relaxed);
+                                Block6::ZERO
+                            });
+                        row.copy_from_slice(inv.0.as_flattened());
+                    }
+                    // A thread storing its own 288-byte inverse would touch
+                    // 32 segments per warp and store. Instead the tile's
+                    // inverses go through shared memory — row `t` at word
+                    // `t·SMEM_ROW`, one word of padding per row so the
+                    // 36-word stride does not fold four threads of a warp
+                    // onto one bank — and leave in flat `dinv` order, thread
+                    // `t` of pass `k` storing element `k·TILE + t`.
+                    for e in 0..36 {
+                        smem.clear();
+                        smem.extend((0..count).map(|t| (t * SMEM_ROW + e) as u32));
+                        blk.smem_access(smem);
+                    }
+                    blk.sync();
+                    f32::with_scratch(|scratch32| {
+                        let narrow = &mut scratch32.tiles[0];
+                        for (pass, vals) in staged.chunks(TILE).enumerate() {
+                            let flat = pass * TILE;
+                            smem.clear();
+                            smem.extend(
+                                (flat..flat + vals.len())
+                                    .map(|k| (k / 36 * SMEM_ROW + k % 36) as u32),
+                            );
+                            blk.smem_access(smem);
+                            blk.gst_range(&b_out, start * 36 + flat, vals);
+                            narrow.clear();
+                            narrow.extend(vals.iter().map(|&v| v as f32));
+                            blk.gst_range(&b_out32, start * 36 + flat, narrow);
+                        }
+                    });
                 });
-                for r in 0..6 {
-                    for c in 0..6 {
-                        lane.st(&b_out, i * 36 + r * 6 + c, out.0[r][c]);
-                        lane.st(&b_out32, i * 36 + r * 6 + c, out.0[r][c] as f32);
-                    }
-                }
             });
         }
         match singular.load(Ordering::Relaxed) {
@@ -117,13 +174,7 @@ impl BlockJacobi {
 
     /// The inverse of diagonal block `i` (diagnostics/tests).
     pub fn block_inverse(&self, i: usize) -> Block6 {
-        let mut b = Block6::ZERO;
-        for r in 0..6 {
-            for c in 0..6 {
-                b.0[r][c] = self.dinv[i * 36 + r * 6 + c];
-            }
-        }
-        b
+        block_of(&self.dinv[i * 36..(i + 1) * 36])
     }
 
     /// Raw access for preconditioners that reuse the inverses (SSOR-AI).
@@ -232,33 +283,99 @@ mod tests {
         }
     }
 
-    #[test]
-    fn refactor_matches_fresh_construction() {
-        let d = dev();
-        let h1 = Hsbcsr::from_sym(&SymBlockMatrix::random_spd(12, 2.0, 3));
-        let h2 = Hsbcsr::from_sym(&SymBlockMatrix::random_spd(12, 2.0, 4));
-        let mut bj = BlockJacobi::new(&d, &h1);
-        bj.refactor(&d, &h2);
-        let fresh = BlockJacobi::new(&d, &h2);
-        for i in 0..12 {
-            assert_eq!(bj.block_inverse(i), fresh.block_inverse(i), "block {i}");
+    /// Every stored inverse, fp64 and fp32, against the host oracle.
+    fn assert_matches_host_inverse(bj: &BlockJacobi, m: &SymBlockMatrix) {
+        let n = m.diag.len();
+        assert_eq!(bj.n_blocks(), n);
+        let dinv32 = bj.block_diag_inv_f32().unwrap();
+        assert_eq!((bj.dinv().len(), dinv32.len()), (36 * n, 36 * n));
+        for (i, d) in m.diag.iter().enumerate() {
+            let want = d.inverse().expect("SPD diagonal block");
+            for (k, w) in want.0.as_flattened().iter().enumerate() {
+                assert_eq!(bj.dinv()[i * 36 + k].to_bits(), w.to_bits(), "block {i}");
+                assert_eq!(dinv32[i * 36 + k].to_bits(), (*w as f32).to_bits());
+            }
         }
     }
 
     #[test]
-    fn singular_block_reports_structured_error() {
-        let mut m = SymBlockMatrix::random_spd(5, 2.0, 6);
-        m.diag[3] = Block6::ZERO;
+    fn construction_equals_the_host_inverse_bitwise_at_memory_speed() {
+        // One, a partial warp, a full tile, one past it, the slope and the
+        // scatter benchmark sizes.
+        for n in [1, 31, 128, 129, 421, 5001] {
+            let m = SymBlockMatrix::random_spd(n, 2.0, n as u64);
+            let h = Hsbcsr::from_sym(&m);
+            let d = dev();
+            assert_matches_host_inverse(&BlockJacobi::new(&d, &h), &m);
+
+            // Still one launch, and every slice load and staged store
+            // coalesces: within 10 % of moving the useful bytes in whole
+            // 128-byte transactions.
+            let trace = d.trace();
+            assert_eq!(trace.records.len(), 1, "n = {n}");
+            let stats = trace.records[0].stats;
+            assert_eq!(stats.gmem_bytes, (n * 36 * (8 + 8 + 4)) as u64);
+            let ideal = stats.gmem_bytes.div_ceil(128);
+            if n >= TILE {
+                assert!(
+                    stats.gmem_transactions * 10 <= ideal * 11,
+                    "n = {n}: {} transactions, ideal {ideal}",
+                    stats.gmem_transactions
+                );
+            }
+            // The padded rows keep the staging writes conflict-free; reads
+            // replay at most where a warp crosses a row end.
+            assert!(stats.smem_replays * 20 <= stats.smem_accesses, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn refactor_matches_fresh_construction_across_size_changes() {
+        let d = dev();
+        let sizes = [(12, 3), (12, 4), (300, 5), (7, 6)];
+        let mut bj = BlockJacobi::new(
+            &d,
+            &Hsbcsr::from_sym(&SymBlockMatrix::random_spd(5, 2.0, 1)),
+        );
+        for (n, seed) in sizes {
+            let m = SymBlockMatrix::random_spd(n, 2.0, seed);
+            bj.try_refactor(&d, &Hsbcsr::from_sym(&m)).unwrap();
+            assert_matches_host_inverse(&bj, &m);
+        }
+    }
+
+    #[test]
+    fn lowest_failing_block_is_reported_and_the_rest_still_inverted() {
+        // Singular and non-finite blocks in three different tiles, listed
+        // out of order: the lowest index wins whichever thread block
+        // finishes first.
+        let mut m = SymBlockMatrix::random_spd(300, 2.0, 6);
+        m.diag[290] = Block6::ZERO;
+        m.diag[131].0[2][4] = f64::NAN;
+        m.diag[140] = Block6::ZERO;
+        m.diag[257].0[0][0] = f64::INFINITY;
         let h = Hsbcsr::from_sym(&m);
         let d = dev();
         assert_eq!(
             BlockJacobi::try_new(&d, &h).err(),
-            Some(PrecondError::SingularBlock { block: 3 })
+            Some(PrecondError::SingularBlock { block: 131 })
         );
-        // Refactor from a healthy factorization hits the same guard.
-        let good = Hsbcsr::from_sym(&SymBlockMatrix::random_spd(5, 2.0, 7));
+        // Refactor from a healthy factorization hits the same guard, zeroes
+        // the failed blocks and inverts every other one.
+        let good = Hsbcsr::from_sym(&SymBlockMatrix::random_spd(300, 2.0, 7));
         let mut bj = BlockJacobi::new(&d, &good);
-        assert!(bj.try_refactor(&d, &h).is_err());
+        assert_eq!(
+            bj.try_refactor(&d, &h),
+            Err(PrecondError::SingularBlock { block: 131 })
+        );
+        for i in 0..300 {
+            let want = if [131, 140, 257, 290].contains(&i) {
+                Block6::ZERO
+            } else {
+                m.diag[i].inverse().unwrap()
+            };
+            assert_eq!(bj.block_inverse(i), want, "block {i}");
+        }
     }
 
     #[test]

@@ -156,6 +156,17 @@ pub(crate) fn reduce_partials_host(partials: &[f64]) -> f64 {
     acc
 }
 
+/// `Σ v²` over one tile in the unfused [`dot`] order — the `‖·‖²` tile partial
+/// the fused kernels emit.
+fn tile_norm_sq<S: Scalar>(vals: &[S]) -> f64 {
+    vals.iter()
+        .map(|v| {
+            let w = v.widen();
+            w * w
+        })
+        .sum()
+}
+
 /// Dot product with a two-phase block reduction (tile partial sums, then a
 /// final single-block pass).
 pub fn dot(dev: &Device, x: &[f64], y: &[f64]) -> f64 {
@@ -171,6 +182,82 @@ pub fn dot(dev: &Device, x: &[f64], y: &[f64]) -> f64 {
 /// Squared 2-norm.
 pub fn norm_sq(dev: &Device, x: &[f64]) -> f64 {
     dot(dev, x, x)
+}
+
+/// Fused set-up kernel: one launch performing
+///
+/// 1. `r ← b − q` with `q = A·x₀` (for `f64`, bitwise the unfused
+///    `axpy(−1, q, r = b)`);
+/// 2. one `‖b‖²` and one `‖r‖²` partial per 256-tile into `b_partials` and
+///    `norm_partials`, in the unfused [`dot`] tile order, the latter from the
+///    stored (rounded) `r`;
+/// 3. both final reductions, by the block that finishes last — the
+///    `__threadfence` single-pass reduction, so the two scalars the host
+///    needs before it can start (or skip) the iteration cost no launch.
+///
+/// Returns `(‖b‖², ‖r‖²)` (host mirrors of the charged device reduce).
+#[deny(clippy::float_cmp)]
+pub fn fused_residual<S: Scalar>(
+    dev: &Device,
+    b: &[S],
+    q: &[S],
+    r: &mut Vec<S>,
+    b_partials: &mut Vec<f64>,
+    norm_partials: &mut Vec<f64>,
+) -> (f64, f64) {
+    let n = b.len();
+    assert_eq!(q.len(), n);
+    r.clear();
+    r.resize(n, S::default());
+    let n_tiles = n.div_ceil(TILE);
+    for partials in [&mut *b_partials, &mut *norm_partials] {
+        partials.clear();
+        partials.resize(n_tiles, 0.0);
+    }
+    {
+        let b_b = dev.bind_ro(b);
+        let b_q = dev.bind_ro(q);
+        let b_r = dev.bind(r.as_mut_slice());
+        let b_bp = dev.bind(b_partials.as_mut_slice());
+        let b_np = dev.bind(norm_partials.as_mut_slice());
+        dev.launch_blocks(S::RESIDUAL, n_tiles, 256, |blk| {
+            S::with_scratch(|scratch| {
+                let [vb, vq, out, ..] = &mut scratch.tiles;
+                let start = blk.block_id * TILE;
+                let count = TILE.min(n - start);
+                blk.gld_range_into(&b_b, start, count, vb);
+                blk.gld_range_into(&b_q, start, count, vq);
+                blk.flop_masked(count, 2);
+                // Literally `axpy`'s `a·x + y` with `a = −1`: `−q + b` and
+                // `b − q` agree with it on every non-NaN input but need not
+                // on the sign and payload of a NaN.
+                #[allow(clippy::neg_multiply)]
+                let residual = |t: usize| S::narrow(-1.0 * vq[t].widen() + vb[t].widen());
+                out.clear();
+                out.extend((0..count).map(residual));
+                blk.gst_range(&b_r, start, out);
+                // ‖b‖² and ‖r‖² tile partials, unfused dot order.
+                for (vals, partials) in [(&*vb, &b_bp), (&*out, &b_np)] {
+                    blk.flop_masked(count, 2);
+                    blk.shfl_reduce_cost(count, 32);
+                    blk.gst_one(partials, blk.block_id, tile_norm_sq(vals));
+                }
+                if blk.block_id + 1 == n_tiles {
+                    // Stand-in for "the block that finishes last": it alone
+                    // re-reads every block's two partials (dot.final order).
+                    for partials in [&b_bp, &b_np] {
+                        blk.gld_range_cost(partials, 0, n_tiles);
+                        blk.flop_masked(n_tiles.min(256), 1);
+                        blk.shfl_reduce_cost(n_tiles.min(256), 32);
+                    }
+                }
+            });
+        });
+    }
+    (
+        reduce_partials_host(b_partials),
+        reduce_partials_host(norm_partials),
+    )
 }
 
 /// Fused PCG update kernel: one launch performing
@@ -248,14 +335,7 @@ pub fn fused_axpy2_norm<S: Scalar>(
                 // ‖r‖² tile partial, unfused dot order.
                 blk.flop_masked(count, 2);
                 blk.shfl_reduce_cost(count, 32);
-                let partial: f64 = out
-                    .iter()
-                    .map(|v| {
-                        let w = v.widen();
-                        w * w
-                    })
-                    .sum();
-                blk.gst_one(&b_np, blk.block_id, partial);
+                blk.gst_one(&b_np, blk.block_id, tile_norm_sq(out));
             });
         });
     }
@@ -562,6 +642,8 @@ mod tests {
         let partials = [0.75, 1.5, 0.25];
         let elems = |k: usize| 4 * (k * n) as u64;
 
+        let (mut np64, mut np32) = (Vec::new(), Vec::new());
+
         // vec.dot.partial: same f64 products, same order — bit-equal.
         let (d64, d32) = (dev(), dev());
         let (mut out64, mut out32) = (Vec::new(), Vec::new());
@@ -573,11 +655,25 @@ mod tests {
             elems(2)
         );
 
+        // pcg.fused.residual: b and q loads, r store; ‖b‖² is bit-equal
+        // (same products), ‖r‖² is formed from the rounded r.
+        let (d64, d32) = (dev(), dev());
+        let (mut ra, mut rb) = (Vec::new(), Vec::new());
+        let (mut bp64, mut bp32) = (Vec::new(), Vec::new());
+        let (b64_sq, r64_sq) = fused_residual(&d64, &p64, &q64, &mut ra, &mut bp64, &mut np64);
+        let (b32_sq, r32_sq) = fused_residual(&d32, &p32, &q32, &mut rb, &mut bp32, &mut np32);
+        assert_eq!(b64_sq.to_bits(), b32_sq.to_bits());
+        assert_eq!(rb, narrowed(&ra));
+        assert!((r64_sq - r32_sq).abs() <= 2.5 * EPS32 * r64_sq);
+        assert_eq!(
+            launch_bytes(&d64, "pcg.fused.residual") - launch_bytes(&d32, "pcg.fused.residual.f32"),
+            elems(3)
+        );
+
         // pcg.fused.axpy2norm: 4 vector loads + 2 stores per element.
         let (d64, d32) = (dev(), dev());
         let (mut xa, mut ra) = (x64.clone(), r64.clone());
         let (mut xb, mut rb) = (x32.clone(), r32.clone());
-        let (mut np64, mut np32) = (Vec::new(), Vec::new());
         let pq64 = fused_axpy2_norm(
             &d64, &partials, 0.5, &p64, &q64, &mut xa, &mut ra, &mut np64,
         );

@@ -44,6 +44,8 @@ pub trait Scalar: sealed::Sealed + Copy + Send + Default + 'static {
     const SPMV_STAGE2_PQ: &'static str;
     /// Trace name of the tile-partial dot kernel.
     const DOT_PARTIAL: &'static str;
+    /// Trace name of the fused set-up `r = b − q`/`‖b‖²`/`‖r‖²` kernel.
+    const RESIDUAL: &'static str;
     /// Trace name of the fused `α`/`x`/`r`/`‖r‖²` kernel.
     const AXPY2NORM: &'static str;
     /// Trace name of the fused `‖r‖²`/`z`/`r·z` kernel.
@@ -65,6 +67,7 @@ macro_rules! impl_scalar {
             const SPMV_STAGE2: &'static str = concat!("spmv.hsbcsr.stage2", $suffix);
             const SPMV_STAGE2_PQ: &'static str = concat!("spmv.hsbcsr.stage2_pq", $suffix);
             const DOT_PARTIAL: &'static str = concat!("vec.dot.partial", $suffix);
+            const RESIDUAL: &'static str = concat!("pcg.fused.residual", $suffix);
             const AXPY2NORM: &'static str = concat!("pcg.fused.axpy2norm", $suffix);
             const PRECOND_RZ: &'static str = concat!("pcg.fused.precond_rz", $suffix);
             const XPBY_BETA: &'static str = concat!("pcg.fused.xpby_beta", $suffix);

@@ -12,63 +12,14 @@
 //! count is exact rather than scheduling-dependent. The parallel-pool path
 //! reuses the same thread-local scratch but warms per worker thread.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting_alloc;
 
+use counting_alloc::count_allocs;
 use dda_simt::{Device, DeviceProfile};
 use dda_sparse::spmv::{
     spmv_hsbcsr_f32, spmv_hsbcsr_fused_pq, spmv_hsbcsr_into, SpmvWorkspace, Stage1Smem,
 };
 use dda_sparse::{Hsbcsr, Hsbcsr32, SymBlockMatrix};
-
-struct CountingAlloc;
-
-// Armed and counted per thread: the libtest harness runs the audits of one
-// binary on parallel threads, and a process-wide flag would charge one
-// test's warm-up allocations to another's armed window. `const`-initialised
-// `Cell`s need no lazy init and no destructor, so reading them inside the
-// allocator is safe.
-thread_local! {
-    static ARMED: Cell<bool> = const { Cell::new(false) };
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count_if_armed() {
-    let _ = ARMED.try_with(|armed| {
-        if armed.get() {
-            ALLOCS.with(|n| n.set(n.get() + 1));
-        }
-    });
-}
-
-/// Runs `f` with this thread's allocation counter armed; returns the
-/// number of heap allocations `f` performed and its result.
-fn count_allocs<R>(f: impl FnOnce() -> R) -> (usize, R) {
-    ALLOCS.with(|n| n.set(0));
-    ARMED.with(|a| a.set(true));
-    let out = f();
-    ARMED.with(|a| a.set(false));
-    (ALLOCS.with(Cell::get), out)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_if_armed();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_if_armed();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn warmed_spmv_steady_state_allocates_nothing() {

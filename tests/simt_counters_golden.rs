@@ -22,6 +22,12 @@
 //! for the solo runs, as per-kernel work totals for the batches, whose launch
 //! *grouping* such a change moves by design (see [`digest_work`]). They were
 //! captured on the commit before that set-up was rewritten.
+//!
+//! That rewrite is the one change that re-captured the whole-trace constants
+//! (`GOLDEN_*`): it removes set-up launches and Block-Jacobi transactions by
+//! design, so every whole trace moves, while the `SETUP_INERT_*` pins from
+//! the commit before it passed unchanged — no state bit, solver counter or
+//! launch outside the set-up families moved.
 
 use dda_repro::core::contact::BroadPhaseMode;
 use dda_repro::core::pipeline::{
@@ -38,13 +44,13 @@ const STEPS: usize = 8;
 
 /// `(records, digest)` of the solo slope, rockfall and scatter traces.
 const GOLDEN_SOLO: [(usize, u64); 3] = [
-    (16253, 0x23de4acd162408ce),
-    (1293, 0xa03f535f65a9ccc5),
-    (1179, 0x5c397a2d2770eb13),
+    (15677, 0x1a407ddbf26227ce),
+    (1257, 0x5958453506d3450b),
+    (1125, 0xe76e2acef4bfab9e),
 ];
 
 /// `(records, digest)` of the shared device after the 8-scene batch.
-const GOLDEN_BATCH: (usize, u64) = (13048, 0x83160b2130561f78);
+const GOLDEN_BATCH: (usize, u64) = (12744, 0x1317754bf0abf136);
 
 /// `(records, digest)` under `SolverPrecision::Mixed`, with the final block
 /// state and `x_prev` folded in: rockfall and slope on Block-Jacobi (the
@@ -52,21 +58,21 @@ const GOLDEN_BATCH: (usize, u64) = (13048, 0x83160b2130561f78);
 /// demote bridge). Captured on the commit before the fp64/fp32 solver twins
 /// were merged into one generic core.
 const GOLDEN_MIXED_SOLO: [(usize, u64); 3] = [
-    (1676, 0x952c30ab48e75be3),
-    (16942, 0x3e98a036abe25a7f),
-    (2008, 0x4fe374429fde3e68),
+    (1627, 0xeaa4bbd90ada2258),
+    (16105, 0xd8e24428a37705d4),
+    (1959, 0x5da0f5cbda19efd9),
 ];
 
 /// The 8-scene batch of [`GOLDEN_BATCH`] with every scene on `Mixed`.
-const GOLDEN_MIXED_BATCH: (usize, u64) = (15645, 0xb9c1bec822816189);
+const GOLDEN_MIXED_BATCH: (usize, u64) = (15187, 0xca367af9738178c3);
 
 /// `(records, digest)` of the [`GOLDEN_SOLO`] scenes on the default assembly
 /// path (`AssemblyReuse::Incremental`), captured on the commit that made it
 /// the default: the golden for host-only changes to the shipped path.
 const GOLDEN_DEFAULT_SOLO: [(usize, u64); 3] = [
-    (7345, 0xdf966eef92f8633b),
-    (826, 0xc6d79bfd84897f07),
-    (535, 0x0bb31c74834fad09),
+    (6769, 0xbe0a58372e7a690b),
+    (790, 0x7a4f442b8b593ca7),
+    (481, 0x9822a38079d6acd0),
 ];
 
 /// `(state digest, digest of the launches outside SETUP_FAMILIES)` of the
