@@ -286,8 +286,8 @@ pub struct FleetStats {
     /// device trying to commit a scene that moved on without it).
     pub fenced: u64,
     /// Modeled seconds the WAL spent on migration records (intents +
-    /// commits) — the protocol's overhead, reported by bench9 as a
-    /// fraction of aggregate step time.
+    /// commits) — the protocol's overhead, budgeted as a fraction of
+    /// aggregate step time (`tests/beyond_paper_claims.rs`).
     pub migration_wal_seconds: f64,
     /// Ticks from a device's last completed step to its death being
     /// declared, one entry per recovery (crash = 1, hang ≈ watchdog).

@@ -23,16 +23,6 @@ impl Args {
     /// Parses `std::env::args` with per-experiment defaults; prints the
     /// problem and exits with status 2 on a bad value or an unknown flag.
     pub fn parse(default_blocks: usize, default_rocks: usize, default_steps: usize) -> Args {
-        Args::parse_with(&[], default_blocks, default_rocks, default_steps)
-    }
-
-    /// [`Args::parse`] for a binary that reads the flags `own` itself.
-    pub fn parse_with(
-        own: &[&str],
-        default_blocks: usize,
-        default_rocks: usize,
-        default_steps: usize,
-    ) -> Args {
         let argv: Vec<String> = std::env::args().collect();
         let defaults = Args {
             blocks: default_blocks,
@@ -41,7 +31,7 @@ impl Args {
             seed: 20170529,
             full: false,
         };
-        Args::parse_from(&argv, defaults, own).unwrap_or_else(|msg| {
+        Args::parse_from(&argv, defaults).unwrap_or_else(|msg| {
             eprintln!("{}: {msg}", argv.first().map_or("harness", String::as_str));
             std::process::exit(2);
         })
@@ -49,13 +39,14 @@ impl Args {
 
     /// Overrides `defaults` with the shared flags found in `argv`. A flag
     /// that is present must carry a parsable value, and every `--flag` must
-    /// be a shared one or one of `own` — the flags the calling binary reads
-    /// itself (`--scenes`, `--sizes`, `--scatter`) — so a misspelt flag is an
-    /// error, not a run on the defaults.
-    pub fn parse_from(argv: &[String], defaults: Args, own: &[&str]) -> Result<Args, String> {
-        if let Some(unknown) = argv.iter().skip(1).find(|a| {
-            a.starts_with("--") && !SHARED_FLAGS.contains(&a.as_str()) && !own.contains(&a.as_str())
-        }) {
+    /// be a shared one, so a misspelt flag is an error, not a run on the
+    /// defaults.
+    pub fn parse_from(argv: &[String], defaults: Args) -> Result<Args, String> {
+        if let Some(unknown) = argv
+            .iter()
+            .skip(1)
+            .find(|a| a.starts_with("--") && !SHARED_FLAGS.contains(&a.as_str()))
+        {
             return Err(format!("{unknown}: unknown flag"));
         }
         let get = |name: &str| -> Result<Option<u64>, String> {
@@ -91,10 +82,9 @@ mod tests {
         full: false,
     };
 
-    /// Parses `line` for a binary whose own flags are `--scenes`, `--sizes`.
     fn parse(line: &str) -> Result<Args, String> {
         let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
-        Args::parse_from(&argv, DEFAULTS, &["--scenes", "--sizes"])
+        Args::parse_from(&argv, DEFAULTS)
     }
 
     #[test]
@@ -102,22 +92,17 @@ mod tests {
         // (command line, expected (blocks, rocks, steps, seed, full) or the
         // flag the error must name)
         type Fields = (usize, usize, usize, u64, bool);
-        let cases: [(&str, Result<Fields, &str>); 13] = [
+        let cases: [(&str, Result<Fields, &str>); 12] = [
             ("bin", Ok((123, 45, 6, 7, false))),
             ("bin --steps 10", Ok((123, 45, 10, 7, false))),
             (
                 "bin --full --seed 9 --rocks 2 --blocks 8",
                 Ok((8, 2, 6, 9, true)),
             ),
-            // The binary's own flags pass through untouched.
-            (
-                "bin --scenes 4 --sizes 200,800 --rocks 3",
-                Ok((123, 3, 6, 7, false)),
-            ),
             // Anything else that looks like a flag is rejected: a typo, a
-            // flag of some other binary, a typo behind valid flags.
+            // flag no harness binary reads, a typo behind valid flags.
             ("bin --stpes 10", Err("--stpes")),
-            ("bin --scatter 48", Err("--scatter")),
+            ("bin --scenes 4 --rocks 3", Err("--scenes")),
             ("bin --steps 3 --sceens 4", Err("--sceens")),
             ("bin --steps 3 --", Err("--")),
             ("bin --steps 1o", Err("--steps")),

@@ -14,35 +14,17 @@
 //! mid-run (fail-stop and fail-silent) and reports detection latency,
 //! migration counts, and the bit-identicality of failover.
 //!
+//! Exits 1 if the journal's modeled cost exceeds [`WAL_BUDGET_PCT`] of the
+//! aggregate modeled step time on any fleet it prints.
+//!
 //! Usage: `multigpu [--rocks N] [--steps N] [--seed N]`
 
-use dda_core::pipeline::{FleetError, FleetRouter, RouterConfig};
+use dda_harness::experiments::{
+    fleet_churn_config, run_fleet_churn, wal_overhead_pct, WAL_BUDGET_PCT,
+};
 use dda_harness::table::{fmt_time, Table};
 use dda_harness::Args;
-use dda_simt::{Device, DeviceProfile};
-use dda_workloads::{FleetChurnConfig, FleetChurnTraffic, TrafficConfig};
-
-fn wal_dir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("dda-multigpu-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-fn churn_config(rocks: usize) -> FleetChurnConfig {
-    FleetChurnConfig {
-        traffic: TrafficConfig {
-            rocks,
-            run_steps_min: 4,
-            run_steps_max: 8,
-            ..TrafficConfig::default()
-        },
-        localities: 6,
-        rate: 2.0,
-        burst_every: 8,
-        burst_size: 3,
-        hot_key_permille: 0,
-    }
-}
+use dda_simt::DeviceProfile;
 
 struct FleetRun {
     completed: u64,
@@ -54,28 +36,16 @@ struct FleetRun {
 }
 
 fn run_fleet(n_devices: usize, rocks: usize, window: u64, seed: u64) -> FleetRun {
-    let devices: Vec<Device> = (0..n_devices)
-        .map(|_| Device::new(DeviceProfile::tesla_k40()))
-        .collect();
-    let dir = wal_dir(&format!("scale-{n_devices}"));
-    let mut r = FleetRouter::new(devices, RouterConfig::new(&dir)).expect("fresh fleet");
-    let mut traffic = FleetChurnTraffic::new(churn_config(rocks), seed);
-    let mut rejected = 0u64;
-    for now in 0..window {
-        for sub in traffic.arrivals(now) {
-            match r.submit(sub) {
-                Ok(_) => {}
-                Err(FleetError::Ingest(_)) => rejected += 1,
-                Err(e) => panic!("unexpected fleet error: {e}"),
-            }
-        }
-        r.tick().expect("tick");
-    }
-    let drained = r.drain(512).expect("drain");
-    assert!(drained < 512, "fleet must drain");
+    let (r, rejected) = run_fleet_churn(
+        &format!("scale-{n_devices}"),
+        &vec![DeviceProfile::tesla_k40(); n_devices],
+        fleet_churn_config(rocks, 0),
+        seed,
+        true,
+        window,
+    );
     let fleet_s = r.fleet_modeled_seconds();
-    let agg_s = r.fleet_aggregate_seconds();
-    let run = FleetRun {
+    FleetRun {
         completed: r.stats().completed,
         rejected,
         ticks: r.stats().ticks,
@@ -85,19 +55,16 @@ fn run_fleet(n_devices: usize, rocks: usize, window: u64, seed: u64) -> FleetRun
         } else {
             0.0
         },
-        wal_overhead_pct: if agg_s > 0.0 {
-            100.0 * r.wal_stats().modeled_seconds / agg_s
-        } else {
-            0.0
-        },
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    run
+        wal_overhead_pct: wal_overhead_pct(&r),
+    }
 }
 
 #[cfg(feature = "fault-inject")]
 fn failover_exhibit(rocks: usize) {
-    use dda_simt::DeathMode;
+    use dda_core::pipeline::{FleetRouter, RouterConfig};
+    use dda_harness::experiments::wal_dir;
+    use dda_simt::{DeathMode, Device};
+    use dda_workloads::{FleetChurnConfig, FleetChurnTraffic};
     use std::collections::BTreeMap;
 
     let run = |tag: &str, arm: Option<(usize, DeathMode, usize)>| {
@@ -115,7 +82,7 @@ fn failover_exhibit(rocks: usize) {
             FleetChurnConfig {
                 rate: 6.0,
                 burst_every: 0,
-                ..churn_config(rocks)
+                ..fleet_churn_config(rocks, 0)
             },
             97,
         );
@@ -196,11 +163,13 @@ fn main() {
         "WAL overhead",
     ]);
     let mut base_rate = 0.0;
+    let mut within_budget = true;
     for p in [1usize, 2, 4, 8] {
         let r = run_fleet(p, a.rocks, window, a.seed);
         if p == 1 {
             base_rate = r.rate;
         }
+        within_budget &= r.wal_overhead_pct <= WAL_BUDGET_PCT;
         t.row(vec![
             p.to_string(),
             r.completed.to_string(),
@@ -215,8 +184,12 @@ fn main() {
     t.print();
     println!(
         "\nShape: scene-level routing scales until the arrival rate, not the\n\
-         fleet, is the bottleneck — no all-reduce on the critical path, unlike\n\
-         the SpMV split (bench6). Durability rides along within its budget."
+         fleet, is the bottleneck — no all-reduce on the critical path.\n\
+         WAL overhead ≤ {WAL_BUDGET_PCT}% of aggregate modeled step time on \
+         every fleet: {within_budget}"
     );
     failover_exhibit(a.rocks);
+    if !within_budget {
+        std::process::exit(1);
+    }
 }

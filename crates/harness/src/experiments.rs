@@ -5,7 +5,9 @@ use crate::table::{fmt_speedup, fmt_time};
 use dda_core::assembly::assemble_serial;
 use dda_core::contact::init::{init_contacts_classified, init_contacts_monolithic};
 use dda_core::contact::{broad_phase_serial, narrow_phase_serial, GeomSoa};
-use dda_core::pipeline::{CpuPipeline, GpuPipeline, ModuleTimes, PrecondKind};
+use dda_core::pipeline::{
+    CpuPipeline, FleetError, FleetRouter, GpuPipeline, ModuleTimes, PrecondKind, RouterConfig,
+};
 use dda_core::{AssemblyReuse, BlockSystem, DdaParams};
 use dda_simt::serial::CpuCounter;
 use dda_simt::{Device, DeviceProfile};
@@ -13,7 +15,10 @@ use dda_solver::precond::{Ilu0, Preconditioner};
 use dda_sparse::ell::spmv_ell;
 use dda_sparse::spmv::{spmv_bcsr, spmv_csr_scalar, spmv_csr_vector, spmv_hsbcsr, Stage1Smem};
 use dda_sparse::{BlockCsr, Csr, Ell, Hsbcsr, SymBlockMatrix};
-use dda_workloads::{rockfall_case, slope_case, RockfallConfig, SlopeConfig};
+use dda_workloads::{
+    rockfall_case, slope_case, FleetChurnConfig, FleetChurnTraffic, RockfallConfig, SlopeConfig,
+    TrafficConfig,
+};
 
 fn k40() -> Device {
     Device::new(DeviceProfile::tesla_k40())
@@ -45,8 +50,9 @@ pub fn case1_matrix(blocks: usize, warm: usize, seed: u64) -> SymBlockMatrix {
 /// that balance: the off-diagonal contact coupling grows past the
 /// diagonal and the iteration count climbs with `contrast`. This is the
 /// iteration-heavy regime where mixed precision and AMG2 earn their keep
-/// (BENCH_6's stress operator), and it is physical: Shi's `p ∈
-/// [10·E, 1000·E]` recommendation spans exactly this range.
+/// (the operator of `beyond_paper_claims`' mixed-precision claim), and it
+/// is physical: Shi's `p ∈ [10·E, 1000·E]` recommendation spans exactly
+/// this range.
 pub fn case1_matrix_stiff(blocks: usize, warm: usize, seed: u64, contrast: f64) -> SymBlockMatrix {
     let (sys, mut params) = case1_system(blocks, seed);
     params.penalty *= contrast;
@@ -451,6 +457,87 @@ pub fn smem_study(blocks: usize, seed: u64) -> SmemStudy {
         naive_replays: s2.smem_replays,
         proposed_s: t1,
         naive_s: t2,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// §VI exhibit: churn over a WAL-journaled fleet
+// ---------------------------------------------------------------------------
+
+/// The fleet exhibit's churn stream: `rocks`-rock scenes of 4–8 steps, two
+/// per tick plus a burst of three every eight ticks, six locality keys of
+/// which `hot_key_permille` of the submissions are forced onto key 0.
+pub fn fleet_churn_config(rocks: usize, hot_key_permille: usize) -> FleetChurnConfig {
+    FleetChurnConfig {
+        traffic: TrafficConfig {
+            rocks,
+            run_steps_min: 4,
+            run_steps_max: 8,
+            ..TrafficConfig::default()
+        },
+        localities: 6,
+        rate: 2.0,
+        burst_every: 8,
+        burst_size: 3,
+        hot_key_permille,
+    }
+}
+
+/// An emptied WAL directory under the system temp dir, keyed by `tag` and
+/// pid so concurrent runs do not share a log.
+pub fn wal_dir(tag: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("dda-fleet-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    d
+}
+
+/// Drives the seeded `churn` stream into a fresh WAL-journaled fleet over
+/// `profiles` for `window` ticks, drains it and removes the log. Returns
+/// the router and how many submissions its backpressure rejected.
+pub fn run_fleet_churn(
+    tag: &str,
+    profiles: &[DeviceProfile],
+    churn: FleetChurnConfig,
+    seed: u64,
+    rebalance: bool,
+    window: u64,
+) -> (FleetRouter, u64) {
+    let dir = wal_dir(tag);
+    let mut cfg = RouterConfig::new(&dir);
+    cfg.rebalance.enabled = rebalance;
+    let devices = profiles.iter().cloned().map(Device::new).collect();
+    let mut r = FleetRouter::new(devices, cfg).expect("fresh fleet");
+    let mut traffic = FleetChurnTraffic::new(churn, seed);
+    let mut rejected = 0u64;
+    for now in 0..window {
+        for sub in traffic.arrivals(now) {
+            match r.submit(sub) {
+                Ok(_) => {}
+                Err(FleetError::Ingest(_)) => rejected += 1,
+                Err(e) => panic!("unexpected fleet error: {e}"),
+            }
+        }
+        r.tick().expect("tick");
+    }
+    let drained = r.drain(512).expect("drain");
+    assert!(drained < 512, "{tag}: fleet must drain");
+    let _ = std::fs::remove_dir_all(&dir);
+    (r, rejected)
+}
+
+/// Budget for the journal's modeled cost, as a percentage of aggregate
+/// modeled step time: durability must ride along, not tax the pipeline.
+pub const WAL_BUDGET_PCT: f64 = 5.0;
+
+/// The WAL's modeled cost (fsync barriers at 25 µs + bytes at 2 GB/s) as a
+/// percentage of the fleet's aggregate modeled step time — summed across
+/// devices, the total compute the journal protects.
+pub fn wal_overhead_pct(r: &FleetRouter) -> f64 {
+    let agg_s = r.fleet_aggregate_seconds();
+    if agg_s > 0.0 {
+        100.0 * r.wal_stats().modeled_seconds / agg_s
+    } else {
+        0.0
     }
 }
 

@@ -11,6 +11,7 @@
 //! | `table3` | Table III — case-2 per-module times and speed-ups |
 //! | `divergence` | §III-A claim — classified vs monolithic contact init |
 //! | `fig89` | Figs 8–9 — shared-memory scheme bank-conflict ablation |
+//! | `multigpu` | §VI future work — WAL-journaled fleet scaling over 1/2/4/8 K40s, device-death failover |
 //!
 //! All "GPU" times are the SIMT simulator's modeled seconds under the named
 //! Tesla profile; "CPU" times are the same work tallies under the serial

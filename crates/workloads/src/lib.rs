@@ -19,7 +19,7 @@
 //!   O(1) contacts per block, O(n²) all-pairs candidates);
 //! * [`fleet`] — N distinct rockfall scenes for the batched multi-scene
 //!   runtime's throughput studies;
-//! * [`traffic`] — open/closed-loop submission streams for the ingestion
+//! * [`traffic`] — open-loop submission streams for the ingestion
 //!   layer's overload and soak studies;
 //! * [`render`] — SVG snapshots (the Figs 11–13 analogues).
 
@@ -39,6 +39,4 @@ pub use fleet::{rockfall_fleet, FleetConfig};
 pub use rockfall::{rockfall_case, RockfallConfig};
 pub use scatter::{scatter_case, ScatterConfig};
 pub use slope::{slope_case, SlopeConfig};
-pub use traffic::{
-    ClosedLoopTraffic, FleetChurnConfig, FleetChurnTraffic, OpenLoopTraffic, TrafficConfig,
-};
+pub use traffic::{FleetChurnConfig, FleetChurnTraffic, OpenLoopTraffic, TrafficConfig};

@@ -5,9 +5,10 @@
 //! grows as n². This is exactly the regime where the cell-binned broad
 //! phase (`dda_core::contact::grid`) wins: real contact work stays
 //! linear in n while the quadratic candidate sweep becomes the dominant
-//! cost of every step. `bench5` sweeps this field across sizes, and the
-//! ingestion soak mixes it into its traffic so the grid + cache paths
-//! run under scheduler churn.
+//! cost of every step. The benchmark's `scatter_sparse` workload and the
+//! broad-phase claim in `tests/beyond_paper_claims.rs` run on this field,
+//! and the ingestion soak mixes it into its traffic so the grid + cache
+//! paths run under scheduler churn.
 //!
 //! The generator is seeded and fully deterministic: the same
 //! [`ScatterConfig`] yields a bitwise-identical [`BlockSystem`].
@@ -78,7 +79,7 @@ impl ScatterConfig {
 ///
 /// The returned params select [`BroadPhaseMode::GridCached`] — this
 /// workload exists to exercise the grid + cache path; callers comparing
-/// modes (e.g. `bench5`) override `params.broad_phase` per run.
+/// modes override `params.broad_phase` per run.
 pub fn scatter_case(cfg: &ScatterConfig) -> (BlockSystem, DdaParams) {
     assert!(cfg.sparsity >= 1, "sparsity must be >= 1");
     assert!(

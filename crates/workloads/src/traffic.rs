@@ -2,9 +2,7 @@
 //! [`SceneSubmission`]s that exercise a
 //! [`BatchScheduler`](dda_core::BatchScheduler) the way a production
 //! intake would — mixed priorities, deadlines, a configurable fraction of
-//! poisoned scenes, and either a fixed arrival rate (open loop, for
-//! overload studies) or a fixed concurrency target (closed loop, for
-//! sustained-throughput studies).
+//! poisoned scenes, at a fixed arrival rate (open loop).
 //!
 //! Everything is seeded: the same seed yields the same submission stream,
 //! so soak results and benchmark reports are reproducible.
@@ -132,46 +130,6 @@ impl OpenLoopTraffic {
         self.credit += self.rate_permille;
         let n = self.credit / 1000;
         self.credit %= 1000;
-        let subs: Vec<SceneSubmission> = (0..n)
-            .map(|_| self.cfg.sample(&mut self.rng, now))
-            .collect();
-        self.emitted += subs.len() as u64;
-        subs
-    }
-
-    /// Total submissions generated so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-}
-
-/// Closed-loop generator: each tick it tops the scheduler back up to a
-/// target number of in-flight scenes — the tool for sustained-throughput
-/// measurements, where the intake matches the drain by construction.
-#[derive(Debug)]
-pub struct ClosedLoopTraffic {
-    cfg: TrafficConfig,
-    target: usize,
-    rng: StdRng,
-    emitted: u64,
-}
-
-impl ClosedLoopTraffic {
-    /// A generator holding `target` scenes in flight, deterministic in
-    /// `seed`.
-    pub fn new(target: usize, cfg: TrafficConfig, seed: u64) -> ClosedLoopTraffic {
-        ClosedLoopTraffic {
-            cfg,
-            target,
-            rng: StdRng::seed_from_u64(seed),
-            emitted: 0,
-        }
-    }
-
-    /// The submissions needed to restore the concurrency target given the
-    /// scheduler's current `in_flight` count.
-    pub fn arrivals(&mut self, now: u64, in_flight: usize) -> Vec<SceneSubmission> {
-        let n = self.target.saturating_sub(in_flight);
         let subs: Vec<SceneSubmission> = (0..n)
             .map(|_| self.cfg.sample(&mut self.rng, now))
             .collect();
@@ -396,16 +354,6 @@ mod tests {
             hot * 10 >= total * 8,
             "900 permille skew must land most scenes on key 0 ({hot}/{total})"
         );
-    }
-
-    #[test]
-    fn closed_loop_tops_up_to_target() {
-        let mut t = ClosedLoopTraffic::new(6, TrafficConfig::default(), 1);
-        assert_eq!(t.arrivals(0, 0).len(), 6);
-        assert_eq!(t.arrivals(1, 4).len(), 2);
-        assert_eq!(t.arrivals(2, 6).len(), 0);
-        assert_eq!(t.arrivals(3, 9).len(), 0, "over target submits nothing");
-        assert_eq!(t.emitted(), 8);
     }
 
     #[test]

@@ -13,13 +13,16 @@
 //!   *bit-identical* to stepping the same scene alone in a `GpuPipeline`,
 //!   whichever preconditioner rung the scene was submitted with.
 
+use dda_repro::core::contact::BroadPhaseMode;
 use dda_repro::core::pipeline::{
     system_fingerprint, CpuPipeline, GpuPipeline, PrecondKind, SceneBatch,
 };
-use dda_repro::core::SlotState;
+use dda_repro::core::{BlockSystem, DdaParams, SlotState};
 use dda_repro::simt::{Device, DeviceProfile};
+use dda_repro::solver::SolverPrecision;
 use dda_repro::workloads::{
-    nan_contaminated_scene, rockfall_case, rockfall_fleet, FleetConfig, RockfallConfig,
+    nan_contaminated_scene, rockfall_case, rockfall_fleet, scatter_case, FleetConfig,
+    RockfallConfig, ScatterConfig,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -79,19 +82,29 @@ proptest! {
     }
 }
 
-/// Stepping a fleet through `SceneBatch` reproduces each scene's solo
-/// `GpuPipeline` trajectory bit for bit, report for report, while issuing
-/// strictly fewer launches than the scenes would separately.
-#[test]
-fn scene_batch_matches_solo_pipelines_bitwise() {
-    let fleet_cfg = FleetConfig::default().with_scenes(3).with_rocks(4);
-    let steps = 4;
+/// Steps `scenes` under broad-phase `mode` solo and batched and asserts the
+/// batch reproduces each scene's solo `GpuPipeline` trajectory bit for bit,
+/// report for report, while issuing strictly fewer launches than the scenes
+/// would separately. Returns the final fingerprints of the same scenes on
+/// the serial driver and on the device driver.
+fn assert_batch_matches_solos(
+    scenes: &[(BlockSystem, DdaParams)],
+    mode: BroadPhaseMode,
+    steps: usize,
+) -> (Vec<u64>, Vec<u64>) {
+    let fleet = || -> Vec<_> {
+        scenes
+            .iter()
+            .cloned()
+            .map(|(sys, params)| (sys, params.with_broad_phase(mode)))
+            .collect()
+    };
 
-    let mut solos: Vec<GpuPipeline> = rockfall_fleet(&fleet_cfg)
+    let mut solos: Vec<GpuPipeline> = fleet()
         .into_iter()
         .map(|(sys, params)| GpuPipeline::new(sys, params, k40()))
         .collect();
-    let mut batch = SceneBatch::new(k40(), rockfall_fleet(&fleet_cfg));
+    let mut batch = SceneBatch::new(k40(), fleet());
 
     for step in 0..steps {
         let solo_reports: Vec<_> = solos.iter_mut().map(|p| p.step()).collect();
@@ -136,14 +149,67 @@ fn scene_batch_matches_solo_pipelines_bitwise() {
             }
         }
     }
+    let serial = fleet()
+        .into_iter()
+        .map(|(sys, params)| {
+            let mut cpu = CpuPipeline::new(sys, params);
+            cpu.run(steps);
+            system_fingerprint(&cpu.sys)
+        })
+        .collect();
+    let device = solos.iter().map(|p| system_fingerprint(&p.sys)).collect();
+    (serial, device)
+}
+
+/// Batch == solo under every broad-phase mode, and the mode is invisible
+/// to the physics on every driver: the grid and its candidate cache decide
+/// *when* a pair is found, never what is computed, so the serial, device
+/// and (being bitwise the device) batched trajectories are the all-pairs
+/// ones bit for bit. Identical grid-mode scenes still merge their launches.
+///
+/// Two fleets: small rockfalls, where every pair shares the two giant
+/// fixed blocks' cells, and scattered fields of 64 and 200 blocks with
+/// O(1) neighbours each, where binning, the neighbour sweep and the
+/// cache's revalidation on movement decide which pairs are seen at all.
+#[test]
+fn scene_batch_matches_solo_pipelines_bitwise() {
+    let rockfalls = rockfall_fleet(&FleetConfig::default().with_scenes(3).with_rocks(4));
+    let fields = [64, 200].map(|n| scatter_case(&ScatterConfig::default().with_rocks(n)));
+    for (scenes, steps) in [(&rockfalls[..], 4), (&fields[..], 3)] {
+        let all_pairs = assert_batch_matches_solos(scenes, BroadPhaseMode::AllPairs, steps);
+        for mode in [BroadPhaseMode::Grid, BroadPhaseMode::GridCached] {
+            assert_eq!(
+                assert_batch_matches_solos(scenes, mode, steps),
+                all_pairs,
+                "{mode:?} perturbed the physics"
+            );
+        }
+    }
+
+    let [_, (sys, params)] = fields;
+    let twin = (sys, params.with_broad_phase(BroadPhaseMode::GridCached));
+    let mut twins = SceneBatch::new(k40(), vec![twin; 4]);
+    twins.run(2);
+    let (launches_in, launches_out) = twins.last_step_launches();
+    assert!(
+        3 * launches_out < launches_in,
+        "four identical grid-mode scenes must merge: {launches_in} -> {launches_out}"
+    );
 }
 
 /// A batch honours each scene's configured preconditioner: one scene per
 /// `PrecondKind`, stepped together, is bitwise the six solo runs — state,
-/// PCG iteration counts and the rung that carried the step. (The batched
-/// solve used to run Block-Jacobi whatever the scene asked for.)
+/// PCG iteration counts and the rung that carried the step — under both
+/// solver precisions. (The batched solve used to run Block-Jacobi whatever
+/// the scene asked for.)
 #[test]
 fn mixed_preconditioner_batch_matches_solo_pipelines_bitwise() {
+    for precision in [SolverPrecision::Full, SolverPrecision::Mixed] {
+        preconditioner_batch_matches_solos(precision);
+    }
+}
+
+fn preconditioner_batch_matches_solos(precision: SolverPrecision) {
     const KINDS: [PrecondKind; 6] = [
         PrecondKind::None,
         PrecondKind::BlockJacobi,
@@ -155,7 +221,10 @@ fn mixed_preconditioner_batch_matches_solo_pipelines_bitwise() {
     let scenes: Vec<_> = rockfall_fleet(&FleetConfig::default().with_scenes(6).with_rocks(4))
         .into_iter()
         .zip(KINDS)
-        .map(|((sys, params), kind)| (sys, params.with_precond(kind)))
+        .map(|((sys, params), kind)| {
+            let params = params.with_precond(kind).with_precision(precision);
+            (sys, params)
+        })
         .collect();
     let mut solos: Vec<GpuPipeline> = scenes
         .iter()
@@ -193,6 +262,13 @@ fn mixed_preconditioner_batch_matches_solo_pipelines_bitwise() {
         "None {} vs ILU0 {}",
         iterations[0],
         iterations[3]
+    );
+    // And the precision really differs: only `Mixed` launches fp32 kernels.
+    let by_kernel = batch.device().trace().by_kernel();
+    assert_eq!(
+        by_kernel.keys().any(|k| k.ends_with(".f32")),
+        precision == SolverPrecision::Mixed,
+        "{precision:?}"
     );
 }
 

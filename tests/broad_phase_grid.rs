@@ -109,8 +109,8 @@ fn one_cell_soup(rng: &mut Lcg, n: usize) -> BlockSystem {
     )
 }
 
-/// All four paths — serial/device × all-pairs/grid — must produce the
-/// same canonical pair list.
+/// Every path — serial/device × all-pairs/grid, and the cached grid on the
+/// device — must produce the same canonical pair list.
 fn assert_parity(sys: &BlockSystem, range: f64) {
     let mut counter = CpuCounter::default();
     let mut oracle = ContactWorkspace::new();
@@ -143,6 +143,19 @@ fn assert_parity(sys: &BlockSystem, range: f64) {
     let mut grid_gpu = ContactWorkspace::new();
     detect_broad_gpu(&dev, &soa, BroadPhaseMode::Grid, range, 0.0, &mut grid_gpu);
     assert_eq!(grid_gpu.pairs, oracle.pairs, "device grid vs all-pairs");
+
+    // The cached device path, on the call that builds the candidate set
+    // and on the next one, which is served from it.
+    let mut cached_gpu = ContactWorkspace::new();
+    for call in ["build", "hit"] {
+        let mode = BroadPhaseMode::GridCached;
+        detect_broad_gpu(&dev, &soa, mode, range, 0.1, &mut cached_gpu);
+        assert_eq!(
+            cached_gpu.pairs, oracle.pairs,
+            "device cached grid ({call}) vs all-pairs"
+        );
+    }
+    assert_eq!((cached_gpu.cache.rebuilds, cached_gpu.cache.hits), (1, 1));
 }
 
 #[test]
