@@ -90,6 +90,22 @@ pub struct SceneState {
     pub health: SceneHealth,
 }
 
+impl SceneState {
+    /// The state of a scene that has not stepped yet: a zero warm start
+    /// (six entries per block), no contacts, zero module times, and a
+    /// running health record.
+    pub fn fresh(sys: BlockSystem, params: DdaParams) -> SceneState {
+        SceneState {
+            x_prev: vec![0.0; 6 * sys.len()],
+            sys,
+            params,
+            contacts: Vec::new(),
+            times: ModuleTimes::default(),
+            health: SceneHealth::new_running(),
+        }
+    }
+}
+
 /// Steps N independent scenes concurrently on one modeled device (see the
 /// module docs for the batching model and the scene lifecycle).
 pub struct SceneBatch {
@@ -171,14 +187,7 @@ impl SceneBatch {
     /// fresh [`SceneHealth`] — so a new scene can never inherit its
     /// predecessor's failure counters or Δt backoff.
     pub fn admit(&mut self, sys: BlockSystem, params: DdaParams) -> usize {
-        self.admit_state(SceneState {
-            x_prev: vec![0.0; 6 * sys.len()],
-            sys,
-            params,
-            contacts: Vec::new(),
-            times: ModuleTimes::default(),
-            health: SceneHealth::new_running(),
-        })
+        self.admit_state(SceneState::fresh(sys, params))
     }
 
     /// Admits a previously captured [`SceneState`] — the restore half of

@@ -100,9 +100,9 @@ use dda_simt::Device;
 
 use crate::system::BlockSystem;
 
+use super::codec::{encode_intent, encode_scene_record};
 use super::ingest::{
-    BatchScheduler, FleetCheckpoint, FleetScene, IngestConfig, IngestError, SceneStatus,
-    SceneSubmission, Ticket,
+    BatchScheduler, FleetScene, IngestConfig, IngestError, SceneStatus, SceneSubmission, Ticket,
 };
 #[cfg(feature = "fault-inject")]
 use super::wal::WalIoOp;
@@ -304,8 +304,8 @@ pub enum MigrationPhase {
     /// After the source extracted the scene (it stopped stepping), before
     /// the destination adopts.
     AfterCapture,
-    /// After the destination adopted, just before the `MigrateCommit`
-    /// record is appended.
+    /// With the adopter chosen, just before the `MigrateCommit` record is
+    /// appended (adoption itself is host bookkeeping that follows it).
     BeforeCommit,
 }
 
@@ -460,17 +460,9 @@ impl FleetRouter {
             };
             // Re-journal into the fresh segment so pruning the old ones
             // can never lose a finished scene's result.
-            let seg = router.wal.segment_index();
-            router.wal.append(
-                WalRecordKind::Terminal,
-                id,
-                0,
-                ro.epoch,
-                outcome.encode().as_bytes(),
-            )?;
-            router.outcomes.insert(id, (outcome, seg));
+            router.journal_outcome(id, 0, ro.epoch, outcome)?;
         }
-        for (&id, rs) in &replay.live {
+        for (id, rs) in replay.live {
             max_id = Some(max_id.map_or(id, |m| m.max(id)));
             let preferred = (rs.device as usize) < router.workers.len();
             let target = if preferred {
@@ -484,7 +476,7 @@ impl FleetRouter {
                     }
                 }
             };
-            router.adopt_scene(target, id, rs.scene.clone(), rs.taken_at, rs.epoch)?;
+            router.adopt_scene(target, id, rs.scene, rs.taken_at, rs.epoch)?;
         }
         router.wal.sync()?;
         if router.cfg.prune {
@@ -536,19 +528,10 @@ impl FleetRouter {
         self.next_scene += 1;
         let snapshot = self.workers[dev]
             .sched
-            .snapshot_inflight()
-            .into_iter()
-            .find(|(t, _)| *t == ticket)
-            .map(|(_, s)| s)
+            .snapshot(ticket)
             .expect("freshly submitted scene is in flight");
-        let payload = FleetCheckpoint {
-            taken_at_step: self.now,
-            scenes: vec![snapshot],
-        }
-        .encode();
         let journaled = self
-            .wal
-            .append(WalRecordKind::Submit, id, dev as u32, 0, payload.as_bytes())
+            .journal_scene(WalRecordKind::Submit, id, dev, 0, self.now, &snapshot)
             .and_then(|_| self.wal.sync());
         if let Err(e) = journaled {
             // The ack never happened: pull the scene back out of the
@@ -694,19 +677,11 @@ impl FleetRouter {
                 self.epochs.remove(&id);
                 self.scene_locality.remove(&id);
                 self.cooldown.remove(&id);
-                let seg = self.wal.segment_index();
                 let out = FleetOutcome {
                     outcome,
                     fingerprint,
                 };
-                self.wal.append(
-                    WalRecordKind::Terminal,
-                    id,
-                    i as u32,
-                    owned.epoch,
-                    out.encode().as_bytes(),
-                )?;
-                self.outcomes.insert(id, (out, seg));
+                self.journal_outcome(id, i, owned.epoch, out)?;
                 match outcome {
                     WalOutcome::Completed => {
                         rep.completed += 1;
@@ -763,17 +738,13 @@ impl FleetRouter {
                     let Some(&owned) = self.workers[i].scenes.get(&ticket) else {
                         continue;
                     };
-                    let payload = FleetCheckpoint {
-                        taken_at_step: self.now,
-                        scenes: vec![fs],
-                    }
-                    .encode();
-                    self.wal.append(
+                    self.journal_scene(
                         WalRecordKind::Snap,
                         owned.id,
-                        i as u32,
+                        i,
                         owned.epoch,
-                        payload.as_bytes(),
+                        self.now,
+                        &fs,
                     )?;
                 }
             }
@@ -782,15 +753,7 @@ impl FleetRouter {
                 for id in ids {
                     let (out, seg) = self.outcomes[&id];
                     if seg < barrier {
-                        let new_seg = self.wal.segment_index();
-                        self.wal.append(
-                            WalRecordKind::Terminal,
-                            id,
-                            0,
-                            0,
-                            out.encode().as_bytes(),
-                        )?;
-                        self.outcomes.insert(id, (out, new_seg));
+                        self.journal_outcome(id, 0, 0, out)?;
                     }
                 }
             }
@@ -901,7 +864,7 @@ impl FleetRouter {
             id,
             dst as u32,
             new_epoch,
-            src.to_string().as_bytes(),
+            encode_intent(src as u32).as_bytes(),
         )?;
         self.wal.sync()?;
         self.epochs.insert(id, new_epoch);
@@ -954,15 +917,27 @@ impl FleetRouter {
                 }
             }
         };
-        // Phase 3: adopt, then journal the commit naming the actual
-        // adopter. The commit rides the tick's group commit — if the
-        // process dies before that fsync, replay rolls the intent forward
-        // instead, landing the scene on a destination all the same.
-        let payload = FleetCheckpoint {
-            taken_at_step: self.now,
-            scenes: vec![fsc.clone()],
+        // Phase 3: journal the commit naming the actual adopter, then
+        // adopt. The commit rides the tick's group commit — if the process
+        // dies before that fsync, replay rolls the intent forward instead,
+        // landing the scene on a destination all the same. An adopter that
+        // crashed first still takes the scene but journals no commit —
+        // exactly what a real mid-handoff crash leaves behind — and the
+        // death path replays the WAL (rolling the intent forward) and
+        // re-places it.
+        #[cfg(feature = "fault-inject")]
+        self.fire_migration_crash(MigrationPhase::BeforeCommit, src, dst);
+        let committed = self.device_ok(target);
+        if committed {
+            self.journal_scene(
+                WalRecordKind::MigrateCommit,
+                id,
+                target,
+                new_epoch,
+                self.now,
+                &fsc,
+            )?;
         }
-        .encode();
         let new_ticket = self.workers[target].sched.adopt(fsc);
         self.workers[target].scenes.insert(
             new_ticket,
@@ -975,23 +950,10 @@ impl FleetRouter {
         if let Some(&key) = self.scene_locality.get(&id) {
             self.locality.insert(key, target as u32);
         }
-        #[cfg(feature = "fault-inject")]
-        self.fire_migration_crash(MigrationPhase::BeforeCommit, src, dst);
-        if !self.device_ok(target) {
-            // The adopter crashed between adoption and the commit record
-            // — exactly what a real mid-handoff crash leaves behind: a
-            // pending intent, no commit. The death path replays the WAL
-            // (rolling the intent forward) and re-places the scene.
+        if !committed {
             self.stats.migration_wal_seconds += self.wal.stats().modeled_seconds - wal_before;
             return Ok(false);
         }
-        self.wal.append(
-            WalRecordKind::MigrateCommit,
-            id,
-            target as u32,
-            new_epoch,
-            payload.as_bytes(),
-        )?;
         self.cooldown
             .insert(id, self.now + self.cfg.rebalance.cooldown_ticks);
         self.stats.migration_wal_seconds += self.wal.stats().modeled_seconds - wal_before;
@@ -1009,24 +971,8 @@ impl FleetRouter {
         ticket: Ticket,
         epoch: u64,
     ) -> Result<(), FleetError> {
-        if let Some((_, fs)) = self.workers[src]
-            .sched
-            .snapshot_inflight()
-            .into_iter()
-            .find(|(t, _)| *t == ticket)
-        {
-            let payload = FleetCheckpoint {
-                taken_at_step: self.now,
-                scenes: vec![fs],
-            }
-            .encode();
-            self.wal.append(
-                WalRecordKind::Snap,
-                id,
-                src as u32,
-                epoch,
-                payload.as_bytes(),
-            )?;
+        if let Some(fs) = self.workers[src].sched.snapshot(ticket) {
+            self.journal_scene(WalRecordKind::Snap, id, src, epoch, self.now, &fs)?;
         }
         if let Some(o) = self.workers[src].scenes.get_mut(&ticket) {
             o.epoch = epoch;
@@ -1069,7 +1015,7 @@ impl FleetRouter {
         // gone, and with it the scheduler's working set. Sync staged
         // records (they describe *other* devices' boundaries) and replay.
         self.wal.sync()?;
-        let replay = WalReplay::load(self.wal.dir())?;
+        let mut replay = WalReplay::load(self.wal.dir())?;
         let ids: Vec<SceneId> = self.workers[dead].scenes.values().map(|o| o.id).collect();
         // A fail-stop crash wipes the device: clear its ownership map. A
         // fail-silent hang does NOT — the hardware may still be running,
@@ -1085,7 +1031,7 @@ impl FleetRouter {
         }
         let mut migrated = 0;
         for id in ids {
-            let Some(rs) = replay.live.get(&id) else {
+            let Some(rs) = replay.live.remove(&id) else {
                 // Terminal'd between snapshots — its outcome is already
                 // durable; nothing to migrate.
                 continue;
@@ -1100,7 +1046,7 @@ impl FleetRouter {
             // router's authoritative epoch and anything the log carries,
             // fencing the dead device if it ever wakes.
             let next_epoch = self.epochs.get(&id).copied().unwrap_or(0).max(rs.epoch) + 1;
-            self.adopt_scene(target, id, rs.scene.clone(), rs.taken_at, next_epoch)?;
+            self.adopt_scene(target, id, rs.scene, rs.taken_at, next_epoch)?;
             if let Some(key) = locality {
                 self.locality.insert(key, target as u32);
             }
@@ -1121,24 +1067,51 @@ impl FleetRouter {
         taken_at: u64,
         epoch: u64,
     ) -> Result<(), FleetError> {
-        let payload = FleetCheckpoint {
-            taken_at_step: taken_at,
-            scenes: vec![scene.clone()],
-        }
-        .encode();
-        self.wal.append(
-            WalRecordKind::Snap,
-            id,
-            target as u32,
-            epoch,
-            payload.as_bytes(),
-        )?;
+        self.journal_scene(WalRecordKind::Snap, id, target, epoch, taken_at, &scene)?;
         let ticket = self.workers[target].sched.adopt(scene);
         self.workers[target]
             .scenes
             .insert(ticket, Owned { id, epoch });
         self.placements.insert(id, target as u32);
         self.epochs.insert(id, epoch);
+        Ok(())
+    }
+
+    /// Appends `scene` as a `kind` record (Submit, Snap or MigrateCommit):
+    /// the one place the router encodes a scene payload.
+    fn journal_scene(
+        &mut self,
+        kind: WalRecordKind,
+        id: SceneId,
+        device: usize,
+        epoch: u64,
+        taken_at: u64,
+        scene: &FleetScene,
+    ) -> Result<u64, WalError> {
+        let payload = encode_scene_record(taken_at, scene);
+        self.wal
+            .append(kind, id, device as u32, epoch, payload.as_bytes())
+    }
+
+    /// Appends a terminal record and remembers the segment it was
+    /// journaled in (pruning re-journals outcomes below its barrier).
+    fn journal_outcome(
+        &mut self,
+        id: SceneId,
+        device: usize,
+        epoch: u64,
+        out: FleetOutcome,
+    ) -> Result<(), WalError> {
+        let seg = self.wal.segment_index();
+        let payload = out.outcome.encode(out.fingerprint);
+        self.wal.append(
+            WalRecordKind::Terminal,
+            id,
+            device as u32,
+            epoch,
+            payload.as_bytes(),
+        )?;
+        self.outcomes.insert(id, (out, seg));
         Ok(())
     }
 
@@ -1298,12 +1271,6 @@ impl FleetRouter {
             .iter()
             .map(|w| w.sched.batch().device().modeled_seconds())
             .sum()
-    }
-}
-
-impl FleetOutcome {
-    fn encode(&self) -> String {
-        self.outcome.encode(self.fingerprint)
     }
 }
 

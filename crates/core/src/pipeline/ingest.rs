@@ -4,22 +4,21 @@
 //! module puts an admission layer *in front of* it so a fleet can be fed
 //! faster than it drains without losing control of memory or latency:
 //!
-//! * [`IntakeQueue`] — a bounded, priority-laned submission queue with
-//!   explicit backpressure. A full queue rejects with
-//!   [`IngestError::QueueFull`] instead of growing; a submission whose
-//!   deadline passes before admission is shed with a structured record.
-//! * [`BatchScheduler`] — drives one [`SceneBatch`] tick by tick: sheds
-//!   expired work, drains the queue into retired slots at step
+//! * a bounded, priority-laned intake queue with explicit backpressure: a
+//!   full queue rejects with [`IngestError::QueueFull`] instead of growing,
+//!   and a submission whose deadline passes before admission is shed with
+//!   a structured record;
+//! * [`BatchScheduler`], which drives one [`SceneBatch`] tick by tick:
+//!   sheds expired work, drains the queue into retired slots at step
 //!   boundaries, steps the batch, books completions and quarantines,
-//!   requeues early-faulting scenes once with a repaired Δt, compacts
-//!   the batch when dead slots pass a watermark, and takes periodic
-//!   checkpoints.
-//! * [`SceneCheckpoint`] / [`FleetCheckpoint`] — a dependency-free text
-//!   codec over a scene's **complete** resumable state
-//!   ([`SceneState`]: system, parameters, contact history, warm start,
-//!   timing ledger, health). Every `f64` is stored as the hex of its
-//!   bit pattern, so a restored scene's continued trajectory is
-//!   bit-identical to one that never left the process.
+//!   requeues early-faulting scenes once with a repaired Δt, and compacts
+//!   the batch when dead slots pass a watermark.
+//!
+//! Every in-flight scene, queued or in a slot, carries one [`Envelope`]:
+//! run steps, priority, requeued, deadline. A [`FleetScene`] is that
+//! envelope plus the scene's full [`SceneState`] — what snapshots, the
+//! fleet WAL and live migration hand around. Its text form lives in
+//! [`super::codec`].
 //!
 //! Everything here is host-side bookkeeping between steps: no modeled
 //! device launches, so admission control never perturbs the physics or
@@ -27,828 +26,14 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use dda_geom::{Polygon, Vec2};
 use dda_simt::Device;
-use dda_solver::{PrecondError, PrecondKind, SolveError, SolverPrecision};
 
-use crate::block::Block;
-use crate::contact::{BroadPhaseMode, Contact, ContactKind, ContactOrder, ContactState};
-use crate::material::{BlockMaterial, JointMaterial};
-use crate::params::{AssemblyReuse, DdaParams, SolverWarmStart};
-use crate::system::{BlockSystem, PointLoad};
+use crate::params::DdaParams;
+use crate::system::BlockSystem;
 
 use super::batch::{SceneBatch, SceneState};
+use super::codec::FleetCheckpoint;
 use super::health::{HealthPolicy, SceneHealth, SlotState, StepError};
-use super::ModuleTimes;
-
-// ---------------------------------------------------------------------------
-// Checkpoint codec
-// ---------------------------------------------------------------------------
-
-/// Format magic opening a serialized [`SceneCheckpoint`].
-const SCENE_MAGIC: &str = "ddack1";
-/// Format magic opening a serialized [`FleetCheckpoint`].
-const FLEET_MAGIC: &str = "ddafleet1";
-
-/// Diagnostic placeholder restored in place of a [`StepError::Internal`]
-/// message, whose `&'static str` cannot survive serialization.
-const RESTORED_INTERNAL: &str = "internal fault (diagnostic lost across checkpoint restore)";
-
-/// Failure decoding a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointError {
-    /// The token stream ended before the structure was complete.
-    Truncated,
-    /// The stream does not open with the expected format magic.
-    BadMagic {
-        /// The magic word this decoder expected.
-        expected: &'static str,
-    },
-    /// A token failed to parse or carried an out-of-range value.
-    Malformed {
-        /// What the decoder was trying to read.
-        what: &'static str,
-    },
-}
-
-impl core::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            CheckpointError::Truncated => write!(f, "checkpoint truncated"),
-            CheckpointError::BadMagic { expected } => {
-                write!(f, "not a checkpoint: expected magic {expected:?}")
-            }
-            CheckpointError::Malformed { what } => {
-                write!(f, "malformed checkpoint: bad {what}")
-            }
-        }
-    }
-}
-
-/// Whitespace-separated token writer. `f64` values are written as the
-/// 16-hex-digit bit pattern so round-trips are exact for every value,
-/// NaN payloads and signed zeros included.
-struct Enc {
-    out: String,
-}
-
-impl Enc {
-    fn new(magic: &str) -> Enc {
-        let mut e = Enc { out: String::new() };
-        e.word(magic);
-        e
-    }
-
-    fn word(&mut self, w: &str) {
-        if !self.out.is_empty() {
-            self.out.push(' ');
-        }
-        self.out.push_str(w);
-    }
-
-    fn u(&mut self, v: u64) {
-        let s = v.to_string();
-        self.word(&s);
-    }
-
-    fn f(&mut self, v: f64) {
-        let s = format!("{:016x}", v.to_bits());
-        self.word(&s);
-    }
-
-    fn finish(self) -> String {
-        self.out
-    }
-}
-
-/// Bounded pre-reservation for a decoded element count. A corrupt or
-/// hostile count (e.g. `u64::MAX`) must never translate directly into an
-/// allocation — `Vec::with_capacity` aborts the process on overflow, which
-/// would turn a malformed checkpoint into a crash instead of a decode
-/// error. Reserving at most this much up front keeps memory proportional
-/// to the *actual* input: each decoded element consumes at least one
-/// token, so growth beyond the cap is bounded by the text length, and a
-/// lying count runs out of tokens and fails with `Truncated`.
-fn cap_alloc(n: usize) -> usize {
-    n.min(4096)
-}
-
-/// Token reader matching [`Enc`].
-struct Dec<'a> {
-    toks: std::str::SplitWhitespace<'a>,
-}
-
-impl<'a> Dec<'a> {
-    fn new(text: &'a str, magic: &'static str) -> Result<Dec<'a>, CheckpointError> {
-        let mut d = Dec {
-            toks: text.split_whitespace(),
-        };
-        match d.toks.next() {
-            Some(w) if w == magic => Ok(d),
-            Some(_) => Err(CheckpointError::BadMagic { expected: magic }),
-            None => Err(CheckpointError::Truncated),
-        }
-    }
-
-    fn tok(&mut self) -> Result<&'a str, CheckpointError> {
-        self.toks.next().ok_or(CheckpointError::Truncated)
-    }
-
-    fn u(&mut self) -> Result<u64, CheckpointError> {
-        self.tok()?.parse().map_err(|_| CheckpointError::Malformed {
-            what: "unsigned integer",
-        })
-    }
-
-    fn usz(&mut self) -> Result<usize, CheckpointError> {
-        Ok(self.u()? as usize)
-    }
-
-    fn f(&mut self) -> Result<f64, CheckpointError> {
-        let t = self.tok()?;
-        if t.len() != 16 {
-            return Err(CheckpointError::Malformed {
-                what: "f64 bit pattern",
-            });
-        }
-        u64::from_str_radix(t, 16)
-            .map(f64::from_bits)
-            .map_err(|_| CheckpointError::Malformed {
-                what: "f64 bit pattern",
-            })
-    }
-
-    fn flag(&mut self) -> Result<bool, CheckpointError> {
-        match self.u()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CheckpointError::Malformed { what: "flag" }),
-        }
-    }
-
-    fn finish(mut self) -> Result<(), CheckpointError> {
-        if self.toks.next().is_some() {
-            Err(CheckpointError::Malformed {
-                what: "trailing tokens",
-            })
-        } else {
-            Ok(())
-        }
-    }
-}
-
-fn enc_step_error(e: &mut Enc, err: &StepError) {
-    match err {
-        StepError::NonFiniteRhs { oc_iteration } => {
-            e.u(1);
-            e.u(*oc_iteration as u64);
-        }
-        StepError::NonFiniteSolution { oc_iteration } => {
-            e.u(2);
-            e.u(*oc_iteration as u64);
-        }
-        StepError::NonFiniteGaps { oc_iteration } => {
-            e.u(3);
-            e.u(*oc_iteration as u64);
-        }
-        StepError::Diverged { max_displacement } => {
-            e.u(4);
-            e.f(*max_displacement);
-        }
-        StepError::SolverBreakdown { error } => {
-            e.u(5);
-            match error {
-                SolveError::IndefiniteOperator { pq, iteration } => {
-                    e.u(0);
-                    e.f(*pq);
-                    e.u(*iteration as u64);
-                }
-                SolveError::NonFinite { iteration } => {
-                    e.u(1);
-                    e.u(*iteration as u64);
-                }
-                SolveError::SingularPreconditioner { block } => {
-                    e.u(2);
-                    e.u(*block as u64);
-                }
-            }
-        }
-        StepError::PreconditionerFailed { error } => {
-            e.u(6);
-            match error {
-                PrecondError::ZeroPivot { row, pivot } => {
-                    e.u(0);
-                    e.u(*row as u64);
-                    e.f(*pivot);
-                }
-                PrecondError::MissingDiagonal { row } => {
-                    e.u(1);
-                    e.u(*row as u64);
-                }
-                PrecondError::SingularBlock { block } => {
-                    e.u(2);
-                    e.u(*block as u64);
-                }
-                PrecondError::ZeroDiagonal { row } => {
-                    e.u(3);
-                    e.u(*row as u64);
-                }
-                PrecondError::SingularCoarse { row } => {
-                    e.u(4);
-                    e.u(*row as u64);
-                }
-            }
-        }
-        StepError::OcStalled { streak } => {
-            e.u(7);
-            e.u(*streak as u64);
-        }
-        // The `&'static str` diagnostic cannot cross a serialization
-        // boundary; the variant survives, the message is replaced on decode.
-        StepError::Internal { .. } => e.u(8),
-    }
-}
-
-fn dec_step_error(d: &mut Dec<'_>) -> Result<StepError, CheckpointError> {
-    Ok(match d.u()? {
-        1 => StepError::NonFiniteRhs {
-            oc_iteration: d.usz()?,
-        },
-        2 => StepError::NonFiniteSolution {
-            oc_iteration: d.usz()?,
-        },
-        3 => StepError::NonFiniteGaps {
-            oc_iteration: d.usz()?,
-        },
-        4 => StepError::Diverged {
-            max_displacement: d.f()?,
-        },
-        5 => StepError::SolverBreakdown {
-            error: match d.u()? {
-                0 => SolveError::IndefiniteOperator {
-                    pq: d.f()?,
-                    iteration: d.usz()?,
-                },
-                1 => SolveError::NonFinite {
-                    iteration: d.usz()?,
-                },
-                2 => SolveError::SingularPreconditioner { block: d.usz()? },
-                _ => {
-                    return Err(CheckpointError::Malformed {
-                        what: "solver-breakdown tag",
-                    })
-                }
-            },
-        },
-        6 => StepError::PreconditionerFailed {
-            error: match d.u()? {
-                0 => PrecondError::ZeroPivot {
-                    row: d.usz()?,
-                    pivot: d.f()?,
-                },
-                1 => PrecondError::MissingDiagonal { row: d.usz()? },
-                2 => PrecondError::SingularBlock { block: d.usz()? },
-                3 => PrecondError::ZeroDiagonal { row: d.usz()? },
-                4 => PrecondError::SingularCoarse { row: d.usz()? },
-                _ => {
-                    return Err(CheckpointError::Malformed {
-                        what: "preconditioner-failure tag",
-                    })
-                }
-            },
-        },
-        7 => StepError::OcStalled { streak: d.usz()? },
-        8 => StepError::Internal {
-            what: RESTORED_INTERNAL,
-        },
-        _ => {
-            return Err(CheckpointError::Malformed {
-                what: "step-error tag",
-            })
-        }
-    })
-}
-
-fn enc_health(e: &mut Enc, h: &SceneHealth) {
-    e.u(match h.state {
-        SlotState::Running => 0,
-        SlotState::Degraded => 1,
-        SlotState::Quarantined => 2,
-        SlotState::Retired => 3,
-    });
-    e.u(h.consecutive_failures as u64);
-    e.u(h.steps_committed);
-    e.u(h.oc_stall_streak as u64);
-    e.u(h.fallback_solves as u64);
-    e.u(h.total_faults as u64);
-    match &h.last_error {
-        None => e.u(0),
-        Some(err) => {
-            e.u(1);
-            enc_step_error(e, err);
-        }
-    }
-    match h.quarantined_at_step {
-        None => e.u(0),
-        Some(s) => {
-            e.u(1);
-            e.u(s);
-        }
-    }
-}
-
-fn dec_health(d: &mut Dec<'_>) -> Result<SceneHealth, CheckpointError> {
-    let state = match d.u()? {
-        0 => SlotState::Running,
-        1 => SlotState::Degraded,
-        2 => SlotState::Quarantined,
-        3 => SlotState::Retired,
-        _ => {
-            return Err(CheckpointError::Malformed {
-                what: "slot-state tag",
-            })
-        }
-    };
-    let consecutive_failures = d.usz()?;
-    let steps_committed = d.u()?;
-    let oc_stall_streak = d.usz()?;
-    let fallback_solves = d.usz()?;
-    let total_faults = d.usz()?;
-    let last_error = if d.flag()? {
-        Some(dec_step_error(d)?)
-    } else {
-        None
-    };
-    let quarantined_at_step = if d.flag()? { Some(d.u()?) } else { None };
-    Ok(SceneHealth {
-        state,
-        consecutive_failures,
-        steps_committed,
-        oc_stall_streak,
-        fallback_solves,
-        total_faults,
-        last_error,
-        quarantined_at_step,
-    })
-}
-
-fn dec_contact_state(d: &mut Dec<'_>) -> Result<ContactState, CheckpointError> {
-    Ok(match d.u()? {
-        0 => ContactState::Open,
-        1 => ContactState::Slide,
-        2 => ContactState::Lock,
-        _ => {
-            return Err(CheckpointError::Malformed {
-                what: "contact-state tag",
-            })
-        }
-    })
-}
-
-fn enc_state(e: &mut Enc, st: &SceneState) {
-    e.u(st.sys.blocks.len() as u64);
-    for b in &st.sys.blocks {
-        let vs = b.poly.vertices();
-        e.u(vs.len() as u64);
-        for v in vs {
-            e.f(v.x);
-            e.f(v.y);
-        }
-        e.u(b.material as u64);
-        for dof in 0..6 {
-            e.f(b.velocity[dof]);
-        }
-        for s in b.stress {
-            e.f(s);
-        }
-        e.u(b.fixed as u64);
-    }
-    e.u(st.sys.block_materials.len() as u64);
-    for m in &st.sys.block_materials {
-        e.f(m.density);
-        e.f(m.young);
-        e.f(m.poisson);
-        e.f(m.body_force[0]);
-        e.f(m.body_force[1]);
-    }
-    e.u(st.sys.joint_materials.len() as u64);
-    for m in &st.sys.joint_materials {
-        e.f(m.friction_angle_deg);
-        e.f(m.cohesion);
-        e.f(m.tensile_strength);
-    }
-    e.u(st.sys.point_loads.len() as u64);
-    for l in &st.sys.point_loads {
-        e.u(l.block as u64);
-        e.f(l.point.x);
-        e.f(l.point.y);
-        e.f(l.force.x);
-        e.f(l.force.y);
-    }
-    let p = &st.params;
-    e.f(p.dt);
-    e.f(p.dt_max);
-    e.f(p.dt_min);
-    e.f(p.max_displacement);
-    e.f(p.penalty);
-    e.f(p.shear_ratio);
-    e.u(p.oc_max_iters as u64);
-    e.f(p.contact_range);
-    e.f(p.touch_tol);
-    e.f(p.pcg.tol);
-    e.u(p.pcg.max_iters as u64);
-    e.f(p.dynamics);
-    e.f(p.fixity_factor);
-    e.u(match p.broad_phase {
-        BroadPhaseMode::AllPairs => 0,
-        BroadPhaseMode::Grid => 1,
-        BroadPhaseMode::GridCached => 2,
-    });
-    e.f(p.broad_slack);
-    e.u(match p.precond {
-        PrecondKind::None => 0,
-        PrecondKind::BlockJacobi => 1,
-        PrecondKind::SsorAi => 2,
-        PrecondKind::Ilu0 => 3,
-        PrecondKind::Jacobi => 4,
-        PrecondKind::Amg2 => 5,
-    });
-    e.u(match p.precision {
-        SolverPrecision::Full => 0,
-        SolverPrecision::Mixed => 1,
-    });
-    e.u(match p.contact_order {
-        ContactOrder::Discovery => 0,
-        ContactOrder::ClassSorted => 1,
-    });
-    e.u(match p.assembly_reuse {
-        AssemblyReuse::Recompute => 0,
-        AssemblyReuse::Incremental => 1,
-    });
-    e.u(match p.warm_start {
-        SolverWarmStart::PrevStep => 0,
-        SolverWarmStart::PrevIterate => 1,
-    });
-    e.u(st.contacts.len() as u64);
-    for c in &st.contacts {
-        e.u(c.i as u64);
-        e.u(c.j as u64);
-        e.u(c.vertex as u64);
-        e.u(c.edge as u64);
-        e.u(c.vertex2 as u64);
-        e.u(c.kind as u64);
-        e.u(c.state as u64);
-        e.u(c.prev_step_state as u64);
-        e.u(c.prev_iter_state as u64);
-        e.f(c.normal_disp);
-        e.f(c.shear_disp);
-        e.f(c.edge_ratio);
-        e.f(c.slide_dir);
-        e.u(c.flips as u64);
-    }
-    e.u(st.x_prev.len() as u64);
-    for x in &st.x_prev {
-        e.f(*x);
-    }
-    let t = &st.times;
-    e.f(t.contact_detection);
-    e.f(t.diag_building);
-    e.f(t.nondiag_building);
-    e.f(t.solving);
-    e.f(t.interpenetration);
-    e.f(t.updating);
-    enc_health(e, &st.health);
-}
-
-fn dec_state(d: &mut Dec<'_>) -> Result<SceneState, CheckpointError> {
-    let n_blocks = d.usz()?;
-    let mut blocks = Vec::with_capacity(cap_alloc(n_blocks));
-    for _ in 0..n_blocks {
-        let nv = d.usz()?;
-        if nv < 3 {
-            return Err(CheckpointError::Malformed {
-                what: "polygon with fewer than 3 vertices",
-            });
-        }
-        let mut vs = Vec::with_capacity(cap_alloc(nv));
-        for _ in 0..nv {
-            let x = d.f()?;
-            let y = d.f()?;
-            vs.push(Vec2::new(x, y));
-        }
-        let material = d.u()? as u32;
-        // `Polygon::new` keeps already-CCW vertices untouched and
-        // `Block::new` recomputes the cached centroid/area/moments with
-        // the same code that produced them, so reconstruction is bitwise.
-        let mut b = Block::new(Polygon::new(vs), material);
-        for dof in 0..6 {
-            b.velocity[dof] = d.f()?;
-        }
-        for s in 0..3 {
-            b.stress[s] = d.f()?;
-        }
-        b.fixed = d.flag()?;
-        blocks.push(b);
-    }
-    let n = d.usz()?;
-    let mut block_materials = Vec::with_capacity(cap_alloc(n));
-    for _ in 0..n {
-        block_materials.push(BlockMaterial {
-            density: d.f()?,
-            young: d.f()?,
-            poisson: d.f()?,
-            body_force: [d.f()?, d.f()?],
-        });
-    }
-    let n = d.usz()?;
-    let mut joint_materials = Vec::with_capacity(cap_alloc(n));
-    for _ in 0..n {
-        joint_materials.push(JointMaterial {
-            friction_angle_deg: d.f()?,
-            cohesion: d.f()?,
-            tensile_strength: d.f()?,
-        });
-    }
-    let n = d.usz()?;
-    let mut point_loads = Vec::with_capacity(cap_alloc(n));
-    for _ in 0..n {
-        point_loads.push(PointLoad {
-            block: d.u()? as u32,
-            point: Vec2::new(d.f()?, d.f()?),
-            force: Vec2::new(d.f()?, d.f()?),
-        });
-    }
-    let sys = BlockSystem {
-        blocks,
-        block_materials,
-        joint_materials,
-        point_loads,
-    };
-    let params = DdaParams {
-        dt: d.f()?,
-        dt_max: d.f()?,
-        dt_min: d.f()?,
-        max_displacement: d.f()?,
-        penalty: d.f()?,
-        shear_ratio: d.f()?,
-        oc_max_iters: d.usz()?,
-        contact_range: d.f()?,
-        touch_tol: d.f()?,
-        pcg: dda_solver::PcgOptions {
-            tol: d.f()?,
-            max_iters: d.usz()?,
-        },
-        dynamics: d.f()?,
-        fixity_factor: d.f()?,
-        broad_phase: match d.u()? {
-            0 => BroadPhaseMode::AllPairs,
-            1 => BroadPhaseMode::Grid,
-            2 => BroadPhaseMode::GridCached,
-            _ => {
-                return Err(CheckpointError::Malformed {
-                    what: "unknown broad-phase mode",
-                })
-            }
-        },
-        broad_slack: d.f()?,
-        precond: match d.u()? {
-            0 => PrecondKind::None,
-            1 => PrecondKind::BlockJacobi,
-            2 => PrecondKind::SsorAi,
-            3 => PrecondKind::Ilu0,
-            4 => PrecondKind::Jacobi,
-            5 => PrecondKind::Amg2,
-            _ => {
-                return Err(CheckpointError::Malformed {
-                    what: "preconditioner-kind tag",
-                })
-            }
-        },
-        precision: match d.u()? {
-            0 => SolverPrecision::Full,
-            1 => SolverPrecision::Mixed,
-            _ => {
-                return Err(CheckpointError::Malformed {
-                    what: "solver-precision tag",
-                })
-            }
-        },
-        contact_order: match d.u()? {
-            0 => ContactOrder::Discovery,
-            1 => ContactOrder::ClassSorted,
-            _ => {
-                return Err(CheckpointError::Malformed {
-                    what: "contact-order tag",
-                })
-            }
-        },
-        assembly_reuse: match d.u()? {
-            0 => AssemblyReuse::Recompute,
-            1 => AssemblyReuse::Incremental,
-            _ => {
-                return Err(CheckpointError::Malformed {
-                    what: "assembly-reuse tag",
-                })
-            }
-        },
-        warm_start: match d.u()? {
-            0 => SolverWarmStart::PrevStep,
-            1 => SolverWarmStart::PrevIterate,
-            _ => {
-                return Err(CheckpointError::Malformed {
-                    what: "warm-start tag",
-                })
-            }
-        },
-    };
-    let n = d.usz()?;
-    let mut contacts = Vec::with_capacity(cap_alloc(n));
-    for _ in 0..n {
-        contacts.push(Contact {
-            i: d.u()? as u32,
-            j: d.u()? as u32,
-            vertex: d.u()? as u32,
-            edge: d.u()? as u32,
-            vertex2: d.u()? as u32,
-            kind: match d.u()? {
-                0 => ContactKind::Ve,
-                1 => ContactKind::Vv1,
-                2 => ContactKind::Vv2,
-                _ => {
-                    return Err(CheckpointError::Malformed {
-                        what: "contact-kind tag",
-                    })
-                }
-            },
-            state: dec_contact_state(d)?,
-            prev_step_state: dec_contact_state(d)?,
-            prev_iter_state: dec_contact_state(d)?,
-            normal_disp: d.f()?,
-            shear_disp: d.f()?,
-            edge_ratio: d.f()?,
-            slide_dir: d.f()?,
-            flips: d.u()? as u32,
-        });
-    }
-    let n = d.usz()?;
-    let mut x_prev = Vec::with_capacity(cap_alloc(n));
-    for _ in 0..n {
-        x_prev.push(d.f()?);
-    }
-    let times = ModuleTimes {
-        contact_detection: d.f()?,
-        diag_building: d.f()?,
-        nondiag_building: d.f()?,
-        solving: d.f()?,
-        interpenetration: d.f()?,
-        updating: d.f()?,
-    };
-    let health = dec_health(d)?;
-    Ok(SceneState {
-        sys,
-        params,
-        contacts,
-        x_prev,
-        times,
-        health,
-    })
-}
-
-/// A serializable snapshot of one scene, taken at a step boundary.
-///
-/// Holds the scene's complete resumable [`SceneState`]; re-admitting the
-/// decoded state (via [`SceneBatch::admit_state`]) continues the
-/// trajectory bit-identically to never having checkpointed. The one lossy
-/// field is the `&'static str` inside [`StepError::Internal`], which
-/// decodes to a fixed placeholder message.
-#[derive(Debug, Clone)]
-pub struct SceneCheckpoint {
-    /// The captured scene state.
-    pub state: SceneState,
-    /// Scheduler tick (or batch step index) at which the snapshot was
-    /// taken; diagnostic only.
-    pub taken_at_step: u64,
-}
-
-impl SceneCheckpoint {
-    /// Serializes the checkpoint to the whitespace-token text format.
-    pub fn encode(&self) -> String {
-        let mut e = Enc::new(SCENE_MAGIC);
-        e.u(self.taken_at_step);
-        enc_state(&mut e, &self.state);
-        e.finish()
-    }
-
-    /// Decodes a checkpoint produced by [`SceneCheckpoint::encode`].
-    pub fn decode(text: &str) -> Result<SceneCheckpoint, CheckpointError> {
-        let mut d = Dec::new(text, SCENE_MAGIC)?;
-        let taken_at_step = d.u()?;
-        let state = dec_state(&mut d)?;
-        d.finish()?;
-        Ok(SceneCheckpoint {
-            state,
-            taken_at_step,
-        })
-    }
-}
-
-/// One scene inside a [`FleetCheckpoint`]: its state plus the scheduling
-/// envelope needed to resume it (target step count, priority, whether it
-/// was waiting in the queue, its deadline, and whether its one repair
-/// requeue is already spent).
-#[derive(Debug, Clone)]
-pub struct FleetScene {
-    /// The captured scene state.
-    pub state: SceneState,
-    /// Committed steps after which the scene completes.
-    pub run_steps: u64,
-    /// Admission priority.
-    pub priority: Priority,
-    /// Whether the scene has already used its post-fault requeue.
-    pub requeued: bool,
-    /// Admission deadline (absolute scheduler tick), if any.
-    pub deadline: Option<u64>,
-    /// True when the scene was still waiting in the intake queue.
-    pub queued: bool,
-}
-
-/// A serializable snapshot of a [`BatchScheduler`]'s entire in-flight
-/// fleet — live slots and queued submissions — from which a killed
-/// process can rehydrate via [`BatchScheduler::restore`].
-#[derive(Debug, Clone)]
-pub struct FleetCheckpoint {
-    /// Scheduler tick at which the snapshot was taken; restore resumes
-    /// the clock from here.
-    pub taken_at_step: u64,
-    /// Every in-flight scene (running, degraded, or queued).
-    pub scenes: Vec<FleetScene>,
-}
-
-impl FleetCheckpoint {
-    /// Serializes the fleet checkpoint to the whitespace-token format.
-    pub fn encode(&self) -> String {
-        let mut e = Enc::new(FLEET_MAGIC);
-        e.u(self.taken_at_step);
-        e.u(self.scenes.len() as u64);
-        for fs in &self.scenes {
-            e.u(fs.run_steps);
-            e.u(fs.priority as u64);
-            e.u(fs.requeued as u64);
-            match fs.deadline {
-                None => e.u(0),
-                Some(dl) => {
-                    e.u(1);
-                    e.u(dl);
-                }
-            }
-            e.u(fs.queued as u64);
-            enc_state(&mut e, &fs.state);
-        }
-        e.finish()
-    }
-
-    /// Decodes a fleet checkpoint produced by [`FleetCheckpoint::encode`].
-    pub fn decode(text: &str) -> Result<FleetCheckpoint, CheckpointError> {
-        let mut d = Dec::new(text, FLEET_MAGIC)?;
-        let taken_at_step = d.u()?;
-        let n = d.usz()?;
-        let mut scenes = Vec::with_capacity(cap_alloc(n));
-        for _ in 0..n {
-            let run_steps = d.u()?;
-            let priority = match d.u()? {
-                0 => Priority::High,
-                1 => Priority::Normal,
-                2 => Priority::Low,
-                _ => {
-                    return Err(CheckpointError::Malformed {
-                        what: "priority tag",
-                    })
-                }
-            };
-            let requeued = d.flag()?;
-            let deadline = if d.flag()? { Some(d.u()?) } else { None };
-            let queued = d.flag()?;
-            let state = dec_state(&mut d)?;
-            scenes.push(FleetScene {
-                state,
-                run_steps,
-                priority,
-                requeued,
-                deadline,
-                queued,
-            });
-        }
-        d.finish()?;
-        Ok(FleetCheckpoint {
-            taken_at_step,
-            scenes,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Intake queue
-// ---------------------------------------------------------------------------
 
 /// Structured rejection from the ingestion layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -956,109 +141,129 @@ impl SceneSubmission {
     }
 }
 
-/// A submission waiting in the [`IntakeQueue`].
-#[derive(Debug, Clone)]
-pub struct QueuedScene {
-    /// The submission's ticket.
-    pub ticket: Ticket,
-    /// Full resumable state (fresh for new submissions; carries fault
-    /// history for requeued ones).
-    pub state: SceneState,
-    /// Admission priority class.
-    pub priority: Priority,
-    /// Admission deadline (absolute scheduler tick), if any.
-    pub deadline: Option<u64>,
+/// How the scheduler runs one scene, wherever the scene is: in the intake
+/// queue, in a batch slot, or in a snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Envelope {
     /// Committed steps after which the scene completes.
     pub run_steps: u64,
-    /// Scheduler tick at which the scene entered the queue.
-    pub enqueued_at: u64,
+    /// Admission priority.
+    pub priority: Priority,
     /// Whether the scene has already used its post-fault requeue.
     pub requeued: bool,
+    /// Admission deadline (absolute scheduler tick), if any. Admission
+    /// spends it: a scene in a slot carries `None`.
+    pub deadline: Option<u64>,
+}
+
+/// One in-flight scene with everything needed to resume it on any
+/// scheduler: its full state, its envelope, and whether it was still
+/// waiting in the intake queue.
+#[derive(Debug, Clone)]
+pub struct FleetScene {
+    /// The captured scene state.
+    pub state: SceneState,
+    /// How the scheduler runs it.
+    pub envelope: Envelope,
+    /// True when the scene was still waiting in the intake queue.
+    pub queued: bool,
+}
+
+impl FleetScene {
+    fn new(state: SceneState, envelope: Envelope, queued: bool) -> FleetScene {
+        FleetScene {
+            state,
+            envelope,
+            queued,
+        }
+    }
+}
+
+/// A submission waiting in the [`IntakeQueue`].
+#[derive(Debug)]
+struct QueuedScene {
+    ticket: Ticket,
+    /// Full resumable state (fresh for new submissions; carries fault
+    /// history for requeued ones).
+    state: SceneState,
+    envelope: Envelope,
+    /// Scheduler tick at which the scene entered the queue.
+    enqueued_at: u64,
 }
 
 /// Bounded, priority-laned intake queue with explicit backpressure: a
 /// push beyond `capacity` is rejected, never buffered.
 #[derive(Debug)]
-pub struct IntakeQueue {
+struct IntakeQueue {
     capacity: usize,
     lanes: [VecDeque<QueuedScene>; 3],
 }
 
 impl IntakeQueue {
-    /// An empty queue bounded at `capacity` total pending submissions.
-    pub fn new(capacity: usize) -> IntakeQueue {
+    fn new(capacity: usize) -> IntakeQueue {
         IntakeQueue {
             capacity,
             lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
         }
     }
 
-    /// Total pending submissions across all lanes.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.lanes.iter().map(VecDeque::len).sum()
     }
 
-    /// True when nothing is waiting.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.lanes.iter().all(VecDeque::is_empty)
     }
 
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// True when at least one more submission fits.
-    pub fn has_room(&self) -> bool {
+    fn has_room(&self) -> bool {
         self.len() < self.capacity
     }
 
     /// Enqueues a scene, or rejects it with [`IngestError::QueueFull`]
     /// when the bound is reached.
-    pub fn try_push(&mut self, qs: QueuedScene) -> Result<(), IngestError> {
+    fn try_push(&mut self, qs: QueuedScene) -> Result<(), IngestError> {
         if !self.has_room() {
             return Err(IngestError::QueueFull {
                 capacity: self.capacity,
             });
         }
-        self.lanes[qs.priority.lane()].push_back(qs);
+        self.force_push(qs);
         Ok(())
     }
 
-    /// Unconditional push used by restore, which must never drop scenes
-    /// that were already accepted before the snapshot.
+    /// Unconditional push for scenes the scheduler already accepted
+    /// (restore, adoption, repair requeues): those are never dropped.
     fn force_push(&mut self, qs: QueuedScene) {
-        self.lanes[qs.priority.lane()].push_back(qs);
+        self.lanes[qs.envelope.priority.lane()].push_back(qs);
     }
 
     /// Dequeues the next scene: highest priority class first, FIFO
     /// within a class.
-    pub fn pop(&mut self) -> Option<QueuedScene> {
+    fn pop(&mut self) -> Option<QueuedScene> {
         self.lanes.iter_mut().find_map(VecDeque::pop_front)
+    }
+
+    /// Removes and returns `ticket`'s entry, if it is queued.
+    fn remove(&mut self, ticket: Ticket) -> Option<QueuedScene> {
+        self.lanes.iter_mut().find_map(|lane| {
+            let pos = lane.iter().position(|qs| qs.ticket == ticket)?;
+            lane.remove(pos)
+        })
     }
 
     /// Removes and returns every queued scene whose deadline is strictly
     /// before `now` (deadline-aware load shedding).
-    pub fn shed_expired(&mut self, now: u64) -> Vec<QueuedScene> {
+    fn shed_expired(&mut self, now: u64) -> Vec<QueuedScene> {
+        let late = |qs: &QueuedScene| matches!(qs.envelope.deadline, Some(d) if d < now);
         let mut shed = Vec::new();
         for lane in &mut self.lanes {
-            let mut keep = VecDeque::with_capacity(lane.len());
-            while let Some(qs) = lane.pop_front() {
-                if matches!(qs.deadline, Some(d) if d < now) {
-                    shed.push(qs);
-                } else {
-                    keep.push_back(qs);
-                }
-            }
-            *lane = keep;
+            let (gone, kept): (VecDeque<_>, _) = lane.drain(..).partition(late);
+            shed.extend(gone);
+            *lane = kept;
         }
         shed
     }
 }
-
-// ---------------------------------------------------------------------------
-// Scheduler
-// ---------------------------------------------------------------------------
 
 /// Knobs for [`BatchScheduler`].
 #[derive(Debug, Clone, Copy)]
@@ -1070,9 +275,6 @@ pub struct IngestConfig {
     /// When retired slots exceed this fraction of all slots, the batch
     /// is compacted at the next tick boundary.
     pub rebalance_watermark: f64,
-    /// Take a checkpoint of every live scene each time this many ticks
-    /// elapse (0 disables periodic checkpointing).
-    pub checkpoint_interval: u64,
     /// A scene quarantined before committing this many steps is treated
     /// as an early fault: repaired (Δt reset) and requeued once before
     /// permanent refusal.
@@ -1087,7 +289,6 @@ impl Default for IngestConfig {
             queue_capacity: 32,
             max_slots: 8,
             rebalance_watermark: 0.5,
-            checkpoint_interval: 0,
             retry_window: 3,
             policy: HealthPolicy::default(),
         }
@@ -1154,8 +355,6 @@ pub struct IngestStats {
     pub requeued: u64,
     /// Batch compactions performed.
     pub rebalances: u64,
-    /// Scene checkpoints taken.
-    pub checkpoints_taken: u64,
     /// High-water mark of the intake queue.
     pub max_queue_len: usize,
     admission_latencies: Vec<u64>,
@@ -1195,35 +394,28 @@ pub struct TickReport {
     pub requeued: usize,
     /// Whether the batch was compacted this tick.
     pub rebalanced: bool,
-    /// Whether periodic checkpoints were taken this tick.
-    pub checkpointed: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct SlotInfo {
-    ticket: Ticket,
-    run_steps: u64,
-    priority: Priority,
-    requeued: bool,
 }
 
 /// Admission-controlled driver for one [`SceneBatch`].
 ///
-/// Callers submit scenes through the bounded [`IntakeQueue`] and observe
-/// their lifecycle via [`Ticket`]s; [`BatchScheduler::tick`] advances the
-/// world one batch step, handling shedding, admission, completion,
-/// fault-repair requeues, occupancy rebalancing, and checkpoints. All of
-/// it is host-side work between steps: scenes already in flight see the
-/// exact same trajectory they would in a hand-driven [`SceneBatch`].
+/// Callers submit scenes through a bounded intake queue and observe their
+/// lifecycle via [`Ticket`]s; [`BatchScheduler::tick`] advances the world
+/// one batch step, handling shedding, admission, completion, fault-repair
+/// requeues and occupancy rebalancing. All of it is host-side work
+/// between steps: scenes already in flight see the exact same trajectory
+/// they would in a hand-driven [`SceneBatch`]. The durable periodic
+/// checkpoint is the fleet WAL's snapshot burst
+/// (`RouterConfig::wal_snap_interval`); [`BatchScheduler::checkpoint_fleet`]
+/// takes one on demand.
 pub struct BatchScheduler {
     batch: SceneBatch,
     queue: IntakeQueue,
     cfg: IngestConfig,
     next_ticket: Ticket,
     now: u64,
-    occupants: Vec<Option<SlotInfo>>,
+    /// Ticket and envelope of the scene in each batch slot.
+    occupants: Vec<Option<(Ticket, Envelope)>>,
     records: HashMap<Ticket, SceneRecord>,
-    checkpoints: HashMap<Ticket, SceneCheckpoint>,
     stats: IngestStats,
 }
 
@@ -1238,7 +430,6 @@ impl BatchScheduler {
             now: 0,
             occupants: Vec::new(),
             records: HashMap::new(),
-            checkpoints: HashMap::new(),
             stats: IngestStats::default(),
         }
     }
@@ -1284,12 +475,6 @@ impl BatchScheduler {
         &self.records
     }
 
-    /// The most recent periodic checkpoint of `ticket`'s scene, if one
-    /// was taken and the scene has not completed since.
-    pub fn checkpoint_of(&self, ticket: Ticket) -> Option<&SceneCheckpoint> {
-        self.checkpoints.get(&ticket)
-    }
-
     /// Takes `ticket`'s final block system off its record (completed and
     /// refused scenes), e.g. to repair a refused scene and resubmit it.
     pub fn take_final_sys(&mut self, ticket: Ticket) -> Option<BlockSystem> {
@@ -1301,62 +486,82 @@ impl BatchScheduler {
     /// with [`IngestError::DeadlineExpired`]; nothing is ever silently
     /// buffered beyond the bound.
     pub fn try_submit(&mut self, sub: SceneSubmission) -> Result<Ticket, IngestError> {
-        if let Some(deadline) = sub.deadline {
-            if deadline < self.now {
-                return Err(IngestError::DeadlineExpired {
-                    deadline,
-                    now: self.now,
-                });
-            }
-        }
-        if !self.queue.has_room() {
-            self.stats.rejected_full += 1;
-            return Err(IngestError::QueueFull {
-                capacity: self.queue.capacity(),
+        if let Some(deadline) = sub.deadline.filter(|&d| d < self.now) {
+            return Err(IngestError::DeadlineExpired {
+                deadline,
+                now: self.now,
             });
         }
-        let ticket = self.next_ticket;
-        let n_dof = 6 * sub.sys.len();
-        let qs = QueuedScene {
-            ticket,
-            state: SceneState {
-                sys: sub.sys,
-                params: sub.params,
-                contacts: Vec::new(),
-                x_prev: vec![0.0; n_dof],
-                times: ModuleTimes::default(),
-                health: SceneHealth::new_running(),
-            },
-            priority: sub.priority,
-            deadline: sub.deadline,
+        let envelope = Envelope {
             run_steps: sub.run_steps,
-            enqueued_at: self.now,
+            priority: sub.priority,
             requeued: false,
+            deadline: sub.deadline,
         };
         self.queue
-            .try_push(qs)
-            .expect("queue room was checked above");
-        self.next_ticket += 1;
+            .try_push(QueuedScene {
+                ticket: self.next_ticket,
+                state: SceneState::fresh(sub.sys, sub.params),
+                envelope,
+                enqueued_at: self.now,
+            })
+            .inspect_err(|_| self.stats.rejected_full += 1)?;
         self.stats.submitted += 1;
         self.stats.max_queue_len = self.stats.max_queue_len.max(self.queue.len());
+        Ok(self.issue_ticket(envelope.priority))
+    }
+
+    /// Issues the next ticket with a fresh `Queued` record.
+    fn issue_ticket(&mut self, priority: Priority) -> Ticket {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
         self.records.insert(
             ticket,
             SceneRecord {
-                priority: sub.priority,
+                priority,
                 submitted_at: self.now,
                 admitted_at: None,
                 status: SceneStatus::Queued,
                 final_sys: None,
             },
         );
-        Ok(ticket)
+        ticket
+    }
+
+    /// Queues a scene the scheduler already accepted, past the bound if
+    /// need be: restore, adoption and repair requeues never drop work.
+    fn requeue(&mut self, ticket: Ticket, state: SceneState, envelope: Envelope) {
+        self.queue.force_push(QueuedScene {
+            ticket,
+            state,
+            envelope,
+            enqueued_at: self.now,
+        });
+        self.stats.max_queue_len = self.stats.max_queue_len.max(self.queue.len());
+    }
+
+    /// Puts a scene into a batch slot and marks its record running.
+    fn admit(&mut self, ticket: Ticket, state: SceneState, envelope: Envelope) {
+        let slot = self.batch.admit_state(state);
+        if slot >= self.occupants.len() {
+            self.occupants.resize(slot + 1, None);
+        }
+        let envelope = Envelope {
+            deadline: None,
+            ..envelope
+        };
+        self.occupants[slot] = Some((ticket, envelope));
+        if let Some(r) = self.records.get_mut(&ticket) {
+            r.admitted_at = Some(self.now);
+            r.status = SceneStatus::Running { slot };
+        }
     }
 
     /// Advances the world one batch step: sheds expired submissions,
     /// drains the queue into free slots, steps the batch, books
     /// completions and quarantines (requeueing early faults once with a
-    /// repaired Δt), takes periodic checkpoints, and compacts the batch
-    /// when dead slots pass the watermark.
+    /// repaired Δt), and compacts the batch when dead slots pass the
+    /// watermark.
     pub fn tick(&mut self) -> TickReport {
         self.now += 1;
         let mut rep = TickReport::default();
@@ -1367,7 +572,7 @@ impl BatchScheduler {
             self.stats.shed += 1;
             if let Some(r) = self.records.get_mut(&qs.ticket) {
                 r.status = SceneStatus::Shed {
-                    deadline: qs.deadline.unwrap_or(0),
+                    deadline: qs.envelope.deadline.unwrap_or(0),
                 };
             }
         }
@@ -1375,25 +580,12 @@ impl BatchScheduler {
         // 2. Drain the queue into retired slots / free capacity.
         while self.has_capacity() && !self.queue.is_empty() {
             let Some(qs) = self.queue.pop() else { break };
-            let slot = self.batch.admit_state(qs.state);
-            if slot >= self.occupants.len() {
-                self.occupants.resize(slot + 1, None);
-            }
-            self.occupants[slot] = Some(SlotInfo {
-                ticket: qs.ticket,
-                run_steps: qs.run_steps,
-                priority: qs.priority,
-                requeued: qs.requeued,
-            });
+            self.admit(qs.ticket, qs.state, qs.envelope);
             rep.admitted += 1;
             self.stats.admitted += 1;
             self.stats
                 .admission_latencies
                 .push(self.now - qs.enqueued_at);
-            if let Some(r) = self.records.get_mut(&qs.ticket) {
-                r.admitted_at = Some(self.now);
-                r.status = SceneStatus::Running { slot };
-            }
         }
 
         // 3. One lockstep batch step.
@@ -1401,87 +593,55 @@ impl BatchScheduler {
 
         // 4. Book terminal transitions per occupied slot.
         for slot in 0..self.batch.n_scenes() {
-            let Some(info) = self.occupants.get(slot).copied().flatten() else {
+            let Some((ticket, envelope)) = self.occupants.get(slot).copied().flatten() else {
                 continue;
             };
             let health = self.batch.health(slot);
-            match health.state {
-                SlotState::Quarantined => {
-                    let Some(mut st) = self.batch.extract(slot) else {
-                        self.occupants[slot] = None;
-                        continue;
-                    };
-                    self.occupants[slot] = None;
-                    let last_error = st.health.last_error;
-                    let early = st.health.steps_committed < self.cfg.retry_window;
-                    if early && !info.requeued && self.queue.has_room() {
-                        // Early fault: repair Δt, clear the health record,
-                        // and give the scene one more try through the queue.
-                        st.params.dt = (0.1 * st.params.dt_max).max(st.params.dt_min);
-                        st.health = SceneHealth::new_running();
-                        self.queue.force_push(QueuedScene {
-                            ticket: info.ticket,
-                            state: st,
-                            priority: info.priority,
-                            deadline: None,
-                            run_steps: info.run_steps,
-                            enqueued_at: self.now,
-                            requeued: true,
-                        });
-                        rep.requeued += 1;
-                        self.stats.requeued += 1;
-                        self.stats.max_queue_len = self.stats.max_queue_len.max(self.queue.len());
-                        if let Some(r) = self.records.get_mut(&info.ticket) {
-                            r.status = SceneStatus::Queued;
-                        }
-                    } else {
-                        rep.refused += 1;
-                        self.stats.refused += 1;
-                        if let Some(r) = self.records.get_mut(&info.ticket) {
-                            r.status = SceneStatus::Refused {
-                                error: IngestError::RetryExhausted { last_error },
-                            };
-                            r.final_sys = Some(st.sys);
-                        }
-                    }
-                }
-                _ if health.steps_committed >= info.run_steps => {
-                    let st = self.batch.extract(slot);
-                    self.occupants[slot] = None;
-                    rep.completed += 1;
-                    self.stats.completed += 1;
-                    self.checkpoints.remove(&info.ticket);
-                    if let Some(r) = self.records.get_mut(&info.ticket) {
-                        r.status = SceneStatus::Completed;
-                        r.final_sys = st.map(|s| s.sys);
-                    }
-                }
-                _ => {}
+            let quarantined = health.state == SlotState::Quarantined;
+            if !quarantined && health.steps_committed < envelope.run_steps {
+                continue;
             }
-        }
-
-        // 5. Periodic per-scene checkpoints.
-        if self.cfg.checkpoint_interval > 0 && self.now.is_multiple_of(self.cfg.checkpoint_interval)
-        {
-            for slot in 0..self.batch.n_scenes() {
-                let Some(info) = self.occupants.get(slot).copied().flatten() else {
-                    continue;
+            self.occupants[slot] = None;
+            let Some(mut st) = self.batch.extract(slot) else {
+                continue;
+            };
+            let early = st.health.steps_committed < self.cfg.retry_window;
+            let status = if !quarantined {
+                rep.completed += 1;
+                self.stats.completed += 1;
+                SceneStatus::Completed
+            } else if early && !envelope.requeued && self.queue.has_room() {
+                // Early fault: repair Δt, clear the health record, and
+                // give the scene one more try through the queue.
+                st.params.dt = (0.1 * st.params.dt_max).max(st.params.dt_min);
+                st.health = SceneHealth::new_running();
+                let envelope = Envelope {
+                    requeued: true,
+                    ..envelope
                 };
-                if let Some(state) = self.batch.scene_state(slot) {
-                    self.checkpoints.insert(
-                        info.ticket,
-                        SceneCheckpoint {
-                            state,
-                            taken_at_step: self.now,
-                        },
-                    );
-                    self.stats.checkpoints_taken += 1;
+                self.requeue(ticket, st, envelope);
+                rep.requeued += 1;
+                self.stats.requeued += 1;
+                if let Some(r) = self.records.get_mut(&ticket) {
+                    r.status = SceneStatus::Queued;
                 }
+                continue;
+            } else {
+                rep.refused += 1;
+                self.stats.refused += 1;
+                SceneStatus::Refused {
+                    error: IngestError::RetryExhausted {
+                        last_error: st.health.last_error,
+                    },
+                }
+            };
+            if let Some(r) = self.records.get_mut(&ticket) {
+                r.status = status;
+                r.final_sys = Some(st.sys);
             }
-            rep.checkpointed = true;
         }
 
-        // 6. Occupancy rebalancing: compact when dead slots pass the
+        // 5. Occupancy rebalancing: compact when dead slots pass the
         // watermark, so merged batch regions stop paying for corpses.
         let n = self.batch.n_scenes();
         let retired = (0..n)
@@ -1491,14 +651,15 @@ impl BatchScheduler {
             let map = self.batch.compact();
             let mut occupants = vec![None; self.batch.n_scenes()];
             for (old, new) in map.iter().enumerate() {
-                if let Some(new) = new {
-                    occupants[*new] = self.occupants.get(old).copied().flatten();
-                    if let Some(info) = occupants[*new] {
-                        if let Some(r) = self.records.get_mut(&info.ticket) {
-                            if matches!(r.status, SceneStatus::Running { .. }) {
-                                r.status = SceneStatus::Running { slot: *new };
-                            }
-                        }
+                let (Some(new), Some(occupant)) =
+                    (*new, self.occupants.get(old).copied().flatten())
+                else {
+                    continue;
+                };
+                occupants[new] = Some(occupant);
+                if let Some(r) = self.records.get_mut(&occupant.0) {
+                    if matches!(r.status, SceneStatus::Running { .. }) {
+                        r.status = SceneStatus::Running { slot: new };
                     }
                 }
             }
@@ -1522,50 +683,65 @@ impl BatchScheduler {
         max_ticks
     }
 
-    /// Snapshots the entire in-flight fleet — live slots *and* queued
-    /// submissions — into a serializable [`FleetCheckpoint`]. Terminal
-    /// records (completed/shed/refused) are not part of the snapshot.
-    pub fn checkpoint_fleet(&self) -> FleetCheckpoint {
-        let mut scenes = Vec::new();
-        for slot in 0..self.batch.n_scenes() {
-            let Some(info) = self.occupants.get(slot).copied().flatten() else {
-                continue;
-            };
-            let Some(state) = self.batch.scene_state(slot) else {
-                continue;
-            };
-            scenes.push(FleetScene {
-                state,
-                run_steps: info.run_steps,
-                priority: info.priority,
-                requeued: info.requeued,
-                deadline: None,
-                queued: false,
-            });
-        }
-        for lane in &self.queue.lanes {
-            for qs in lane {
-                scenes.push(FleetScene {
-                    state: qs.state.clone(),
-                    run_steps: qs.run_steps,
-                    priority: qs.priority,
-                    requeued: qs.requeued,
-                    deadline: qs.deadline,
-                    queued: true,
-                });
+    /// Snapshots of the in-flight scenes whose ticket `keep` selects:
+    /// live slots first (in slot order), then queued submissions (in lane
+    /// order).
+    fn snapshots(&self, keep: impl Fn(Ticket) -> bool) -> Vec<(Ticket, FleetScene)> {
+        let running = (0..self.batch.n_scenes()).filter_map(|slot| {
+            let (ticket, envelope) = self.occupants.get(slot).copied().flatten()?;
+            if !keep(ticket) {
+                return None;
             }
-        }
+            let state = self.batch.scene_state(slot)?;
+            Some((ticket, FleetScene::new(state, envelope, false)))
+        });
+        let queued = self
+            .queue
+            .lanes
+            .iter()
+            .flatten()
+            .filter(|qs| keep(qs.ticket))
+            .map(|qs| {
+                let scene = FleetScene::new(qs.state.clone(), qs.envelope, true);
+                (qs.ticket, scene)
+            });
+        running.chain(queued).collect()
+    }
+
+    /// Per-ticket snapshots of everything in flight: live slots first (in
+    /// slot order), then queued submissions (in lane order). Keyed by
+    /// ticket so a caller journaling scenes individually (the fleet WAL)
+    /// can attribute every record.
+    pub fn snapshot_inflight(&self) -> Vec<(Ticket, FleetScene)> {
+        self.snapshots(|_| true)
+    }
+
+    /// The snapshot of one in-flight scene (`None` for unknown or
+    /// terminal tickets).
+    pub(crate) fn snapshot(&self, ticket: Ticket) -> Option<FleetScene> {
+        self.snapshots(|t| t == ticket).pop().map(|(_, fs)| fs)
+    }
+
+    /// [`BatchScheduler::snapshot_inflight`] without the tickets: the
+    /// entire in-flight fleet as a serializable [`FleetCheckpoint`].
+    /// Terminal records (completed/shed/refused) are not part of it.
+    pub fn checkpoint_fleet(&self) -> FleetCheckpoint {
         FleetCheckpoint {
             taken_at_step: self.now,
-            scenes,
+            scenes: self
+                .snapshot_inflight()
+                .into_iter()
+                .map(|(_, fs)| fs)
+                .collect(),
         }
     }
 
     /// Rehydrates a scheduler from a [`FleetCheckpoint`] on a fresh
     /// device: live scenes re-enter batch slots with their full saved
     /// state (so their continued trajectories are bit-identical to the
-    /// uninterrupted run) and queued scenes re-enter the queue. Tickets
-    /// are reissued; the returned list maps snapshot order to the new
+    /// uninterrupted run) and queued scenes re-enter the queue — past the
+    /// bound if the new config's is tighter, never dropped. Tickets are
+    /// reissued; the returned list maps snapshot order to the new
     /// tickets.
     pub fn restore(
         dev: Device,
@@ -1574,94 +750,20 @@ impl BatchScheduler {
     ) -> (BatchScheduler, Vec<Ticket>) {
         let mut s = BatchScheduler::new(dev, cfg);
         s.now = fleet.taken_at_step;
-        let mut tickets = Vec::with_capacity(fleet.scenes.len());
-        for fs in fleet.scenes {
-            let ticket = s.next_ticket;
-            s.next_ticket += 1;
-            let mut record = SceneRecord {
-                priority: fs.priority,
-                submitted_at: s.now,
-                admitted_at: None,
-                status: SceneStatus::Queued,
-                final_sys: None,
-            };
-            if fs.queued {
-                // Restore must never drop accepted work, even if the new
-                // config's queue bound is tighter than the snapshot's.
-                s.queue.force_push(QueuedScene {
-                    ticket,
-                    state: fs.state,
-                    priority: fs.priority,
-                    deadline: fs.deadline,
-                    run_steps: fs.run_steps,
-                    enqueued_at: s.now,
-                    requeued: fs.requeued,
-                });
-            } else {
-                let slot = s.batch.admit_state(fs.state);
-                if slot >= s.occupants.len() {
-                    s.occupants.resize(slot + 1, None);
+        let tickets = fleet
+            .scenes
+            .into_iter()
+            .map(|fs| {
+                let ticket = s.issue_ticket(fs.envelope.priority);
+                if fs.queued {
+                    s.requeue(ticket, fs.state, fs.envelope);
+                } else {
+                    s.admit(ticket, fs.state, fs.envelope);
                 }
-                s.occupants[slot] = Some(SlotInfo {
-                    ticket,
-                    run_steps: fs.run_steps,
-                    priority: fs.priority,
-                    requeued: fs.requeued,
-                });
-                record.admitted_at = Some(s.now);
-                record.status = SceneStatus::Running { slot };
-            }
-            s.records.insert(ticket, record);
-            tickets.push(ticket);
-        }
-        s.stats.max_queue_len = s.queue.len();
+                ticket
+            })
+            .collect();
         (s, tickets)
-    }
-
-    /// Per-ticket snapshots of everything in flight: live slots first (in
-    /// slot order), then queued submissions (in lane order). Each entry is
-    /// the same full resumable envelope [`checkpoint_fleet`] would emit,
-    /// but keyed by ticket so a caller journaling scenes individually (the
-    /// fleet WAL) can attribute every record.
-    ///
-    /// [`checkpoint_fleet`]: BatchScheduler::checkpoint_fleet
-    pub fn snapshot_inflight(&self) -> Vec<(Ticket, FleetScene)> {
-        let mut out = Vec::new();
-        for slot in 0..self.batch.n_scenes() {
-            let Some(info) = self.occupants.get(slot).copied().flatten() else {
-                continue;
-            };
-            let Some(state) = self.batch.scene_state(slot) else {
-                continue;
-            };
-            out.push((
-                info.ticket,
-                FleetScene {
-                    state,
-                    run_steps: info.run_steps,
-                    priority: info.priority,
-                    requeued: info.requeued,
-                    deadline: None,
-                    queued: false,
-                },
-            ));
-        }
-        for lane in &self.queue.lanes {
-            for qs in lane {
-                out.push((
-                    qs.ticket,
-                    FleetScene {
-                        state: qs.state.clone(),
-                        run_steps: qs.run_steps,
-                        priority: qs.priority,
-                        requeued: qs.requeued,
-                        deadline: qs.deadline,
-                        queued: true,
-                    },
-                ));
-            }
-        }
-        out
     }
 
     /// Adopts one migrated scene from another scheduler's snapshot. The
@@ -1673,81 +775,43 @@ impl BatchScheduler {
     /// scene's continued evolution on this device is bit-identical to the
     /// run it was rescued from.
     pub fn adopt(&mut self, fs: FleetScene) -> Ticket {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        self.records.insert(
-            ticket,
-            SceneRecord {
-                priority: fs.priority,
-                submitted_at: self.now,
-                admitted_at: None,
-                status: SceneStatus::Queued,
-                final_sys: None,
-            },
-        );
-        self.queue.force_push(QueuedScene {
-            ticket,
-            state: fs.state,
-            priority: fs.priority,
-            // Deadlines do not survive migration: the clock that issued
-            // them died with the source device.
+        let ticket = self.issue_ticket(fs.envelope.priority);
+        // Deadlines do not survive migration: the clock that issued them
+        // died with the source device.
+        let envelope = Envelope {
             deadline: None,
-            run_steps: fs.run_steps,
-            enqueued_at: self.now,
-            requeued: fs.requeued,
-        });
+            ..fs.envelope
+        };
+        self.requeue(ticket, fs.state, envelope);
         self.stats.submitted += 1;
-        self.stats.max_queue_len = self.stats.max_queue_len.max(self.queue.len());
         ticket
     }
 
-    /// Removes one in-flight scene from this scheduler and returns its
-    /// full resumable envelope — the source half of a live migration. A
-    /// running scene is extracted from its batch slot (the slot retires
-    /// and becomes reusable, exactly as on completion) and its record and
-    /// any checkpoint are dropped: after extraction this scheduler has no
-    /// memory of the scene, so a fenced zombie source cannot later
-    /// resurrect it. A queued scene is lifted out of its intake lane with
-    /// its deadline intact. Returns `None` for unknown or already-terminal
-    /// tickets.
+    /// Removes one in-flight scene from this scheduler and returns it —
+    /// the source half of a live migration. A running scene is extracted
+    /// from its batch slot (the slot retires and becomes reusable, exactly
+    /// as on completion) and its record is dropped: after extraction this
+    /// scheduler has no memory of the scene, so a fenced zombie source
+    /// cannot later resurrect it. A queued scene is lifted out of its
+    /// intake lane with its deadline intact. Returns `None` for unknown or
+    /// already-terminal tickets.
     pub fn extract_scene(&mut self, ticket: Ticket) -> Option<FleetScene> {
-        // Running in a batch slot?
-        for slot in 0..self.batch.n_scenes() {
-            let Some(info) = self.occupants.get(slot).copied().flatten() else {
-                continue;
-            };
-            if info.ticket != ticket {
-                continue;
+        let slot = self
+            .occupants
+            .iter()
+            .position(|o| matches!(o, Some((t, _)) if *t == ticket));
+        let scene = match slot {
+            Some(slot) => {
+                let (_, envelope) = self.occupants[slot].take()?;
+                FleetScene::new(self.batch.extract(slot)?, envelope, false)
             }
-            let state = self.batch.extract(slot)?;
-            self.occupants[slot] = None;
-            self.records.remove(&ticket);
-            self.checkpoints.remove(&ticket);
-            return Some(FleetScene {
-                state,
-                run_steps: info.run_steps,
-                priority: info.priority,
-                requeued: info.requeued,
-                deadline: None,
-                queued: false,
-            });
-        }
-        // Still waiting in an intake lane?
-        for lane in &mut self.queue.lanes {
-            if let Some(pos) = lane.iter().position(|qs| qs.ticket == ticket) {
-                let qs = lane.remove(pos).expect("position just found");
-                self.records.remove(&ticket);
-                return Some(FleetScene {
-                    state: qs.state,
-                    run_steps: qs.run_steps,
-                    priority: qs.priority,
-                    requeued: qs.requeued,
-                    deadline: qs.deadline,
-                    queued: true,
-                });
+            None => {
+                let qs = self.queue.remove(ticket)?;
+                FleetScene::new(qs.state, qs.envelope, true)
             }
-        }
-        None
+        };
+        self.records.remove(&ticket);
+        Some(scene)
     }
 
     fn has_capacity(&self) -> bool {
@@ -1761,8 +825,15 @@ impl BatchScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Block;
+    use crate::material::{BlockMaterial, JointMaterial};
+    use crate::pipeline::codec::{
+        CheckpointError, SceneCheckpoint, RESTORED_INTERNAL, SCENE_MAGIC,
+    };
     use crate::pipeline::GpuPipeline;
+    use dda_geom::Polygon;
     use dda_simt::DeviceProfile;
+    use dda_solver::{PrecondError, SolveError};
 
     fn k40() -> Device {
         Device::new(DeviceProfile::tesla_k40())
@@ -1797,19 +868,14 @@ mod tests {
         let (sys, params) = scene();
         QueuedScene {
             ticket,
-            state: SceneState {
-                x_prev: vec![0.0; 6 * sys.len()],
-                sys,
-                params,
-                contacts: Vec::new(),
-                times: ModuleTimes::default(),
-                health: SceneHealth::new_running(),
+            state: SceneState::fresh(sys, params),
+            envelope: Envelope {
+                run_steps: 1,
+                priority,
+                requeued: false,
+                deadline: None,
             },
-            priority,
-            deadline: None,
-            run_steps: 1,
             enqueued_at: 0,
-            requeued: false,
         }
     }
 
@@ -1833,9 +899,9 @@ mod tests {
     fn queue_sheds_only_expired_deadlines() {
         let mut q = IntakeQueue::new(8);
         let mut a = queued(1, Priority::Normal);
-        a.deadline = Some(2);
+        a.envelope.deadline = Some(2);
         let mut b = queued(2, Priority::Normal);
-        b.deadline = Some(10);
+        b.envelope.deadline = Some(10);
         let c = queued(3, Priority::Normal);
         q.try_push(a).unwrap();
         q.try_push(b).unwrap();
@@ -2212,33 +1278,5 @@ mod tests {
             }
         }
         assert_eq!(restored.stats().completed, 3);
-    }
-
-    #[test]
-    fn periodic_checkpoints_are_taken_and_resumable() {
-        let cfg = IngestConfig {
-            checkpoint_interval: 2,
-            ..IngestConfig::default()
-        };
-        let mut sched = BatchScheduler::new(k40(), cfg);
-        let (sys, params) = scene();
-        let t = sched
-            .try_submit(SceneSubmission::new(sys, params, 8))
-            .unwrap();
-        for _ in 0..4 {
-            sched.tick();
-        }
-        let ck = sched.checkpoint_of(t).expect("interval 2 fired by tick 4");
-        assert_eq!(ck.taken_at_step, 4);
-        assert!(sched.stats().checkpoints_taken >= 2);
-        // The snapshot decodes and matches the codec exactly.
-        let text = ck.encode();
-        assert_eq!(
-            SceneCheckpoint::decode(&text).expect("decode").encode(),
-            text
-        );
-        // On completion the checkpoint is dropped.
-        sched.drain(20);
-        assert!(sched.checkpoint_of(t).is_none());
     }
 }

@@ -8,6 +8,7 @@
 //! data updating.
 
 pub mod batch;
+pub mod codec;
 pub mod cpu;
 pub(crate) mod driver;
 pub(crate) mod engine;
@@ -19,6 +20,7 @@ pub(crate) mod solver_cache;
 pub mod wal;
 
 pub use batch::{SceneBatch, SceneState};
+pub use codec::{CheckpointError, FleetCheckpoint, SceneCheckpoint};
 pub use cpu::CpuPipeline;
 pub use driver::StepOutcome;
 pub use fleet::{
@@ -30,9 +32,8 @@ pub use fleet::{MigrationPhase, MigrationVictim};
 pub use gpu::{GpuPipeline, PrecondKind};
 pub use health::{HealthPolicy, SceneHealth, SlotState, StepError};
 pub use ingest::{
-    BatchScheduler, CheckpointError, FleetCheckpoint, FleetScene, IngestConfig, IngestError,
-    IngestStats, IntakeQueue, Priority, QueuedScene, SceneCheckpoint, SceneRecord, SceneStatus,
-    SceneSubmission, TickReport, Ticket,
+    BatchScheduler, Envelope, FleetScene, IngestConfig, IngestError, IngestStats, Priority,
+    SceneRecord, SceneStatus, SceneSubmission, TickReport, Ticket,
 };
 #[cfg(feature = "fault-inject")]
 pub use wal::WalIoOp;

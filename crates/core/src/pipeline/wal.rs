@@ -1,10 +1,9 @@
 //! Durable write-ahead checkpoint log for the multi-device fleet.
 //!
-//! The text codecs in [`super::ingest`] make a scene's state portable;
+//! The text codec in [`super::codec`] makes a scene's state portable;
 //! this module makes it *durable*. A [`WalWriter`] appends length-prefixed,
-//! CRC-checksummed records wrapping the existing single-scene
-//! [`FleetCheckpoint`] encoding to segment files on disk, under a
-//! crash-consistent fsync discipline:
+//! CRC-checksummed records wrapping that codec's payloads to segment files
+//! on disk, under a crash-consistent fsync discipline:
 //!
 //! * **record fsync before ack** — [`WalWriter::sync`] issues `fdatasync`
 //!   on the active segment; the fleet router never acknowledges a
@@ -56,16 +55,16 @@
 //!
 //! Everything is `std`-only: records carry their own framing (magic,
 //! sequence, kind, scene id, device, epoch, length, CRC-32) so no
-//! serialization dependency is needed, and the payloads reuse the
-//! deterministic whitespace-token codec whose round-trips are bitwise
-//! exact.
+//! serialization dependency is needed, and every payload kind is encoded
+//! and decoded by [`super::codec`], whose round-trips are bitwise exact.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use super::ingest::{FleetCheckpoint, FleetScene};
+use super::codec::{decode_intent, decode_scene_record};
+use super::ingest::FleetScene;
 
 /// Per-record magic word (little-endian on the wire).
 const RECORD_MAGIC: u32 = 0x57A1_DDA0;
@@ -177,11 +176,12 @@ impl core::fmt::Display for WalError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalRecordKind {
     /// A scene was accepted by the router: payload is a single-scene
-    /// [`FleetCheckpoint`] of its initial (queued) state. Written and
+    /// [`FleetCheckpoint`](super::FleetCheckpoint) of its initial (queued)
+    /// state. Written and
     /// synced *before* the submission is acknowledged.
     Submit = 1,
     /// A step-boundary snapshot of one in-flight scene's full resumable
-    /// state (again a single-scene [`FleetCheckpoint`]), tagged with the
+    /// state (again a single-scene fleet checkpoint), tagged with the
     /// device currently hosting it. The latest snapshot per scene
     /// supersedes everything before it.
     Snap = 2,
@@ -198,7 +198,7 @@ pub enum WalRecordKind {
     /// snapshot.
     MigrateIntent = 4,
     /// Phase two of a live migration: the destination adopted the scene.
-    /// Payload is the single-scene [`FleetCheckpoint`] captured from the
+    /// Payload is the single-scene fleet checkpoint captured from the
     /// source at handoff, so replay resumes the freshest state on the new
     /// owner.
     MigrateCommit = 5,
@@ -525,42 +525,16 @@ impl WalWriter {
     }
 }
 
-/// Terminal outcome carried by a [`WalRecordKind::Terminal`] record.
+/// Terminal outcome carried by a [`WalRecordKind::Terminal`] record (its
+/// payload codec, `encode`/`decode`, lives in [`super::codec`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalOutcome {
     /// The scene finished its requested steps.
-    Completed = 0,
+    Completed,
     /// The scheduler refused it after exhausting retries.
-    Refused = 1,
+    Refused,
     /// It was shed for missing its admission deadline.
-    Shed = 2,
-}
-
-impl WalOutcome {
-    fn from_u8(b: u8) -> Option<WalOutcome> {
-        match b {
-            0 => Some(WalOutcome::Completed),
-            1 => Some(WalOutcome::Refused),
-            2 => Some(WalOutcome::Shed),
-            _ => None,
-        }
-    }
-
-    /// Encodes an outcome + fingerprint as a terminal-record payload.
-    pub fn encode(self, fingerprint: u64) -> String {
-        format!("{} {fingerprint:016x}", self as u8)
-    }
-
-    /// Decodes a terminal-record payload.
-    pub fn decode(text: &str) -> Option<(WalOutcome, u64)> {
-        let mut it = text.split_whitespace();
-        let outcome = WalOutcome::from_u8(it.next()?.parse().ok()?)?;
-        let fp = u64::from_str_radix(it.next()?, 16).ok()?;
-        if it.next().is_some() {
-            return None;
-        }
-        Some((outcome, fp))
-    }
+    Shed,
 }
 
 /// One scene's latest durable state, as reconstructed by replay.
@@ -723,16 +697,12 @@ impl WalReplay {
             offset,
             what,
         };
+        let text = std::str::from_utf8(&rec.payload).map_err(|_| corrupt("payload utf-8"))?;
         match rec.kind {
-            WalRecordKind::Submit | WalRecordKind::Snap => {
-                let text =
-                    std::str::from_utf8(&rec.payload).map_err(|_| corrupt("payload utf-8"))?;
-                let mut ck =
-                    FleetCheckpoint::decode(text).map_err(|_| corrupt("checkpoint payload"))?;
-                if ck.scenes.len() != 1 {
-                    return Err(corrupt("checkpoint scene count"));
-                }
-                self.last_tick = self.last_tick.max(ck.taken_at_step);
+            WalRecordKind::Submit | WalRecordKind::Snap | WalRecordKind::MigrateCommit => {
+                let (taken_at, scene) =
+                    decode_scene_record(text).map_err(|_| corrupt("checkpoint payload"))?;
+                self.last_tick = self.last_tick.max(taken_at);
                 // A stale Submit must never resurrect a scene a later
                 // Snap/Terminal superseded; seq order guarantees we only
                 // move forward.
@@ -741,25 +711,25 @@ impl WalReplay {
                     ReplayedScene {
                         device: rec.device,
                         epoch: rec.epoch,
-                        scene: ck.scenes.pop().expect("length checked above"),
-                        taken_at: ck.taken_at_step,
+                        scene,
+                        taken_at,
                         seq: rec.seq,
                     },
                 );
-                // A durable record at (or past) the intent's epoch means
-                // the migration resolved — the new owner is journaling —
-                // so the intent must not roll the scene anywhere.
-                if self
-                    .pending
-                    .get(&rec.scene_id)
-                    .is_some_and(|p| rec.epoch >= p.epoch)
+                // A commit, or any durable record at (or past) the
+                // intent's epoch, means the migration resolved — the new
+                // owner is journaling — so the intent must not roll the
+                // scene anywhere.
+                if rec.kind == WalRecordKind::MigrateCommit
+                    || self
+                        .pending
+                        .get(&rec.scene_id)
+                        .is_some_and(|p| rec.epoch >= p.epoch)
                 {
                     self.pending.remove(&rec.scene_id);
                 }
             }
             WalRecordKind::Terminal => {
-                let text =
-                    std::str::from_utf8(&rec.payload).map_err(|_| corrupt("payload utf-8"))?;
                 let (outcome, fingerprint) =
                     WalOutcome::decode(text).ok_or_else(|| corrupt("terminal payload"))?;
                 self.live.remove(&rec.scene_id);
@@ -775,9 +745,7 @@ impl WalReplay {
                 );
             }
             WalRecordKind::MigrateIntent => {
-                let text =
-                    std::str::from_utf8(&rec.payload).map_err(|_| corrupt("payload utf-8"))?;
-                let src: u32 = text.parse().map_err(|_| corrupt("intent payload"))?;
+                let src = decode_intent(text).map_err(|_| corrupt("intent payload"))?;
                 self.pending.insert(
                     rec.scene_id,
                     PendingMigration {
@@ -787,27 +755,6 @@ impl WalReplay {
                         seq: rec.seq,
                     },
                 );
-            }
-            WalRecordKind::MigrateCommit => {
-                let text =
-                    std::str::from_utf8(&rec.payload).map_err(|_| corrupt("payload utf-8"))?;
-                let mut ck =
-                    FleetCheckpoint::decode(text).map_err(|_| corrupt("checkpoint payload"))?;
-                if ck.scenes.len() != 1 {
-                    return Err(corrupt("checkpoint scene count"));
-                }
-                self.last_tick = self.last_tick.max(ck.taken_at_step);
-                self.live.insert(
-                    rec.scene_id,
-                    ReplayedScene {
-                        device: rec.device,
-                        epoch: rec.epoch,
-                        scene: ck.scenes.pop().expect("length checked above"),
-                        taken_at: ck.taken_at_step,
-                        seq: rec.seq,
-                    },
-                );
-                self.pending.remove(&rec.scene_id);
             }
         }
         self.records += 1;

@@ -32,7 +32,6 @@ fn cfg() -> IngestConfig {
         max_slots: 8,
         queue_capacity: 32,
         rebalance_watermark: 0.4,
-        checkpoint_interval: 16,
         ..IngestConfig::default()
     }
 }
@@ -116,12 +115,8 @@ fn thousand_scene_soak_with_fault_churn() {
     );
     eprintln!(
         "soak churn: {} submitted, {completed} completed, {shed} shed, {refused} refused, \
-         {} requeued, {} rebalances, {} checkpoints, max queue {}",
-        stats.submitted,
-        stats.requeued,
-        stats.rebalances,
-        stats.checkpoints_taken,
-        stats.max_queue_len
+         {} requeued, {} rebalances, max queue {}",
+        stats.submitted, stats.requeued, stats.rebalances, stats.max_queue_len
     );
 
     // ---- Half 2: bitwise. No injection; sampled healthy completions must
