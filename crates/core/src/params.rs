@@ -83,7 +83,7 @@ pub struct DdaParams {
     pub pcg: PcgOptions,
     /// Preconditioner the solver starts on; the degradation ladder
     /// descends from here (see [`DdaParams::solver_ladder`]). Per-scene:
-    /// a stiff scene can opt into AMG2 while its batch-mates stay on
+    /// a stiff scene can opt into ILU0 while its batch-mates stay on
     /// Block-Jacobi.
     pub precond: PrecondKind,
     /// Solver storage precision: `Full` keeps every array fp64; `Mixed`
@@ -210,9 +210,9 @@ impl DdaParams {
     }
 
     /// The degradation ladder the solver walks, derived from the
-    /// configured starting rung: AMG2 → ILU0 → SSOR-AI → Block-Jacobi →
-    /// Jacobi, entered at [`DdaParams::precond`]. Plain CG has no rungs
-    /// to descend to.
+    /// configured starting rung: ILU0 → SSOR-AI → Block-Jacobi → Jacobi,
+    /// entered at [`DdaParams::precond`]. Plain CG has no rungs to descend
+    /// to.
     pub fn solver_ladder(&self) -> &'static [PrecondKind] {
         self.precond.ladder()
     }
@@ -282,8 +282,8 @@ mod tests {
             p.solver_ladder(),
             &[PrecondKind::BlockJacobi, PrecondKind::Jacobi]
         );
-        let p = p.with_precond(PrecondKind::Amg2);
-        assert_eq!(p.solver_ladder()[0], PrecondKind::Amg2);
+        let p = p.with_precond(PrecondKind::Ilu0);
+        assert_eq!(p.solver_ladder()[0], PrecondKind::Ilu0);
         assert_eq!(
             *p.solver_ladder().last().expect("non-empty ladder"),
             PrecondKind::Jacobi,

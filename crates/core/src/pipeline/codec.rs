@@ -396,7 +396,10 @@ macro_rules! enum_tables {
     ($then:ident) => {
         $then! {
             BroadPhaseMode { AllPairs = 0, Grid = 1, GridCached = 2 }
-            PrecondKind { None = 0, BlockJacobi = 1, SsorAi = 2, Ilu0 = 3, Jacobi = 4, Amg2 = 5 }
+            // Retired, never reused: `PrecondKind` 5 and `PrecondError` 4
+            // (the deleted AMG2 rung and its singular-coarse error) decode
+            // as malformed.
+            PrecondKind { None = 0, BlockJacobi = 1, SsorAi = 2, Ilu0 = 3, Jacobi = 4 }
             SolverPrecision { Full = 0, Mixed = 1 }
             ContactOrder { Discovery = 0, ClassSorted = 1 }
             AssemblyReuse { Recompute = 0, Incremental = 1 }
@@ -427,7 +430,6 @@ macro_rules! enum_tables {
                 MissingDiagonal = 1 { row },
                 SingularBlock = 2 { block },
                 ZeroDiagonal = 3 { row },
-                SingularCoarse = 4 { row },
             }
         }
     };

@@ -72,9 +72,9 @@
 //! * **Terminal**: completions/refusals/sheds append a terminal record
 //!   with the final state's fingerprint, so a recovered process knows
 //!   both *that* a scene finished and *what* it produced.
-//! * **Degraded mode**: a WAL I/O failure (arm one with
-//!   `Fault::WalIo` via [`FleetRouter::arm_wal_fault`]) surfaces once as
-//!   a structured [`FleetError::Wal`] and then parks the router
+//! * **Degraded mode**: a WAL I/O failure (arm one on a `WalIoOp` with
+//!   [`FleetRouter::arm_wal_fault`]) surfaces once as a structured
+//!   [`FleetError::Wal`] and then parks the router
 //!   read-only: submissions are refused with [`FleetError::Degraded`],
 //!   ticks become no-ops, and nothing panics or unwinds mid-flight. Acked
 //!   scenes stay durable in the log for a later [`FleetRouter::recover`].
@@ -1235,17 +1235,17 @@ impl FleetRouter {
         self.wal.stats()
     }
 
-    /// Arms a one-shot WAL I/O fault (`Fault::WalIo`): the chosen
-    /// operation fails after `after` successful occurrences, which must
-    /// park the router degraded rather than panic.
+    /// Arms a one-shot WAL I/O fault on the chosen [`WalIoOp`]: it fails
+    /// after `after` successful occurrences, which must park the router
+    /// degraded rather than panic.
     #[cfg(feature = "fault-inject")]
     pub fn arm_wal_fault(&mut self, op: WalIoOp, after: u64) {
         self.wal.arm_io_fault(op, after);
     }
 
-    /// Arms a one-shot crash (`Fault::MigrationCrash`) of the chosen
-    /// migration victim at the chosen phase boundary of the *next* live
-    /// migration the rebalancer attempts.
+    /// Arms a one-shot crash of the chosen migration victim at the chosen
+    /// phase boundary of the *next* live migration the rebalancer
+    /// attempts.
     #[cfg(feature = "fault-inject")]
     pub fn arm_migration_crash(&mut self, phase: MigrationPhase, victim: MigrationVictim) {
         self.armed_migration = Some((phase, victim));

@@ -268,7 +268,6 @@ mod tests {
             PrecondKind::SsorAi,
             PrecondKind::Ilu0,
             PrecondKind::Jacobi,
-            PrecondKind::Amg2,
         ] {
             let (sys, params) = stack();
             let mut gpu = GpuPipeline::new(sys, params, k40()).with_precond(pk);

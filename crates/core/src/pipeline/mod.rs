@@ -143,7 +143,7 @@ pub struct StepReport {
     pub max_open_penetration: f64,
     /// Deepest preconditioner fallback rung any solve of this step needed
     /// (0 = the configured preconditioner; each +1 is one rung down the
-    /// AMG2 → ILU0 → SSOR-AI → Block-Jacobi → Jacobi ladder).
+    /// ILU0 → SSOR-AI → Block-Jacobi → Jacobi ladder).
     pub fallback_level: usize,
     /// The ladder rung that depth lands on — the preconditioner the
     /// deepest-degraded solve of this step actually used (its name via

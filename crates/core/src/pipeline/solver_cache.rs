@@ -1,7 +1,7 @@
 //! Cached equation-solving state of one scene, owned by the step engine.
 
 use dda_simt::{Device, KernelStats};
-use dda_solver::precond::{Amg2, BlockJacobi, Identity, Ilu0, Jacobi, Preconditioner, SsorAi};
+use dda_solver::precond::{BlockJacobi, Identity, Ilu0, Jacobi, Preconditioner, SsorAi};
 use dda_solver::{PcgBatchEntry, PcgOptions, PcgWorkspace, PrecondError};
 use dda_solver::{PrecondKind, SolverPrecision};
 use dda_sparse::{Csr, Hsbcsr, Hsbcsr32, SymBlockMatrix};
@@ -96,8 +96,8 @@ impl SolverCache {
 
     /// Refreshes the cache for `matrix` and constructs the preconditioner of
     /// ladder rung `kind` on it. `Err` is a construction failure (zero
-    /// pivot, singular block, singular AMG2 coarse operator) — the caller
-    /// descends the ladder on it.
+    /// pivot, singular block, zero diagonal) — the caller descends the
+    /// ladder on it.
     pub(crate) fn prepare(
         &mut self,
         dev: &Device,
@@ -114,13 +114,14 @@ impl SolverCache {
             }
             PrecondKind::SsorAi => RungPrecond::Built(Box::new(SsorAi::try_new(dev, h, 1.0)?)),
             PrecondKind::Ilu0 => {
+                #[cfg(feature = "fault-inject")]
+                if dev.fault_fires(dda_simt::Fault::IluZeroPivot) {
+                    return Err(PrecondError::ZeroPivot { row: 0, pivot: 0.0 });
+                }
                 let csr = Csr::from_sym_full(matrix);
                 RungPrecond::Built(Box::new(Ilu0::try_new(dev, &csr)?))
             }
             PrecondKind::Jacobi => RungPrecond::Built(Box::new(Jacobi::try_new(dev, h)?)),
-            // The smoother/coarse cycle always runs fp64 — only the Krylov
-            // SpMV streams the fp32 shadow under `Mixed`.
-            PrecondKind::Amg2 => RungPrecond::Built(Box::new(Amg2::try_new(dev, h)?)),
         };
         Ok(RungSolve { h, h32, m, ws })
     }

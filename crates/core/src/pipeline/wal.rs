@@ -379,8 +379,8 @@ impl WalWriter {
     /// Arms a deterministic I/O fault: the next `after` operations of
     /// kind `op` succeed, then one fails with an injected
     /// [`WalError::Io`]. Firing disarms. Compiled only with the
-    /// `fault-inject` feature; the corresponding [`super::fleet`] fault
-    /// taxonomy entry is `Fault::WalIo`.
+    /// `fault-inject` feature; a fleet router arms it through
+    /// [`FleetRouter::arm_wal_fault`](super::fleet::FleetRouter::arm_wal_fault).
     #[cfg(feature = "fault-inject")]
     pub fn arm_io_fault(&mut self, op: WalIoOp, after: u64) {
         self.armed_io = Some((op, after));

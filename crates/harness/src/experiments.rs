@@ -49,7 +49,7 @@ pub fn case1_matrix(blocks: usize, warm: usize, seed: u64) -> SymBlockMatrix {
 /// converges in a handful of iterations. Scaling the penalty alone breaks
 /// that balance: the off-diagonal contact coupling grows past the
 /// diagonal and the iteration count climbs with `contrast`. This is the
-/// iteration-heavy regime where mixed precision and AMG2 earn their keep
+/// iteration-heavy regime where mixed precision earns its keep
 /// (the operator of `beyond_paper_claims`' mixed-precision claim), and it
 /// is physical: Shi's `p ∈ [10·E, 1000·E]` recommendation spans exactly
 /// this range.
@@ -140,10 +140,6 @@ pub fn preconditioner_study(blocks: usize, steps: usize, seed: u64) -> Vec<Preco
             PrecondKind::Jacobi => (
                 time_of(&["precond.jacobi.construct"]),
                 time_of(&["precond.jacobi.apply"]),
-            ),
-            PrecondKind::Amg2 => (
-                time_of(&["precond.amg2.construct"]),
-                time_of(&["precond.amg2."]) - time_of(&["precond.amg2.construct"]),
             ),
             PrecondKind::None => (0.0, 0.0),
         };

@@ -19,6 +19,9 @@
 
 /// What to corrupt when the fault fires. The corruption itself lives at
 /// the pipeline call site (this crate only decides *whether* it happens).
+/// Durability-layer faults are armed on the `dda-core` objects they hit
+/// instead: `WalWriter::arm_io_fault` (or `FleetRouter::arm_wal_fault`)
+/// and `FleetRouter::arm_migration_crash`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Poison the scene's assembled right-hand side with NaN.
@@ -29,12 +32,11 @@ pub enum Fault {
     /// Pin the open–close loop: the contact state machine reports a
     /// change every iteration, so loop 3 never settles.
     OcPin,
-    /// Declare the AMG2 Galerkin coarse operator singular during
-    /// construction, forcing the fallback ladder to descend to ILU0. (A
-    /// genuinely singular coarse operator cannot arise from a valid SPD
-    /// system — PᵀAP inherits definiteness — so exercising that branch
-    /// needs injection.)
-    CoarseSingular,
+    /// Report a zero pivot when the ILU(0) rung is constructed, so the
+    /// fallback ladder descends to SSOR-AI. (Assembled DDA operators are
+    /// SPD and rarely meet a zero ILU(0) pivot, so exercising a
+    /// construction failure on the configured rung needs injection.)
+    IluZeroPivot,
     /// Kill the whole device. Unlike the per-segment faults above this one
     /// is device-wide: arming it via [`Device::arm_fault`] ignores the
     /// segment argument and interprets the firing budget as the number of
@@ -49,28 +51,6 @@ pub enum Fault {
     /// [`Device::is_alive`]: crate::Device::is_alive
     /// [`Device::is_responsive`]: crate::Device::is_responsive
     DeviceDeath,
-    /// Fail a write-ahead-log I/O operation (append or fsync). This fault
-    /// lives in the durability layer, not on a device: it is armed through
-    /// `WalWriter::arm_io_fault` (or the fleet router's `arm_wal_fault`
-    /// pass-through) with an operation kind and a survival countdown, and
-    /// it never fires through [`Device::fault_fires`]. The router's
-    /// contract under this fault is a structured `FleetError` plus a
-    /// parked, refuse-new-submissions degraded mode — never a panic or a
-    /// mid-tick unwind. This variant exists so the taxonomy of injectable
-    /// failures is enumerated in one place.
-    ///
-    /// [`Device::fault_fires`]: crate::Device::fault_fires
-    WalIo,
-    /// Crash the process at a chosen phase boundary of an in-flight live
-    /// migration (after the intent is journaled, after the source capture,
-    /// or just before the commit record). Armed through the fleet router's
-    /// `arm_migration_crash`, which names the phase and the victim
-    /// (source or destination device); like [`Fault::WalIo`] it never
-    /// fires through [`Device::fault_fires`]. Recovery from the surviving
-    /// log must yield exactly one live copy of the migrating scene.
-    ///
-    /// [`Device::fault_fires`]: crate::Device::fault_fires
-    MigrationCrash,
 }
 
 /// How an armed [`Fault::DeviceDeath`] manifests once its countdown

@@ -39,6 +39,6 @@ pub use pcg::{
     SolveError, SolveResult, SolverPrecision,
 };
 pub use precond::{
-    Amg2, BlockJacobi, Identity, Ilu0, Jacobi, PrecondError, PrecondKind, Preconditioner, SsorAi,
+    BlockJacobi, Identity, Ilu0, Jacobi, PrecondError, PrecondKind, Preconditioner, SsorAi,
 };
 pub use traits::{CsrScalarMat, CsrVectorMat, HsbcsrMat, MatVec};

@@ -326,7 +326,7 @@ enum Apply<'a, S, F> {
     /// block-diagonal inverses, or `None` for the identity.
     Fused(Option<&'a [S]>),
     /// Through a separate apply `F(r, z)` between the fused BLAS-1 kernels
-    /// (SSOR/ILU0/AMG2 applies are not single block-diagonal products).
+    /// (SSOR/ILU0/Jacobi applies are not single block-diagonal products).
     Bridged(F),
 }
 

@@ -14,14 +14,12 @@
 //! loses the total time by an order of magnitude because the triangular
 //! solves and the factorization dominate.
 
-mod amg2;
 mod block_jacobi;
 mod identity;
 mod ilu0;
 mod jacobi;
 mod ssor_ai;
 
-pub use amg2::Amg2;
 pub use block_jacobi::BlockJacobi;
 pub use identity::Identity;
 pub use ilu0::Ilu0;
@@ -32,9 +30,10 @@ use dda_simt::Device;
 use serde::{Deserialize, Serialize};
 
 /// Preconditioner selection for the equation-solving module: the paper's
-/// Table I candidates plus the two-level block-AMG top rung. This is the
-/// *policy* enum the pipeline stores in its parameters and reports — the
-/// constructed preconditioners themselves implement [`Preconditioner`].
+/// Table I candidates, plain CG and the scalar-Jacobi last rung. This is
+/// the *policy* enum the pipeline stores in its parameters and reports —
+/// the constructed preconditioners themselves implement
+/// [`Preconditioner`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum PrecondKind {
     /// Plain CG.
@@ -48,8 +47,6 @@ pub enum PrecondKind {
     Ilu0,
     /// Scalar-diagonal Jacobi — the last rung of the degradation ladder.
     Jacobi,
-    /// Two-level block-AMG (greedy aggregation + Galerkin coarse solve).
-    Amg2,
 }
 
 impl PrecondKind {
@@ -61,26 +58,18 @@ impl PrecondKind {
             PrecondKind::SsorAi => "SSOR-AI",
             PrecondKind::Ilu0 => "ILU0",
             PrecondKind::Jacobi => "Jacobi",
-            PrecondKind::Amg2 => "AMG2",
         }
     }
 
     /// The degradation ladder rooted at `self`: on construction failure or
-    /// solver breakdown the pipeline descends AMG2 → ILU0 → SSOR-AI →
-    /// Block-Jacobi → Jacobi, each rung cheaper and harder to break than
-    /// the one above (Jacobi only needs a nonzero scalar diagonal). Plain
-    /// CG has no rungs to descend to — a breakdown there is the operator's
-    /// fault, not the preconditioner's.
+    /// solver breakdown the pipeline descends ILU0 → SSOR-AI → Block-Jacobi
+    /// → Jacobi, each rung cheaper and harder to break than the one above
+    /// (Jacobi only needs a nonzero scalar diagonal). Plain CG has no rungs
+    /// to descend to — a breakdown there is the operator's fault, not the
+    /// preconditioner's.
     pub fn ladder(self) -> &'static [PrecondKind] {
         match self {
             PrecondKind::None => &[PrecondKind::None],
-            PrecondKind::Amg2 => &[
-                PrecondKind::Amg2,
-                PrecondKind::Ilu0,
-                PrecondKind::SsorAi,
-                PrecondKind::BlockJacobi,
-                PrecondKind::Jacobi,
-            ],
             PrecondKind::Ilu0 => &[
                 PrecondKind::Ilu0,
                 PrecondKind::SsorAi,
@@ -128,15 +117,6 @@ pub enum PrecondError {
         /// Scalar row of the offending entry.
         row: usize,
     },
-    /// The AMG2 Galerkin coarse operator could not be Cholesky-factored
-    /// (zero, negative, or non-finite pivot). A valid SPD fine operator
-    /// cannot produce this — `PᵀAP` inherits definiteness — so in practice
-    /// it marks corrupted input or an injected fault, and the ladder
-    /// descends to ILU0.
-    SingularCoarse {
-        /// Scalar row of the offending coarse pivot.
-        row: usize,
-    },
 }
 
 impl core::fmt::Display for PrecondError {
@@ -153,9 +133,6 @@ impl core::fmt::Display for PrecondError {
             }
             PrecondError::ZeroDiagonal { row } => {
                 write!(f, "zero or non-finite diagonal at scalar row {row}")
-            }
-            PrecondError::SingularCoarse { row } => {
-                write!(f, "singular AMG2 coarse operator at scalar row {row}")
             }
         }
     }

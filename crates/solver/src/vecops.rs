@@ -519,7 +519,7 @@ pub fn demote(dev: &Device, x: &[f64], y: &mut Vec<f32>) {
 }
 
 /// `y ← fp64(x)`: exact widening, 12 bytes moved. The bridge that lets
-/// non-block-diagonal preconditioners (SSOR/ILU0/AMG2) apply their fp64
+/// non-block-diagonal preconditioners (SSOR/ILU0/Jacobi) apply their fp64
 /// kernels inside the fp32 inner loop.
 pub fn promote(dev: &Device, x: &[f32], y: &mut Vec<f64>) {
     let n = x.len();

@@ -198,7 +198,7 @@ fn scene_batch_matches_solo_pipelines_bitwise() {
 }
 
 /// A batch honours each scene's configured preconditioner: one scene per
-/// `PrecondKind`, stepped together, is bitwise the six solo runs — state,
+/// `PrecondKind`, stepped together, is bitwise the five solo runs — state,
 /// PCG iteration counts and the rung that carried the step — under both
 /// solver precisions. (The batched solve used to run Block-Jacobi whatever
 /// the scene asked for.)
@@ -210,15 +210,14 @@ fn mixed_preconditioner_batch_matches_solo_pipelines_bitwise() {
 }
 
 fn preconditioner_batch_matches_solos(precision: SolverPrecision) {
-    const KINDS: [PrecondKind; 6] = [
+    const KINDS: [PrecondKind; 5] = [
         PrecondKind::None,
         PrecondKind::BlockJacobi,
         PrecondKind::SsorAi,
         PrecondKind::Ilu0,
         PrecondKind::Jacobi,
-        PrecondKind::Amg2,
     ];
-    let scenes: Vec<_> = rockfall_fleet(&FleetConfig::default().with_scenes(6).with_rocks(4))
+    let scenes: Vec<_> = rockfall_fleet(&FleetConfig::default().with_scenes(5).with_rocks(4))
         .into_iter()
         .zip(KINDS)
         .map(|((sys, params), kind)| {
@@ -232,7 +231,7 @@ fn preconditioner_batch_matches_solos(precision: SolverPrecision) {
         .map(|(sys, params)| GpuPipeline::new(sys, params, k40()))
         .collect();
     let mut batch = SceneBatch::new(k40(), scenes);
-    let mut iterations = [0; 6];
+    let mut iterations = [0; 5];
     for step in 0..4 {
         let rb = batch.step();
         for (i, solo) in solos.iter_mut().enumerate() {
@@ -272,31 +271,31 @@ fn preconditioner_batch_matches_solos(precision: SolverPrecision) {
     );
 }
 
-/// A singular AMG2 coarse operator on one slot descends that scene's own
-/// ladder (AMG2 → ILU0) inside the batch exactly as it does solo, and the
+/// A zero ILU(0) pivot on one slot descends that scene's own ladder
+/// (ILU0 → SSOR-AI) inside the batch exactly as it does solo, and the
 /// batch-mates never notice.
 #[cfg(feature = "fault-inject")]
 #[test]
-fn singular_coarse_operator_descends_in_a_batch_as_it_does_solo() {
+fn ilu0_zero_pivot_descends_in_a_batch_as_it_does_solo() {
     use dda_repro::simt::Fault;
     const VICTIM: usize = 1;
     let scenes: Vec<_> = rockfall_fleet(&FleetConfig::default().with_scenes(3).with_rocks(4))
         .into_iter()
         .enumerate()
         .map(|(i, (sys, params))| match i {
-            VICTIM => (sys, params.with_precond(PrecondKind::Amg2)),
+            VICTIM => (sys, params.with_precond(PrecondKind::Ilu0)),
             _ => (sys, params),
         })
         .collect();
 
     let solo_dev = k40();
-    solo_dev.arm_fault(0, Fault::CoarseSingular, usize::MAX);
+    solo_dev.arm_fault(0, Fault::IluZeroPivot, usize::MAX);
     let (sys, params) = scenes[VICTIM].clone();
     let mut solo = GpuPipeline::new(sys, params, solo_dev);
 
     let mut unarmed = SceneBatch::new(k40(), scenes.clone());
     let dev = k40();
-    dev.arm_fault(VICTIM, Fault::CoarseSingular, usize::MAX);
+    dev.arm_fault(VICTIM, Fault::IluZeroPivot, usize::MAX);
     let mut batch = SceneBatch::new(dev, scenes);
 
     for step in 0..4 {
@@ -305,8 +304,8 @@ fn singular_coarse_operator_descends_in_a_batch_as_it_does_solo() {
         unarmed.step();
         assert_eq!(rs.fallback_level, 1, "step {step}: one rung down, solo");
         assert_eq!(rb[VICTIM].fallback_level, 1, "step {step}: one rung down");
-        assert_eq!(rb[VICTIM].fallback_rung, PrecondKind::Ilu0, "step {step}");
-        assert_eq!(rs.fallback_rung, PrecondKind::Ilu0, "step {step}");
+        assert_eq!(rb[VICTIM].fallback_rung, PrecondKind::SsorAi, "step {step}");
+        assert_eq!(rs.fallback_rung, PrecondKind::SsorAi, "step {step}");
         assert_eq!(rs.pcg_iterations, rb[VICTIM].pcg_iterations, "step {step}");
         assert_eq!(
             system_fingerprint(&solo.sys),

@@ -14,7 +14,7 @@
 //!    preconditioner rung and precision mode.
 //!
 //! The `fault-inject` section adds the failure-path contracts: quarantine
-//!    parity between precisions, and the AMG2 → ILU0 ladder descent.
+//!    parity between precisions, and the ILU0 → SSOR-AI ladder descent.
 
 use dda_repro::core::pipeline::{GpuPipeline, PrecondKind, SceneCheckpoint};
 use dda_repro::core::{BlockSystem, DdaParams};
@@ -173,7 +173,7 @@ fn checkpoint_round_trips_precond_and_precision() {
     let mut p = GpuPipeline::new(
         sys,
         params
-            .with_precond(PrecondKind::Amg2)
+            .with_precond(PrecondKind::Ilu0)
             .with_precision(SolverPrecision::Mixed),
         k40(),
     );
@@ -183,7 +183,7 @@ fn checkpoint_round_trips_precond_and_precision() {
         taken_at_step: 1,
     };
     let decoded = SceneCheckpoint::decode(&ck.encode()).expect("codec must round-trip");
-    assert_eq!(decoded.state.params.precond, PrecondKind::Amg2);
+    assert_eq!(decoded.state.params.precond, PrecondKind::Ilu0);
     assert_eq!(decoded.state.params.precision, SolverPrecision::Mixed);
 
     // The resumed scene continues bit-identically to the uncheckpointed one.
@@ -265,30 +265,32 @@ mod fault_paths {
         assert_eq!(full.3, mixed.3, "frozen state must be bitwise identical");
     }
 
-    /// A singular Galerkin coarse operator is a *setup* failure, not a
-    /// solve failure: `Amg2::try_new` reports `SingularCoarse` and the
-    /// ladder descends to ILU0 without burning PCG iterations.
+    /// A zero ILU(0) pivot is a *setup* failure, not a solve failure: the
+    /// ILU0 rung reports `ZeroPivot` and the ladder descends to SSOR-AI
+    /// without burning PCG iterations.
     #[test]
-    fn singular_coarse_operator_falls_back_to_ilu0() {
+    fn ilu0_zero_pivot_falls_back_to_ssor_ai() {
         let dev = k40();
-        dev.arm_fault(0, Fault::CoarseSingular, usize::MAX);
+        dev.arm_fault(0, Fault::IluZeroPivot, usize::MAX);
         // A solo pipeline is segment 0 of a one-scene step.
         let (sys, params) = small_slope();
-        let mut p = GpuPipeline::new(sys, params, dev).with_precond(PrecondKind::Amg2);
-        let r = p.step();
-        assert!(
-            r.max_displacement.is_finite(),
-            "ILU0 must carry the step after AMG2 fails"
-        );
-        assert!(
-            r.fallback_level >= 1,
-            "singular coarse op must cost at least one rung"
-        );
-        assert_eq!(
-            r.fallback_rung,
-            PrecondKind::Ilu0,
-            "the rung below AMG2 is ILU0"
-        );
-        assert!(p.fallback_solves() >= 1);
+        let mut p = GpuPipeline::new(sys, params, dev).with_precond(PrecondKind::Ilu0);
+        for step in 0..3 {
+            let r = p.step();
+            assert!(
+                r.max_displacement.is_finite(),
+                "step {step}: SSOR-AI must carry the step after ILU0 fails"
+            );
+            assert_eq!(
+                r.fallback_level, 1,
+                "step {step}: a zero pivot costs exactly one rung"
+            );
+            assert_eq!(
+                r.fallback_rung,
+                PrecondKind::SsorAi,
+                "step {step}: the rung below ILU0 is SSOR-AI"
+            );
+        }
+        assert!(p.fallback_solves() >= 3);
     }
 }
