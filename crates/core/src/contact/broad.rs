@@ -18,8 +18,9 @@
 //! position, so the device compaction emits pairs already in the
 //! canonical `(i, j)` lexicographic order — no host-side sort fixup.
 //!
-//! These paths remain the reference oracle; the O(n + k) production
-//! broad phase lives in [`super::grid`].
+//! The serial sweep is the reference oracle and the serial pipeline's
+//! only broad phase; the device's O(n + k) cached grid lives in
+//! [`super::grid`].
 
 use super::grid::ContactWorkspace;
 use super::soa::GeomSoa;

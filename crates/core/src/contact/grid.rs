@@ -44,29 +44,25 @@
 //! trajectories stay bitwise identical. Once motion may have consumed
 //! the slack, the grid pass re-bins and the accumulator resets.
 //!
-//! All scratch lives in a [`ContactWorkspace`] (one per pipeline/scene),
-//! so the serial paths are allocation-free at steady state — the same
-//! discipline as `SpmvWorkspace` — and the device paths reuse every
-//! host-side buffer the kernels bind.
+//! Only the device pipelines bin; the serial one is the oracle and always
+//! runs the all-pairs sweep of [`super::broad`]. All scratch lives in a
+//! [`ContactWorkspace`] (one per pipeline/scene), so the device paths
+//! reuse every host-side buffer the kernels bind.
 
 use super::soa::GeomSoa;
-use crate::system::BlockSystem;
 use dda_simt::primitives::{compact_indices, scan_exclusive_u32, segment_starts, sort_pairs_u64};
-use dda_simt::serial::CpuCounter;
 use dda_simt::Device;
 use serde::{Deserialize, Serialize};
 
-/// Broad-phase algorithm selection (a [`crate::params::DdaParams`]
-/// control). All three modes produce the identical candidate pair set —
+/// Broad-phase algorithm selection for the device pipelines (a
+/// [`crate::params::DdaParams`] control; the serial pipeline always
+/// sweeps all pairs). Both modes produce the identical candidate pair set —
 /// they differ only in modeled/wall cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum BroadPhaseMode {
-    /// The paper's O(n²) all-pairs sweep (serial upper-triangular loop /
-    /// GPU tiled reshape) — the reference oracle.
+    /// The paper's O(n²) all-pairs sweep (GPU tiled reshape).
     #[default]
     AllPairs,
-    /// Uniform-grid cell binning: O(n + k) per step.
-    Grid,
     /// Uniform-grid binning plus the displacement-bounded pair cache:
     /// steps inside the slack budget skip binning entirely.
     GridCached,
@@ -78,17 +74,17 @@ pub enum BroadPhaseMode {
 /// median-sized block covers a handful of cells regardless of outliers
 /// in either direction.
 #[derive(Debug, Clone, Copy)]
-pub struct GridSpec {
+struct GridSpec {
     /// Grid origin (minimum inflated corner).
-    pub ox: f64,
+    ox: f64,
     /// Grid origin y.
-    pub oy: f64,
+    oy: f64,
     /// Square cell edge length.
-    pub cell: f64,
+    cell: f64,
     /// Cells along x.
-    pub nx: usize,
+    nx: usize,
     /// Cells along y.
-    pub ny: usize,
+    ny: usize,
 }
 
 impl GridSpec {
@@ -96,7 +92,7 @@ impl GridSpec {
     /// max_x, max_y)` quadruples) inflated by `inflate` on every side.
     /// `extents` is caller-owned scratch (reused across steps). Returns
     /// `None` for `n == 0`.
-    pub fn from_boxes(
+    fn from_boxes(
         boxes: &[f64],
         n: usize,
         inflate: f64,
@@ -157,48 +153,15 @@ impl GridSpec {
     /// Cell column of coordinate `x` (clamped into the grid; NaN → 0 via
     /// the saturating float→int cast).
     #[inline]
-    pub fn cell_x(&self, x: f64) -> usize {
+    fn cell_x(&self, x: f64) -> usize {
         (((x - self.ox) / self.cell).floor() as i64).clamp(0, self.nx as i64 - 1) as usize
     }
 
     /// Cell row of coordinate `y`.
     #[inline]
-    pub fn cell_y(&self, y: f64) -> usize {
+    fn cell_y(&self, y: f64) -> usize {
         (((y - self.oy) / self.cell).floor() as i64).clamp(0, self.ny as i64 - 1) as usize
     }
-
-    /// Covered cell range `(cx0, cx1, cy0, cy1)` of box `b` inflated by
-    /// `inflate`.
-    #[inline]
-    pub fn cover(&self, boxes: &[f64], b: usize, inflate: f64) -> (usize, usize, usize, usize) {
-        (
-            self.cell_x(boxes[4 * b] - inflate),
-            self.cell_x(boxes[4 * b + 2] + inflate),
-            self.cell_y(boxes[4 * b + 1] - inflate),
-            self.cell_y(boxes[4 * b + 3] + inflate),
-        )
-    }
-}
-
-/// The exact overlap predicate shared by every broad-phase path: boxes
-/// `i` and `j` (raw), each inflated by `inflate`, overlap (touching
-/// counts). The arithmetic (`min − r`, `max + r`, `≤`) is identical to
-/// `Aabb::inflate` + `Aabb::overlaps`, so all paths agree bit for bit.
-#[inline]
-pub fn boxes_overlap(boxes: &[f64], i: usize, j: usize, inflate: f64) -> bool {
-    let (ix0, iy0, ix1, iy1) = (
-        boxes[4 * i] - inflate,
-        boxes[4 * i + 1] - inflate,
-        boxes[4 * i + 2] + inflate,
-        boxes[4 * i + 3] + inflate,
-    );
-    let (jx0, jy0, jx1, jy1) = (
-        boxes[4 * j] - inflate,
-        boxes[4 * j + 1] - inflate,
-        boxes[4 * j + 2] + inflate,
-        boxes[4 * j + 3] + inflate,
-    );
-    ix0 <= jx1 && jx0 <= ix1 && iy0 <= jy1 && jy0 <= iy1
 }
 
 /// Persistent candidate-pair cache keyed on accumulated block motion.
@@ -271,12 +234,13 @@ impl BroadPhaseCache {
 
 /// Reusable broad-phase scratch: one per pipeline (or per batch scene).
 /// Hoists every per-step allocation of the broad-phase paths — the box
-/// mirror, the grid entries, the flag/count buffers, and the pair list —
-/// so steady-state detection allocates nothing on the serial paths and
-/// reuses all host-side kernel buffers on the device paths.
+/// mirror, the grid key/value/count buffers, the flag buffer, and the
+/// pair list — so the serial all-pairs sweep allocates nothing at steady
+/// state and the device paths reuse all host-side kernel buffers.
 #[derive(Debug, Default)]
 pub struct ContactWorkspace {
-    /// Raw AABB quadruples `(min_x, min_y, max_x, max_y)` per block.
+    /// Inflated AABB quadruples `(min_x, min_y, max_x, max_y)` per block
+    /// (the all-pairs sweeps' box mirror).
     pub boxes: Vec<f64>,
     /// Broad-phase output: candidate pairs `(i, j)`, `i < j`, sorted.
     pub pairs: Vec<(u32, u32)>,
@@ -287,7 +251,6 @@ pub struct ContactWorkspace {
     pub order: super::order::ContactOrderCache,
     // Grid scratch.
     extents: Vec<f64>,
-    entries: Vec<(u64, u32)>,
     counts: Vec<u32>,
     cell_keys: Vec<u64>,
     cell_vals: Vec<u32>,
@@ -301,170 +264,6 @@ impl ContactWorkspace {
     pub fn new() -> ContactWorkspace {
         ContactWorkspace::default()
     }
-
-    /// Mirrors the current block AABBs into [`ContactWorkspace::boxes`].
-    fn load_boxes_host(&mut self, sys: &BlockSystem) {
-        let n = sys.len();
-        self.boxes.clear();
-        self.boxes.reserve(4 * n);
-        for b in &sys.blocks {
-            let bb = b.aabb();
-            self.boxes
-                .extend_from_slice(&[bb.min.x, bb.min.y, bb.max.x, bb.max.y]);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serial grid broad phase
-// ---------------------------------------------------------------------------
-
-/// Core of the serial grid pass: bins `n` boxes inflated by `inflate`,
-/// emits the exact overlapping pair set into `out` (sorted), and charges
-/// `counter` with the O(n + E + considered) work. Scratch comes from the
-/// split-borrowed workspace fields so the cached path can target
-/// `cache.candidates` without aliasing.
-#[allow(clippy::too_many_arguments)]
-fn grid_pairs_serial_core(
-    boxes: &[f64],
-    n: usize,
-    inflate: f64,
-    extents: &mut Vec<f64>,
-    entries: &mut Vec<(u64, u32)>,
-    out: &mut Vec<(u32, u32)>,
-    counter: &mut CpuCounter,
-) {
-    out.clear();
-    if n < 2 {
-        counter.flop(4 * n as u64);
-        counter.bytes(32 * n as u64);
-        return;
-    }
-    let spec = GridSpec::from_boxes(boxes, n, inflate, extents).expect("n >= 2");
-    entries.clear();
-    for i in 0..n {
-        let (cx0, cx1, cy0, cy1) = spec.cover(boxes, i, inflate);
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                entries.push(((cy * spec.nx + cx) as u64, i as u32));
-            }
-        }
-    }
-    entries.sort_unstable();
-    let e_count = entries.len() as u64;
-
-    // Walk cell runs; each unordered pair is tested in every shared cell
-    // but emitted only by its owner cell.
-    let mut considered: u64 = 0;
-    let mut s = 0usize;
-    while s < entries.len() {
-        let key = entries[s].0;
-        let mut t = s + 1;
-        while t < entries.len() && entries[t].0 == key {
-            t += 1;
-        }
-        for a in s..t {
-            let i = entries[a].1 as usize;
-            let (icx0, _, icy0, _) = spec.cover(boxes, i, inflate);
-            for &(_, jv) in entries.iter().take(t).skip(a + 1) {
-                considered += 1;
-                let j = jv as usize;
-                if !boxes_overlap(boxes, i, j, inflate) {
-                    continue;
-                }
-                let (jcx0, _, jcy0, _) = spec.cover(boxes, j, inflate);
-                let owner = (icy0.max(jcy0) * spec.nx + icx0.max(jcx0)) as u64;
-                if owner == key {
-                    let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-                    out.push((lo as u32, hi as u32));
-                }
-            }
-        }
-        s = t;
-    }
-    out.sort_unstable();
-
-    // Work model: binning (box read + cell math + entry write), the
-    // O(E log E) key sort, and the per-candidate overlap/owner tests
-    // (same 4-flop/8-coordinate cost the all-pairs sweep charges per
-    // test, plus the owner-cell comparison).
-    let log_e = (64 - e_count.max(2).leading_zeros()) as u64;
-    counter.flop(12 * n as u64 + 2 * e_count * log_e + 12 * considered);
-    counter.bytes(
-        32 * n as u64 + 12 * e_count * (1 + log_e / 2) + 64 * considered + 8 * out.len() as u64,
-    );
-}
-
-/// Serial uniform-grid broad phase: the exact pair set of
-/// [`super::broad_phase_serial`], in O(n + k) modeled work. Fills
-/// `ws.pairs`.
-pub fn grid_broad_phase_serial(
-    sys: &BlockSystem,
-    range: f64,
-    counter: &mut CpuCounter,
-    ws: &mut ContactWorkspace,
-) {
-    ws.load_boxes_host(sys);
-    let n = sys.len();
-    let ContactWorkspace {
-        boxes,
-        pairs,
-        extents,
-        entries,
-        ..
-    } = ws;
-    grid_pairs_serial_core(boxes, n, range, extents, entries, pairs, counter);
-}
-
-/// Serial grid broad phase through the displacement-bounded cache:
-/// re-bins at `range + slack` only when accumulated motion may have
-/// invalidated the candidates; other steps just re-filter them at
-/// `range`. Fills `ws.pairs`.
-pub fn cached_broad_phase_serial(
-    sys: &BlockSystem,
-    range: f64,
-    slack: f64,
-    counter: &mut CpuCounter,
-    ws: &mut ContactWorkspace,
-) {
-    ws.load_boxes_host(sys);
-    let n = sys.len();
-    if !ws.cache.valid(range, slack, n) {
-        let ContactWorkspace {
-            boxes,
-            cache,
-            extents,
-            entries,
-            ..
-        } = ws;
-        grid_pairs_serial_core(
-            boxes,
-            n,
-            range + slack,
-            extents,
-            entries,
-            &mut cache.candidates,
-            counter,
-        );
-        cache.range = range;
-        cache.slack = slack;
-        cache.motion = 0.0;
-        cache.n_blocks = n;
-        cache.built = true;
-        cache.rebuilds += 1;
-    } else {
-        ws.cache.hits += 1;
-    }
-    // Exact at-`range` filter over the candidate superset.
-    ws.pairs.clear();
-    let c_count = ws.cache.candidates.len() as u64;
-    for &(i, j) in &ws.cache.candidates {
-        if boxes_overlap(&ws.boxes, i as usize, j as usize, range) {
-            ws.pairs.push((i, j));
-        }
-    }
-    counter.flop(4 * c_count);
-    counter.bytes(32 * n as u64 + 64 * c_count + 8 * ws.pairs.len() as u64);
 }
 
 // ---------------------------------------------------------------------------
@@ -494,7 +293,7 @@ fn grid_pairs_gpu_core(
 
     // Grid frame: modeled as a small reduction kernel over the boxes (on
     // hardware: min/max reduce + sampled median); the host computes the
-    // same spec the serial path uses so all paths bin identically.
+    // spec the kernels below bin against.
     {
         let b_in = dev.bind_ro(boxes);
         dev.launch("grid.spec", n, |lane| {
@@ -685,24 +484,6 @@ fn grid_pairs_gpu_core(
     }
 }
 
-/// Device uniform-grid broad phase: the exact pair set of
-/// [`super::broad_phase_gpu`], in O(n + k) modeled launches. Fills
-/// `ws.pairs` from `soa.aabb` (raw boxes stay on the device).
-pub fn grid_broad_phase_gpu(dev: &Device, soa: &GeomSoa, range: f64, ws: &mut ContactWorkspace) {
-    let n = soa.n_blocks();
-    let ContactWorkspace {
-        pairs,
-        extents,
-        counts,
-        cell_keys,
-        cell_vals,
-        ..
-    } = ws;
-    grid_pairs_gpu_core(
-        dev, &soa.aabb, n, range, extents, counts, cell_keys, cell_vals, pairs,
-    );
-}
-
 /// Device grid broad phase through the displacement-bounded cache: steps
 /// inside the slack budget run only the O(C) candidate re-filter kernel
 /// plus a compaction — no binning, no sort. Fills `ws.pairs`.
@@ -795,25 +576,8 @@ pub fn cached_broad_phase_gpu(
 }
 
 // ---------------------------------------------------------------------------
-// Mode dispatch (the pipelines' single entry points)
+// Mode dispatch (the device pipelines' single entry point)
 // ---------------------------------------------------------------------------
-
-/// Serial broad phase under the selected [`BroadPhaseMode`]; fills
-/// `ws.pairs` with the identical pair set in every mode.
-pub fn detect_broad_serial(
-    sys: &BlockSystem,
-    mode: BroadPhaseMode,
-    range: f64,
-    slack: f64,
-    counter: &mut CpuCounter,
-    ws: &mut ContactWorkspace,
-) {
-    match mode {
-        BroadPhaseMode::AllPairs => super::broad::broad_phase_serial_ws(sys, range, counter, ws),
-        BroadPhaseMode::Grid => grid_broad_phase_serial(sys, range, counter, ws),
-        BroadPhaseMode::GridCached => cached_broad_phase_serial(sys, range, slack, counter, ws),
-    }
-}
 
 /// Device broad phase under the selected [`BroadPhaseMode`]; fills
 /// `ws.pairs` with the identical pair set in every mode.
@@ -827,7 +591,6 @@ pub fn detect_broad_gpu(
 ) {
     match mode {
         BroadPhaseMode::AllPairs => super::broad::broad_phase_gpu_ws(dev, soa, range, ws),
-        BroadPhaseMode::Grid => grid_broad_phase_gpu(dev, soa, range, ws),
         BroadPhaseMode::GridCached => cached_broad_phase_gpu(dev, soa, range, slack, ws),
     }
 }
@@ -838,7 +601,9 @@ mod tests {
     use crate::block::Block;
     use crate::contact::broad::broad_phase_serial;
     use crate::material::{BlockMaterial, JointMaterial};
+    use crate::system::BlockSystem;
     use dda_geom::Polygon;
+    use dda_simt::serial::CpuCounter;
     use dda_simt::DeviceProfile;
 
     fn dev() -> Device {
@@ -861,23 +626,9 @@ mod tests {
         )
     }
 
-    #[test]
-    fn grid_serial_matches_all_pairs() {
-        for (nx, ny, gap, range) in [
-            (3usize, 3usize, 0.5f64, 0.3f64),
-            (4, 4, 0.5, 0.3),
-            (5, 3, 0.1, 0.6),
-            (7, 1, 0.2, 0.15),
-            (1, 1, 0.0, 1.0),
-        ] {
-            let sys = grid_system(nx, ny, gap);
-            let mut c1 = CpuCounter::new();
-            let oracle = broad_phase_serial(&sys, range, &mut c1);
-            let mut ws = ContactWorkspace::new();
-            let mut c2 = CpuCounter::new();
-            grid_broad_phase_serial(&sys, range, &mut c2, &mut ws);
-            assert_eq!(oracle, ws.pairs, "{nx}x{ny} gap {gap} range {range}");
-        }
+    /// The serial all-pairs sweep: the pair set every grid call must equal.
+    fn oracle(sys: &BlockSystem, range: f64) -> Vec<(u32, u32)> {
+        broad_phase_serial(sys, range, &mut CpuCounter::new())
     }
 
     #[test]
@@ -886,65 +637,54 @@ mod tests {
             (3usize, 3usize, 0.5f64, 0.3f64),
             (4, 4, 0.5, 0.3),
             (5, 3, 0.1, 0.6),
+            (7, 1, 0.2, 0.15),
+            (1, 1, 0.0, 1.0),
         ] {
             let sys = grid_system(nx, ny, gap);
-            let mut c = CpuCounter::new();
-            let oracle = broad_phase_serial(&sys, range, &mut c);
             let d = dev();
             let soa = GeomSoa::build(&sys);
             let mut ws = ContactWorkspace::new();
-            grid_broad_phase_gpu(&d, &soa, range, &mut ws);
-            assert_eq!(oracle, ws.pairs, "{nx}x{ny}");
-            let by = d.trace().by_kernel();
-            assert!(by.contains_key("grid.count_cells"));
-            assert!(by.contains_key("grid.emit_pairs"));
-            assert!(by.contains_key("radix.scatter"), "grid must radix-sort");
+            // Zero slack: the building call bins at exactly `range`.
+            cached_broad_phase_gpu(&d, &soa, range, 0.0, &mut ws);
+            assert_eq!(ws.cache.rebuilds, 1);
+            assert_eq!(
+                oracle(&sys, range),
+                ws.pairs,
+                "{nx}x{ny} gap {gap} range {range}"
+            );
+            if !ws.pairs.is_empty() {
+                let by = d.trace().by_kernel();
+                assert!(by.contains_key("grid.count_cells"));
+                assert!(by.contains_key("grid.emit_pairs"));
+                assert!(by.contains_key("radix.scatter"), "grid must radix-sort");
+            }
         }
     }
 
     #[test]
     fn cache_serves_hits_until_slack_consumed() {
         let sys = grid_system(4, 4, 0.5);
-        let range = 0.3;
-        let slack = 0.1;
-        let mut ws = ContactWorkspace::new();
-        let mut c = CpuCounter::new();
-        cached_broad_phase_serial(&sys, range, slack, &mut c, &mut ws);
-        assert_eq!(ws.cache.rebuilds, 1);
-        let first = ws.pairs.clone();
-        // No motion: every following call is a hit with the same pairs.
-        for _ in 0..3 {
-            ws.cache.note_motion(0.01);
-            cached_broad_phase_serial(&sys, range, slack, &mut c, &mut ws);
-            assert_eq!(ws.pairs, first);
-        }
-        assert_eq!(ws.cache.rebuilds, 1);
-        assert_eq!(ws.cache.hits, 3);
-        // Blow the slack budget: the next call must re-bin.
-        ws.cache.note_motion(0.2);
-        cached_broad_phase_serial(&sys, range, slack, &mut c, &mut ws);
-        assert_eq!(ws.cache.rebuilds, 2);
-        assert_eq!(ws.pairs, first);
-    }
-
-    #[test]
-    fn cache_gpu_matches_serial_cache() {
-        let sys = grid_system(4, 3, 0.4);
-        let range = 0.25;
-        let slack = 0.08;
+        let (range, slack) = (0.3, 0.1);
+        let expected = oracle(&sys, range);
         let d = dev();
         let soa = GeomSoa::build(&sys);
-        let mut wg = ContactWorkspace::new();
-        cached_broad_phase_gpu(&d, &soa, range, slack, &mut wg);
-        let mut wc = ContactWorkspace::new();
-        let mut c = CpuCounter::new();
-        cached_broad_phase_serial(&sys, range, slack, &mut c, &mut wc);
-        assert_eq!(wg.pairs, wc.pairs);
-        // Hit path on the device too.
-        wg.cache.note_motion(0.01);
-        cached_broad_phase_gpu(&d, &soa, range, slack, &mut wg);
-        assert_eq!(wg.cache.hits, 1);
-        assert_eq!(wg.pairs, wc.pairs);
+        let mut ws = ContactWorkspace::new();
+        cached_broad_phase_gpu(&d, &soa, range, slack, &mut ws);
+        assert_eq!(ws.cache.rebuilds, 1);
+        assert_eq!(ws.pairs, expected);
+        // Motion inside the budget: every following call is a hit with
+        // the same pairs.
+        for _ in 0..3 {
+            ws.cache.note_motion(0.01);
+            cached_broad_phase_gpu(&d, &soa, range, slack, &mut ws);
+            assert_eq!(ws.pairs, expected);
+        }
+        assert_eq!((ws.cache.rebuilds, ws.cache.hits), (1, 3));
+        // Blow the slack budget: the next call must re-bin.
+        ws.cache.note_motion(0.2);
+        cached_broad_phase_gpu(&d, &soa, range, slack, &mut ws);
+        assert_eq!(ws.cache.rebuilds, 2);
+        assert_eq!(ws.pairs, expected);
     }
 
     #[test]
@@ -961,37 +701,42 @@ mod tests {
             BlockMaterial::rock(),
             JointMaterial::frictional(30.0),
         );
-        let mut c = CpuCounter::new();
-        let oracle = broad_phase_serial(&sys, 0.1, &mut c);
+        let d = dev();
+        let soa = GeomSoa::build(&sys);
         let mut ws = ContactWorkspace::new();
-        grid_broad_phase_serial(&sys, 0.1, &mut c, &mut ws);
-        assert_eq!(oracle, ws.pairs);
+        cached_broad_phase_gpu(&d, &soa, 0.1, 0.0, &mut ws);
+        assert_eq!(oracle(&sys, 0.1), ws.pairs);
         assert_eq!(ws.pairs.len(), 8, "slab pairs once with each block");
     }
 
     #[test]
     fn workspace_buffers_reach_steady_state() {
         let sys = grid_system(5, 5, 0.3);
+        let d = dev();
+        let soa = GeomSoa::build(&sys);
         let mut ws = ContactWorkspace::new();
-        let mut c = CpuCounter::new();
-        grid_broad_phase_serial(&sys, 0.2, &mut c, &mut ws);
-        let caps = (
-            ws.boxes.capacity(),
-            ws.pairs.capacity(),
-            ws.entries.capacity(),
-            ws.extents.capacity(),
-        );
-        for _ in 0..4 {
-            grid_broad_phase_serial(&sys, 0.2, &mut c, &mut ws);
-        }
-        assert_eq!(
-            caps,
-            (
-                ws.boxes.capacity(),
+        let caps = |ws: &ContactWorkspace| {
+            [
                 ws.pairs.capacity(),
-                ws.entries.capacity(),
+                ws.flags.capacity(),
                 ws.extents.capacity(),
-            ),
+                ws.counts.capacity(),
+                ws.cell_keys.capacity(),
+                ws.cell_vals.capacity(),
+                ws.cache.candidates.capacity(),
+                ws.cache.cand_keys.capacity(),
+            ]
+        };
+        cached_broad_phase_gpu(&d, &soa, 0.2, 0.1, &mut ws);
+        let warm = caps(&ws);
+        for _ in 0..4 {
+            ws.cache.invalidate(); // every call re-bins
+            cached_broad_phase_gpu(&d, &soa, 0.2, 0.1, &mut ws);
+        }
+        assert_eq!(ws.cache.rebuilds, 5);
+        assert_eq!(
+            warm,
+            caps(&ws),
             "steady-state detection must reuse, not regrow"
         );
     }

@@ -19,9 +19,7 @@ pub mod types;
 
 pub use broad::{broad_phase_gpu, broad_phase_gpu_ws, broad_phase_serial, broad_phase_serial_ws};
 pub use grid::{
-    cached_broad_phase_gpu, cached_broad_phase_serial, detect_broad_gpu, detect_broad_serial,
-    grid_broad_phase_gpu, grid_broad_phase_serial, BroadPhaseCache, BroadPhaseMode,
-    ContactWorkspace, GridSpec,
+    cached_broad_phase_gpu, detect_broad_gpu, BroadPhaseCache, BroadPhaseMode, ContactWorkspace,
 };
 pub use init::{init_contacts_classified, init_contacts_monolithic};
 pub use narrow::{narrow_phase_gpu, narrow_phase_gpu_scheduled, narrow_phase_serial};

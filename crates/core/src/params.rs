@@ -102,10 +102,12 @@ pub struct DdaParams {
     /// Penalty used to anchor fixed-block vertices, as a multiple of the
     /// contact penalty.
     pub fixity_factor: f64,
-    /// Broad-phase algorithm: the paper's all-pairs sweep (reference
-    /// oracle, the default), the O(n + k) uniform grid, or the grid with
-    /// the displacement-bounded pair cache. All three produce identical
-    /// pair sets — and therefore bitwise-identical trajectories.
+    /// Device broad-phase algorithm: the paper's all-pairs sweep (the
+    /// default) or the O(n + k) uniform grid behind the
+    /// displacement-bounded pair cache. Both produce identical pair sets
+    /// — and therefore bitwise-identical trajectories. Like
+    /// `contact_order`, it is device-only: the serial pipeline always
+    /// runs the all-pairs oracle.
     pub broad_phase: BroadPhaseMode,
     /// Per-block slack margin (length units) for the cached broad phase:
     /// candidates are built at `contact_range + broad_slack` and stay

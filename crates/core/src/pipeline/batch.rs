@@ -245,9 +245,11 @@ impl SceneBatch {
     }
 
     /// Compacts the batch at a step boundary: retired slots are removed and
-    /// surviving scenes move down into the lowest indices, so merged batch
-    /// regions stop carrying dead segments (a region's modeled cost is the
-    /// `max` over member segments — empty trailing slots are pure waste).
+    /// surviving scenes move down into the lowest indices. Empty slots cost
+    /// no modeled time either way — a merged group is priced only from the
+    /// segments that launched into it — so what compaction changes is slot
+    /// order, and with it which launches the batch's greedy by-name
+    /// alignment merges.
     ///
     /// Returns the old→new slot mapping (`None` for removed slots). Scene
     /// payloads are *moved*, never rebuilt, so surviving trajectories are

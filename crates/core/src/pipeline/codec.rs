@@ -395,10 +395,11 @@ fn steppable(st: &SceneState) -> Result<(), CheckpointError> {
 macro_rules! enum_tables {
     ($then:ident) => {
         $then! {
-            BroadPhaseMode { AllPairs = 0, Grid = 1, GridCached = 2 }
-            // Retired, never reused: `PrecondKind` 5 and `PrecondError` 4
-            // (the deleted AMG2 rung and its singular-coarse error) decode
-            // as malformed.
+            // Retired, never reused: `BroadPhaseMode` 1 (the deleted
+            // uncached grid), `PrecondKind` 5 and `PrecondError` 4 (the
+            // deleted AMG2 rung and its singular-coarse error) decode as
+            // malformed.
+            BroadPhaseMode { AllPairs = 0, GridCached = 2 }
             PrecondKind { None = 0, BlockJacobi = 1, SsorAi = 2, Ilu0 = 3, Jacobi = 4 }
             SolverPrecision { Full = 0, Mixed = 1 }
             ContactOrder { Discovery = 0, ClassSorted = 1 }
@@ -653,10 +654,22 @@ mod tests {
         };
     }
 
+    /// Tags of deleted variants, as the comment in `enum_tables!` lists
+    /// them. A retired tag mid-table is past no table's last tag, so each
+    /// is probed by name.
+    const RETIRED: [(&str, u64); 3] = [
+        ("BroadPhaseMode", 1),
+        ("PrecondKind", 5),
+        ("PrecondError", 4),
+    ];
+
     #[test]
     fn every_enum_table_round_trips_and_rejects_unknown_tags() {
         let tables = enum_tables!(tables);
         assert_eq!(tables.len(), 14, "eleven fieldless and three payload enums");
+        for (name, _) in RETIRED {
+            assert!(tables.iter().any(|t| t.name == name), "{name} has a table");
+        }
         for t in tables {
             let mut distinct = t.tags.clone();
             distinct.sort_unstable();
@@ -671,7 +684,8 @@ mod tests {
                 assert_eq!((t.round_trip)(tag), Ok(tag), "{} tag {tag}", t.name);
             }
             let past_last = t.tags.iter().max().expect("a table has variants") + 1;
-            for bad in [past_last, u64::MAX] {
+            let retired = RETIRED.iter().filter(|(name, _)| *name == t.name);
+            for bad in retired.map(|&(_, tag)| tag).chain([past_last, u64::MAX]) {
                 match (t.round_trip)(bad) {
                     Err(CheckpointError::Malformed { what }) => {
                         assert!(what.contains(t.name), "{}: {what}", t.name)

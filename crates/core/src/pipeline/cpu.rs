@@ -5,8 +5,8 @@ use super::health::{all_finite, StepError};
 use super::{ModuleTimes, StepReport};
 use crate::assembly::assemble_contacts_serial;
 use crate::contact::{
-    detect_broad_serial, init::init_contacts_serial, narrow_phase_serial, transfer_contacts_serial,
-    Contact, ContactWorkspace,
+    broad_phase_serial_ws, init::init_contacts_serial, narrow_phase_serial,
+    transfer_contacts_serial, Contact, ContactWorkspace,
 };
 use crate::interpenetration::{check_serial, GapArrays};
 use crate::openclose::open_close_serial;
@@ -49,13 +49,6 @@ impl CpuPipeline {
             model: TimingModel::default(),
             profile: DeviceProfile::xeon_e5620_serial(),
         }
-    }
-
-    /// Broad-phase cache diagnostics: `(hits, rebuilds)` of the
-    /// displacement-bounded candidate cache (both zero unless
-    /// [`crate::contact::BroadPhaseMode::GridCached`] is selected).
-    pub fn broad_cache_stats(&self) -> (u64, u64) {
-        (self.ws.cache.hits, self.ws.cache.rebuilds)
     }
 
     /// Current contact set (after the last step).
@@ -102,14 +95,7 @@ impl CpuPipeline {
 
         // ---- Contact detection ---------------------------------------------
         let mut cd = CpuCounter::new();
-        detect_broad_serial(
-            &self.sys,
-            self.params.broad_phase,
-            self.params.contact_range,
-            self.params.broad_slack,
-            &mut cd,
-            &mut self.ws,
-        );
+        broad_phase_serial_ws(&self.sys, self.params.contact_range, &mut cd, &mut self.ws);
         let mut contacts = narrow_phase_serial(
             &self.sys,
             &self.ws.pairs,
@@ -119,11 +105,12 @@ impl CpuPipeline {
         transfer_contacts_serial(&self.contacts, &mut contacts, &mut cd);
         init_contacts_serial(&self.sys, &mut contacts, touch, &mut cd);
         self.contacts = contacts;
-        // `params.contact_order` is accepted but inert here: the serial
-        // path has no warps, so a scheduling permutation could only change
-        // processing order — which by construction never changes outputs.
-        // Keeping it a no-op preserves CPU↔GPU trajectory identity under
-        // either knob setting without maintaining a second code path.
+        // `params.broad_phase` and `params.contact_order` are accepted but
+        // inert here: every broad phase finds the all-pairs set, and the
+        // serial path has no warps, so a scheduling permutation could only
+        // change processing order — which by construction never changes
+        // outputs. Keeping them no-ops preserves CPU↔GPU trajectory
+        // identity under any knob setting without a second code path.
         // `params.assembly_reuse` and `params.warm_start` are inert the
         // same way: the serial pipeline is the reference oracle the
         // incremental/warm paths are validated against, so it always
@@ -153,9 +140,6 @@ impl CpuPipeline {
         report.dt = self.params.dt;
         outcome.recover_dt_if_clean(&mut self.params);
         self.x_prev = outcome.d;
-        // Committed geometry moved at most the accepted step's maximum
-        // vertex displacement — the broad-phase cache's validity bound.
-        self.ws.cache.note_motion(report.max_displacement);
         Ok(report)
     }
 

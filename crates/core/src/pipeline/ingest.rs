@@ -642,7 +642,9 @@ impl BatchScheduler {
         }
 
         // 5. Occupancy rebalancing: compact when dead slots pass the
-        // watermark, so merged batch regions stop paying for corpses.
+        // watermark. Dead slots launch nothing and cost no modeled time;
+        // compaction only reorders slots, which moves what the batch's
+        // by-name launch alignment merges.
         let n = self.batch.n_scenes();
         let retired = (0..n)
             .filter(|&i| self.batch.health(i).state == SlotState::Retired)

@@ -1,14 +1,12 @@
-//! Steady-state allocation audit for the serial contact-detection paths.
+//! Steady-state allocation audit for the serial contact-detection path.
 //!
-//! Once a [`ContactWorkspace`] is warmed, every serial broad-phase
-//! variant — the all-pairs sweep, the cell-binned grid, and the cached
-//! grid's hit path — must allocate **nothing**: boxes, bin entries, and
-//! pair lists live in the workspace and are reused by capacity, and all
-//! sorting is in-place `sort_unstable`. This test arms a counting global
-//! allocator around the warmed calls and requires exactly zero heap
-//! allocations.
+//! Once a [`ContactWorkspace`] is warmed, the serial broad phase — the
+//! all-pairs sweep, the serial pipeline's only one — must allocate
+//! **nothing**: boxes and pair lists live in the workspace and are reused
+//! by capacity. This test arms a counting global allocator around the
+//! warmed call and requires exactly zero heap allocations.
 //!
-//! Only the serial paths are audited: the device paths reuse their
+//! Only the serial path is audited: the device paths reuse their
 //! host-side workspace buffers too, but the simulator's primitives
 //! (radix sort, scan, compaction) allocate internally by design — their
 //! buffer-capacity steady state is asserted in `contact::grid`'s unit
@@ -24,8 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dda_core::contact::{
-    broad_phase_serial_ws, detect_broad_serial, narrow_phase_serial, BroadPhaseMode, ContactState,
-    ContactWorkspace, GeomSoa,
+    broad_phase_serial_ws, narrow_phase_serial, ContactState, ContactWorkspace, GeomSoa,
 };
 use dda_core::stiffness::perblock::{build_diag_gpu, BlockSoa};
 use dda_core::{AssemblyCache, Block, BlockMaterial, BlockSystem, DdaParams, JointMaterial};
@@ -102,68 +99,22 @@ fn grid_system(nx: usize, ny: usize, gap: f64) -> BlockSystem {
 #[test]
 fn warmed_serial_broad_phases_allocate_nothing() {
     let sys = grid_system(12, 12, 0.02);
-    let (range, slack) = (0.05, 0.4);
+    let range = 0.05;
     let mut counter = CpuCounter::default();
-    let mut ws_all = ContactWorkspace::new();
-    let mut ws_grid = ContactWorkspace::new();
-    let mut ws_cached = ContactWorkspace::new();
+    let mut ws = ContactWorkspace::new();
 
-    // Warm: workspace capacities, and the cached mode's candidate build
-    // (so the measured call is the steady-state hit path).
-    for _ in 0..2 {
-        broad_phase_serial_ws(&sys, range, &mut counter, &mut ws_all);
-        detect_broad_serial(
-            &sys,
-            BroadPhaseMode::Grid,
-            range,
-            slack,
-            &mut counter,
-            &mut ws_grid,
-        );
-        detect_broad_serial(
-            &sys,
-            BroadPhaseMode::GridCached,
-            range,
-            slack,
-            &mut counter,
-            &mut ws_cached,
-        );
-    }
-    let expected = ws_all.pairs.clone();
+    // Warm: workspace capacities.
+    broad_phase_serial_ws(&sys, range, &mut counter, &mut ws);
+    let expected = ws.pairs.clone();
     assert!(!expected.is_empty(), "audit needs real pair work");
 
     // Measure.
-    let (n_allocs, ()) = count_allocs(|| {
-        broad_phase_serial_ws(&sys, range, &mut counter, &mut ws_all);
-        detect_broad_serial(
-            &sys,
-            BroadPhaseMode::Grid,
-            range,
-            slack,
-            &mut counter,
-            &mut ws_grid,
-        );
-        detect_broad_serial(
-            &sys,
-            BroadPhaseMode::GridCached,
-            range,
-            slack,
-            &mut counter,
-            &mut ws_cached,
-        );
-    });
+    let (n_allocs, ()) = count_allocs(|| broad_phase_serial_ws(&sys, range, &mut counter, &mut ws));
     assert_eq!(
         n_allocs, 0,
-        "warmed serial broad phases performed {n_allocs} heap allocations"
+        "a warmed all-pairs sweep performed {n_allocs} heap allocations"
     );
-
-    // And they still agree on the answer.
-    assert_eq!(ws_grid.pairs, expected, "grid diverged from all-pairs");
-    assert_eq!(
-        ws_cached.pairs, expected,
-        "cached hit diverged from all-pairs"
-    );
-    assert!(ws_cached.cache.hits >= 2, "third call must be a cache hit");
+    assert_eq!(ws.pairs, expected, "the warmed sweep changed its answer");
 }
 
 #[test]

@@ -112,9 +112,10 @@ fn migration_records_cost_at_most_one_percent_of_aggregate_step_time() {
 
 /// Compacting dead slots out of the batch must not tax the fleet: the same
 /// seeded churn (5 % NaN-poisoned scenes, 8 slots) with occupancy
-/// rebalancing on costs at most 5 % more modeled time than with it off —
-/// in practice less, since dead slots cost launch segments — and completes
-/// the same scenes.
+/// rebalancing on costs at most 5 % more modeled time than with it off,
+/// and completes the same scenes. Dead slots launch nothing, so they cost
+/// no modeled time; compaction moves the total only by reordering slots,
+/// which changes what the batch's by-name launch alignment merges.
 #[test]
 fn occupancy_rebalancing_costs_at_most_five_percent_and_completes_the_same_scenes() {
     const BUDGET_PCT: f64 = 5.0;
@@ -236,27 +237,25 @@ fn class_sorting_cuts_divergent_branch_groups_where_warps_mix_classes() {
     );
 }
 
-/// The uniform grid and the displacement-bounded candidate cache beat the
-/// O(n²) all-pairs sweep on the scattered field (O(1) neighbours per
-/// block), and win harder as n grows. At 200 blocks the plain grid still
-/// loses to all-pairs (its sort and scan do not amortise); 3 200 is the
-/// recorded size from which it wins.
+/// The cached uniform grid beats the O(n²) all-pairs sweep on the
+/// scattered field (O(1) neighbours per block), and wins harder as n
+/// grows — both on the call that bins at `range + slack` and builds the
+/// candidate set, and on a steady-state hit that only re-filters it. At
+/// 200 blocks the building call still loses to all-pairs (its sort and
+/// scan do not amortise); 3 200 is the recorded size from which it wins.
 #[test]
 #[ignore = "3 200-block all-pairs sweep: run in release by the CI claims step"]
 fn grid_broad_phase_beats_all_pairs_and_wins_harder_as_n_grows() {
-    // Modeled seconds of one steady-state broad phase per mode.
+    // Modeled seconds of one broad-phase call per mode: the first call
+    // under `GridCached` builds, the third is a hit; all-pairs is timed on
+    // the same third call.
     let probe = |n: usize| {
         let (sys, params) = scatter_case(&ScatterConfig {
             seed: SEED,
             ..ScatterConfig::default().with_rocks(n)
         });
         let soa = GeomSoa::build(&sys);
-        [
-            BroadPhaseMode::AllPairs,
-            BroadPhaseMode::Grid,
-            BroadPhaseMode::GridCached,
-        ]
-        .map(|mode| {
+        [BroadPhaseMode::AllPairs, BroadPhaseMode::GridCached].map(|mode| {
             let dev = k40();
             let mut ws = ContactWorkspace::new();
             let (range, slack) = (params.contact_range, params.broad_slack);
@@ -264,27 +263,25 @@ fn grid_broad_phase_beats_all_pairs_and_wins_harder_as_n_grows() {
                 detect_broad_gpu(&dev, &soa, mode, range, slack, &mut ws);
                 dev.modeled_seconds()
             };
-            // The cached mode's first call builds its candidate set: the
-            // third call is the steady state (a cache hit).
-            detect();
+            let first = detect();
             let warm = detect();
-            detect() - warm
+            (first, detect() - warm)
         })
     };
     let speedups = |n: usize| {
-        let [all_pairs, grid, cached] = probe(n);
-        (all_pairs / grid, all_pairs / cached)
+        let [(_, all_pairs), (build, hit)] = probe(n);
+        (all_pairs / build, all_pairs / hit)
     };
-    let (grid_small, cached_small) = speedups(200);
-    let (grid_large, cached_large) = speedups(3200);
+    let (build_small, hit_small) = speedups(200);
+    let (build_large, hit_large) = speedups(3200);
     assert!(
-        grid_large > 1.0 && cached_large > 1.0,
-        "at 3 200 blocks: grid {grid_large:.2}×, cached {cached_large:.2}×"
+        build_large > 1.0 && hit_large > 1.0,
+        "at 3 200 blocks: build {build_large:.2}×, hit {hit_large:.2}×"
     );
     assert!(
-        grid_large > grid_small && cached_large > cached_small,
-        "speed-up must grow with n: grid {grid_small:.2}× → {grid_large:.2}×, \
-         cached {cached_small:.2}× → {cached_large:.2}×"
+        build_large > build_small && hit_large > hit_small,
+        "speed-up must grow with n: build {build_small:.2}× → {build_large:.2}×, \
+         hit {hit_small:.2}× → {hit_large:.2}×"
     );
 }
 

@@ -1,21 +1,21 @@
-//! Property-style parity tests for the cell-binned broad phase.
+//! Property-style parity tests for the device's cell-binned broad phase.
 //!
 //! The uniform grid is an *indexing* change, not a semantics change: for
-//! any block soup it must report exactly the pairs the all-pairs sweep
-//! reports — same set, same canonical (i < j, lexicographic) order — on
-//! both the serial and the device path. The soups here are chosen to
-//! stress the grid's corner cases: uniform scatter, dense clusters,
-//! a giant block spanning many cells over random debris, everything
-//! crammed into one cell, the empty system, and a single block.
+//! any block soup the device's cached grid must report exactly the pairs
+//! the serial all-pairs sweep (the oracle) reports — same set, same
+//! canonical (i < j, lexicographic) order — on the call that bins and on
+//! the call served from the cache. The soups here are chosen to stress
+//! the grid's corner cases: uniform scatter, dense clusters, a giant
+//! block spanning many cells over random debris, everything crammed into
+//! one cell, the empty system, and a single block.
 //!
 //! A second battery drives a soup block-by-block until the cache's slack
 //! budget is consumed, checking after every motion step that the cached
-//! candidate filter never misses a pair a fresh re-bin would find, and
-//! that the rebuild counter fires only when the slack is actually spent.
+//! candidate filter never misses a pair the oracle finds, and that the
+//! rebuild counter fires only when the slack is actually spent.
 
 use dda_repro::core::contact::{
-    broad_phase_serial_ws, detect_broad_gpu, detect_broad_serial, BroadPhaseMode, ContactWorkspace,
-    GeomSoa,
+    broad_phase_serial_ws, detect_broad_gpu, BroadPhaseMode, ContactWorkspace, GeomSoa,
 };
 use dda_repro::core::{Block, BlockMaterial, BlockSystem, JointMaterial};
 use dda_repro::geom::{Polygon, Vec2};
@@ -109,23 +109,13 @@ fn one_cell_soup(rng: &mut Lcg, n: usize) -> BlockSystem {
     )
 }
 
-/// Every path — serial/device × all-pairs/grid, and the cached grid on the
-/// device — must produce the same canonical pair list.
+/// Every device path — all-pairs, and the cached grid on its building call
+/// and on its hit — must produce the serial all-pairs oracle's canonical
+/// pair list.
 fn assert_parity(sys: &BlockSystem, range: f64) {
     let mut counter = CpuCounter::default();
     let mut oracle = ContactWorkspace::new();
     broad_phase_serial_ws(sys, range, &mut counter, &mut oracle);
-
-    let mut grid_ser = ContactWorkspace::new();
-    detect_broad_serial(
-        sys,
-        BroadPhaseMode::Grid,
-        range,
-        0.0,
-        &mut counter,
-        &mut grid_ser,
-    );
-    assert_eq!(grid_ser.pairs, oracle.pairs, "serial grid vs all-pairs");
 
     let dev = k40();
     let soa = GeomSoa::build(sys);
@@ -139,10 +129,6 @@ fn assert_parity(sys: &BlockSystem, range: f64) {
         &mut all_gpu,
     );
     assert_eq!(all_gpu.pairs, oracle.pairs, "device all-pairs vs serial");
-
-    let mut grid_gpu = ContactWorkspace::new();
-    detect_broad_gpu(&dev, &soa, BroadPhaseMode::Grid, range, 0.0, &mut grid_gpu);
-    assert_eq!(grid_gpu.pairs, oracle.pairs, "device grid vs all-pairs");
 
     // The cached device path, on the call that builds the candidate set
     // and on the next one, which is served from it.
@@ -206,14 +192,19 @@ fn empty_and_single_soups_match_all_pairs() {
 }
 
 /// Drives blocks step by step until the slack budget is consumed: the
-/// cached filter must agree with a fresh re-bin after *every* step, the
-/// steps inside the budget must be served from the cache, and the
-/// rebuild counter must fire once the accumulated motion spends the
-/// slack.
+/// device's cached filter must agree with the serial all-pairs oracle
+/// after *every* step, the steps inside the budget must be served from the
+/// cache, and the rebuild counter must fire once the accumulated motion
+/// spends the slack.
 #[test]
 fn cache_revalidation_never_misses_a_pair() {
     let (range, slack) = (0.05, 0.35);
     let step_d = 0.06; // per-step max displacement: ~6 steps per budget
+    let dev = k40();
+    let cached_detect = |sys: &BlockSystem, ws: &mut ContactWorkspace| {
+        let soa = GeomSoa::build(sys);
+        detect_broad_gpu(&dev, &soa, BroadPhaseMode::GridCached, range, slack, ws);
+    };
     for seed in 40..=42u64 {
         let mut rng = Lcg(seed);
         let mut sys = uniform_soup(&mut rng, 90, 22.0);
@@ -227,15 +218,8 @@ fn cache_revalidation_never_misses_a_pair() {
 
         let mut counter = CpuCounter::default();
         let mut cached = ContactWorkspace::new();
-        let mut fresh = ContactWorkspace::new();
-        detect_broad_serial(
-            &sys,
-            BroadPhaseMode::GridCached,
-            range,
-            slack,
-            &mut counter,
-            &mut cached,
-        );
+        let mut oracle = ContactWorkspace::new();
+        cached_detect(&sys, &mut cached);
         assert_eq!(cached.cache.rebuilds, 1, "first call builds");
 
         for step in 0..16 {
@@ -250,25 +234,11 @@ fn cache_revalidation_never_misses_a_pair() {
             }
             cached.cache.note_motion(maxd);
 
-            detect_broad_serial(
-                &sys,
-                BroadPhaseMode::GridCached,
-                range,
-                slack,
-                &mut counter,
-                &mut cached,
-            );
-            detect_broad_serial(
-                &sys,
-                BroadPhaseMode::Grid,
-                range,
-                slack,
-                &mut counter,
-                &mut fresh,
-            );
+            cached_detect(&sys, &mut cached);
+            broad_phase_serial_ws(&sys, range, &mut counter, &mut oracle);
             assert_eq!(
-                cached.pairs, fresh.pairs,
-                "seed {seed} step {step}: cached filter diverged from a fresh re-bin"
+                cached.pairs, oracle.pairs,
+                "seed {seed} step {step}: cached filter diverged from the all-pairs oracle"
             );
         }
         assert!(

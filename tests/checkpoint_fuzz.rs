@@ -227,7 +227,7 @@ fn golden_state(k: usize) -> SceneState {
     ];
     const BROAD: [BroadPhaseMode; 3] = [
         BroadPhaseMode::AllPairs,
-        BroadPhaseMode::Grid,
+        BroadPhaseMode::AllPairs,
         BroadPhaseMode::GridCached,
     ];
     const SLOTS: [SlotState; 4] = [
@@ -394,7 +394,13 @@ fn fnv1a(text: &str) -> u64 {
 /// two-level block-AMG rung (`PrecondKind` tag 5) and its singular-coarse
 /// error (`PrecondError` tag 4), variants that no longer exist, so their
 /// slots now hold live variants instead. The other twelve states and the
-/// fleet checkpoint are byte-identical to the parent's.
+/// fleet checkpoint were byte-identical to the parent's.
+///
+/// Re-captured a second time, for states 1, 4, 7, 10 and 13, the combined
+/// scene digest and the fleet checkpoint (which embeds state 13): those
+/// states selected the uncached grid broad phase (`BroadPhaseMode` tag 1),
+/// which no longer exists, so `BROAD[1]` now holds `AllPairs`. The scene
+/// record and the other ten states are byte-identical to the parent's.
 #[test]
 fn wire_format_matches_the_parent_commit() {
     // Scene checkpoints: fifteen hand-built states.
@@ -418,19 +424,19 @@ fn wire_format_matches_the_parent_commit() {
         per_state,
         [
             (0x89a3_58a1_25b8_f2b9, 1_724),
-            (0x9814_2ec1_6613_52bb, 1_731),
+            (0xc8ce_752a_e691_ea1c, 1_731),
             (0x4db6_75d5_73a6_3542, 1_728),
             (0x72e2_2fcc_e6cd_089c, 1_731),
-            (0xd28b_e6b1_7688_c604, 1_744),
+            (0xc7cc_2ab6_2b5b_f09f, 1_744),
             (0x4439_da27_fc93_d1ff, 1_752),
             (0xdb3c_a245_6089_fbe2, 1_732),
-            (0xc8d9_efef_623e_6938, 1_735),
+            (0x53b6_1d5f_5692_5231, 1_735),
             (0x9409_615a_0177_3794, 1_750),
             (0xf2d5_d6d0_a8e1_5835, 1_737),
-            (0x7fa8_c310_8cfd_d94c, 1_736),
+            (0x65fd_0c7e_c16b_0c1b, 1_736),
             (0x262d_f273_a7e5_1b9e, 1_739),
             (0x6ecb_4651_87d0_fad7, 1_753),
-            (0x39d0_f00c_d556_83dc, 1_738),
+            (0x8eb0_cf22_ca4a_143b, 1_738),
             (0x6793_b48c_fec0_0470, 1_732),
         ],
         "(FNV-1a, bytes) of scene checkpoint k, k = 0..15"
@@ -486,8 +492,8 @@ fn wire_format_matches_the_parent_commit() {
     assert_eq!(
         digests,
         [
-            ("scene checkpoints", 0xc02a_65ad_50b0_5191, 26_076),
-            ("fleet checkpoint", 0x1206_bd5e_7826_0298, 5_233),
+            ("scene checkpoints", 0x2a65_d872_c665_9f72, 26_076),
+            ("fleet checkpoint", 0xb139_3662_d4ef_2e67, 5_233),
             ("scene record", 0x61b7_cbe9_8ac8_651f, 1_768),
         ],
         "(name, FNV-1a, bytes) of the wire text"
