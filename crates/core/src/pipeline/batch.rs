@@ -255,7 +255,7 @@ impl SceneBatch {
     /// payloads are *moved*, never rebuilt, so surviving trajectories are
     /// bit-identical by construction — and asserted, via a state
     /// fingerprint taken on each side of the move. Armed fault injections
-    /// (under `fault-inject`) are remapped to follow their scenes.
+    /// are remapped to follow their scenes.
     pub fn compact(&mut self) -> Vec<Option<usize>> {
         let n = self.slots.len();
         let before: Vec<Option<u64>> = (0..n).map(|i| self.fingerprint(i)).collect();
@@ -278,7 +278,6 @@ impl SceneBatch {
                 );
             }
         }
-        #[cfg(feature = "fault-inject")]
         self.dev.remap_fault_segments(&map);
         map
     }

@@ -34,7 +34,7 @@ use crate::stiffness::perblock::{build_diag_gpu, BlockSoa};
 use crate::system::BlockSystem;
 use crate::update::{max_displacement, update_system};
 use dda_simt::serial::CpuCounter;
-use dda_simt::{BatchSummary, Device, KernelStats};
+use dda_simt::{BatchSummary, Device, Fault, KernelStats};
 use dda_solver::{pcg_fused_batch, SolveResult, SolverPrecision};
 use dda_sparse::Block6;
 
@@ -590,7 +590,6 @@ fn assemble(dev: &Device, l: &mut Lane<'_>) {
         None
     };
     let (diag, rhs0) = (l.diag.0.clone(), l.diag.1.clone());
-    #[allow(unused_mut)]
     let mut asm = match sc.params.assembly_reuse {
         AssemblyReuse::Recompute => assemble_contacts_gpu_scheduled(
             dev,
@@ -607,16 +606,12 @@ fn assemble(dev: &Device, l: &mut Lane<'_>) {
                 .assemble(dev, &sc.sys, &l.gsoa, &sc.contacts, &sc.params, diag, rhs0)
         }
     };
-    #[cfg(feature = "fault-inject")]
-    {
-        use dda_simt::Fault;
-        if dev.fault_fires(Fault::NanRhs) {
-            asm.rhs[0] = f64::NAN;
-        }
-        if dev.fault_fires(Fault::IndefiniteOperator) {
-            for db in asm.matrix.diag.iter_mut() {
-                *db = db.scale(-1.0);
-            }
+    if dev.fault_fires(Fault::NanRhs) {
+        asm.rhs[0] = f64::NAN;
+    }
+    if dev.fault_fires(Fault::IndefiniteOperator) {
+        for db in asm.matrix.diag.iter_mut() {
+            *db = db.scale(-1.0);
         }
     }
     l.report.n_upper = asm.matrix.n_upper();
@@ -651,10 +646,8 @@ fn check_and_update(dev: &Device, l: &mut Lane<'_>, oc_iter: usize) {
             oc_iteration: l.report.oc_iterations,
         });
     }
-    #[allow(unused_mut)]
     let mut changes = open_close_gpu(dev, &mut sc.contacts, &l.gaps, open_tol, freeze);
-    #[cfg(feature = "fault-inject")]
-    if dev.fault_fires(dda_simt::Fault::OcPin) {
+    if dev.fault_fires(Fault::OcPin) {
         changes = changes.max(1);
     }
     // A converged (or iteration-capped) scene stops contributing launches.

@@ -81,8 +81,7 @@
 //!
 //! ## Failure model
 //!
-//! Devices die in two shapes (arm with
-//! `Device::arm_device_death`, behind the `fault-inject` feature):
+//! Devices die in two shapes (arm with `Device::arm_device_death`):
 //! *crash* (fail-stop — the device reports itself dead, detected at the
 //! next step boundary) and *hang* (fail-silent — launches stop returning;
 //! a watchdog declares death after `watchdog_ticks` stale ticks; the
@@ -104,9 +103,9 @@ use super::codec::{encode_intent, encode_scene_record};
 use super::ingest::{
     BatchScheduler, FleetScene, IngestConfig, IngestError, SceneStatus, SceneSubmission, Ticket,
 };
-#[cfg(feature = "fault-inject")]
-use super::wal::WalIoOp;
-use super::wal::{WalConfig, WalError, WalOutcome, WalRecordKind, WalReplay, WalStats, WalWriter};
+use super::wal::{
+    WalConfig, WalError, WalIoOp, WalOutcome, WalRecordKind, WalReplay, WalStats, WalWriter,
+};
 
 /// Fleet-wide scene identifier, stable across devices, migrations, and
 /// process restarts (unlike per-scheduler [`Ticket`]s, which are reissued
@@ -295,7 +294,6 @@ pub struct FleetStats {
 }
 
 /// Which boundary of an in-flight migration a crash is armed at.
-#[cfg(feature = "fault-inject")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationPhase {
     /// Immediately after the `MigrateIntent` record is fsynced, before
@@ -310,7 +308,6 @@ pub enum MigrationPhase {
 }
 
 /// Which side of an in-flight migration the armed crash kills.
-#[cfg(feature = "fault-inject")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationVictim {
     /// The device the scene is leaving.
@@ -383,7 +380,6 @@ pub struct FleetRouter {
     cooldown: BTreeMap<SceneId, u64>,
     /// `Some(reason)` once a WAL failure parked the router read-only.
     degraded: Option<String>,
-    #[cfg(feature = "fault-inject")]
     armed_migration: Option<(MigrationPhase, MigrationVictim)>,
     stats: FleetStats,
 }
@@ -423,7 +419,6 @@ impl FleetRouter {
             dev_seconds,
             cooldown: BTreeMap::new(),
             degraded: None,
-            #[cfg(feature = "fault-inject")]
             armed_migration: None,
             stats: FleetStats::default(),
         }
@@ -868,7 +863,6 @@ impl FleetRouter {
         )?;
         self.wal.sync()?;
         self.epochs.insert(id, new_epoch);
-        #[cfg(feature = "fault-inject")]
         self.fire_migration_crash(MigrationPhase::AfterIntent, src, dst);
         if !self.device_ok(src) {
             // Source died with the scene still aboard: nothing was
@@ -897,7 +891,6 @@ impl FleetRouter {
             return Ok(false);
         };
         self.workers[src].scenes.remove(&ticket);
-        #[cfg(feature = "fault-inject")]
         self.fire_migration_crash(MigrationPhase::AfterCapture, src, dst);
         // The destination may have died while the capture was in flight;
         // fall back to the best survivor (possibly the source itself).
@@ -925,7 +918,6 @@ impl FleetRouter {
         // exactly what a real mid-handoff crash leaves behind — and the
         // death path replays the WAL (rolling the intent forward) and
         // re-places it.
-        #[cfg(feature = "fault-inject")]
         self.fire_migration_crash(MigrationPhase::BeforeCommit, src, dst);
         let committed = self.device_ok(target);
         if committed {
@@ -989,7 +981,6 @@ impl FleetRouter {
         }
     }
 
-    #[cfg(feature = "fault-inject")]
     fn fire_migration_crash(&mut self, phase: MigrationPhase, src: usize, dst: usize) {
         if let Some((p, v)) = self.armed_migration {
             if p == phase {
@@ -1201,12 +1192,6 @@ impl FleetRouter {
         &self.placements
     }
 
-    /// The current ownership epoch of a live scene (terminal scenes drop
-    /// out of the map).
-    pub fn scene_epoch(&self, id: SceneId) -> Option<u64> {
-        self.epochs.get(&id).copied()
-    }
-
     /// Durable outcomes of finished scenes.
     pub fn outcomes(&self) -> BTreeMap<SceneId, FleetOutcome> {
         self.outcomes
@@ -1238,7 +1223,6 @@ impl FleetRouter {
     /// Arms a one-shot WAL I/O fault on the chosen [`WalIoOp`]: it fails
     /// after `after` successful occurrences, which must park the router
     /// degraded rather than panic.
-    #[cfg(feature = "fault-inject")]
     pub fn arm_wal_fault(&mut self, op: WalIoOp, after: u64) {
         self.wal.arm_io_fault(op, after);
     }
@@ -1246,7 +1230,6 @@ impl FleetRouter {
     /// Arms a one-shot crash of the chosen migration victim at the chosen
     /// phase boundary of the *next* live migration the rebalancer
     /// attempts.
-    #[cfg(feature = "fault-inject")]
     pub fn arm_migration_crash(&mut self, phase: MigrationPhase, victim: MigrationVictim) {
         self.armed_migration = Some((phase, victim));
     }

@@ -125,12 +125,6 @@ impl GpuPipeline {
         self.ws.order.stats()
     }
 
-    /// Per-solve telemetry of the last step (name of the configured
-    /// starting rung).
-    pub fn precond_name(&self) -> &'static str {
-        self.params.precond.name()
-    }
-
     /// Lifetime count of solves that had to leave the configured
     /// preconditioner rung (degradation-ladder activations).
     pub fn fallback_solves(&self) -> usize {

@@ -25,21 +25,17 @@ pub use cpu::CpuPipeline;
 pub use driver::StepOutcome;
 pub use fleet::{
     system_fingerprint, FleetError, FleetOutcome, FleetRouter, FleetStats, FleetSubmission,
-    FleetTickReport, RebalanceConfig, RouterConfig, SceneId,
+    FleetTickReport, MigrationPhase, MigrationVictim, RebalanceConfig, RouterConfig, SceneId,
 };
-#[cfg(feature = "fault-inject")]
-pub use fleet::{MigrationPhase, MigrationVictim};
 pub use gpu::{GpuPipeline, PrecondKind};
 pub use health::{HealthPolicy, SceneHealth, SlotState, StepError};
 pub use ingest::{
     BatchScheduler, Envelope, FleetScene, IngestConfig, IngestError, IngestStats, Priority,
     SceneRecord, SceneStatus, SceneSubmission, TickReport, Ticket,
 };
-#[cfg(feature = "fault-inject")]
-pub use wal::WalIoOp;
 pub use wal::{
-    PendingMigration, RecordSpan, WalConfig, WalError, WalOutcome, WalRecordKind, WalReplay,
-    WalStats, WalWriter,
+    PendingMigration, RecordSpan, WalConfig, WalError, WalIoOp, WalOutcome, WalRecordKind,
+    WalReplay, WalStats, WalWriter,
 };
 
 use serde::{Deserialize, Serialize};

@@ -1,6 +1,6 @@
 //! Cached equation-solving state of one scene, owned by the step engine.
 
-use dda_simt::{Device, KernelStats};
+use dda_simt::{Device, Fault, KernelStats};
 use dda_solver::precond::{BlockJacobi, Identity, Ilu0, Jacobi, Preconditioner, SsorAi};
 use dda_solver::{PcgBatchEntry, PcgOptions, PcgWorkspace, PrecondError};
 use dda_solver::{PrecondKind, SolverPrecision};
@@ -114,8 +114,7 @@ impl SolverCache {
             }
             PrecondKind::SsorAi => RungPrecond::Built(Box::new(SsorAi::try_new(dev, h, 1.0)?)),
             PrecondKind::Ilu0 => {
-                #[cfg(feature = "fault-inject")]
-                if dev.fault_fires(dda_simt::Fault::IluZeroPivot) {
+                if dev.fault_fires(Fault::IluZeroPivot) {
                     return Err(PrecondError::ZeroPivot { row: 0, pivot: 0.0 });
                 }
                 let csr = Csr::from_sym_full(matrix);

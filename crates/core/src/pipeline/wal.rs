@@ -217,9 +217,8 @@ impl WalRecordKind {
     }
 }
 
-/// Which writer operation an injected I/O fault targets (compiled only
-/// with the `fault-inject` feature; see [`WalWriter::arm_io_fault`]).
-#[cfg(feature = "fault-inject")]
+/// Which writer operation an injected I/O fault targets (see
+/// [`WalWriter::arm_io_fault`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalIoOp {
     /// Fail a [`WalWriter::append`] (a write to the segment file).
@@ -304,7 +303,6 @@ pub struct WalWriter {
     /// Armed I/O fault: target operation plus how many more such
     /// operations succeed before one fails (deterministic, program
     /// order).
-    #[cfg(feature = "fault-inject")]
     armed_io: Option<(WalIoOp, u64)>,
 }
 
@@ -371,24 +369,20 @@ impl WalWriter {
             next_seq,
             unsynced: false,
             stats: WalStats::default(),
-            #[cfg(feature = "fault-inject")]
             armed_io: None,
         })
     }
 
     /// Arms a deterministic I/O fault: the next `after` operations of
     /// kind `op` succeed, then one fails with an injected
-    /// [`WalError::Io`]. Firing disarms. Compiled only with the
-    /// `fault-inject` feature; a fleet router arms it through
+    /// [`WalError::Io`]. Firing disarms. A fleet router arms it through
     /// [`FleetRouter::arm_wal_fault`](super::fleet::FleetRouter::arm_wal_fault).
-    #[cfg(feature = "fault-inject")]
     pub fn arm_io_fault(&mut self, op: WalIoOp, after: u64) {
         self.armed_io = Some((op, after));
     }
 
     /// Consumes one firing opportunity for `op`; returns the injected
     /// error when the countdown expires.
-    #[cfg(feature = "fault-inject")]
     fn io_fault_fires(&mut self, op: WalIoOp) -> Result<(), WalError> {
         if let Some((armed_op, remaining)) = self.armed_io {
             if armed_op == op {
@@ -439,7 +433,6 @@ impl WalWriter {
         epoch: u64,
         payload: &[u8],
     ) -> Result<u64, WalError> {
-        #[cfg(feature = "fault-inject")]
         self.io_fault_fires(WalIoOp::Append)?;
         if self.seg_written > 0 && self.seg_written >= self.cfg.segment_bytes {
             self.rotate()?;
@@ -474,7 +467,6 @@ impl WalWriter {
     /// segment. No-op when nothing is staged, so callers can sync once
     /// per step-boundary burst (group commit) without double-charging.
     pub fn sync(&mut self) -> Result<(), WalError> {
-        #[cfg(feature = "fault-inject")]
         self.io_fault_fires(WalIoOp::Sync)?;
         if self.unsynced {
             self.file.sync_data()?;
@@ -614,67 +606,10 @@ impl WalReplay {
     /// replays to an empty state (fresh start).
     pub fn load(dir: &Path) -> Result<WalReplay, WalError> {
         let mut replay = WalReplay::default();
-        if !dir.exists() {
-            return Ok(replay);
-        }
-        let segs = list_segments(dir)?;
-        let last_idx = segs.last().map(|(i, _)| *i).unwrap_or(0);
-        replay.last_segment = last_idx;
-        let mut prev_seq: Option<u64> = None;
-        let mut prev_seg: Option<u64> = None;
-        for (idx, path) in segs {
-            let mut bytes = Vec::new();
-            File::open(&path)?.read_to_end(&mut bytes)?;
-            let is_last = idx == last_idx;
-            let mut off = 0usize;
-            while off < bytes.len() {
-                match parse_record(&bytes[off..]) {
-                    Ok((rec, consumed)) => {
-                        if prev_seq.is_some_and(|p| rec.seq <= p) {
-                            return Err(WalError::Corrupt {
-                                segment: idx,
-                                offset: off as u64,
-                                what: "sequence number not increasing",
-                            });
-                        }
-                        // Pruning only removes a log *prefix* and rotation
-                        // never skips sequences, so the first record after
-                        // a segment boundary must continue exactly where
-                        // the previous segment stopped; a jump means a
-                        // middle segment is missing.
-                        if let (Some(p), Some(ps)) = (prev_seq, prev_seg) {
-                            if ps != idx && rec.seq != p + 1 {
-                                return Err(WalError::MissingSegment {
-                                    segment: idx,
-                                    expected_seq: p + 1,
-                                    found_seq: rec.seq,
-                                });
-                            }
-                        }
-                        prev_seq = Some(rec.seq);
-                        prev_seg = Some(idx);
-                        replay.apply(rec, idx, off as u64)?;
-                        off += consumed;
-                    }
-                    Err(what) => {
-                        if is_last {
-                            // Crash artifact: everything from here on in
-                            // the final segment is an unacked partial
-                            // write. Discard it.
-                            replay.torn_tail = true;
-                            off = bytes.len();
-                        } else {
-                            return Err(WalError::Corrupt {
-                                segment: idx,
-                                offset: off as u64,
-                                what,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        replay.next_seq = prev_seq.map_or(0, |s| s + 1);
+        let end = walk_segments(dir, |rec, at| replay.apply(rec, at.segment, at.start))?;
+        replay.last_segment = end.last_segment;
+        replay.next_seq = end.next_seq;
+        replay.torn_tail = end.torn_tail;
         // Resolve intents that never saw their commit: roll the scene
         // forward onto the destination at its last durable state, under
         // the epoch the intent reserved. Deterministic — every recovery
@@ -839,14 +774,67 @@ pub struct RecordSpan {
 
 /// Scans `dir` and returns the span of every intact record in order. A
 /// torn tail is ignored (its span is not returned); corruption elsewhere
-/// errors like [`WalReplay::load`].
+/// errors exactly as in [`WalReplay::load`].
 pub fn record_spans(dir: &Path) -> Result<Vec<RecordSpan>, WalError> {
     let mut spans = Vec::new();
-    if !dir.exists() {
-        return Ok(spans);
-    }
-    let segs = list_segments(dir)?;
-    let last_idx = segs.last().map(|(i, _)| *i).unwrap_or(0);
+    walk_segments(dir, |rec, at| {
+        spans.push(RecordSpan {
+            path: at.path.to_path_buf(),
+            segment: at.segment,
+            start: at.start,
+            end: at.end,
+            seq: rec.seq,
+            kind: rec.kind,
+            scene_id: rec.scene_id,
+        });
+        Ok(())
+    })?;
+    Ok(spans)
+}
+
+/// Where an intact record sits, as [`walk_segments`] hands it out.
+struct RecordAt<'a> {
+    path: &'a Path,
+    segment: u64,
+    start: u64,
+    end: u64,
+}
+
+/// What a walk saw of the log as a whole.
+struct WalkEnd {
+    /// Index of the last segment present (0 when the log is empty).
+    last_segment: u64,
+    /// One past the highest sequence number seen (0 when none).
+    next_seq: u64,
+    /// Whether a torn record was discarded at the tail of the last
+    /// segment.
+    torn_tail: bool,
+}
+
+/// The one segment walker behind [`WalReplay::load`] and
+/// [`record_spans`]: lists the segments under `dir` in index order,
+/// parses every record, applies the log's validity rules and hands each
+/// intact record to `visit` in order. The rules:
+/// * sequence numbers strictly increase, else `Corrupt`;
+/// * pruning only removes a log *prefix* and rotation never skips
+///   sequences, so the first record after a segment boundary continues
+///   exactly where the previous segment stopped, else `MissingSegment`;
+/// * a record that fails to parse in the last segment is a torn tail
+///   (the crash artifact of an unacked partial write): it and everything
+///   after it are discarded; anywhere else it is `Corrupt`.
+///
+/// An absent directory walks as an empty log.
+fn walk_segments(
+    dir: &Path,
+    mut visit: impl FnMut(RawRecord, RecordAt<'_>) -> Result<(), WalError>,
+) -> Result<WalkEnd, WalError> {
+    let segs = if dir.exists() {
+        list_segments(dir)?
+    } else {
+        Vec::new()
+    };
+    let last_segment = segs.last().map_or(0, |(i, _)| *i);
+    let mut torn_tail = false;
     let mut prev: Option<(u64, u64)> = None; // (seq, segment) of the last record
     for (idx, path) in segs {
         let mut bytes = Vec::new();
@@ -855,10 +843,14 @@ pub fn record_spans(dir: &Path) -> Result<Vec<RecordSpan>, WalError> {
         while off < bytes.len() {
             match parse_record(&bytes[off..]) {
                 Ok((rec, consumed)) => {
-                    // Same missing-middle-segment rule as WalReplay::load:
-                    // sequence numbers may only start mid-stream (a pruned
-                    // prefix), never jump across a segment boundary.
                     if let Some((p_seq, p_seg)) = prev {
+                        if rec.seq <= p_seq {
+                            return Err(WalError::Corrupt {
+                                segment: idx,
+                                offset: off as u64,
+                                what: "sequence number not increasing",
+                            });
+                        }
                         if idx != p_seg && rec.seq != p_seq + 1 {
                             return Err(WalError::MissingSegment {
                                 segment: idx,
@@ -868,32 +860,34 @@ pub fn record_spans(dir: &Path) -> Result<Vec<RecordSpan>, WalError> {
                         }
                     }
                     prev = Some((rec.seq, idx));
-                    spans.push(RecordSpan {
-                        path: path.clone(),
+                    let at = RecordAt {
+                        path: &path,
                         segment: idx,
                         start: off as u64,
                         end: (off + consumed) as u64,
-                        seq: rec.seq,
-                        kind: rec.kind,
-                        scene_id: rec.scene_id,
-                    });
+                    };
+                    visit(rec, at)?;
                     off += consumed;
                 }
-                Err(what) => {
-                    if idx == last_idx {
-                        off = bytes.len();
-                    } else {
-                        return Err(WalError::Corrupt {
-                            segment: idx,
-                            offset: off as u64,
-                            what,
-                        });
-                    }
+                Err(what) if idx != last_segment => {
+                    return Err(WalError::Corrupt {
+                        segment: idx,
+                        offset: off as u64,
+                        what,
+                    });
+                }
+                Err(_) => {
+                    torn_tail = true;
+                    off = bytes.len();
                 }
             }
         }
     }
-    Ok(spans)
+    Ok(WalkEnd {
+        last_segment,
+        next_seq: prev.map_or(0, |(seq, _)| seq + 1),
+        torn_tail,
+    })
 }
 
 #[cfg(test)]
@@ -997,8 +991,21 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Refusals of a damaged log that is not a torn tail: both readers
+    /// walk the same segments under the same rules.
     #[test]
     fn mid_log_corruption_refused() {
+        let refused_by_both = |dir: &Path, what: &str| {
+            match WalReplay::load(dir) {
+                Err(WalError::Corrupt { .. }) => {}
+                other => panic!("{what}: expected Corrupt from load, got {other:?}"),
+            }
+            match record_spans(dir) {
+                Err(WalError::Corrupt { .. }) => {}
+                other => panic!("{what}: expected Corrupt from spans, got {other:?}"),
+            }
+        };
+
         let dir = temp_dir("corrupt");
         let mut cfg = WalConfig::new(&dir);
         cfg.segment_bytes = 64;
@@ -1021,10 +1028,33 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         fs::write(first, &bytes).unwrap();
-        match WalReplay::load(&dir) {
-            Err(WalError::Corrupt { .. }) => {}
-            other => panic!("expected Corrupt, got {other:?}"),
+        refused_by_both(&dir, "bit flip");
+        fs::remove_dir_all(&dir).unwrap();
+
+        // One record duplicated byte for byte inside a segment: every
+        // record parses, but the sequence repeats.
+        let dir = temp_dir("duplicate");
+        let mut w = WalWriter::create(WalConfig::new(&dir)).unwrap();
+        for i in 0..3u64 {
+            w.append(
+                WalRecordKind::Terminal,
+                i,
+                0,
+                0,
+                WalOutcome::Completed.encode(i).as_bytes(),
+            )
+            .unwrap();
         }
+        w.sync().unwrap();
+        let spans = record_spans(&dir).unwrap();
+        assert_eq!(spans.len(), 3);
+        let path = &spans[1].path;
+        let mut bytes = fs::read(path).unwrap();
+        let dup = bytes[spans[1].start as usize..spans[1].end as usize].to_vec();
+        let at = spans[1].end as usize;
+        bytes.splice(at..at, dup);
+        fs::write(path, &bytes).unwrap();
+        refused_by_both(&dir, "duplicated record");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1212,7 +1242,6 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn armed_io_faults_fire_once_then_clear() {
         let dir = temp_dir("io-fault");

@@ -10,21 +10,25 @@
 //! it dodges the communication wall the SpMV split hits — the trade the
 //! paper's future-work section weighs.
 //!
-//! With `--features fault-inject` the exhibit also kills a device
-//! mid-run (fail-stop and fail-silent) and reports detection latency,
-//! migration counts, and the bit-identicality of failover.
+//! The exhibit then kills a device mid-run (fail-stop and fail-silent)
+//! and reports detection latency, migration counts, and the
+//! bit-identicality of failover.
 //!
 //! Exits 1 if the journal's modeled cost exceeds [`WAL_BUDGET_PCT`] of the
 //! aggregate modeled step time on any fleet it prints.
 //!
 //! Usage: `multigpu [--rocks N] [--steps N] [--seed N]`
 
+use std::collections::BTreeMap;
+
+use dda_core::pipeline::{FleetRouter, RouterConfig};
 use dda_harness::experiments::{
-    fleet_churn_config, run_fleet_churn, wal_overhead_pct, WAL_BUDGET_PCT,
+    fleet_churn_config, run_fleet_churn, wal_dir, wal_overhead_pct, WAL_BUDGET_PCT,
 };
 use dda_harness::table::{fmt_time, Table};
 use dda_harness::Args;
-use dda_simt::DeviceProfile;
+use dda_simt::{DeathMode, Device, DeviceProfile};
+use dda_workloads::{FleetChurnConfig, FleetChurnTraffic};
 
 struct FleetRun {
     completed: u64,
@@ -59,14 +63,7 @@ fn run_fleet(n_devices: usize, rocks: usize, window: u64, seed: u64) -> FleetRun
     }
 }
 
-#[cfg(feature = "fault-inject")]
 fn failover_exhibit(rocks: usize) {
-    use dda_core::pipeline::{FleetRouter, RouterConfig};
-    use dda_harness::experiments::wal_dir;
-    use dda_simt::{DeathMode, Device};
-    use dda_workloads::{FleetChurnConfig, FleetChurnTraffic};
-    use std::collections::BTreeMap;
-
     let run = |tag: &str, arm: Option<(usize, DeathMode, usize)>| {
         let dir = wal_dir(&format!("failover-{tag}"));
         let mut cfg = RouterConfig::new(&dir);
@@ -133,14 +130,6 @@ fn failover_exhibit(rocks: usize) {
         "\nDead devices are detected at step boundaries (fail-silent ones by the\n\
          watchdog), their scenes replayed from the WAL onto survivors, and the\n\
          recovered trajectories match the undisturbed run bit for bit."
-    );
-}
-
-#[cfg(not(feature = "fault-inject"))]
-fn failover_exhibit(_rocks: usize) {
-    println!(
-        "\n(build with --features fault-inject to add the device-death\n\
-         failover exhibit: detection latency + bit-identical recovery)"
     );
 }
 

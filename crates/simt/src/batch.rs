@@ -69,7 +69,6 @@ impl BatchState {
 
     /// The segment subsequent launches are attributed to (None before the
     /// region's first `set_segment`).
-    #[cfg(feature = "fault-inject")]
     pub(crate) fn current_segment(&self) -> Option<usize> {
         self.current
     }

@@ -3,6 +3,7 @@
 use crate::batch::{BatchState, BatchSummary};
 use crate::block::Block;
 use crate::buffer::GBuf;
+use crate::inject::{ArmedFault, DeathMode, DeathState, Fault};
 use crate::lane::{Lane, WarpAcc, WarpTotals};
 use crate::profile::DeviceProfile;
 use crate::stats::{DeviceTrace, KernelStats, LaunchRecord};
@@ -62,10 +63,8 @@ pub struct Device {
     batch: Mutex<Option<BatchState>>,
     next_base: AtomicU64,
     epoch: AtomicU32,
-    #[cfg(feature = "fault-inject")]
-    faults: Mutex<Vec<crate::inject::ArmedFault>>,
-    #[cfg(feature = "fault-inject")]
-    death: Mutex<crate::inject::DeathState>,
+    faults: Mutex<Vec<ArmedFault>>,
+    death: Mutex<DeathState>,
 }
 
 impl Device {
@@ -80,10 +79,8 @@ impl Device {
             batch: Mutex::new(None),
             next_base: AtomicU64::new(1 << 12),
             epoch: AtomicU32::new(0),
-            #[cfg(feature = "fault-inject")]
             faults: Mutex::new(Vec::new()),
-            #[cfg(feature = "fault-inject")]
-            death: Mutex::new(crate::inject::DeathState::default()),
+            death: Mutex::new(DeathState::default()),
         }
     }
 
@@ -319,16 +316,8 @@ impl Device {
     /// Arms `fault` against batch segment `segment` for the next `times`
     /// firings (`usize::MAX` = every opportunity). Deterministic: firings
     /// are consumed in program order at the instrumented call sites.
-    #[cfg(feature = "fault-inject")]
-    pub fn arm_fault(&self, segment: usize, fault: crate::inject::Fault, times: usize) {
-        if fault == crate::inject::Fault::DeviceDeath {
-            // Device-wide, not per-segment: `times` is the number of
-            // step-boundary polls survived before a fail-stop crash.
-            let _ = segment;
-            self.arm_device_death(crate::inject::DeathMode::Crash, times);
-            return;
-        }
-        self.faults.lock().unwrap().push(crate::inject::ArmedFault {
+    pub fn arm_fault(&self, segment: usize, fault: Fault, times: usize) {
+        self.faults.lock().unwrap().push(ArmedFault {
             segment,
             fault,
             remaining: times,
@@ -340,20 +329,19 @@ impl Device {
     /// ([`DeathMode::Crash`] fail-stop or [`DeathMode::Hang`]
     /// fail-silent). Re-arming replaces a previously armed (but not yet
     /// fired) death.
-    ///
-    /// [`DeathMode::Crash`]: crate::inject::DeathMode::Crash
-    /// [`DeathMode::Hang`]: crate::inject::DeathMode::Hang
-    #[cfg(feature = "fault-inject")]
-    pub fn arm_device_death(&self, mode: crate::inject::DeathMode, after_polls: usize) {
+    pub fn arm_device_death(&self, mode: DeathMode, after_polls: usize) {
         self.death.lock().unwrap().armed = Some((mode, after_polls));
     }
 
     /// Polls whether `fault` is armed for the *current batch segment*,
-    /// consuming one firing when it is. Outside a batch region (or for an
-    /// unarmed segment) this is always false, so instrumented call sites
-    /// are inert unless a test arms them.
-    #[cfg(feature = "fault-inject")]
-    pub fn fault_fires(&self, fault: crate::inject::Fault) -> bool {
+    /// consuming one firing when it is. With nothing armed, outside a
+    /// batch region, or for an unarmed segment this is always false, so
+    /// instrumented call sites are inert unless a caller arms them.
+    pub fn fault_fires(&self, fault: Fault) -> bool {
+        let mut faults = self.faults.lock().unwrap();
+        if faults.is_empty() {
+            return false;
+        }
         let Some(seg) = self
             .batch
             .lock()
@@ -363,7 +351,6 @@ impl Device {
         else {
             return false;
         };
-        let mut faults = self.faults.lock().unwrap();
         for f in faults.iter_mut() {
             if f.fault == fault && f.segment == seg && f.remaining > 0 {
                 if f.remaining != usize::MAX {
@@ -376,7 +363,6 @@ impl Device {
     }
 
     /// Disarms every fault.
-    #[cfg(feature = "fault-inject")]
     pub fn disarm_faults(&self) {
         self.faults.lock().unwrap().clear();
     }
@@ -385,7 +371,6 @@ impl Device {
     /// (e.g. slot compaction in a batched runtime): a fault armed against
     /// old segment `i` now targets `map[i]`; faults whose segment maps to
     /// `None` (or falls outside `map`) are disarmed — their target is gone.
-    #[cfg(feature = "fault-inject")]
     pub fn remap_fault_segments(&self, map: &[Option<usize>]) {
         self.faults
             .lock()
@@ -401,23 +386,18 @@ impl Device {
 
     /// Step-boundary liveness poll. A fleet router calls this once per
     /// step boundary before dispatching work; each call consumes one tick
-    /// of an armed [`Fault::DeviceDeath`] countdown, and the death fires
-    /// (permanently) when the countdown reaches zero. Without the
-    /// `fault-inject` feature — or with nothing armed — this is a no-op,
-    /// so liveness polling never perturbs a healthy run.
-    ///
-    /// [`Fault::DeviceDeath`]: crate::inject::Fault::DeviceDeath
+    /// of a death armed with [`Device::arm_device_death`], and the death
+    /// fires (permanently) when the countdown reaches zero. With nothing
+    /// armed this is a no-op, so liveness polling never perturbs a
+    /// healthy run.
     pub fn poll_step_boundary(&self) {
-        #[cfg(feature = "fault-inject")]
-        {
-            let mut d = self.death.lock().unwrap();
-            if let Some((mode, remaining)) = d.armed {
-                if remaining == 0 {
-                    d.armed = None;
-                    d.dead = Some(mode);
-                } else {
-                    d.armed = Some((mode, remaining - 1));
-                }
+        let mut d = self.death.lock().unwrap();
+        if let Some((mode, remaining)) = d.armed {
+            if remaining == 0 {
+                d.armed = None;
+                d.dead = Some(mode);
+            } else {
+                d.armed = Some((mode, remaining - 1));
             }
         }
     }
@@ -426,20 +406,10 @@ impl Device {
     /// a fail-stop [`DeathMode::Crash`] fired: a crashed device's driver
     /// calls return errors, so callers learn of the death at the next
     /// step boundary. A hung device still *claims* to be alive — see
-    /// [`Device::is_responsive`]. Always `true` without the
-    /// `fault-inject` feature.
-    ///
-    /// [`DeathMode::Crash`]: crate::inject::DeathMode::Crash
+    /// [`Device::is_responsive`]. Always `true` unless a death was armed
+    /// with [`Device::arm_device_death`].
     pub fn is_alive(&self) -> bool {
-        #[cfg(feature = "fault-inject")]
-        {
-            !matches!(
-                self.death.lock().unwrap().dead,
-                Some(crate::inject::DeathMode::Crash)
-            )
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        true
+        self.death.lock().unwrap().dead != Some(DeathMode::Crash)
     }
 
     /// Whether work dispatched to the device would complete. `false` once
@@ -447,14 +417,10 @@ impl Device {
     /// unresponsive device as a timed-out step that makes no progress;
     /// distinguishing a hang from slow progress is the router's watchdog
     /// budget, not a device-side query a real driver could answer.
-    /// Always `true` without the `fault-inject` feature.
+    /// Always `true` unless a death was armed with
+    /// [`Device::arm_device_death`].
     pub fn is_responsive(&self) -> bool {
-        #[cfg(feature = "fault-inject")]
-        {
-            self.death.lock().unwrap().dead.is_none()
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        true
+        self.death.lock().unwrap().dead.is_none()
     }
 
     /// Wake a hung device back up: the "zombie" scenario, where a kernel
@@ -465,12 +431,9 @@ impl Device {
     /// (the device fell off the bus; there is nothing to wake). The fleet
     /// tests use this to prove epoch fencing: a revived zombie may step,
     /// but its stale outcomes must never be journaled.
-    ///
-    /// [`DeathMode::Hang`]: crate::inject::DeathMode::Hang
-    #[cfg(feature = "fault-inject")]
     pub fn revive(&self) -> bool {
         let mut d = self.death.lock().unwrap();
-        if d.dead == Some(crate::inject::DeathMode::Hang) {
+        if d.dead == Some(DeathMode::Hang) {
             d.dead = None;
             true
         } else {
@@ -921,12 +884,10 @@ mod tests {
         assert!(dev.is_responsive());
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn armed_crash_fires_after_countdown() {
-        use crate::inject::{DeathMode, Fault};
         let dev = k40();
-        dev.arm_fault(0, Fault::DeviceDeath, 2);
+        dev.arm_device_death(DeathMode::Crash, 2);
         dev.poll_step_boundary(); // 2 -> 1
         dev.poll_step_boundary(); // 1 -> 0
         assert!(dev.is_alive(), "countdown not yet exhausted");

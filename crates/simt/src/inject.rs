@@ -1,21 +1,23 @@
-//! Deterministic fault injection (compiled only with the `fault-inject`
-//! feature).
+//! Deterministic fault injection.
 //!
 //! The fault-isolation machinery in the pipeline crates is worthless if it
 //! cannot be exercised on demand: real NaN contamination and PCG breakdown
 //! are rare and input-dependent. This module lets a test or benchmark
 //! *arm* a fault against one batch segment (scene) of a device; the
 //! pipeline's instrumented call sites poll [`Device::fault_fires`] at the
-//! matching phase and corrupt their own data when it returns true.
+//! matching phase and corrupt their own data when it returns true. A
+//! device death is armed separately, with [`Device::arm_device_death`].
 //!
-//! Injection is deterministic by construction: a fault names its target
-//! segment and a firing budget, and firing consumes budget in program
-//! order — no randomness, no clocks — so a poisoned run is exactly
-//! reproducible and an *unpoisoned* run is bit-identical to a build
-//! without the feature (the polls read state under a lock and touch no
-//! numerical data).
+//! The hooks are always compiled and fire only when armed. Injection is
+//! deterministic by construction: a fault names its target segment and a
+//! firing budget, and firing consumes budget in program order — no
+//! randomness, no clocks — so a poisoned run is exactly reproducible. An
+//! *unarmed* run is bit-identical to one that never polls: a poll reads
+//! the armed list under a lock, launches no kernel and touches no
+//! numerical data (the launch-counter and step-engine goldens pin this).
 //!
 //! [`Device::fault_fires`]: crate::Device::fault_fires
+//! [`Device::arm_device_death`]: crate::Device::arm_device_death
 
 /// What to corrupt when the fault fires. The corruption itself lives at
 /// the pipeline call site (this crate only decides *whether* it happens).
@@ -37,24 +39,12 @@ pub enum Fault {
     /// SPD and rarely meet a zero ILU(0) pivot, so exercising a
     /// construction failure on the configured rung needs injection.)
     IluZeroPivot,
-    /// Kill the whole device. Unlike the per-segment faults above this one
-    /// is device-wide: arming it via [`Device::arm_fault`] ignores the
-    /// segment argument and interprets the firing budget as the number of
-    /// step-boundary polls ([`Device::poll_step_boundary`]) the device
-    /// survives before dying in [`DeathMode::Crash`]. It never fires
-    /// through [`Device::fault_fires`]; liveness is observed through
-    /// [`Device::is_alive`] / [`Device::is_responsive`] instead.
-    ///
-    /// [`Device::arm_fault`]: crate::Device::arm_fault
-    /// [`Device::poll_step_boundary`]: crate::Device::poll_step_boundary
-    /// [`Device::fault_fires`]: crate::Device::fault_fires
-    /// [`Device::is_alive`]: crate::Device::is_alive
-    /// [`Device::is_responsive`]: crate::Device::is_responsive
-    DeviceDeath,
 }
 
-/// How an armed [`Fault::DeviceDeath`] manifests once its countdown
-/// expires.
+/// How a death armed with [`Device::arm_device_death`] manifests once
+/// its countdown expires.
+///
+/// [`Device::arm_device_death`]: crate::Device::arm_device_death
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeathMode {
     /// Fail-stop: the device reports itself dead immediately

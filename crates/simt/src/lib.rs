@@ -67,7 +67,6 @@ pub mod block;
 pub mod buffer;
 pub(crate) mod coalesce;
 pub mod device;
-#[cfg(feature = "fault-inject")]
 pub mod inject;
 pub mod lane;
 pub(crate) mod pool;
@@ -81,7 +80,6 @@ pub use batch::BatchSummary;
 pub use block::Block;
 pub use buffer::GBuf;
 pub use device::Device;
-#[cfg(feature = "fault-inject")]
 pub use inject::{DeathMode, Fault};
 pub use lane::Lane;
 pub use profile::DeviceProfile;

@@ -299,7 +299,6 @@ fn warm_start_is_tolerance_equivalent_and_saves_iterations() {
 /// iterations under one standing plan) and an indefinite operator (rescue
 /// solves, ladder descents) must leave Incremental bitwise equal to the
 /// oracle — both runs armed identically.
-#[cfg(feature = "fault-inject")]
 mod faulted {
     use super::*;
     use dda_repro::simt::Fault;

@@ -273,7 +273,6 @@ fn preconditioner_batch_matches_solos(precision: SolverPrecision) {
 /// A zero ILU(0) pivot on one slot descends that scene's own ladder
 /// (ILU0 → SSOR-AI) inside the batch exactly as it does solo, and the
 /// batch-mates never notice.
-#[cfg(feature = "fault-inject")]
 #[test]
 fn ilu0_zero_pivot_descends_in_a_batch_as_it_does_solo() {
     use dda_repro::simt::Fault;

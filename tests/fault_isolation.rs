@@ -1,4 +1,4 @@
-//! Fault-isolation suite (requires `--features fault-inject`).
+//! Fault-isolation suite.
 //!
 //! The tentpole contract of the scene lifecycle: a poisoned scene is
 //! detected, degraded, and quarantined by the batched runtime, while every
@@ -10,8 +10,6 @@
 //! (segment 0), so the same hooks reach it: the `solo_*` tests pin that a
 //! faulted `GpuPipeline::try_step` returns the structured error with
 //! nothing committed.
-
-#![cfg(feature = "fault-inject")]
 
 use dda_repro::core::pipeline::{system_fingerprint, GpuPipeline, SceneBatch};
 use dda_repro::core::{BlockSystem, DdaParams, HealthPolicy, SlotState, StepError};

@@ -11,12 +11,12 @@
 //!    intent without a commit must roll forward deterministically — never
 //!    fork, never vanish.
 //!
-//! 2. **Mid-protocol device kills** (behind `fault-inject`) — arm a crash
+//! 2. **Mid-protocol device kills** — arm a crash
 //!    of the source or the destination at each phase boundary of an
 //!    in-flight migration and prove the fleet recovers to the same
 //!    fingerprints.
 //!
-//! 3. **Zombie fencing** (behind `fault-inject`) — hang a device, let the
+//! 3. **Zombie fencing** — hang a device, let the
 //!    watchdog migrate its scenes away, *revive* it, and prove its stale
 //!    completions are fenced: exactly one terminal record per scene ever
 //!    reaches the log.
@@ -322,7 +322,6 @@ fn recovery_is_idempotent() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
-#[cfg(feature = "fault-inject")]
 mod injected {
     use super::*;
     use dda_repro::core::pipeline::{FleetError, MigrationPhase, MigrationVictim, WalIoOp};

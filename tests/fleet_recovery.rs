@@ -10,7 +10,7 @@
 //!    *exact* fingerprint the undisturbed run produced. No prefix may
 //!    panic, lose an acked scene, or perturb a trajectory.
 //!
-//! 2. **Device death** (behind `fault-inject`) — arm fail-stop and
+//! 2. **Device death** — arm fail-stop and
 //!    fail-silent deaths against one device of a heterogeneous fleet and
 //!    assert detection latency (crash: one step; hang: the watchdog
 //!    budget) and bit-identical outcomes versus the fault-free run.
@@ -193,7 +193,6 @@ fn recovery_from_the_full_log_reproduces_every_outcome() {
     fs::remove_dir_all(&base_dir).unwrap();
 }
 
-#[cfg(feature = "fault-inject")]
 mod device_death {
     use super::*;
     use dda_repro::simt::DeathMode;

@@ -1,6 +1,6 @@
-//! Soak test for the ingestion layer (requires `--features fault-inject`;
-//! `#[ignore]`d so it only runs in the dedicated CI soak job:
-//! `cargo test --release --features fault-inject --test ingest_soak -- --ignored`).
+//! Soak test for the ingestion layer (`#[ignore]`d so it only runs in the
+//! dedicated CI soak job:
+//! `cargo test --release --test ingest_soak -- --ignored`).
 //!
 //! ~1000 scenes are pushed through an 8-slot [`BatchScheduler`] in two
 //! halves:
@@ -15,8 +15,6 @@
 //!   sampled healthy scenes that complete must match a solo
 //!   [`GpuPipeline`] run of the same submission bit for bit, proving the
 //!   whole intake/admit/rebalance machinery never perturbs physics.
-
-#![cfg(feature = "fault-inject")]
 
 use dda_repro::core::pipeline::{FleetCheckpoint, GpuPipeline};
 use dda_repro::core::{BatchScheduler, IngestConfig, SceneStatus, SceneSubmission, Ticket};

@@ -1,5 +1,4 @@
-//! Broad-phase cache slack accounting under mid-window retries
-//! (requires `--features fault-inject`).
+//! Broad-phase cache slack accounting under mid-window retries.
 //!
 //! The displacement-bounded pair cache stays valid while accumulated
 //! per-step motion fits inside the slack margin. The subtle case audited
@@ -21,8 +20,6 @@
 //! oracle run with the same fault armed. A missed pair cannot hide: it
 //! would change the contact stream, the assembled system, and the
 //! committed geometry.
-
-#![cfg(feature = "fault-inject")]
 
 use dda_repro::core::contact::BroadPhaseMode;
 use dda_repro::core::pipeline::SceneBatch;

@@ -13,8 +13,8 @@
 //! 3. **Checkpoint fidelity** — the scene codec round-trips the configured
 //!    preconditioner rung and precision mode.
 //!
-//! The `fault-inject` section adds the failure-path contracts: quarantine
-//!    parity between precisions, and the ILU0 → SSOR-AI ladder descent.
+//! The `fault_paths` section adds the failure-path contracts: quarantine
+//! parity between precisions, and the ILU0 → SSOR-AI ladder descent.
 
 use dda_repro::core::pipeline::{GpuPipeline, PrecondKind, SceneCheckpoint};
 use dda_repro::core::{BlockSystem, DdaParams};
@@ -198,7 +198,6 @@ fn checkpoint_round_trips_precond_and_precision() {
     );
 }
 
-#[cfg(feature = "fault-inject")]
 mod fault_paths {
     use super::*;
     use dda_repro::core::pipeline::SceneBatch;
