@@ -31,7 +31,8 @@
 //! - **Streaming admission**: [`SceneBatch::admit`] adds a scene at a step
 //!   boundary without draining the batch (reusing a retired slot when one
 //!   is free); [`SceneBatch::retire`] frees a slot and hands its system
-//!   back.
+//!   back. Slots never move: a scene keeps its index from admission to
+//!   retirement, and a retired slot launches nothing.
 //! - **Health monitoring**: phase boundaries scan the faulting scene's RHS,
 //!   solution, and gap arrays for NaN/Inf, bound the accepted displacement
 //!   (divergence), and watch for a pinned open–close loop. The scans are
@@ -157,8 +158,7 @@ impl SceneBatch {
         self.step_index
     }
 
-    /// Overrides the degradation policy (retry budget, stall limit,
-    /// divergence bound).
+    /// Overrides the degradation policy (retry budget, stall limit).
     pub fn with_policy(mut self, policy: HealthPolicy) -> SceneBatch {
         self.policy = policy;
         self
@@ -242,69 +242,6 @@ impl SceneBatch {
     pub fn scene_state(&self, i: usize) -> Option<SceneState> {
         let slot = self.slots.get(i)?;
         Some(slot.scene.as_ref()?.state(slot.health.clone()))
-    }
-
-    /// Compacts the batch at a step boundary: retired slots are removed and
-    /// surviving scenes move down into the lowest indices. Empty slots cost
-    /// no modeled time either way — a merged group is priced only from the
-    /// segments that launched into it — so what compaction changes is slot
-    /// order, and with it which launches the batch's greedy by-name
-    /// alignment merges.
-    ///
-    /// Returns the old→new slot mapping (`None` for removed slots). Scene
-    /// payloads are *moved*, never rebuilt, so surviving trajectories are
-    /// bit-identical by construction — and asserted, via a state
-    /// fingerprint taken on each side of the move. Armed fault injections
-    /// are remapped to follow their scenes.
-    pub fn compact(&mut self) -> Vec<Option<usize>> {
-        let n = self.slots.len();
-        let before: Vec<Option<u64>> = (0..n).map(|i| self.fingerprint(i)).collect();
-        let mut map: Vec<Option<usize>> = vec![None; n];
-        let old = std::mem::take(&mut self.slots);
-        for (i, slot) in old.into_iter().enumerate() {
-            if slot.health.state == SlotState::Retired {
-                continue;
-            }
-            map[i] = Some(self.slots.len());
-            self.slots.push(slot);
-        }
-        for (old_i, &new_i) in map.iter().enumerate() {
-            if let Some(new_i) = new_i {
-                assert_eq!(
-                    before[old_i],
-                    self.fingerprint(new_i),
-                    "compaction must preserve scene state bit-for-bit \
-                     (slot {old_i} -> {new_i})"
-                );
-            }
-        }
-        self.dev.remap_fault_segments(&map);
-        map
-    }
-
-    /// FNV-1a over the bits of scene `i`'s kinematic state (centroids,
-    /// velocities, warm start, Δt) — `None` for empty slots. Collision-safe
-    /// enough for the compaction assertion; never fed back into physics.
-    fn fingerprint(&self, i: usize) -> Option<u64> {
-        let sc = self.scene(i)?;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bits: u64| {
-            h ^= bits;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        for b in &sc.sys.blocks {
-            let c = b.centroid();
-            eat(c.x.to_bits());
-            eat(c.y.to_bits());
-            for dof in 0..6 {
-                eat(b.velocity[dof].to_bits());
-            }
-        }
-        for x in &sc.x_prev {
-            eat(x.to_bits());
-        }
-        eat(sc.params.dt.to_bits());
-        Some(h)
     }
 
     /// Slot `i`'s health record (state machine position, failure counters,
@@ -439,12 +376,10 @@ impl SceneBatch {
             }
             Ok(())
         };
-        let step = step_scenes(
-            &self.dev,
-            &mut scenes,
-            policy.divergence_factor,
-            stall_detector,
-        );
+        // A finite displacement larger than this multiple of the
+        // displacement bound counts as divergence.
+        const DIVERGENCE_FACTOR: f64 = 1e4;
+        let step = step_scenes(&self.dev, &mut scenes, DIVERGENCE_FACTOR, stall_detector);
         self.launches_in = step.launches_in;
         self.launches_out = step.launches_out;
 
@@ -800,32 +735,29 @@ mod tests {
     }
 
     #[test]
-    fn compaction_drops_retired_slots_and_preserves_survivors_bitwise() {
+    fn retired_slots_stay_put_and_survivors_continue_bitwise() {
         let mut full = SceneBatch::new(k40(), (0..4).map(scene).collect());
-        let mut compacted = SceneBatch::new(k40(), (0..4).map(scene).collect());
+        let mut thinned = SceneBatch::new(k40(), (0..4).map(scene).collect());
         full.run(2);
-        compacted.run(2);
-        compacted.retire(1);
-        compacted.retire(3);
-        let map = compacted.compact();
-        assert_eq!(map, vec![Some(0), None, Some(1), None]);
-        assert_eq!(compacted.n_scenes(), 2);
-        assert_eq!(compacted.n_live(), 2);
-        // Survivors continue bit-identically to the uncompacted batch.
+        thinned.run(2);
+        thinned.retire(1);
+        thinned.retire(3);
+        assert_eq!(thinned.n_scenes(), 4, "slots never move");
+        assert_eq!(thinned.n_live(), 2);
+        // Survivors keep slots 0 and 2 and continue bit-identically to the
+        // untouched batch.
         full.run(3);
-        compacted.run(3);
-        for (old_i, new_i) in [(0usize, 0usize), (2, 1)] {
-            let (sf, sc) = (
-                full.sys(old_i).expect("live"),
-                compacted.sys(new_i).expect("live"),
-            );
-            for (bf, bc) in sf.blocks.iter().zip(&sc.blocks) {
-                assert_eq!(bf.centroid().x.to_bits(), bc.centroid().x.to_bits());
-                assert_eq!(bf.centroid().y.to_bits(), bc.centroid().y.to_bits());
+        thinned.run(3);
+        for i in [0usize, 2] {
+            let (sf, st) = (full.sys(i).expect("live"), thinned.sys(i).expect("live"));
+            for (bf, bt) in sf.blocks.iter().zip(&st.blocks) {
+                assert_eq!(bf.centroid().x.to_bits(), bt.centroid().x.to_bits());
+                assert_eq!(bf.centroid().y.to_bits(), bt.centroid().y.to_bits());
                 for dof in 0..6 {
-                    assert_eq!(bf.velocity[dof].to_bits(), bc.velocity[dof].to_bits());
+                    assert_eq!(bf.velocity[dof].to_bits(), bt.velocity[dof].to_bits());
                 }
             }
         }
+        assert!(thinned.sys(1).is_none() && thinned.sys(3).is_none());
     }
 }

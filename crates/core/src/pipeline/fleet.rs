@@ -112,15 +112,16 @@ use super::wal::{
 /// on every adoption).
 pub type SceneId = u64;
 
+/// Minimum scenes in flight on a device before the rebalancer may shed
+/// one (never strip a device of its only work).
+const MIN_SRC_BACKLOG: usize = 2;
+
 /// Knobs for the load-feedback rebalancer (see the module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct RebalanceConfig {
     /// Master switch. Off, the router only places at submit time and on
     /// device death — the pre-migration behavior.
     pub enabled: bool,
-    /// EWMA smoothing factor for the per-device modeled-seconds-per-scene
-    /// estimate (weight of the newest measurement).
-    pub ewma_alpha: f64,
     /// Relative load gap required before a migration triggers: move only
     /// when the destination's *projected* load (after receiving the
     /// scene) stays below `(1 - hysteresis) ×` the source's current load.
@@ -129,20 +130,15 @@ pub struct RebalanceConfig {
     pub max_per_tick: usize,
     /// Ticks a freshly migrated scene is ineligible to migrate again.
     pub cooldown_ticks: u64,
-    /// Minimum scenes in flight on a device before it may shed one (never
-    /// strip a device of its only work).
-    pub min_src_backlog: usize,
 }
 
 impl Default for RebalanceConfig {
     fn default() -> RebalanceConfig {
         RebalanceConfig {
             enabled: true,
-            ewma_alpha: 0.5,
             hysteresis: 0.5,
             max_per_tick: 1,
             cooldown_ticks: 8,
-            min_src_backlog: 2,
         }
     }
 }
@@ -615,8 +611,10 @@ impl FleetRouter {
                 self.dev_seconds[i] = secs;
                 if in_flight_before > 0 && delta > 0.0 {
                     let raw = delta / in_flight_before as f64;
-                    let a = self.cfg.rebalance.ewma_alpha;
-                    self.sec_per_scene[i] = a * raw + (1.0 - a) * self.sec_per_scene[i];
+                    // Weight of the newest measurement.
+                    const EWMA_ALPHA: f64 = 0.5;
+                    self.sec_per_scene[i] =
+                        EWMA_ALPHA * raw + (1.0 - EWMA_ALPHA) * self.sec_per_scene[i];
                 }
             }
         }
@@ -702,7 +700,12 @@ impl FleetRouter {
                 let Some((src, dst, ticket, id)) = self.pick_migration() else {
                     break;
                 };
-                if self.migrate_scene(id, ticket, src, dst)? {
+                // Every WAL second the handoff spends, aborted or not, is
+                // booked as migration cost.
+                let wal_before = self.wal.stats().modeled_seconds;
+                let committed = self.migrate_scene(id, ticket, src, dst)?;
+                self.stats.migration_wal_seconds += self.wal.stats().modeled_seconds - wal_before;
+                if committed {
                     rep.rebalanced += 1;
                     self.stats.rebalanced += 1;
                 } else {
@@ -810,7 +813,7 @@ impl FleetRouter {
                 src = i;
             }
         }
-        if self.workers[src].sched.in_flight() < rb.min_src_backlog {
+        if self.workers[src].sched.in_flight() < MIN_SRC_BACKLOG {
             return None;
         }
         let mut dst = *usable.iter().find(|&&i| i != src)?;
@@ -849,7 +852,6 @@ impl FleetRouter {
         src: usize,
         dst: usize,
     ) -> Result<bool, FleetError> {
-        let wal_before = self.wal.stats().modeled_seconds;
         let new_epoch = self.epochs.get(&id).copied().unwrap_or(0) + 1;
         // Phase 1: the intent is durable before any state moves, and the
         // authoritative epoch bumps the moment it is — from here on the
@@ -868,7 +870,6 @@ impl FleetRouter {
             // Source died with the scene still aboard: nothing was
             // captured, the normal death path will replay the WAL (which
             // rolls the intent forward) and re-place everything.
-            self.stats.migration_wal_seconds += self.wal.stats().modeled_seconds - wal_before;
             return Ok(false);
         }
         if !self.device_ok(dst) {
@@ -876,7 +877,6 @@ impl FleetRouter {
             // re-asserting the source's ownership at the reserved epoch,
             // superseding the pending intent on any future replay.
             self.reassert_source(id, src, ticket, new_epoch)?;
-            self.stats.migration_wal_seconds += self.wal.stats().modeled_seconds - wal_before;
             return Ok(false);
         }
         // Phase 2: capture — the source stops stepping the scene here
@@ -887,7 +887,6 @@ impl FleetRouter {
             if let Some(o) = self.workers[src].scenes.get_mut(&ticket) {
                 o.epoch = new_epoch;
             }
-            self.stats.migration_wal_seconds += self.wal.stats().modeled_seconds - wal_before;
             return Ok(false);
         };
         self.workers[src].scenes.remove(&ticket);
@@ -904,8 +903,6 @@ impl FleetRouter {
                     // the WAL (pre-capture state + pending intent).
                     self.placements.remove(&id);
                     self.stranded.push(id);
-                    self.stats.migration_wal_seconds +=
-                        self.wal.stats().modeled_seconds - wal_before;
                     return Ok(false);
                 }
             }
@@ -942,14 +939,11 @@ impl FleetRouter {
         if let Some(&key) = self.scene_locality.get(&id) {
             self.locality.insert(key, target as u32);
         }
-        if !committed {
-            self.stats.migration_wal_seconds += self.wal.stats().modeled_seconds - wal_before;
-            return Ok(false);
+        if committed {
+            self.cooldown
+                .insert(id, self.now + self.cfg.rebalance.cooldown_ticks);
         }
-        self.cooldown
-            .insert(id, self.now + self.cfg.rebalance.cooldown_ticks);
-        self.stats.migration_wal_seconds += self.wal.stats().modeled_seconds - wal_before;
-        Ok(true)
+        Ok(committed)
     }
 
     /// Re-asserts `src`'s ownership of `id` at `epoch` after an aborted
@@ -1258,9 +1252,8 @@ impl FleetRouter {
 }
 
 /// FNV-1a fingerprint of a block system's kinematic state (centroid and
-/// velocity bit patterns) — the same construction the batch compaction
-/// assertion uses, exposed so recovery tests can compare final states
-/// across runs without serializing whole systems.
+/// velocity bit patterns), exposed so recovery tests can compare final
+/// states across runs without serializing whole systems.
 pub fn system_fingerprint(sys: &BlockSystem) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let eat = |h: &mut u64, bits: u64| {
@@ -1428,7 +1421,7 @@ mod tests {
         assert!(rb.enabled);
         assert!(rb.hysteresis > 0.0 && rb.hysteresis < 1.0);
         assert!(rb.max_per_tick >= 1);
-        assert!(rb.min_src_backlog >= 2, "never strip a device's only scene");
+        const { assert!(MIN_SRC_BACKLOG >= 2, "never strip a device's only scene") };
     }
 
     #[test]

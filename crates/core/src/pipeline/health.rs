@@ -131,9 +131,6 @@ pub struct HealthPolicy {
     /// exhausted) before the stall detector reports
     /// [`StepError::OcStalled`].
     pub oc_stall_limit: usize,
-    /// A finite displacement larger than this multiple of the
-    /// displacement bound counts as divergence.
-    pub divergence_factor: f64,
 }
 
 impl Default for HealthPolicy {
@@ -141,7 +138,6 @@ impl Default for HealthPolicy {
         HealthPolicy {
             retry_budget: 3,
             oc_stall_limit: 8,
-            divergence_factor: 1e4,
         }
     }
 }

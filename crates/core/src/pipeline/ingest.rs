@@ -11,8 +11,9 @@
 //! * [`BatchScheduler`], which drives one [`SceneBatch`] tick by tick:
 //!   sheds expired work, drains the queue into retired slots at step
 //!   boundaries, steps the batch, books completions and quarantines,
-//!   requeues early-faulting scenes once with a repaired Δt, and compacts
-//!   the batch when dead slots pass a watermark.
+//!   and requeues early-faulting scenes once with a repaired Δt. A scene
+//!   keeps its batch slot from admission to exit: slots never move, and
+//!   a retired slot is refilled before the batch grows.
 //!
 //! Every in-flight scene, queued or in a slot, carries one [`Envelope`]:
 //! run steps, priority, requeued, deadline. A [`FleetScene`] is that
@@ -272,13 +273,6 @@ pub struct IngestConfig {
     pub queue_capacity: usize,
     /// Maximum concurrent scene slots in the batch.
     pub max_slots: usize,
-    /// When retired slots exceed this fraction of all slots, the batch
-    /// is compacted at the next tick boundary.
-    pub rebalance_watermark: f64,
-    /// A scene quarantined before committing this many steps is treated
-    /// as an early fault: repaired (Δt reset) and requeued once before
-    /// permanent refusal.
-    pub retry_window: u64,
     /// Health policy handed to the underlying [`SceneBatch`].
     pub policy: HealthPolicy,
 }
@@ -288,8 +282,6 @@ impl Default for IngestConfig {
         IngestConfig {
             queue_capacity: 32,
             max_slots: 8,
-            rebalance_watermark: 0.5,
-            retry_window: 3,
             policy: HealthPolicy::default(),
         }
     }
@@ -353,7 +345,9 @@ pub struct IngestStats {
     pub refused: u64,
     /// Early-faulting scenes repaired and requeued.
     pub requeued: u64,
-    /// Batch compactions performed.
+    /// Always 0: the scheduler no longer compacts the batch (slots never
+    /// move). Kept only because `benchmark/` still reads it; the field
+    /// goes when that reader does.
     pub rebalances: u64,
     /// High-water mark of the intake queue.
     pub max_queue_len: usize,
@@ -364,18 +358,6 @@ impl IngestStats {
     /// Per-admission queue wait in ticks, in admission order.
     pub fn admission_latencies(&self) -> &[u64] {
         &self.admission_latencies
-    }
-
-    /// The `p`-th percentile (0–100, nearest-rank) of admission latency,
-    /// or `None` before the first admission.
-    pub fn admission_latency_percentile(&self, p: f64) -> Option<u64> {
-        if self.admission_latencies.is_empty() {
-            return None;
-        }
-        let mut v = self.admission_latencies.clone();
-        v.sort_unstable();
-        let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
-        Some(v[idx.min(v.len() - 1)])
     }
 }
 
@@ -392,16 +374,14 @@ pub struct TickReport {
     pub refused: usize,
     /// Scenes repaired and requeued this tick.
     pub requeued: usize,
-    /// Whether the batch was compacted this tick.
-    pub rebalanced: bool,
 }
 
 /// Admission-controlled driver for one [`SceneBatch`].
 ///
 /// Callers submit scenes through a bounded intake queue and observe their
 /// lifecycle via [`Ticket`]s; [`BatchScheduler::tick`] advances the world
-/// one batch step, handling shedding, admission, completion, fault-repair
-/// requeues and occupancy rebalancing. All of it is host-side work
+/// one batch step, handling shedding, admission, completion and
+/// fault-repair requeues. All of it is host-side work
 /// between steps: scenes already in flight see the exact same trajectory
 /// they would in a hand-driven [`SceneBatch`]. The durable periodic
 /// checkpoint is the fleet WAL's snapshot burst
@@ -560,8 +540,8 @@ impl BatchScheduler {
     /// Advances the world one batch step: sheds expired submissions,
     /// drains the queue into free slots, steps the batch, books
     /// completions and quarantines (requeueing early faults once with a
-    /// repaired Δt), and compacts the batch when dead slots pass the
-    /// watermark.
+    /// repaired Δt). Scenes never change slot; a slot freed here is
+    /// refilled by a later tick's admission.
     pub fn tick(&mut self) -> TickReport {
         self.now += 1;
         let mut rep = TickReport::default();
@@ -591,7 +571,10 @@ impl BatchScheduler {
         // 3. One lockstep batch step.
         self.batch.step();
 
-        // 4. Book terminal transitions per occupied slot.
+        // 4. Book terminal transitions per occupied slot. A scene
+        // quarantined before committing `RETRY_WINDOW` steps is an early
+        // fault: repaired (Δt reset) and requeued once before refusal.
+        const RETRY_WINDOW: u64 = 3;
         for slot in 0..self.batch.n_scenes() {
             let Some((ticket, envelope)) = self.occupants.get(slot).copied().flatten() else {
                 continue;
@@ -605,7 +588,7 @@ impl BatchScheduler {
             let Some(mut st) = self.batch.extract(slot) else {
                 continue;
             };
-            let early = st.health.steps_committed < self.cfg.retry_window;
+            let early = st.health.steps_committed < RETRY_WINDOW;
             let status = if !quarantined {
                 rep.completed += 1;
                 self.stats.completed += 1;
@@ -639,35 +622,6 @@ impl BatchScheduler {
                 r.status = status;
                 r.final_sys = Some(st.sys);
             }
-        }
-
-        // 5. Occupancy rebalancing: compact when dead slots pass the
-        // watermark. Dead slots launch nothing and cost no modeled time;
-        // compaction only reorders slots, which moves what the batch's
-        // by-name launch alignment merges.
-        let n = self.batch.n_scenes();
-        let retired = (0..n)
-            .filter(|&i| self.batch.health(i).state == SlotState::Retired)
-            .count();
-        if retired > 0 && (retired as f64) > self.cfg.rebalance_watermark * n as f64 {
-            let map = self.batch.compact();
-            let mut occupants = vec![None; self.batch.n_scenes()];
-            for (old, new) in map.iter().enumerate() {
-                let (Some(new), Some(occupant)) =
-                    (*new, self.occupants.get(old).copied().flatten())
-                else {
-                    continue;
-                };
-                occupants[new] = Some(occupant);
-                if let Some(r) = self.records.get_mut(&occupant.0) {
-                    if matches!(r.status, SceneStatus::Running { .. }) {
-                        r.status = SceneStatus::Running { slot: new };
-                    }
-                }
-            }
-            self.occupants = occupants;
-            self.stats.rebalances += 1;
-            rep.rebalanced = true;
         }
 
         rep
@@ -1071,7 +1025,7 @@ mod tests {
             }
         }
         assert_eq!(sched.stats().completed, 1);
-        assert_eq!(sched.stats().admission_latency_percentile(50.0), Some(1));
+        assert_eq!(sched.stats().admission_latencies(), [1]);
     }
 
     #[test]
@@ -1168,10 +1122,9 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_compacts_dead_slots_and_preserves_survivors() {
+    fn dead_slots_stay_put_and_the_survivor_keeps_its_slot() {
         let cfg = IngestConfig {
             max_slots: 4,
-            rebalance_watermark: 0.4,
             ..IngestConfig::default()
         };
         let mut sched = BatchScheduler::new(k40(), cfg);
@@ -1195,28 +1148,24 @@ mod tests {
             3,
             "short scenes finish in one tick"
         );
-        assert_eq!(
-            sched.stats().rebalances,
-            1,
-            "3/4 dead slots trip the watermark"
-        );
-        assert_eq!(
-            sched.batch().n_scenes(),
-            1,
-            "batch compacted to the survivor"
-        );
+        assert_eq!(sched.batch().n_scenes(), 4, "dead slots are not removed");
         assert_eq!(
             sched.status(long).map(|r| r.status),
-            Some(SceneStatus::Running { slot: 0 }),
-            "the survivor's record follows it to its new slot"
+            Some(SceneStatus::Running { slot: 3 }),
+            "the survivor keeps its slot"
         );
         sched.drain(20);
+        assert_eq!(sched.batch().n_scenes(), 4);
         let rec = sched.status(long).expect("known ticket");
         assert_eq!(rec.status, SceneStatus::Completed);
         let final_sys = rec.final_sys.as_ref().expect("completed scene keeps sys");
         for (a, b) in solo.sys.blocks.iter().zip(&final_sys.blocks) {
             let (ca, cb) = (a.centroid(), b.centroid());
-            assert_eq!(ca.x.to_bits(), cb.x.to_bits(), "compaction changed physics");
+            assert_eq!(
+                ca.x.to_bits(),
+                cb.x.to_bits(),
+                "survivor diverged from solo"
+            );
             assert_eq!(ca.y.to_bits(), cb.y.to_bits());
             for dof in 0..6 {
                 assert_eq!(a.velocity[dof].to_bits(), b.velocity[dof].to_bits());

@@ -236,29 +236,26 @@ pub struct WalConfig {
     /// bytes (checked before each append, so records are never split
     /// across segments).
     pub segment_bytes: u64,
-    /// Modeled seconds charged per sync barrier (an NVMe-class flush).
-    /// The WAL runs on the host, off the modeled device; this cost model
-    /// is what lets benchmarks report WAL overhead as a fraction of
-    /// modeled step time instead of comparing wall clock against a
-    /// simulation.
-    pub modeled_fsync_s: f64,
-    /// Modeled sequential write bandwidth (bytes/second) charged against
-    /// appended record bytes.
-    pub modeled_bytes_per_s: f64,
 }
 
 impl WalConfig {
-    /// A config rooted at `dir` with defaults: 1 MiB segments, 25 µs per
-    /// sync, 2 GB/s sequential writes.
+    /// A config rooted at `dir` with 1 MiB segments.
     pub fn new(dir: impl Into<PathBuf>) -> WalConfig {
         WalConfig {
             dir: dir.into(),
             segment_bytes: 1 << 20,
-            modeled_fsync_s: 25e-6,
-            modeled_bytes_per_s: 2e9,
         }
     }
 }
+
+/// Modeled seconds charged per sync barrier (an NVMe-class flush). The WAL
+/// runs on the host, off the modeled device; this cost model is what lets
+/// benchmarks report WAL overhead as a fraction of modeled step time
+/// instead of comparing wall clock against a simulation.
+const MODELED_FSYNC_S: f64 = 25e-6;
+/// Modeled sequential write bandwidth (bytes/second) charged against
+/// appended record bytes.
+const MODELED_BYTES_PER_S: f64 = 2e9;
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("{SEG_PREFIX}{index:06}{SEG_SUFFIX}"))
@@ -459,7 +456,7 @@ impl WalWriter {
         self.unsynced = true;
         self.stats.records += 1;
         self.stats.bytes += buf.len() as u64;
-        self.stats.modeled_seconds += buf.len() as f64 / self.cfg.modeled_bytes_per_s;
+        self.stats.modeled_seconds += buf.len() as f64 / MODELED_BYTES_PER_S;
         Ok(seq)
     }
 
@@ -472,7 +469,7 @@ impl WalWriter {
             self.file.sync_data()?;
             self.unsynced = false;
             self.stats.syncs += 1;
-            self.stats.modeled_seconds += self.cfg.modeled_fsync_s;
+            self.stats.modeled_seconds += MODELED_FSYNC_S;
         }
         Ok(())
     }
@@ -493,7 +490,7 @@ impl WalWriter {
         sync_dir(&self.cfg.dir)?;
         self.seg_written = 0;
         self.stats.rotations += 1;
-        self.stats.modeled_seconds += 2.0 * self.cfg.modeled_fsync_s;
+        self.stats.modeled_seconds += 2.0 * MODELED_FSYNC_S;
         Ok(())
     }
 

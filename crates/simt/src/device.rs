@@ -367,23 +367,6 @@ impl Device {
         self.faults.lock().unwrap().clear();
     }
 
-    /// Re-targets armed faults after the caller renumbers batch segments
-    /// (e.g. slot compaction in a batched runtime): a fault armed against
-    /// old segment `i` now targets `map[i]`; faults whose segment maps to
-    /// `None` (or falls outside `map`) are disarmed — their target is gone.
-    pub fn remap_fault_segments(&self, map: &[Option<usize>]) {
-        self.faults
-            .lock()
-            .unwrap()
-            .retain_mut(|f| match map.get(f.segment).copied().flatten() {
-                Some(seg) => {
-                    f.segment = seg;
-                    true
-                }
-                None => false,
-            });
-    }
-
     /// Step-boundary liveness poll. A fleet router calls this once per
     /// step boundary before dispatching work; each call consumes one tick
     /// of a death armed with [`Device::arm_device_death`], and the death

@@ -159,7 +159,6 @@ fn pinned_open_close_loop_trips_stall_detector() {
     let mut batch = SceneBatch::new(dev, fleet(2)).with_policy(HealthPolicy {
         retry_budget: 1,
         oc_stall_limit: 2,
-        divergence_factor: 1e4,
     });
     // Dirty steps accumulate the stall streak, then faults drain the
     // (small) retry budget into quarantine.

@@ -9,12 +9,14 @@
 //!   of scattered sparse fields running the grid + cache broad phase,
 //!   admission deadlines, and periodic device-level fault injection
 //!   against random slots. The scheduler must never panic, never grow the queue past its
-//!   bound, and leave every ticket in a structured terminal state. A fleet
-//!   checkpoint taken mid-churn must survive the text codec exactly.
+//!   bound, never hold more than `max_slots` slots (admission refills
+//!   retired slots first), and leave every ticket in a structured
+//!   terminal state. A fleet checkpoint taken mid-churn must survive the
+//!   text codec exactly.
 //! * **bitwise** — injection disarmed (poisoned traffic still flows);
 //!   sampled healthy scenes that complete must match a solo
 //!   [`GpuPipeline`] run of the same submission bit for bit, proving the
-//!   whole intake/admit/rebalance machinery never perturbs physics.
+//!   whole intake/admit/requeue machinery never perturbs physics.
 
 use dda_repro::core::pipeline::{FleetCheckpoint, GpuPipeline};
 use dda_repro::core::{BatchScheduler, IngestConfig, SceneStatus, SceneSubmission, Ticket};
@@ -29,7 +31,6 @@ fn cfg() -> IngestConfig {
     IngestConfig {
         max_slots: 8,
         queue_capacity: 32,
-        rebalance_watermark: 0.4,
         ..IngestConfig::default()
     }
 }
@@ -83,6 +84,7 @@ fn thousand_scene_soak_with_fault_churn() {
             sched.batch().device().arm_fault(slot, fault, 1);
         }
         sched.tick();
+        assert!(sched.batch().n_scenes() <= cfg().max_slots, "slot bound");
         if tick == 200 {
             // Mid-churn fleet snapshot must survive the codec exactly.
             let snap = sched.checkpoint_fleet();
@@ -113,8 +115,8 @@ fn thousand_scene_soak_with_fault_churn() {
     );
     eprintln!(
         "soak churn: {} submitted, {completed} completed, {shed} shed, {refused} refused, \
-         {} requeued, {} rebalances, max queue {}",
-        stats.submitted, stats.requeued, stats.rebalances, stats.max_queue_len
+         {} requeued, max queue {}",
+        stats.submitted, stats.requeued, stats.max_queue_len
     );
 
     // ---- Half 2: bitwise. No injection; sampled healthy completions must
@@ -148,6 +150,7 @@ fn thousand_scene_soak_with_fault_churn() {
             }
         }
         sched.tick();
+        assert!(sched.batch().n_scenes() <= cfg().max_slots, "slot bound");
         tick += 1;
     }
     assert_eq!(sched.in_flight(), 0, "bitwise half must drain");
