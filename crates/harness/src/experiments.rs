@@ -123,25 +123,36 @@ pub fn preconditioner_study(blocks: usize, steps: usize, seed: u64) -> Vec<Preco
                 .map(|(_, (_, s))| *s)
                 .sum()
         };
-        let (construct_total, apply_total) = match kind {
-            // The fused solver applies BJ inside `pcg.fused.precond_rz`
-            // (z = D⁻¹r fused with the norm reduce and r·z partials), once
-            // per iteration and once in the set-up: `applies` launches. The
-            // standalone `precond.bj.apply` never runs on this path.
+        let (construct_total, apply_total, applies) = match kind {
+            // The fused solver applies BJ inside the set-up's
+            // `pcg.fused.precond_rz` (z₀ = D⁻¹r and the r·z₀ partials) and
+            // inside every iteration's `pcg.fused.update`, where it cannot
+            // be timed apart from the x and r updates. Each `precond_rz`
+            // launch is exactly one apply, so the per-apply time is its own
+            // mean. The standalone `precond.bj.apply` never runs on this
+            // path.
             PrecondKind::BlockJacobi => (
                 time_of(&["precond.bj.construct"]),
                 time_of(&["pcg.fused.precond_rz"]),
+                by.get("pcg.fused.precond_rz")
+                    .map_or(1, |(stats, _)| stats.launches as usize),
             ),
             PrecondKind::SsorAi => (
                 time_of(&["precond.bj.construct"]),
                 time_of(&["precond.ssor."]),
+                applies,
             ),
-            PrecondKind::Ilu0 => (time_of(&["precond.ilu.construct"]), time_of(&["tss."])),
+            PrecondKind::Ilu0 => (
+                time_of(&["precond.ilu.construct"]),
+                time_of(&["tss."]),
+                applies,
+            ),
             PrecondKind::Jacobi => (
                 time_of(&["precond.jacobi.construct"]),
                 time_of(&["precond.jacobi.apply"]),
+                applies,
             ),
-            PrecondKind::None => (0.0, 0.0),
+            PrecondKind::None => (0.0, 0.0, applies),
         };
 
         rows.push(PrecondRow {

@@ -188,6 +188,14 @@ impl Block {
         }
     }
 
+    /// Cost of [`Block::gst_range`] without the values: for the scalars
+    /// the last block of a `__threadfence` reduction stores, which the host
+    /// computes from the partials once the launch is over (see
+    /// [`Block::gld_range_cost`]) and writes in that block's place.
+    pub fn gst_range_cost<T: Copy + Send>(&mut self, buf: &GBuf<T>, start: usize, count: usize) {
+        self.account_range(buf, start, count);
+    }
+
     /// Single-thread store of one element.
     pub fn gst_one<T: Copy + Send>(&mut self, buf: &GBuf<T>, i: usize, v: T) {
         self.stats.gmem_bytes += u64::from(buf.elem_bytes());

@@ -6,14 +6,19 @@
 //! memory-bound and small — on the GPU their launch overhead is visible,
 //! which is part of why low-iteration-count preconditioners matter).
 //!
-//! The `fused_*` kernels collapse that per-iteration BLAS-1 train into
-//! three launches (see [`crate::pcg::pcg_fused`]): each fused kernel starts
-//! with a redundant per-block reduction of the previous kernel's partial
-//! sums — recomputing a tiny reduction in every block is far cheaper than
-//! a dedicated reduce launch — then performs its vector updates and writes
-//! the partials the *next* kernel needs. All partial sums keep the unfused
-//! 256-tile ordering, so the only reassociation relative to the unfused
-//! loop is the `p·q` dot, whose partials tile by SpMV row block.
+//! The `fused_*` kernels collapse that per-iteration BLAS-1 train (see
+//! [`crate::pcg::pcg_fused`]): with a block-diagonal or identity
+//! preconditioner it is one launch, [`fused_update`], after the SpMV; with
+//! any other it is [`fused_axpy2_norm`] and [`fused_xpby_beta`] around the
+//! preconditioner's own apply. A fused kernel starts with a redundant
+//! per-block reduction of the previous kernel's partial sums — recomputing
+//! a tiny reduction in every block is far cheaper than a dedicated reduce
+//! launch — or, where the next launch needs one scalar, leaves the final
+//! reduction to the block that finishes last; then it performs its vector
+//! updates and writes the partials the *next* kernel needs. All partial
+//! sums keep the unfused 256-tile ordering, so the only reassociation
+//! relative to the unfused loop is the `p·q` dot, whose partials tile by
+//! SpMV row block.
 
 //!
 //! The fused kernels and the tile-partial dot are generic over the storage
@@ -96,12 +101,7 @@ pub fn dot_partials_into<S: Scalar>(dev: &Device, x: &[S], y: &[S], partials: &m
             blk.flop_masked(count, 2);
             blk.shfl_reduce_cost(count, 32);
             blk.sync();
-            let partial: f64 = va
-                .iter()
-                .zip(vb.iter())
-                .map(|(a, b)| a.widen() * b.widen())
-                .sum();
-            blk.gst_one(&bp, blk.block_id, partial);
+            blk.gst_one(&bp, blk.block_id, tile_dot(va, vb));
         });
     });
 }
@@ -165,6 +165,23 @@ fn tile_norm_sq<S: Scalar>(vals: &[S]) -> f64 {
             w * w
         })
         .sum()
+}
+
+/// `Σ a·b` over one tile in the unfused [`dot`] order — its tile partial,
+/// and the `r·z` partial the fused kernels emit.
+fn tile_dot<S: Scalar>(a: &[S], b: &[S]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x.widen() * y.widen()).sum()
+}
+
+/// One row of a 6×6 block-diagonal apply: `Σ_c dinv[c] · r[c]` over the
+/// row's six inverse entries and its DDA block's six residual elements,
+/// accumulated in that order and rounded once.
+fn block_diag_row<S: Scalar>(dinv: &[S], r: &[S]) -> S {
+    let mut acc = 0.0f64;
+    for c in 0..6 {
+        acc += dinv[c].widen() * r[c].widen();
+    }
+    S::narrow(acc)
 }
 
 /// Dot product with a two-phase block reduction (tile partial sums, then a
@@ -342,54 +359,44 @@ pub fn fused_axpy2_norm<S: Scalar>(
     pqv
 }
 
-/// Fused convergence + preconditioner kernel: one launch performing
+/// Fused set-up preconditioner kernel: one launch performing
 ///
-/// 1. (block 0) the final `‖r‖²` reduction of `norm_partials` — the scalar
-///    the host reads back for the convergence test;
-/// 2. `z ← D⁻¹ r` when `dinv` holds flat 6×6 block-diagonal inverses
+/// 1. `z ← D⁻¹ r` when `dinv` holds flat 6×6 block-diagonal inverses
 ///    (the exact arithmetic order of the Block-Jacobi apply kernel; stored
 ///    as `S` like the vectors, so the fp32 instantiation halves the
 ///    kernel's dominant traffic), or `z ← r` for the identity
 ///    preconditioner;
-/// 3. one `r·z` partial per 256-tile into `rz_partials`.
-///
-/// Returns `‖r‖²` (host mirror of the charged device reduce).
+/// 2. one `r·z` partial per 256-tile into `rz_partials`;
+/// 3. the final `r·z` reduction by the block that finishes last, which
+///    stores it to `scalars[0]` (the host mirrors the charged reduce), where
+///    the first [`fused_update`] reads it.
 #[deny(clippy::float_cmp)]
 pub fn fused_precond_rz<S: Scalar>(
     dev: &Device,
     dinv: Option<&[S]>,
     r: &[S],
     z: &mut [S],
-    norm_partials: &[f64],
     rz_partials: &mut Vec<f64>,
-) -> f64 {
+    scalars: &mut [f64; 2],
+) {
     let n = r.len();
     assert_eq!(z.len(), n);
     let n_tiles = n.div_ceil(TILE).max(1);
     rz_partials.clear();
     rz_partials.resize(n_tiles, 0.0);
-    let np_len = norm_partials.len();
     {
-        let b_np = dev.bind_ro(norm_partials);
         let b_r = dev.bind_ro(r);
         let b_z = dev.bind(&mut *z);
         let b_rz = dev.bind(rz_partials.as_mut_slice());
+        let b_s = dev.bind(&mut scalars[..]);
         let b_dinv = dinv.map(|d| dev.bind_ro(d));
         dev.launch_blocks(S::PRECOND_RZ, n_tiles, 256, |blk| {
             S::with_scratch(|scratch| {
                 let Scratch {
                     tiles: [va, vd, gat, out, ..],
-                    red,
                     idx: [ia, ib],
                     ..
                 } = scratch;
-                if blk.block_id == 0 {
-                    // Final ‖r‖² reduction (dot.final order); the host reads
-                    // the scalar back without a dedicated launch.
-                    blk.gld_range_into(&b_np, 0, np_len, red);
-                    blk.flop_masked(np_len.min(256), 1);
-                    blk.shfl_reduce_cost(np_len.min(256), 32);
-                }
                 let start = blk.block_id * TILE;
                 let count = TILE.min(n - start);
                 blk.gld_range_into(&b_r, start, count, vd);
@@ -410,13 +417,7 @@ pub fn fused_precond_rz<S: Scalar>(
                     );
                     blk.gld_gather_tex_into(&b_r, ib, gat);
                     blk.flop_masked(count, 12);
-                    out.extend((0..count).map(|t| {
-                        let mut acc = 0.0f64;
-                        for c in 0..6 {
-                            acc += va[t * 6 + c].widen() * gat[t * 6 + c].widen();
-                        }
-                        S::narrow(acc)
-                    }));
+                    out.extend((0..count).map(|t| block_diag_row(&va[t * 6..], &gat[t * 6..])));
                 } else {
                     // Identity preconditioner: z = r.
                     out.extend_from_slice(vd);
@@ -425,16 +426,181 @@ pub fn fused_precond_rz<S: Scalar>(
                 // r·z tile partial, unfused dot order.
                 blk.flop_masked(count, 2);
                 blk.shfl_reduce_cost(count, 32);
-                let partial: f64 = vd
-                    .iter()
-                    .zip(out.iter())
-                    .map(|(rv, zv)| rv.widen() * zv.widen())
-                    .sum();
-                blk.gst_one(&b_rz, blk.block_id, partial);
+                blk.gst_one(&b_rz, blk.block_id, tile_dot(vd, out));
+                if blk.block_id + 1 == n_tiles {
+                    // The block that finishes last reduces every block's
+                    // partial (dot.final order) and stores r·z.
+                    blk.gld_range_cost(&b_rz, 0, n_tiles);
+                    blk.flop_masked(n_tiles.min(256), 1);
+                    blk.shfl_reduce_cost(n_tiles.min(256), 32);
+                    blk.gst_range_cost(&b_s, 0, 1);
+                }
             });
         });
     }
-    reduce_partials_host(norm_partials)
+    scalars[0] = reduce_partials_host(rz_partials);
+}
+
+/// Fused PCG update kernel for a block-diagonal or identity preconditioner:
+/// one launch performing
+///
+/// 1. redundant per-block reduction of the SpMV's `p·q` partials →
+///    `α = r·z / p·q`, with `r·z` read from `scalars[0]` and the device-side
+///    breakdown guard (`p·q ≤ 0` or non-finite: no block writes anything,
+///    so the host bails with the current iterate);
+/// 2. `x ← x + αp` and `r_next ← r − αq` (for `f64`, bitwise the unfused
+///    [`axpy`] pair);
+/// 3. `z ← D⁻¹ r_next` (or `z ← r_next`) in the arithmetic order of
+///    [`fused_precond_rz`]. 256 is not a multiple of 6, so a DDA block can
+///    straddle two tiles: each tile recomputes the up to five halo elements
+///    of `r_next` on either side from `q` and `r`, which is why the update
+///    writes `r_next` and leaves `r` alone;
+/// 4. one `‖r_next‖²` and one `r_next·z` partial per 256-tile, in the
+///    unfused [`dot`] tile order;
+/// 5. both final reductions by the block that finishes last, which stores
+///    `[r·z_new, β = r·z_new / r·z_old]` to `scalars` for the next SpMV to
+///    fold `p ← z + βp` into its loads.
+///
+/// Returns `Ok(‖r_next‖²)` (with `scalars`, the host mirrors of the charged
+/// device reduces), or `Err(p·q)` on breakdown.
+#[deny(clippy::float_cmp)]
+#[allow(clippy::too_many_arguments)]
+pub fn fused_update<S: Scalar>(
+    dev: &Device,
+    pq_partials: &[f64],
+    dinv: Option<&[S]>,
+    p: &[S],
+    q: &[S],
+    x: &mut [S],
+    r: &[S],
+    r_next: &mut Vec<S>,
+    z: &mut [S],
+    norm_partials: &mut Vec<f64>,
+    rz_partials: &mut Vec<f64>,
+    scalars: &mut [f64; 2],
+) -> Result<f64, f64> {
+    let n = p.len();
+    for v in [q, &*x, r, &*z] {
+        assert_eq!(v.len(), n);
+    }
+    r_next.clear();
+    r_next.resize(n, S::default());
+    let n_tiles = n.div_ceil(TILE).max(1);
+    for partials in [&mut *norm_partials, &mut *rz_partials] {
+        partials.clear();
+        partials.resize(n_tiles, 0.0);
+    }
+    let n_pq = pq_partials.len();
+    {
+        let b_pq = dev.bind_ro(pq_partials);
+        let b_p = dev.bind_ro(p);
+        let b_q = dev.bind_ro(q);
+        let b_x = dev.bind(&mut *x);
+        let b_r = dev.bind_ro(r);
+        let b_rn = dev.bind(r_next.as_mut_slice());
+        let b_z = dev.bind(&mut *z);
+        let b_np = dev.bind(norm_partials.as_mut_slice());
+        let b_rz = dev.bind(rz_partials.as_mut_slice());
+        let b_s = dev.bind(&mut scalars[..]);
+        let b_dinv = dinv.map(|d| dev.bind_ro(d));
+        dev.launch_blocks(S::UPDATE, n_tiles, 256, |blk| {
+            S::with_scratch(|scratch| {
+                let Scratch {
+                    tiles: [va, vb, vc, vd, rn, out, ..],
+                    red,
+                    idx: [ia, _],
+                    words: [words, ..],
+                    ..
+                } = scratch;
+                // Redundant per-block p·q reduction, as in `axpy2norm`.
+                blk.gld_range_into(&b_pq, 0, n_pq, red);
+                blk.flop_masked(n_pq.min(256), 1);
+                let pq: f64 = red.iter().sum();
+                if pq <= 0.0 || !pq.is_finite() {
+                    return;
+                }
+                let alpha = blk.gld_one(&b_s, 0) / pq;
+                blk.flop_one(1);
+                let start = blk.block_id * TILE;
+                let count = TILE.min(n - start);
+                // `r_next` over the tile and, under a block-diagonal D⁻¹,
+                // the rest of the DDA blocks the tile's ends fall in.
+                let (lo, hi) = if b_dinv.is_some() {
+                    (start / 6 * 6, (start + count).div_ceil(6) * 6)
+                } else {
+                    (start, start + count)
+                };
+                blk.gld_range_into(&b_p, start, count, va);
+                blk.gld_range_into(&b_q, lo, hi - lo, vb);
+                blk.gld_range_into(&b_x, start, count, vc);
+                blk.gld_range_into(&b_r, lo, hi - lo, vd);
+                blk.flop_masked(count, 2);
+                blk.flop_masked(hi - lo, 2);
+                out.clear();
+                out.extend((0..count).map(|t| S::narrow(alpha * va[t].widen() + vc[t].widen())));
+                blk.gst_range(&b_x, start, out);
+                rn.clear();
+                rn.extend((0..hi - lo).map(|t| S::narrow(-alpha * vb[t].widen() + vd[t].widen())));
+                let tile = &rn[start - lo..start - lo + count];
+                blk.gst_range(&b_rn, start, tile);
+                out.clear();
+                if let Some(b_dinv) = &b_dinv {
+                    ia.clear();
+                    ia.extend((start..start + count).flat_map(|g| {
+                        let (i, rr) = (g / 6, g % 6);
+                        (0..6).map(move |c| i * 36 + rr * 6 + c)
+                    }));
+                    blk.gld_gather_into(b_dinv, ia, va);
+                    // The block's `r_next` goes through shared memory, where
+                    // each row reads the six elements of its DDA block.
+                    words.clear();
+                    words.extend(0..(hi - lo) as u32);
+                    blk.smem_access(words);
+                    blk.sync();
+                    for c in 0..6 {
+                        words.clear();
+                        words.extend((start..start + count).map(|g| (g / 6 * 6 + c - lo) as u32));
+                        blk.smem_access(words);
+                    }
+                    blk.flop_masked(count, 12);
+                    out.extend((start..start + count).map(|g| {
+                        let t = g - start;
+                        block_diag_row(&va[t * 6..t * 6 + 6], &rn[g / 6 * 6 - lo..])
+                    }));
+                } else {
+                    out.extend_from_slice(tile);
+                }
+                blk.gst_range(&b_z, start, out);
+                // ‖r‖² and r·z tile partials, unfused dot order.
+                for (partials, partial) in
+                    [(&b_np, tile_norm_sq(tile)), (&b_rz, tile_dot(tile, out))]
+                {
+                    blk.flop_masked(count, 2);
+                    blk.shfl_reduce_cost(count, 32);
+                    blk.gst_one(partials, blk.block_id, partial);
+                }
+                if blk.block_id + 1 == n_tiles {
+                    // The block that finishes last reduces every block's
+                    // two partials (dot.final order), forms β and stores
+                    // both scalars.
+                    for partials in [&b_np, &b_rz] {
+                        blk.gld_range_cost(partials, 0, n_tiles);
+                        blk.flop_masked(n_tiles.min(256), 1);
+                        blk.shfl_reduce_cost(n_tiles.min(256), 32);
+                    }
+                    blk.flop_one(1);
+                    blk.gst_range_cost(&b_s, 0, 2);
+                }
+            });
+        });
+    }
+    let pq: f64 = pq_partials.iter().sum();
+    if pq <= 0.0 || !pq.is_finite() {
+        return Err(pq);
+    }
+    let rz = reduce_partials_host(rz_partials);
+    *scalars = [rz, rz / scalars[0]];
+    Ok(reduce_partials_host(norm_partials))
 }
 
 /// Fused direction-update kernel: one launch performing
@@ -693,16 +859,18 @@ mod tests {
         );
 
         // pcg.fused.precond_rz, block-diagonal (r, 6 D⁻¹ + 6 r gathers, z
-        // per element) and identity (r, z).
+        // per element) and identity (r, z); r·z lands in scalars[0].
         for (dinv, moved) in [(Some((&dinv64, &dinv32)), 14), (None, 2)] {
             let (d64, d32) = (dev(), dev());
             let (mut z64, mut z32) = (vec![0.0f64; n], vec![0.0f32; n]);
             let (mut rz64, mut rz32) = (Vec::new(), Vec::new());
+            let (mut s64, mut s32) = ([0.0; 2], [0.0; 2]);
             let dinv_a = dinv.map(|d| d.0.as_slice());
             let dinv_b = dinv.map(|d| d.1.as_slice());
-            let n64 = fused_precond_rz(&d64, dinv_a, &r64, &mut z64, &partials, &mut rz64);
-            let n32 = fused_precond_rz(&d32, dinv_b, &r32, &mut z32, &partials, &mut rz32);
-            assert_eq!(n64.to_bits(), n32.to_bits());
+            fused_precond_rz(&d64, dinv_a, &r64, &mut z64, &mut rz64, &mut s64);
+            fused_precond_rz(&d32, dinv_b, &r32, &mut z32, &mut rz32, &mut s32);
+            assert_eq!(s64[0].to_bits(), reduce_partials_host(&rz64).to_bits());
+            assert_eq!(s32[0].to_bits(), reduce_partials_host(&rz32).to_bits());
             assert_eq!(z32, narrowed(&z64));
             for (t, (a, b)) in rz64.iter().zip(&rz32).enumerate() {
                 let tile = t * TILE..n.min((t + 1) * TILE);
@@ -715,6 +883,66 @@ mod tests {
                 elems(moved)
             );
         }
+
+        // pcg.fused.update: p, x loads, q and r loads with the halo of the
+        // DDA blocks that straddle a tile end (1020 rows: 2 + 8 + 2 halo
+        // elements), x, r_next and z stores, plus the 6 D⁻¹ gathers of the
+        // block-diagonal apply; identity: no halo and no D⁻¹.
+        for (dinv, moved, halo) in [(Some((&dinv64, &dinv32)), 13, 12), (None, 7, 0)] {
+            let (d64, d32) = (dev(), dev());
+            let (mut xa, mut xb) = (x64.clone(), x32.clone());
+            let (mut ra, mut rb) = (Vec::new(), Vec::new());
+            let (mut z64, mut z32) = (vec![0.0f64; n], vec![0.0f32; n]);
+            let (mut rz64, mut rz32) = (Vec::new(), Vec::new());
+            let (mut s64, mut s32) = ([0.5, 0.0], [0.5, 0.0]);
+            let dinv_a = dinv.map(|d| d.0.as_slice());
+            let dinv_b = dinv.map(|d| d.1.as_slice());
+            let np_a = fused_update(
+                &d64, &partials, dinv_a, &p64, &q64, &mut xa, &r64, &mut ra, &mut z64, &mut np64,
+                &mut rz64, &mut s64,
+            )
+            .unwrap();
+            let np_b = fused_update(
+                &d32, &partials, dinv_b, &p32, &q32, &mut xb, &r32, &mut rb, &mut z32, &mut np32,
+                &mut rz32, &mut s32,
+            )
+            .unwrap();
+            assert_eq!(xb, narrowed(&xa));
+            assert_eq!(rb, narrowed(&ra));
+            assert!((np_a - np_b).abs() <= 2.5 * EPS32 * np_a);
+            assert_eq!(s64, [reduce_partials_host(&rz64), s64[0] / 0.5]);
+            assert_eq!(s32, [reduce_partials_host(&rz32), s32[0] / 0.5]);
+            if dinv.is_none() {
+                assert_eq!(z32, narrowed(&z64));
+            }
+            assert_eq!(
+                launch_bytes(&d64, "pcg.fused.update") - launch_bytes(&d32, "pcg.fused.update.f32"),
+                elems(moved) + 4 * 2 * halo
+            );
+        }
+
+        // A non-positive p·q writes nothing and leaves the scalars alone.
+        let d = dev();
+        let (mut xa, mut ra, mut z) = (x64.clone(), Vec::new(), vec![7.0; n]);
+        let mut scalars = [0.5, 3.0];
+        let broke = fused_update(
+            &d,
+            &[1.0, -2.0],
+            None,
+            &p64,
+            &q64,
+            &mut xa,
+            &r64,
+            &mut ra,
+            &mut z,
+            &mut np64,
+            &mut Vec::new(),
+            &mut scalars,
+        );
+        assert_eq!(broke, Err(-1.0));
+        assert_eq!(xa, x64);
+        assert!(ra.iter().all(|&v| v == 0.0) && z.iter().all(|&v| v == 7.0));
+        assert_eq!(scalars, [0.5, 3.0]);
 
         // pcg.fused.xpby_beta: z and p loads, p store.
         let (d64, d32) = (dev(), dev());

@@ -42,16 +42,23 @@ pub trait Scalar: sealed::Sealed + Copy + Send + Default + 'static {
     const SPMV_STAGE2: &'static str;
     /// Trace name of SpMV stage 2 with the fused `x·y` partials.
     const SPMV_STAGE2_PQ: &'static str;
+    /// Trace name of SpMV stage 1 forming its input `p = z + βp` on load.
+    const SPMV_STAGE1_XPBY: &'static str;
+    /// Trace name of the `x·y`-fused SpMV stage 2 forming and storing its
+    /// rows of `p = z + βp`.
+    const SPMV_STAGE2_PQ_XPBY: &'static str;
     /// Trace name of the tile-partial dot kernel.
     const DOT_PARTIAL: &'static str;
     /// Trace name of the fused set-up `r = b − q`/`‖b‖²`/`‖r‖²` kernel.
     const RESIDUAL: &'static str;
     /// Trace name of the fused `α`/`x`/`r`/`‖r‖²` kernel.
     const AXPY2NORM: &'static str;
-    /// Trace name of the fused `‖r‖²`/`z`/`r·z` kernel.
+    /// Trace name of the fused set-up `z`/`r·z` kernel.
     const PRECOND_RZ: &'static str;
     /// Trace name of the fused `β`/`p` kernel.
     const XPBY_BETA: &'static str;
+    /// Trace name of the fused `α`/`x`/`r`/`z`/`‖r‖²`/`r·z`/`β` kernel.
+    const UPDATE: &'static str;
     /// Exact widening of a loaded element.
     fn widen(self) -> f64;
     /// The one rounding of an accumulated value on store.
@@ -66,11 +73,15 @@ macro_rules! impl_scalar {
             const SPMV_STAGE1: &'static str = concat!("spmv.hsbcsr.stage1", $suffix);
             const SPMV_STAGE2: &'static str = concat!("spmv.hsbcsr.stage2", $suffix);
             const SPMV_STAGE2_PQ: &'static str = concat!("spmv.hsbcsr.stage2_pq", $suffix);
+            const SPMV_STAGE1_XPBY: &'static str = concat!("spmv.hsbcsr.stage1_xpby", $suffix);
+            const SPMV_STAGE2_PQ_XPBY: &'static str =
+                concat!("spmv.hsbcsr.stage2_pq_xpby", $suffix);
             const DOT_PARTIAL: &'static str = concat!("vec.dot.partial", $suffix);
             const RESIDUAL: &'static str = concat!("pcg.fused.residual", $suffix);
             const AXPY2NORM: &'static str = concat!("pcg.fused.axpy2norm", $suffix);
             const PRECOND_RZ: &'static str = concat!("pcg.fused.precond_rz", $suffix);
             const XPBY_BETA: &'static str = concat!("pcg.fused.xpby_beta", $suffix);
+            const UPDATE: &'static str = concat!("pcg.fused.update", $suffix);
             #[inline]
             fn widen(self) -> f64 {
                 f64::from(self)

@@ -16,10 +16,16 @@
 //! the paper), while `low-res` entries are scattered and fetched through
 //! the texture cache via the `row-low-p` mapping (Fig 9). The diagonal
 //! product is fused here; its sliced layout again loads coalesced.
+//!
+//! **Folded direction update** — the PCG iteration's `p ← z + βp` need not
+//! be a launch of its own: [`spmv_hsbcsr_folded_pq`] reads `z`, the old `p`
+//! and the device scalar `β`, and both stages form `p` where they load it
+//! (stage 1 per vector chunk, stage 2 per row); stage 2 stores the new `p`
+//! of its own rows, which no other block of that launch reads.
 
 use crate::hsbcsr::{Hsbcsr, Hsbcsr32};
 use crate::scalar::{Scalar, Scratch};
-use dda_simt::Device;
+use dda_simt::{Device, Lane};
 
 /// Shared-memory access pattern for the stage-1 sub-matrix reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +83,18 @@ pub fn spmv_hsbcsr_into(
     ws: &mut SpmvWorkspace,
     y: &mut [f64],
 ) {
-    spmv_hsbcsr_stage12(dev, h, &h.d_data, &h.nd_data_up, x, scheme, ws, y, false);
+    let input = Input::Stored(x);
+    spmv_hsbcsr_stage12(
+        dev,
+        h,
+        &h.d_data,
+        &h.nd_data_up,
+        input,
+        scheme,
+        ws,
+        y,
+        false,
+    );
 }
 
 /// Fused SpMV + dot: computes `y = A x` and, in the same stage-2 launch,
@@ -95,7 +112,37 @@ pub fn spmv_hsbcsr_fused_pq(
     ws: &mut SpmvWorkspace,
     y: &mut [f64],
 ) {
-    spmv_hsbcsr_stage12(dev, h, &h.d_data, &h.nd_data_up, x, scheme, ws, y, true);
+    let input = Input::Stored(x);
+    spmv_hsbcsr_stage12(dev, h, &h.d_data, &h.nd_data_up, input, scheme, ws, y, true);
+}
+
+/// The direction update `p ← z + β·p` folded into the SpMV that multiplies
+/// `p`: `beta` is the device scalar a previous launch stored (element 0 is
+/// read), `z` the preconditioned residual.
+#[derive(Debug, Clone, Copy)]
+pub struct Fold<'a, S> {
+    /// The preconditioned residual.
+    pub z: &'a [S],
+    /// Device scalar holding `β` at index 0.
+    pub beta: &'a [f64],
+}
+
+/// [`spmv_hsbcsr_fused_pq`] on the new direction: `p ← z + β·p`, then
+/// `y = A p` and the `p·y` partials, in the same two launches. Every `p`
+/// the stages multiply is rounded exactly as a stored `p` would be, so `p`,
+/// `y` and the partials are bitwise those of the unfolded `xpby` followed
+/// by [`spmv_hsbcsr_fused_pq`].
+pub fn spmv_hsbcsr_folded_pq(
+    dev: &Device,
+    h: &Hsbcsr,
+    fold: Fold<'_, f64>,
+    p: &mut [f64],
+    scheme: Stage1Smem,
+    ws: &mut SpmvWorkspace,
+    y: &mut [f64],
+) {
+    let input = Input::Folded(fold, p);
+    spmv_hsbcsr_stage12(dev, h, &h.d_data, &h.nd_data_up, input, scheme, ws, y, true);
 }
 
 /// Fully-fp32 `y = A x` for the mixed solver's inner loop: matrix values
@@ -119,7 +166,40 @@ pub fn spmv_hsbcsr_f32(
 ) {
     assert!(vals.matches(h), "fp32 shadow out of sync with the format");
     let (d, nd) = (&vals.d_data, &vals.nd_data_up);
-    spmv_hsbcsr_stage12(dev, h, d, nd, x, scheme, ws, y, fuse_pq);
+    spmv_hsbcsr_stage12(dev, h, d, nd, Input::Stored(x), scheme, ws, y, fuse_pq);
+}
+
+/// [`spmv_hsbcsr_folded_pq`] on the fp32 shadow, as [`spmv_hsbcsr_f32`]
+/// with `fuse_pq`.
+#[allow(clippy::too_many_arguments)]
+pub fn spmv_hsbcsr_f32_folded_pq(
+    dev: &Device,
+    h: &Hsbcsr,
+    vals: &Hsbcsr32,
+    fold: Fold<'_, f32>,
+    p: &mut [f32],
+    scheme: Stage1Smem,
+    ws: &mut SpmvWorkspace<f32>,
+    y: &mut [f32],
+) {
+    assert!(vals.matches(h), "fp32 shadow out of sync with the format");
+    let (d, nd) = (&vals.d_data, &vals.nd_data_up);
+    let input = Input::Folded(fold, p);
+    spmv_hsbcsr_stage12(dev, h, d, nd, input, scheme, ws, y, true);
+}
+
+/// The vector an SpMV multiplies.
+enum Input<'a, S> {
+    /// `x` as stored.
+    Stored(&'a [S]),
+    /// `z + β·p`, formed on load; stage 2 stores it over `p`.
+    Folded(Fold<'a, S>, &'a mut [S]),
+}
+
+/// `z + β·p`, rounded once as the stored direction element is.
+#[inline]
+fn xpby<S: Scalar>(z: S, beta: f64, p: S) -> S {
+    S::narrow(z.widen() + beta * p.widen())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -128,12 +208,23 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
     h: &Hsbcsr,
     d_data: &[S],
     nd_data: &[S],
-    x: &[S],
+    mut input: Input<'_, S>,
     scheme: Stage1Smem,
     ws: &mut SpmvWorkspace<S>,
     y: &mut [S],
     fuse_pq: bool,
 ) {
+    let (x, fold) = match &input {
+        Input::Stored(x) => (*x, None),
+        Input::Folded(fold, p) => {
+            assert!(
+                fuse_pq,
+                "only the p·q-fused SpMV folds the direction update"
+            );
+            assert_eq!(fold.z.len(), p.len());
+            (&**p, Some(*fold))
+        }
+    };
     assert_eq!(x.len(), h.n * 6);
     assert_eq!(y.len(), h.n * 6);
     let SpmvWorkspace {
@@ -145,6 +236,7 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
     // `resize` reuses capacity once warmed.
     up_res.resize(h.n_nd * 6, S::default());
     low_res.resize(h.n_nd * 6, S::default());
+    let b_fold = fold.map(|f| (dev.bind_ro(f.z), dev.bind_ro(f.beta)));
 
     // ---- Stage 1: per-sub-matrix products ---------------------------------
     if h.n_nd > 0 {
@@ -155,7 +247,12 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
         let b_low = dev.bind(low_res.as_mut_slice());
         let pad = h.pad_nd;
         let nnd = h.n_nd;
-        dev.launch(S::SPMV_STAGE1, h.n_nd, |lane| {
+        let name = if fold.is_some() {
+            S::SPMV_STAGE1_XPBY
+        } else {
+            S::SPMV_STAGE1
+        };
+        dev.launch(name, h.n_nd, |lane| {
             let k = lane.gid;
             let rc = lane.ld(&b_rc, k);
             let row = (rc >> 32) as usize;
@@ -163,12 +260,27 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
             let mut up = [0.0f64; 6];
             let mut low = [0.0f64; 6];
             // Both vector chunks are fetched once into registers (12 texture
-            // reads per sub-matrix, not 72).
+            // reads per sub-matrix, not 72; 24 when each element is formed
+            // from `z` and the old `p`).
+            let fold = b_fold
+                .as_ref()
+                .map(|(b_z, b_beta)| (b_z, lane.ld(b_beta, 0)));
+            let chunk = |lane: &mut Lane, i: usize| {
+                let v = lane.ld_tex(&b_x, i);
+                match fold {
+                    Some((b_z, beta)) => {
+                        let zv = lane.ld_tex(b_z, i);
+                        lane.flop(2);
+                        xpby(zv, beta, v).widen()
+                    }
+                    None => v.widen(),
+                }
+            };
             let mut xr = [0.0f64; 6];
             let mut xc = [0.0f64; 6];
             for r in 0..6 {
-                xr[r] = lane.ld_tex(&b_x, row * 6 + r).widen();
-                xc[r] = lane.ld_tex(&b_x, col * 6 + r).widen();
+                xr[r] = chunk(lane, row * 6 + r);
+                xc[r] = chunk(lane, col * 6 + r);
             }
             // Slice-by-slice traversal: for fixed (r, c), consecutive k are
             // consecutive addresses → coalesced.
@@ -208,10 +320,10 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
     } else {
         pq_partials.clear();
     }
-    let stage2_name: &'static str = if fuse_pq {
-        S::SPMV_STAGE2_PQ
-    } else {
-        S::SPMV_STAGE2
+    let stage2_name: &'static str = match (fuse_pq, fold.is_some()) {
+        (false, _) => S::SPMV_STAGE2,
+        (true, false) => S::SPMV_STAGE2_PQ,
+        (true, true) => S::SPMV_STAGE2_PQ_XPBY,
     };
     {
         let b_up = dev.bind_ro(up_res.as_slice());
@@ -220,7 +332,11 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
         let b_rli = dev.bind_ro(&h.row_low_i);
         let b_rlp = dev.bind_ro(&h.row_low_p);
         let b_d = dev.bind_ro(d_data);
-        let b_x = dev.bind_ro(x);
+        // Folded, this block's rows of `p` are read and then overwritten.
+        let b_x = match &mut input {
+            Input::Stored(x) => dev.bind_ro(x),
+            Input::Folded(_, p) => dev.bind(p),
+        };
         let b_y = dev.bind(&mut *y);
         let b_pq = dev.bind(pq_partials.as_mut_slice());
         let pad_d = h.pad_d;
@@ -311,10 +427,27 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
 
                 // Diagonal product: sliced layout → coalesced over rows. The x
                 // chunk of the row block is fetched once per local column.
+                let fold = b_fold
+                    .as_ref()
+                    .map(|(b_z, b_beta)| (b_z, blk.gld_one(b_beta, 0)));
                 for c in 0..6 {
                     xidx.clear();
                     xidx.extend((0..rows).map(|w| (i0 + w) * 6 + c));
                     blk.gld_gather_tex_into(&b_x, xidx, six[c]);
+                    if let Some((b_z, beta)) = fold {
+                        // `flat` is free until the result store.
+                        blk.gld_gather_tex_into(b_z, xidx, flat);
+                        blk.flop_masked(rows, 2);
+                        for w in 0..rows {
+                            six[c][w] = xpby(flat[w], beta, six[c][w]);
+                        }
+                    }
+                }
+                if fold.is_some() {
+                    // The new p of this block's rows, coalesced.
+                    flat.clear();
+                    flat.extend((0..rows).flat_map(|w| six.iter().map(move |s| s[w])));
+                    blk.gst_range(&b_x, i0 * 6, flat);
                 }
                 for r in 0..6 {
                     for c in 0..6 {
@@ -503,6 +636,67 @@ mod tests {
         // The fused stage 2 replaces, not adds, a launch.
         let by = d.trace().by_kernel();
         assert!(by.contains_key("spmv.hsbcsr.stage2_pq"));
+    }
+
+    #[test]
+    fn folded_direction_update_is_bitwise_xpby_then_spmv() {
+        // p ← z + βp folded into both stages against the stored update
+        // followed by the plain p·q-fused SpMV: same p, y and partials, bit
+        // for bit, for both storage types — with off-diagonal blocks and
+        // without (stage 1 skipped, stage 2 alone forms p).
+        for (n, density) in [(70usize, 4.0), (33, 0.0)] {
+            let m = SymBlockMatrix::random_spd(n, density, 9);
+            let h = Hsbcsr::from_sym(&m);
+            let mut sh = Hsbcsr32::new();
+            sh.refill_from(&h);
+            let z: Vec<f64> = (0..m.dim()).map(|i| (i as f64 * 0.31).sin()).collect();
+            let p_old: Vec<f64> = (0..m.dim()).map(|i| (i as f64 * 0.17).cos()).collect();
+            let beta = [0.37];
+            let scheme = Stage1Smem::Proposed;
+            let d = dev();
+            let mut ws = SpmvWorkspace::new();
+
+            let p_ref: Vec<f64> = z.iter().zip(&p_old).map(|(z, p)| z + beta[0] * p).collect();
+            let mut y_ref = vec![0.0f64; m.dim()];
+            spmv_hsbcsr_fused_pq(&d, &h, &p_ref, scheme, &mut ws, &mut y_ref);
+            let pq_ref = ws.pq_partials.clone();
+            let (mut p, mut y) = (p_old.clone(), vec![0.0f64; m.dim()]);
+            let fold = Fold { z: &z, beta: &beta };
+            spmv_hsbcsr_folded_pq(&d, &h, fold, &mut p, scheme, &mut ws, &mut y);
+            assert_eq!((&p, &y, &ws.pq_partials), (&p_ref, &y_ref, &pq_ref));
+
+            let z32: Vec<f32> = z.iter().map(|&v| v as f32).collect();
+            let p32_old: Vec<f32> = p_old.iter().map(|&v| v as f32).collect();
+            let p32_ref: Vec<f32> = z32
+                .iter()
+                .zip(&p32_old)
+                .map(|(&z, &p)| (f64::from(z) + beta[0] * f64::from(p)) as f32)
+                .collect();
+            let mut ws32 = SpmvWorkspace::new();
+            let mut y32_ref = vec![0.0f32; m.dim()];
+            spmv_hsbcsr_f32(&d, &h, &sh, &p32_ref, scheme, &mut ws32, &mut y32_ref, true);
+            let pq32_ref = ws32.pq_partials.clone();
+            let (mut p32, mut y32) = (p32_old, vec![0.0f32; m.dim()]);
+            let fold = Fold {
+                z: &z32,
+                beta: &beta,
+            };
+            spmv_hsbcsr_f32_folded_pq(&d, &h, &sh, fold, &mut p32, scheme, &mut ws32, &mut y32);
+            assert_eq!(
+                (&p32, &y32, &ws32.pq_partials),
+                (&p32_ref, &y32_ref, &pq32_ref)
+            );
+
+            // The folded stages are kernels of their own in a per-kernel
+            // table; stage 1 only where there are off-diagonal blocks.
+            let by = d.trace().by_kernel();
+            for name in [f64::SPMV_STAGE1_XPBY, f32::SPMV_STAGE1_XPBY] {
+                assert_eq!(by.contains_key(name), h.n_nd > 0, "{name}");
+            }
+            for name in [f64::SPMV_STAGE2_PQ_XPBY, f32::SPMV_STAGE2_PQ_XPBY] {
+                assert_eq!(by[name].0.launches, 1, "{name}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Steady-state allocation audit for the HSBCSR SpMV path.
 //!
-//! The workspace-based SpMV (`spmv_hsbcsr_into` / `spmv_hsbcsr_fused_pq`)
-//! must allocate **nothing** once warmed: per-call intermediates live in
+//! The workspace-based SpMV (`spmv_hsbcsr_into` / `spmv_hsbcsr_fused_pq` /
+//! `spmv_hsbcsr_folded_pq`) must allocate **nothing** once warmed: per-call intermediates live in
 //! `SpmvWorkspace`, per-block gather scratch is thread-local, kernel names
 //! are `&'static str`, and the device trace retains its capacity across
 //! `reset_trace`. This test arms a counting global allocator around the
@@ -17,7 +17,8 @@ mod counting_alloc;
 use counting_alloc::count_allocs;
 use dda_simt::{Device, DeviceProfile};
 use dda_sparse::spmv::{
-    spmv_hsbcsr_f32, spmv_hsbcsr_fused_pq, spmv_hsbcsr_into, SpmvWorkspace, Stage1Smem,
+    spmv_hsbcsr_f32, spmv_hsbcsr_folded_pq, spmv_hsbcsr_fused_pq, spmv_hsbcsr_into, Fold,
+    SpmvWorkspace, Stage1Smem,
 };
 use dda_sparse::{Hsbcsr, Hsbcsr32, SymBlockMatrix};
 
@@ -31,19 +32,25 @@ fn warmed_spmv_steady_state_allocates_nothing() {
     let x: Vec<f64> = (0..m.dim()).map(|i| (i as f64 * 0.19).sin()).collect();
     let mut ws = SpmvWorkspace::new();
     let mut y = vec![0.0f64; m.dim()];
+    // The folded SpMV's direction, rewritten in place by every call.
+    let (z, beta) = (x.clone(), [0.5]);
+    let mut p = x.clone();
+    let mut yp = vec![0.0f64; m.dim()];
+    let mut steady = |ws: &mut SpmvWorkspace, y: &mut [f64]| {
+        let fold = Fold { z: &z, beta: &beta };
+        spmv_hsbcsr_folded_pq(&dev, &h, fold, &mut p, Stage1Smem::Proposed, ws, &mut yp);
+        spmv_hsbcsr_into(&dev, &h, &x, Stage1Smem::Proposed, ws, y);
+        spmv_hsbcsr_fused_pq(&dev, &h, &x, Stage1Smem::Proposed, ws, y);
+    };
 
     // Warm: workspace buffers, thread-local kernel scratch, trace capacity.
     for _ in 0..2 {
-        spmv_hsbcsr_into(&dev, &h, &x, Stage1Smem::Proposed, &mut ws, &mut y);
-        spmv_hsbcsr_fused_pq(&dev, &h, &x, Stage1Smem::Proposed, &mut ws, &mut y);
+        steady(&mut ws, &mut y);
     }
     dev.reset_trace();
 
     // Measure.
-    let (n_allocs, ()) = count_allocs(|| {
-        spmv_hsbcsr_into(&dev, &h, &x, Stage1Smem::Proposed, &mut ws, &mut y);
-        spmv_hsbcsr_fused_pq(&dev, &h, &x, Stage1Smem::Proposed, &mut ws, &mut y);
-    });
+    let (n_allocs, ()) = count_allocs(|| steady(&mut ws, &mut y));
     assert_eq!(
         n_allocs, 0,
         "warmed SpMV steady state performed {n_allocs} heap allocations"

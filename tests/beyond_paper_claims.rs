@@ -50,12 +50,12 @@ fn churned_fleet(
 /// cost stays within [`WAL_BUDGET_PCT`] of the aggregate modeled step time
 /// on fleets of one, two and four K40s and on a K40 + K20 + serial-Xeon
 /// mix. Not met today: the budget held when recorded (4.1 % on one K40,
-/// EXPERIMENTS.md §VI), PR 22 made the modeled step 1.8× cheaper under an
-/// unchanged journal, and this window now reads 6.64 % / 4.82 % / 3.45 % /
-/// 4.76 %. The assertion stays as stated until the journal cost or the
-/// budget is revisited (ROADMAP item 5).
+/// EXPERIMENTS.md §VI), the modeled step has since become several times
+/// cheaper under an unchanged journal, and this window now reads 8.48 % /
+/// 6.15 % / 5.05 % / 6.05 %. The assertion stays as stated until the
+/// journal cost or the budget is revisited (ROADMAP item 2).
 #[test]
-#[ignore = "not met since PR 22: WAL costs 6.6 % on one K40 (ROADMAP item 5)"]
+#[ignore = "not met: WAL costs 8.5 % of modeled step time on one K40 (ROADMAP item 2)"]
 fn wal_cost_is_at_most_five_percent_of_aggregate_step_time() {
     let k40 = DeviceProfile::tesla_k40;
     let fleets = [
