@@ -20,8 +20,9 @@
 //!
 //! That stream is [`assemble_contacts_gpu`], the oracle. The engine's
 //! default path ([`crate::assembly_cache`]) sorts the keys once per contact
-//! list and replaces steps 1 and 4 by one gather launch; its two kernels
-//! live here, beside the spring evaluation they share with step 1.
+//! list and replaces steps 1 and 4 by one gather launch; its kernels (the
+//! key stream, the gather and the gather's thread schedule) live here,
+//! beside the spring evaluation they share with step 1.
 
 use crate::contact::types::Contact;
 use crate::contact::GeomSoa;
@@ -30,9 +31,9 @@ use crate::stiffness::perblock::{build_diag_gpu, build_diag_serial, BlockSoa};
 use crate::stiffness::springs::{contact_spring_terms, SpringTerms};
 use crate::system::BlockSystem;
 use dda_geom::Vec2;
-use dda_simt::primitives::{segment_starts, sort::argsort_u64};
+use dda_simt::primitives::{scan_exclusive_u32, segment_starts, sort::argsort_u64};
 use dda_simt::serial::CpuCounter;
-use dda_simt::{Device, GBuf, Lane};
+use dda_simt::{Device, GBuf, Lane, WARP_SIZE};
 use dda_sparse::{Block6, SymBlockMatrix};
 use std::collections::HashMap;
 
@@ -466,19 +467,131 @@ pub(crate) fn contact_keys_gpu(dev: &Device, n: u64, contacts: &[Contact], keys:
     });
 }
 
-/// Kernel `assembly.gather`: thread `s` owns segment `s` of `plan` (one
-/// distinct block pair) and walks its slots in plan order. Slot `3t + role`
-/// belongs to contact `t`; if the contact is closed and its edge is not
-/// degenerate the thread recomputes its spring terms and adds the role's
-/// block (`k_ii` | `k_jj` | upper) and, for the two diagonal roles, the
-/// role's force. The walk visits exactly the live slots the Fig 4 sort
-/// would have put in this segment, in the same order, and adds them from
-/// `+0.0`, so the sums are the oracle's bits; the diagonal segment of
+/// The thread schedule of [`gather_segments`] over a [`ReducePlan`]: which
+/// gather thread (*position*) sums which segment, and where its slots lie.
+/// Position `q` walks the slot indices at `walk[first_q + stride · k]`,
+/// `k = 0, 1, …`, below `end_q`, and stores its sums at `q`.
+///
+/// * **Plan order** (a plan of at most one warp of segments): position
+///   `q` is segment `q`, its walk is the plan's own
+///   `perm[starts[q]..starts[q + 1]]` at stride 1. Within one warp the
+///   order of the segments cannot change the cost — the warp pays its
+///   longest lane whatever lane that is — so nothing is built.
+/// * **Length-sorted, jagged-diagonal** (more than one warp): positions
+///   take the segments in descending slot count, so a warp's lanes walk
+///   segments of nearly one length, and slot `k` of lane `ℓ` in warp `w`
+///   sits at `base_w + 32k + ℓ` — the `k`-th loads of a warp's lanes are
+///   32 consecutive words. `base_w` is 32 × the sum of the earlier warps'
+///   longest segments.
+///
+/// Built once per plan by [`GatherSchedule::build`], on the device.
+#[derive(Debug, Default)]
+pub(crate) struct GatherSchedule {
+    /// The position of segment `s`; empty in plan order.
+    pos: Vec<u32>,
+    /// `first_q` at `q`, `end_q` at `n_seg + q`; empty in plan order.
+    bounds: Vec<u32>,
+    /// Slot indices in jagged-diagonal layout; empty in plan order.
+    walk: Vec<u32>,
+}
+
+impl GatherSchedule {
+    /// The schedule of `plan`: plan order up to one warp of segments,
+    /// else the segment lengths (`assembly.sched.lengths`), their stable
+    /// radix argsort read backwards, the warp bases (`assembly.sched.
+    /// heights` and a scan) and one relayout launch
+    /// (`assembly.sched.layout`).
+    pub(crate) fn build(dev: &Device, plan: &ReducePlan) -> GatherSchedule {
+        let n_seg = plan.n_seg();
+        if n_seg <= WARP_SIZE {
+            return GatherSchedule::default();
+        }
+        let mut lens = vec![0u64; n_seg];
+        {
+            let b_starts = dev.bind_ro(&plan.starts);
+            let b_lens = dev.bind(&mut lens);
+            dev.launch("assembly.sched.lengths", n_seg, |lane| {
+                let s = lane.gid;
+                let lo = lane.ld(&b_starts, s);
+                let hi = lane.ld(&b_starts, s + 1);
+                lane.flop(1);
+                lane.st(&b_lens, s, u64::from(hi - lo));
+            });
+        }
+        // Ascending and stable; position q reads index n_seg − 1 − q.
+        let (sorted_lens, order) = argsort_u64(dev, &lens);
+        let n_warps = n_seg.div_ceil(WARP_SIZE);
+        let mut heights = vec![0u32; n_warps];
+        {
+            let b_sorted = dev.bind_ro(&sorted_lens);
+            let b_h = dev.bind(&mut heights);
+            dev.launch("assembly.sched.heights", n_warps, |lane| {
+                let w = lane.gid;
+                // Lane 0 of warp w holds the warp's longest segment.
+                let longest = lane.ld(&b_sorted, n_seg - 1 - w * WARP_SIZE);
+                lane.flop(1);
+                lane.st(&b_h, w, (WARP_SIZE as u64 * longest) as u32);
+            });
+        }
+        let (bases, total) = scan_exclusive_u32(dev, &heights);
+        let mut sched = GatherSchedule {
+            pos: vec![0; n_seg],
+            bounds: vec![0; 2 * n_seg],
+            walk: vec![0; total as usize],
+        };
+        {
+            let b_order = dev.bind_ro(&order);
+            let b_starts = dev.bind_ro(&plan.starts);
+            let b_perm = dev.bind_ro(&plan.perm);
+            let b_bases = dev.bind_ro(&bases);
+            let b_pos = dev.bind(&mut sched.pos);
+            let b_bounds = dev.bind(&mut sched.bounds);
+            let b_walk = dev.bind(&mut sched.walk);
+            dev.launch("assembly.sched.layout", n_seg, |lane| {
+                let q = lane.gid;
+                let s = lane.ld(&b_order, n_seg - 1 - q) as usize;
+                let lo = lane.ld(&b_starts, s) as usize;
+                let hi = lane.ld(&b_starts, s + 1) as usize;
+                let first = lane.ld(&b_bases, q / WARP_SIZE) as usize + lane.lane_id as usize;
+                for k in 0..hi - lo {
+                    let slot = lane.ld(&b_perm, lo + k);
+                    lane.st(&b_walk, first + WARP_SIZE * k, slot);
+                }
+                lane.flop(2 + (hi - lo) as u32);
+                lane.st(&b_bounds, q, first as u32);
+                lane.st(&b_bounds, n_seg + q, (first + WARP_SIZE * (hi - lo)) as u32);
+                lane.st(&b_pos, s, q as u32);
+            });
+        }
+        sched
+    }
+
+    /// Positions are segments (no schedule was built).
+    pub(crate) fn is_plan_order(&self) -> bool {
+        self.pos.is_empty()
+    }
+
+    /// The position whose sums hold segment `s`.
+    pub(crate) fn position(&self, s: usize) -> usize {
+        self.pos.get(s).map_or(s, |&q| q as usize)
+    }
+}
+
+/// Kernel `assembly.gather`: thread `q` owns one segment of `plan` (one
+/// distinct block pair), the one `sched` gives position `q`, and walks its
+/// slots in plan order. Slot `3t + role` belongs to contact `t`; if the
+/// contact is closed and its edge is not degenerate the thread recomputes
+/// its spring terms and adds the role's block (`k_ii` | `k_jj` | upper)
+/// and, for the two diagonal roles, the role's force. The walk visits
+/// exactly the live slots the Fig 4 sort would have put in this segment,
+/// in the same order, and adds them from `+0.0`, so the sums are the
+/// oracle's bits whichever thread computes them; the diagonal segment of
 /// block `b` holds the slots the force stream's segment `b` holds, so the
 /// forces need no plan of their own.
 ///
-/// Outputs are segment-minor (`out[k · n_seg + s]`) so a warp's stores
-/// coalesce, and are written only where `n_live[s] > 0`.
+/// Outputs are position-minor (`out[k · n_seg + q]`) so a warp's stores
+/// coalesce, and are written only where `n_live[q] > 0`; the caller reads
+/// segment `s` at [`GatherSchedule::position`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gather_segments(
     dev: &Device,
@@ -487,26 +600,34 @@ pub(crate) fn gather_segments(
     jparams: &[f64],
     params: &DdaParams,
     plan: &ReducePlan,
+    sched: &GatherSchedule,
     n_live: &mut [u32],
     out: &mut [f64],
     fout: &mut [f64],
 ) {
     let n_seg = plan.n_seg();
+    // (first_q, end_q) sit at (q, q + end_off) of `bounds`; walks step by
+    // `stride`.
+    let (bounds, end_off, walk, stride) = if sched.is_plan_order() {
+        (&plan.starts, 1, &plan.perm, 1)
+    } else {
+        (&sched.bounds, n_seg, &sched.walk, WARP_SIZE)
+    };
     let inp = SpringInputs::bind(dev, gsoa, contacts, jparams, params);
-    let b_starts = dev.bind_ro(&plan.starts);
-    let b_perm = dev.bind_ro(&plan.perm);
+    let b_bounds = dev.bind_ro(bounds);
+    let b_walk = dev.bind_ro(walk);
     let b_live = dev.bind(n_live);
     let b_out = dev.bind(out);
     let b_fout = dev.bind(fout);
     dev.launch("assembly.gather", n_seg, |lane| {
-        let s = lane.gid;
-        let lo = lane.ld(&b_starts, s) as usize;
-        let hi = lane.ld(&b_starts, s + 1) as usize;
+        let q = lane.gid;
+        let first = lane.ld(&b_bounds, q) as usize;
+        let end = lane.ld(&b_bounds, q + end_off) as usize;
         let mut acc = [0.0f64; 36];
         let mut facc = [0.0f64; 6];
         let (mut live, mut diagonal) = (0u32, false);
-        for m in lo..hi {
-            let slot = lane.ld(&b_perm, m) as usize;
+        for m in (first..end).step_by(stride) {
+            let slot = lane.ld(&b_walk, m) as usize;
             let (t, role) = (slot / 3, slot % 3);
             let c = lane.ld(&inp.contacts, t);
             if !lane.branch(0, c.state.closed()) {
@@ -534,16 +655,16 @@ pub(crate) fn gather_segments(
             }
             live += 1;
         }
-        lane.st(&b_live, s, live);
+        lane.st(&b_live, q, live);
         if !lane.branch(1, live > 0) {
             return;
         }
         for (k, v) in acc.iter().enumerate() {
-            lane.st(&b_out, k * n_seg + s, *v);
+            lane.st(&b_out, k * n_seg + q, *v);
         }
         if diagonal {
             for (k, v) in facc.iter().enumerate() {
-                lane.st(&b_fout, k * n_seg + s, *v);
+                lane.st(&b_fout, k * n_seg + q, *v);
             }
         }
     });

@@ -12,7 +12,11 @@
 //!   fresh list's keys with the ones the standing plan was sorted from —
 //!   once per detection, on the host. Only when they differ does the next
 //!   assemble launch `nondiag.keys`, sort and find the boundaries again; a
-//!   settled scene sorts once for the whole run.
+//!   settled scene sorts once for the whole run. A plan of more than one
+//!   warp of segments gets its gather schedule then, on the device
+//!   ([`GatherSchedule`]: segments by descending slot count, slots laid
+//!   out jagged-diagonally), so a warp's threads walk segments of nearly
+//!   one length instead of paying 32 × the longest of 32 in key order.
 //! * **Gather, per iteration.** Every assemble is one `assembly.gather`
 //!   launch, one thread per distinct block pair, that recomputes the spring
 //!   terms of its segment's closed contacts and adds them in plan order
@@ -22,12 +26,14 @@
 //! scratch, kept as the oracle and the paper-table path — assembles: a
 //! stable sort orders a segment by slot index, skipping the dead slots
 //! leaves the subsequence the oracle's sort of live keys produces, and both
-//! add the same function's output from `+0.0`. Segments with no live slot
+//! add the same function's output from `+0.0` — whichever thread does the
+//! sum and wherever it stores it. Segments with no live slot
 //! are dropped, as Fig 4 never materialises them, so the HSBCSR pattern and
 //! every solver-cache decision are the oracle's too.
 
 use crate::assembly::{
-    contact_keys, contact_keys_gpu, fill_joint_params, gather_segments, AssembledSystem, ReducePlan,
+    contact_keys, contact_keys_gpu, fill_joint_params, gather_segments, AssembledSystem,
+    GatherSchedule, ReducePlan,
 };
 use crate::contact::types::Contact;
 use crate::contact::GeomSoa;
@@ -44,7 +50,9 @@ use serde::{Deserialize, Serialize};
 pub struct AssemblyStats {
     /// Assemblies run (every gather evaluates its contacts from scratch).
     pub full_builds: u64,
-    /// Closed contacts evaluated, summed over assemblies.
+    /// Closed contacts assembled, summed over assemblies. The gather
+    /// evaluates each one once per role (`k_ii`, `k_jj`, upper): three
+    /// spring evaluations per count.
     pub recomputed: u64,
     /// Always 0: no per-contact contribution outlives an assembly.
     pub spliced: u64,
@@ -77,6 +85,8 @@ pub struct AssemblyCache {
     /// The key stream the plan was sorted from (three per contact).
     keys: Vec<u64>,
     plan: ReducePlan,
+    /// The gather's thread schedule over `plan`.
+    sched: GatherSchedule,
     /// The current contact list's keys are not the plan's.
     stale: bool,
     jparams: Vec<f64>,
@@ -143,6 +153,7 @@ impl AssemblyCache {
                 contact_keys_gpu(dev, n, contacts, &mut self.keys);
                 ReducePlan::build(dev, &self.keys)
             };
+            self.sched = GatherSchedule::build(dev, &self.plan);
             let n_seg = self.plan.n_seg();
             self.n_live.resize(n_seg, 0);
             self.out.resize(36 * n_seg, 0.0);
@@ -165,22 +176,28 @@ impl AssemblyCache {
                 &self.jparams,
                 params,
                 &self.plan,
+                &self.sched,
                 &mut self.n_live,
                 &mut self.out,
                 &mut self.fout,
             );
         }
-        for s in (0..n_seg).filter(|&s| self.n_live[s] > 0) {
+        // Key order: segment s's sums sit at its gather position q.
+        for s in 0..n_seg {
+            let q = self.sched.position(s);
+            if self.n_live[q] == 0 {
+                continue;
+            }
             let key = self.plan.key(s);
             let (r, c) = ((key / n) as usize, (key % n) as usize);
             let mut blk = Block6::ZERO;
             for (k, v) in blk.0.iter_mut().flatten().enumerate() {
-                *v = self.out[k * n_seg + s];
+                *v = self.out[k * n_seg + q];
             }
             if r == c {
                 diag[r] += blk;
                 for k in 0..6 {
-                    rhs[6 * r + k] += self.fout[k * n_seg + s];
+                    rhs[6 * r + k] += self.fout[k * n_seg + q];
                 }
             } else {
                 upper.push((r as u32, c as u32, blk));
@@ -198,7 +215,7 @@ mod tests {
     use super::*;
     use crate::assembly::assemble_contacts_gpu;
     use crate::block::Block;
-    use crate::contact::types::ContactState;
+    use crate::contact::types::{ContactKind, ContactState};
     use crate::contact::{broad_phase_serial, narrow_phase_serial};
     use crate::material::{BlockMaterial, JointMaterial};
     use crate::stiffness::perblock::{build_diag_gpu, BlockSoa};
@@ -219,6 +236,47 @@ mod tests {
         dev: Device,
         diag: Vec<Block6>,
         rhs: Vec<f64>,
+    }
+
+    /// `n` unit blocks in a row and, for each `(i, j, count)`, `count`
+    /// contacts between blocks `i` and `j` (alternating which one carries
+    /// the vertex): the plan's segments are exactly the blocks named and
+    /// the distinct pairs, each pair's three segments `count` slots long
+    /// (the diagonal ones longer where a block has several pairs).
+    fn synthetic(n: usize, pairs: &[(u32, u32, usize)]) -> Wall {
+        let blocks = (0..n)
+            .map(|k| {
+                let x = k as f64 * 1.005;
+                Block::new(Polygon::rect(x, 0.0, x + 1.0, 1.0), 0)
+            })
+            .collect();
+        let sys = BlockSystem::new(
+            blocks,
+            BlockMaterial::rock(),
+            JointMaterial::frictional(30.0),
+        );
+        let mut contacts = Vec::new();
+        for &(i, j, count) in pairs {
+            for k in 0..count {
+                let (a, b) = if k % 2 == 0 { (i, j) } else { (j, i) };
+                let (vertex, edge) = ((k % 4) as u32, (k / 4 % 4) as u32);
+                let mut c = Contact::new(a, b, vertex, edge, u32::MAX, ContactKind::Ve);
+                c.state = ContactState::Lock;
+                contacts.push(c);
+            }
+        }
+        let params = DdaParams::for_model(1.0, 5e9);
+        let dev = Device::new(DeviceProfile::tesla_k40()).with_conflict_checking(true);
+        let (diag, rhs) = build_diag_gpu(&dev, &sys, &BlockSoa::build(&sys), &params);
+        Wall {
+            gsoa: GeomSoa::build(&sys),
+            sys,
+            contacts,
+            params,
+            dev,
+            diag,
+            rhs,
+        }
     }
 
     fn wall() -> Wall {
@@ -290,6 +348,18 @@ mod tests {
                 self.diag.clone(),
                 self.rhs.clone(),
             )
+        }
+
+        /// Random states, edge ratios and slide directions on every
+        /// contact, except that contacts `dead` pick from open only.
+        fn draw_states(&mut self, rng: &mut StdRng, dead: impl Fn(&Contact) -> bool) {
+            for c in self.contacts.iter_mut() {
+                let n_states = if dead(c) { 1 } else { 3 };
+                c.state = [ContactState::Open, ContactState::Lock, ContactState::Slide]
+                    [rng.gen_range(0..n_states)];
+                c.edge_ratio = rng.gen();
+                c.slide_dir = [-1.0, 0.0, 1.0][rng.gen_range(0..3)];
+            }
         }
 
         fn radix_launches(&self) -> u64 {
@@ -441,5 +511,90 @@ mod tests {
         let st = cache.stats();
         assert_eq!(st.plan_rebuilds + st.plan_hits, 8, "one per assembly");
         assert_eq!((st.full_builds, st.spliced), (8, 0));
+    }
+
+    /// A chain `0 – 1 – … – n_pairs` with `count(p)` contacts on pair `p`:
+    /// `2 · n_pairs + 1` segments.
+    fn chain(n_pairs: u32, count: impl Fn(u32) -> usize) -> Wall {
+        let pairs: Vec<_> = (0..n_pairs).map(|p| (p, p + 1, count(p))).collect();
+        synthetic(n_pairs as usize + 1, &pairs)
+    }
+
+    /// Random state draws on synthetic plans of every shape the schedule
+    /// tells apart, each draw held to the Fig 4 oracle bit for bit.
+    #[test]
+    fn scheduled_gather_matches_fig4_bitwise_on_every_plan_shape() {
+        let ring: Vec<_> = (0..16u32)
+            .map(|b| (b, (b + 1) % 16, 1 + b as usize % 5))
+            .collect();
+        let uniform: Vec<_> = (0..12u32).map(|b| (2 * b, 2 * b + 1, 4)).collect();
+        let live = |_: &Contact| false;
+        let open = |_: &Contact| true;
+        let pairs_01_78 = |c: &Contact| [(0, 1), (7, 8)].contains(&(c.i.min(c.j), c.i.max(c.j)));
+        type Dead<'a> = &'a dyn Fn(&Contact) -> bool;
+        // (case, scene, state draws, contacts kept open, segments)
+        let cases: [(&str, Wall, usize, Dead, usize); 6] = [
+            ("a ring of 16 blocks", synthetic(16, &ring), 40, &live, 32),
+            (
+                "33 segments",
+                chain(16, |p| 1 + (p as usize * 7) % 11),
+                40,
+                &live,
+                33,
+            ),
+            // Three segments of 300+ slots: the length sort takes two
+            // radix passes.
+            (
+                "a segment past 256 slots",
+                chain(24, |p| if p == 0 { 300 } else { 1 + p as usize % 3 }),
+                12,
+                &live,
+                49,
+            ),
+            ("uniform lengths", synthetic(24, &uniform), 40, &live, 36),
+            ("all open", chain(20, |p| 1 + p as usize % 4), 4, &open, 41),
+            // The pair segments of (0, 1) and (7, 8) and block 0's diagonal
+            // segment have no live slot.
+            (
+                "all-dead segments",
+                chain(20, |p| 2 + p as usize % 4),
+                40,
+                &pairs_01_78,
+                41,
+            ),
+        ];
+        for (case, mut w, draws, dead, n_seg) in cases {
+            let mut cache = AssemblyCache::new();
+            let mut rng = StdRng::seed_from_u64(29);
+            for draw in 0..draws {
+                w.draw_states(&mut rng, dead);
+                let got = w.step(&mut cache);
+                assert_eq!(bits(&got), bits(&w.oracle()), "{case}, draw {draw}");
+            }
+            assert_eq!(cache.plan.n_seg(), n_seg, "{case}");
+            assert_eq!(cache.sched.is_plan_order(), n_seg <= 32, "{case}");
+            assert_eq!(cache.stats().plan_rebuilds, 1, "{case}");
+        }
+    }
+
+    #[test]
+    fn length_sorted_gather_keeps_warps_busy() {
+        // 96 disjoint pairs whose three segments hold 30, 8 or 1 slots,
+        // interleaved in key order: every warp of plan order holds a
+        // 30-slot segment, while each warp of the length-sorted schedule
+        // holds one length only.
+        let pairs: Vec<_> = (0..96u32)
+            .map(|b| (2 * b, 2 * b + 1, [30, 8, 1][b as usize % 3]))
+            .collect();
+        let w = synthetic(192, &pairs);
+        let mut cache = AssemblyCache::new();
+        w.step(&mut cache);
+        assert_eq!(cache.plan.n_seg(), 288);
+        let (gather, _) = w.dev.trace().by_kernel()["assembly.gather"];
+        let efficiency = gather.flops as f64 / gather.warp_flops as f64;
+        assert!(
+            efficiency >= 0.9,
+            "gather SIMT efficiency {efficiency:.3} < 0.9"
+        );
     }
 }

@@ -110,6 +110,37 @@ fn apply_slip(c: &mut Contact, ds: f64, len: f64) -> bool {
     false
 }
 
+/// One contact's update, shared by both paths, from its `[dn, ds, margin,
+/// limit, len]` measures: decide the new state, record `prev_iter_state`,
+/// count the flip and let the shear reference slip. Returns `(flipped,
+/// slid_off)`.
+fn update_contact(
+    c: &mut Contact,
+    [dn, ds, margin, limit, len]: [f64; 5],
+    open_tol: f64,
+    freeze: bool,
+) -> (bool, bool) {
+    let mut new_state = decide(c.state, dn, ds, margin, limit, c.slide_dir, open_tol);
+    if (freeze || c.flips >= FREEZE_FLIPS)
+        && c.state.closed()
+        && new_state.closed()
+        && new_state != c.state
+    {
+        // Terminal phase: a closed contact still flipping sits at the
+        // friction limit — settle it as sliding without restarting the
+        // iteration.
+        new_state = ContactState::Slide;
+        c.state = ContactState::Slide;
+    }
+    c.prev_iter_state = c.state;
+    let flipped = new_state != c.state;
+    if flipped {
+        c.state = new_state;
+        c.flips += 1;
+    }
+    (flipped, apply_slip(c, ds, len))
+}
+
 /// Serial open–close update: applies the decision to every contact and
 /// returns the number of state changes.
 pub fn open_close_serial(
@@ -121,33 +152,14 @@ pub fn open_close_serial(
 ) -> usize {
     let mut changes = 0;
     for (k, c) in contacts.iter_mut().enumerate() {
-        let mut new_state = decide(
-            c.state,
+        let measures = [
             gaps.dn[k],
             gaps.ds[k],
             gaps.margin[k],
             gaps.limit[k],
-            c.slide_dir,
-            open_tol,
-        );
-        if (freeze || c.flips >= FREEZE_FLIPS)
-            && c.state.closed()
-            && new_state.closed()
-            && new_state != c.state
-        {
-            // Terminal phase: a closed contact still flipping sits at the
-            // friction limit — settle it as sliding without restarting the
-            // iteration.
-            new_state = ContactState::Slide;
-            c.state = ContactState::Slide;
-        }
-        c.prev_iter_state = c.state;
-        let flipped = new_state != c.state;
-        if flipped {
-            c.state = new_state;
-            c.flips += 1;
-        }
-        let slid_off = apply_slip(c, gaps.ds[k], gaps.len[k]);
+            gaps.len[k],
+        ];
+        let (flipped, slid_off) = update_contact(c, measures, open_tol, freeze);
         if flipped || slid_off {
             // A slide-off release is a state change the loop must see, or
             // it would converge with a phantom contact still assembled.
@@ -159,8 +171,30 @@ pub fn open_close_serial(
     changes
 }
 
-/// GPU open–close update: one thread per contact; the change count comes
-/// back through a device flag array reduced by scan.
+/// Contacts per block of `openclose.update`, one change-count partial each.
+const TILE: usize = 256;
+
+/// Per-block staging of `openclose.update`, reused by every block a host
+/// thread runs.
+#[derive(Default)]
+struct TileScratch {
+    contacts: Vec<Contact>,
+    gaps: [Vec<f64>; 5],
+    flipped: Vec<bool>,
+    warp_words: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<TileScratch> =
+        std::cell::RefCell::new(TileScratch::default());
+}
+
+/// GPU open–close update: one thread per contact, and the change count in
+/// the same launch — each warp reduces its flags by shuffle, each
+/// 256-contact block stores a partial, and the block that finishes last
+/// reduces the partials (the `__threadfence` pattern of
+/// `dda_solver::vecops::fused_residual`; the host mirrors that integer
+/// sum).
 pub fn open_close_gpu(
     dev: &Device,
     contacts: &mut [Contact],
@@ -172,47 +206,52 @@ pub fn open_close_gpu(
     if nc == 0 {
         return 0;
     }
-    let mut flags = vec![0u32; nc];
+    let n_tiles = nc.div_ceil(TILE);
+    let mut partials = vec![0u32; n_tiles];
     {
-        let b_dn = dev.bind_ro(&gaps.dn);
-        let b_ds = dev.bind_ro(&gaps.ds);
-        let b_m = dev.bind_ro(&gaps.margin);
-        let b_lim = dev.bind_ro(&gaps.limit);
-        let b_len = dev.bind_ro(&gaps.len);
+        let b_gaps =
+            [&gaps.dn, &gaps.ds, &gaps.margin, &gaps.limit, &gaps.len].map(|g| dev.bind_ro(g));
         let b_c = dev.bind(contacts);
-        let b_f = dev.bind(&mut flags);
-        dev.launch("openclose.update", nc, |lane| {
-            let k = lane.gid;
-            let mut c = lane.ld(&b_c, k);
-            let dn = lane.ld(&b_dn, k);
-            let ds = lane.ld(&b_ds, k);
-            let m = lane.ld(&b_m, k);
-            let lim = lane.ld(&b_lim, k);
-            let l = lane.ld(&b_len, k);
-            lane.flop(8);
-            let mut new_state = decide(c.state, dn, ds, m, lim, c.slide_dir, open_tol);
-            if (freeze || c.flips >= FREEZE_FLIPS)
-                && c.state.closed()
-                && new_state.closed()
-                && new_state != c.state
-            {
-                new_state = ContactState::Slide;
-                c.state = ContactState::Slide;
-            }
-            let flipped = new_state != c.state;
-            lane.branch(0, flipped);
-            c.prev_iter_state = c.state;
-            c.state = new_state;
-            if flipped {
-                c.flips += 1;
-            }
-            let slid_off = apply_slip(&mut c, ds, l);
-            lane.st(&b_c, k, c);
-            lane.st(&b_f, k, u32::from(flipped || slid_off));
+        let b_p = dev.bind(&mut partials);
+        dev.launch_blocks("openclose.update", n_tiles, TILE, |blk| {
+            SCRATCH.with(|cell| {
+                let tile = &mut *cell.borrow_mut();
+                let start = blk.block_id * TILE;
+                let count = TILE.min(nc - start);
+                blk.gld_range_into(&b_c, start, count, &mut tile.contacts);
+                for (b, vals) in b_gaps.iter().zip(tile.gaps.iter_mut()) {
+                    blk.gld_range_into(b, start, count, vals);
+                }
+                blk.flop_masked(count, 8);
+                tile.flipped.clear();
+                let mut changes = 0u32;
+                for (t, c) in tile.contacts.iter_mut().enumerate() {
+                    let measures = tile.gaps.each_ref().map(|g| g[t]);
+                    let (flipped, slid_off) = update_contact(c, measures, open_tol, freeze);
+                    tile.flipped.push(flipped);
+                    changes += u32::from(flipped || slid_off);
+                }
+                blk.branch_mask(0, &tile.flipped);
+                blk.gst_range(&b_c, start, &tile.contacts);
+                // Warp shuffle reductions, one shared-memory pass over the
+                // warp totals, the tile's partial.
+                blk.shfl_reduce_cost(count, 32);
+                tile.warp_words.clear();
+                tile.warp_words.extend(0..count.div_ceil(32) as u32);
+                blk.smem_access(&tile.warp_words);
+                blk.sync();
+                blk.gst_one(&b_p, blk.block_id, changes);
+                if blk.block_id + 1 == n_tiles {
+                    // Stand-in for "the block that finishes last": it alone
+                    // re-reads every block's partial.
+                    blk.gld_range_cost(&b_p, 0, n_tiles);
+                    blk.flop_masked(n_tiles.min(TILE), 1);
+                    blk.shfl_reduce_cost(n_tiles.min(TILE), 32);
+                }
+            });
         });
     }
-    let (_, total) = dda_simt::primitives::scan_exclusive_u32(dev, &flags);
-    total as usize
+    partials.iter().map(|&p| p as usize).sum()
 }
 
 /// Device-side third classification (§III-A): tags every contact with its
@@ -449,6 +488,46 @@ mod tests {
         let n2 = open_close_gpu(&dev, &mut gpu, &gaps, 1e-6, false);
         assert_eq!(n1, n2);
         assert_eq!(serial, gpu);
+    }
+
+    #[test]
+    fn change_count_is_one_launch_and_matches_serial() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for nc in [1, 255, 256, 257, 5_000] {
+            let states = [ContactState::Open, ContactState::Lock, ContactState::Slide];
+            let mut serial: Vec<Contact> = (0..nc)
+                .map(|_| {
+                    let mut c = contact(states[rng.gen_range(0..3)]);
+                    c.slide_dir = [-1.0, 0.0, 1.0][rng.gen_range(0..3)];
+                    c.edge_ratio = rng.gen();
+                    c.flips = rng.gen_range(0..3) as u32;
+                    c
+                })
+                .collect();
+            let mut draw = |lo: f64, hi: f64| -> Vec<f64> {
+                (0..nc).map(|_| lo + (hi - lo) * rng.gen::<f64>()).collect()
+            };
+            let gaps = GapArrays {
+                dn: draw(-2e-6, 2e-6),
+                ds: draw(-0.2, 0.2),
+                margin: draw(-1.0, 1.0),
+                limit: draw(0.5, 1.0),
+                len: draw(1.0, 2.0),
+            };
+            let freeze = nc % 2 == 0;
+            let mut gpu = serial.clone();
+            let mut cnt = CpuCounter::new();
+            let n1 = open_close_serial(&mut serial, &gaps, 1e-6, freeze, &mut cnt);
+            let dev = Device::new(DeviceProfile::tesla_k40()).with_conflict_checking(true);
+            let n2 = open_close_gpu(&dev, &mut gpu, &gaps, 1e-6, freeze);
+            assert_eq!(n1, n2, "nc = {nc}");
+            assert_eq!(serial, gpu, "nc = {nc}");
+            assert!(nc < 255 || (0 < n1 && n1 < nc), "nc = {nc}: {n1} changes");
+            let names: Vec<_> = dev.trace().records.iter().map(|r| r.name).collect();
+            assert_eq!(names, ["openclose.update"], "nc = {nc}");
+        }
     }
 
     #[test]
