@@ -312,10 +312,14 @@ mod tests {
     #[test]
     fn dt_holds_at_floor_on_gpu_too() {
         // Same regression as the CPU pipeline: dirty steps at the Δt floor
-        // must not recover Δt.
+        // must not recover Δt. Every solve restarts from the previous step's
+        // solution and stops after two PCG iterations, so the loop never
+        // settles; warm-started re-solves would pile the iterations up and
+        // converge it.
         let (sys, mut params) = stack();
         params.pcg.tol = 1e-30;
         params.pcg.max_iters = 2;
+        params.warm_start = crate::params::SolverWarmStart::PrevStep;
         let mut gpu = GpuPipeline::new(sys, params, k40());
         for _ in 0..6 {
             let r = gpu.step();

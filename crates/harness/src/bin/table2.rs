@@ -60,7 +60,7 @@ fn main() {
     ]);
     t.print();
 
-    println!("\n{}", cs.nondiag_footer());
+    println!("\n{}", cs.default_footer());
     println!("\nPaper (Table II, 4361 blocks, 40000 steps):");
     let mut p = Table::new(vec!["Module", "E5620", "K20", "K40", "K20 ×", "K40 ×"]);
     p.row(vec![

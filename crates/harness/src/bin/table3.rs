@@ -58,7 +58,7 @@ fn main() {
     ]);
     t.print();
 
-    println!("\n{}", cs.nondiag_footer());
+    println!("\n{}", cs.default_footer());
     println!("\nPaper (Table III, 1683 blocks, 80000 steps):");
     let mut p = Table::new(vec!["Module", "E5620", "K20", "K40", "K20 ×", "K40 ×"]);
     p.row(vec![
