@@ -437,6 +437,45 @@ mod tests {
         assert_eq!(serial, gpu);
     }
 
+    /// Pins today's count of a round trip that is no net change: an open
+    /// contact penetrates, `decide` closes it as sliding (beyond the
+    /// friction margin), and `apply_slip` carries it off its edge back to
+    /// open — all in one update, which still counts it. Repeated, the same
+    /// measures count one change per update with no state ever differing
+    /// between updates: the plateau on which the unconverged open–close
+    /// loops of the slope and scatter workloads end.
+    #[test]
+    fn open_slide_open_round_trip_counts_as_a_change() {
+        let mk = || {
+            let mut c = contact(ContactState::Open);
+            c.edge_ratio = 0.95;
+            c
+        };
+        let mut serial = vec![mk()];
+        let mut gpu = serial.clone();
+        let gaps = GapArrays {
+            dn: vec![0.001],    // penetrating
+            ds: vec![0.3],      // 0.3 m of slip on a 2 m edge: past its end
+            margin: vec![-1.0], // beyond the friction limit
+            limit: vec![1.0],
+            len: vec![2.0],
+        };
+        let dev = Device::new(DeviceProfile::tesla_k40()).with_conflict_checking(true);
+        let mut cnt = CpuCounter::new();
+        for update in 0..3 {
+            let before = serial.clone();
+            let n1 = open_close_serial(&mut serial, &gaps, 1e-6, false, &mut cnt);
+            let n2 = open_close_gpu(&dev, &mut gpu, &gaps, 1e-6, false);
+            assert_eq!((n1, n2), (1, 1), "update {update}");
+            assert_eq!(serial, gpu, "update {update}");
+            assert_eq!(serial[0].state, ContactState::Open, "update {update}");
+            assert_eq!(serial[0].state, before[0].state, "no net change");
+            assert_eq!(serial[0].prev_iter_state, ContactState::Open);
+        }
+        // Every round trip is a flip (open → slide) and a release.
+        assert_eq!(serial[0].flips, 3);
+    }
+
     #[test]
     fn serial_counts_changes_and_records_prev() {
         let mut contacts = vec![
