@@ -91,6 +91,20 @@ impl KernelStats {
         self.syncs += other.syncs;
     }
 
+    /// Counts one warp's lockstep shared-memory access, lane by lane at
+    /// `words` (at most [`crate::WARP_SIZE`] of them): one access per lane,
+    /// and one replay for each word the fullest of the
+    /// [`crate::SMEM_BANKS`] banks serves beyond its first.
+    pub fn smem_warp(&mut self, words: impl IntoIterator<Item = usize>) {
+        let mut banks = [0u32; crate::SMEM_BANKS];
+        for w in words {
+            banks[w % crate::SMEM_BANKS] += 1;
+            self.smem_accesses += 1;
+        }
+        let fullest = banks.iter().copied().max().unwrap_or(0);
+        self.smem_replays += u64::from(fullest.saturating_sub(1));
+    }
+
     /// Fraction of warp branch groups that diverged, in `[0, 1]`.
     /// Returns 0 when no branches were observed.
     pub fn divergence_fraction(&self) -> f64 {
