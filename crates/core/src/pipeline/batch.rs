@@ -54,7 +54,7 @@
 
 use super::engine::{step_scenes, SceneCore};
 use super::health::{HealthPolicy, SceneHealth, SlotState, StepError};
-use super::{ModuleTimes, StepReport};
+use super::{ModuleTimes, Phase, StepReport};
 use crate::contact::Contact;
 use crate::params::DdaParams;
 use crate::system::BlockSystem;
@@ -308,12 +308,9 @@ impl SceneBatch {
     pub fn total_times(&self) -> ModuleTimes {
         let mut t = ModuleTimes::default();
         for sc in self.slots.iter().filter_map(|s| s.scene.as_ref()) {
-            t.contact_detection += sc.times.contact_detection;
-            t.diag_building += sc.times.diag_building;
-            t.nondiag_building += sc.times.nondiag_building;
-            t.solving += sc.times.solving;
-            t.interpenetration += sc.times.interpenetration;
-            t.updating += sc.times.updating;
+            for p in Phase::ALL {
+                t[p] += sc.times[p];
+            }
         }
         t
     }
