@@ -1,12 +1,15 @@
 //! Behavioural tests of the pipeline drivers: contact-state machinery
-//! across step boundaries, the C1…C5 classification report, and Δt
-//! adaptation.
+//! across step boundaries, the C1…C5 classification report, Δt
+//! adaptation, and the per-phase accounting of the device trace.
 
 use dda_repro::core::contact::ContactState;
-use dda_repro::core::pipeline::{CpuPipeline, GpuPipeline};
+use dda_repro::core::pipeline::{CpuPipeline, GpuPipeline, Phase};
 use dda_repro::core::{Block, BlockMaterial, BlockSystem, DdaParams, JointMaterial};
 use dda_repro::geom::Polygon;
 use dda_repro::simt::{Device, DeviceProfile};
+use dda_repro::workloads::{
+    rockfall_case, scatter_case, slope_case, RockfallConfig, ScatterConfig, SlopeConfig,
+};
 
 fn floor_and_slider() -> (BlockSystem, DdaParams) {
     let mut sys = BlockSystem::new(
@@ -194,5 +197,34 @@ fn open_contacts_do_not_penetrate_after_convergence() {
             "step {step}: open-contact penetration {} (tol {tol})",
             r.max_open_penetration
         );
+    }
+}
+
+/// Every launch of a GPU step is tagged with its phase, and a phase's
+/// tagged records add up to what the step reports charged that module.
+/// The two sums are not associated alike (per batch region, then per step
+/// against record by record), so they agree to 1e-12 relative, not bit for
+/// bit.
+#[test]
+fn tagged_launches_add_up_to_the_reported_phase_times() {
+    for (sys, params) in [
+        slope_case(&SlopeConfig::default().with_target_blocks(60)),
+        rockfall_case(&RockfallConfig::default().with_rocks(40)),
+        scatter_case(&ScatterConfig::default().with_rocks(420)),
+    ] {
+        let mut pipe = GpuPipeline::new(sys, params, Device::new(DeviceProfile::tesla_k40()));
+        let reports = pipe.run(4);
+        let trace = pipe.device().trace();
+        assert!(trace.records.iter().all(|r| !r.phase.is_empty()));
+        for phase in Phase::ALL {
+            let tagged = trace.records.iter().filter(|r| r.phase == phase.tag());
+            let by_trace: f64 = tagged.map(|r| r.seconds).sum();
+            let by_report: f64 = reports.iter().map(|r| r.phase_times[phase]).sum();
+            assert!(by_trace > 0.0, "{phase:?}: no modeled time");
+            assert!(
+                (by_trace - by_report).abs() <= 1e-12 * by_report,
+                "{phase:?}: {by_trace} by trace, {by_report} reported"
+            );
+        }
     }
 }
