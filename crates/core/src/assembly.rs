@@ -158,30 +158,8 @@ pub fn assemble_contacts_gpu(
     gsoa: &GeomSoa,
     contacts: &[Contact],
     params: &DdaParams,
-    diag: Vec<Block6>,
-    rhs: Vec<f64>,
-) -> AssembledSystem {
-    assemble_contacts_gpu_scheduled(dev, sys, gsoa, contacts, params, diag, rhs, None)
-}
-
-/// [`assemble_contacts_gpu`] with an optional scheduling permutation over
-/// the per-contact threads of `nondiag.compute`: thread `t` computes the
-/// sub-matrices of contact `sched[t]` and stores into *that contact's*
-/// keyed slots, so the keyed arrays — and everything downstream of the
-/// radix sort — are bitwise identical to the unscheduled path. Only the
-/// warp composition at the closed/abandoned branch (site 0) changes,
-/// which is what a class-sorted schedule exploits. Wrong-length schedules
-/// are ignored.
-#[allow(clippy::too_many_arguments)]
-pub fn assemble_contacts_gpu_scheduled(
-    dev: &Device,
-    sys: &BlockSystem,
-    gsoa: &GeomSoa,
-    contacts: &[Contact],
-    params: &DdaParams,
     mut diag: Vec<Block6>,
     mut rhs: Vec<f64>,
-    sched: Option<&[u32]>,
 ) -> AssembledSystem {
     let nc = contacts.len();
     if nc == 0 {
@@ -190,7 +168,6 @@ pub fn assemble_contacts_gpu_scheduled(
             rhs,
         };
     }
-    let sched = sched.filter(|s| s.len() == nc);
     let n = sys.len() as u64;
     let jparams = joint_params(sys, contacts);
 
@@ -207,12 +184,8 @@ pub fn assemble_contacts_gpu_scheduled(
         let b_dk = dev.bind(&mut d_keys);
         let b_fv = dev.bind(&mut f_vals);
         let b_fk = dev.bind(&mut f_keys);
-        let b_sched = sched.map(|s| dev.bind_ro(s));
         dev.launch("nondiag.compute", nc, |lane| {
-            let t_idx = match &b_sched {
-                Some(b) => lane.ld(b, lane.gid) as usize,
-                None => lane.gid,
-            };
+            let t_idx = lane.gid;
             let c = lane.ld(&inp.contacts, t_idx);
             // Open contacts and degenerate edges are abandoned: their
             // slots keep the MAX key and sort to the tail.

@@ -246,9 +246,6 @@ pub struct ContactWorkspace {
     pub pairs: Vec<(u32, u32)>,
     /// The displacement-bounded candidate cache.
     pub cache: BroadPhaseCache,
-    /// The class-sorted contact-scheduling cache (used when
-    /// [`crate::params::DdaParams::contact_order`] is `ClassSorted`).
-    pub order: super::order::ContactOrderCache,
     // Grid scratch.
     extents: Vec<f64>,
     counts: Vec<u32>,

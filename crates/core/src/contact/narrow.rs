@@ -247,43 +247,22 @@ pub fn narrow_phase_gpu(
     pairs: &[(u32, u32)],
     d0: f64,
 ) -> Vec<Contact> {
-    narrow_phase_gpu_scheduled(dev, soa, pairs, d0, None)
-}
-
-/// [`narrow_phase_gpu`] with an optional scheduling permutation over the
-/// `2 × pairs` orientation threads: thread `t` processes orientation
-/// `sched[t]` but keeps writing that orientation's count/emit slots, so
-/// the output array — and therefore the returned contact list — is
-/// bitwise identical to the unscheduled path. Only the warp *composition*
-/// changes, which is what a class-sorted schedule exploits to keep
-/// judgment branches warp-uniform. A schedule of the wrong length is
-/// ignored (permutations are correctness-neutral, so stale ones are
-/// simply not applied).
-pub fn narrow_phase_gpu_scheduled(
-    dev: &Device,
-    soa: &GeomSoa,
-    pairs: &[(u32, u32)],
-    d0: f64,
-    sched: Option<&[u32]>,
-) -> Vec<Contact> {
     if pairs.is_empty() {
         return Vec::new();
     }
     let n_threads = pairs.len() * 2;
-    let sched = sched.filter(|s| s.len() == n_threads);
     let pair_flat: Vec<u32> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
 
     // Shared geometry loader: pulls one orientation's vertex rings through
     // the device buffers and runs the pure pair routine.
     let run_pair = |lane: &mut dda_simt::Lane,
-                    item: usize,
                     b_pairs: &dda_simt::GBuf<u32>,
                     b_vx: &dda_simt::GBuf<f64>,
                     b_vy: &dda_simt::GBuf<f64>,
                     b_vp: &dda_simt::GBuf<u32>|
      -> Vec<Contact> {
-        let pair_idx = item / 2;
-        let flip = item % 2 == 1;
+        let pair_idx = lane.gid / 2;
+        let flip = lane.gid % 2 == 1;
         let a = lane.ld(b_pairs, 2 * pair_idx) as usize;
         let b = lane.ld(b_pairs, 2 * pair_idx + 1) as usize;
         let (i, j) = if flip { (b, a) } else { (a, b) };
@@ -315,9 +294,7 @@ pub fn narrow_phase_gpu_scheduled(
         found
     };
 
-    // Kernel 1: count survivors per thread. Scheduled threads scatter
-    // their counts back to the discovery-order slot of the orientation
-    // they processed (slots stay unique: the schedule is a permutation).
+    // Kernel 1: count survivors per thread.
     let mut counts = vec![0u32; n_threads];
     {
         let b_pairs = dev.bind_ro(&pair_flat);
@@ -325,22 +302,16 @@ pub fn narrow_phase_gpu_scheduled(
         let b_vy = dev.bind_ro(&soa.vy);
         let b_vp = dev.bind_ro(&soa.vptr);
         let b_counts = dev.bind(&mut counts);
-        let b_sched = sched.map(|s| dev.bind_ro(s));
         dev.launch("narrow.count", n_threads, |lane| {
-            let item = match &b_sched {
-                Some(b) => lane.ld(b, lane.gid) as usize,
-                None => lane.gid,
-            };
-            let found = run_pair(lane, item, &b_pairs, &b_vx, &b_vy, &b_vp);
-            lane.st(&b_counts, item, found.len() as u32);
+            let found = run_pair(lane, &b_pairs, &b_vx, &b_vy, &b_vp);
+            lane.st(&b_counts, lane.gid, found.len() as u32);
         });
     }
 
     // Scan for output offsets.
     let (offsets, total) = dda_simt::primitives::scan_exclusive_u32(dev, &counts);
 
-    // Kernel 2: emit into the successive array at the discovery-order
-    // offsets, so emission order is schedule-independent.
+    // Kernel 2: emit into the successive array at the scanned offsets.
     let mut out: Vec<Contact> =
         vec![Contact::new(0, 0, 0, 0, u32::MAX, ContactKind::Ve); total as usize];
     if total > 0 {
@@ -350,14 +321,9 @@ pub fn narrow_phase_gpu_scheduled(
         let b_vp = dev.bind_ro(&soa.vptr);
         let b_off = dev.bind_ro(&offsets);
         let b_out = dev.bind(&mut out);
-        let b_sched = sched.map(|s| dev.bind_ro(s));
         dev.launch("narrow.emit", n_threads, |lane| {
-            let item = match &b_sched {
-                Some(b) => lane.ld(b, lane.gid) as usize,
-                None => lane.gid,
-            };
-            let found = run_pair(lane, item, &b_pairs, &b_vx, &b_vy, &b_vp);
-            let base = lane.ld(&b_off, item) as usize;
+            let found = run_pair(lane, &b_pairs, &b_vx, &b_vy, &b_vp);
+            let base = lane.ld(&b_off, lane.gid) as usize;
             for (k, c) in found.into_iter().enumerate() {
                 lane.st(&b_out, base + k, c);
             }
@@ -365,6 +331,20 @@ pub fn narrow_phase_gpu_scheduled(
     }
 
     dedup_and_sort(out)
+}
+
+/// [`narrow_phase_gpu`] under the name `benchmark/` still calls. The
+/// class-sorted schedule is gone, so a schedule is refused; the wrapper
+/// goes with ROADMAP item 4.
+pub fn narrow_phase_gpu_scheduled(
+    dev: &Device,
+    soa: &GeomSoa,
+    pairs: &[(u32, u32)],
+    d0: f64,
+    sched: Option<&[u32]>,
+) -> Vec<Contact> {
+    assert!(sched.is_none(), "contact scheduling was removed");
+    narrow_phase_gpu(dev, soa, pairs, d0)
 }
 
 #[cfg(test)]

@@ -40,26 +40,9 @@ pub fn transfer_contacts_serial(
 
 /// GPU transfer via device sorted search, then a gather-update pass.
 pub fn transfer_contacts_gpu(dev: &Device, previous: &[Contact], current: &mut [Contact]) -> usize {
-    transfer_contacts_gpu_scheduled(dev, previous, current, None)
-}
-
-/// [`transfer_contacts_gpu`] with an optional scheduling permutation over
-/// the previous-contact threads: thread `t` processes previous contact
-/// `sched[t]`. Every store still lands in the matched current contact's
-/// slot (unique per previous contact), so `current` ends bitwise identical
-/// to the unscheduled path — a class-sorted schedule only regroups which
-/// lanes share a warp, keeping the hit/miss branch (site 0) warp-uniform
-/// for class-stable populations. Wrong-length schedules are ignored.
-pub fn transfer_contacts_gpu_scheduled(
-    dev: &Device,
-    previous: &[Contact],
-    current: &mut [Contact],
-    sched: Option<&[u32]>,
-) -> usize {
     if previous.is_empty() || current.is_empty() {
         return 0;
     }
-    let sched = sched.filter(|s| s.len() == previous.len());
     let keys: Vec<u64> = current.iter().map(|c| c.key()).collect();
     let queries: Vec<u64> = previous.iter().map(|c| c.key()).collect();
     let hits = find_exact_u64(dev, &keys, &queries);
@@ -72,15 +55,10 @@ pub fn transfer_contacts_gpu_scheduled(
         let b_prev = dev.bind_ro(previous);
         let b_hits = dev.bind_ro(&hits);
         let b_cur = dev.bind(current);
-        let b_sched = sched.map(|s| dev.bind_ro(s));
         dev.launch("transfer.apply", previous.len(), |lane| {
-            let item = match &b_sched {
-                Some(b) => lane.ld(b, lane.gid) as usize,
-                None => lane.gid,
-            };
-            let h = lane.ld(&b_hits, item);
+            let h = lane.ld(&b_hits, lane.gid);
             if lane.branch(0, h != u32::MAX) {
-                let p = lane.ld(&b_prev, item);
+                let p = lane.ld(&b_prev, lane.gid);
                 let mut c = lane.ld(&b_cur, h as usize);
                 apply_transfer(&mut c, &p);
                 lane.st(&b_cur, h as usize, c);
@@ -93,6 +71,19 @@ pub fn transfer_contacts_gpu_scheduled(
         }
     }
     transferred
+}
+
+/// [`transfer_contacts_gpu`] under the name `benchmark/` still calls. The
+/// class-sorted schedule is gone, so a schedule is refused; the wrapper
+/// goes with ROADMAP item 4.
+pub fn transfer_contacts_gpu_scheduled(
+    dev: &Device,
+    previous: &[Contact],
+    current: &mut [Contact],
+    sched: Option<&[u32]>,
+) -> usize {
+    assert!(sched.is_none(), "contact scheduling was removed");
+    transfer_contacts_gpu(dev, previous, current)
 }
 
 fn apply_transfer(cur: &mut Contact, prev: &Contact) {

@@ -6,7 +6,6 @@
 //! open–close iteration budget.
 
 use crate::contact::grid::BroadPhaseMode;
-use crate::contact::order::ContactOrder;
 use dda_solver::{PcgOptions, PrecondKind, SolverPrecision};
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// paper's Fig 4 stream — store, sort, scan, segmented sum — from scratch
 /// every iteration; it is the oracle the default is held to and the path
 /// the paper tables measure. The two are bitwise identical by construction
-/// (the serial pipeline ignores the knob, like [`ContactOrder`]).
+/// (the serial pipeline ignores the knob).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AssemblyReuse {
     /// Fig 4 from scratch every open–close iteration (oracle).
@@ -49,6 +48,23 @@ pub enum SolverWarmStart {
     /// Re-solves within a step start from the previous healthy iterate.
     #[default]
     PrevIterate,
+}
+
+/// Contact-stream order of the kernels: a name every driver accepts and
+/// ignores, since each one walks the contact stream in pair-discovery
+/// order. `ClassSorted` used to schedule the contact-stream kernels in
+/// `(category, kind)` class order; it cut divergent branch groups but
+/// raised modeled step time on every benchmark workload, so the scheduler
+/// was deleted. The enum stays only because `benchmark/` still names it,
+/// and its checkpoint tags stay so older WAL records decode; it goes with
+/// ROADMAP item 4.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub enum ContactOrder {
+    /// Pair-discovery order, the one order every driver runs.
+    #[default]
+    Discovery,
+    /// The deleted class-sorted schedule; runs as `Discovery`.
+    ClassSorted,
 }
 
 /// DDA analysis parameters.
@@ -107,28 +123,18 @@ pub struct DdaParams {
     /// Device broad-phase algorithm: the paper's all-pairs sweep (the
     /// default) or the O(n + k) uniform grid behind the
     /// displacement-bounded pair cache. Both produce identical pair sets
-    /// — and therefore bitwise-identical trajectories. Like
-    /// `contact_order`, it is device-only: the serial pipeline always
-    /// runs the all-pairs oracle.
+    /// — and therefore bitwise-identical trajectories. It is
+    /// device-only: the serial pipeline always runs the all-pairs oracle.
     pub broad_phase: BroadPhaseMode,
     /// Per-block slack margin (length units) for the cached broad phase:
     /// candidates are built at `contact_range + broad_slack` and stay
     /// valid while accumulated per-step motion is within the slack.
     /// Larger values re-bin less often but filter more candidates.
     pub broad_slack: f64,
-    /// Contact-stream scheduling order for the GPU kernels: `Discovery`
-    /// walks contacts in pair-discovery order; `ClassSorted` schedules
-    /// them through the persistent class ordering cache so warps stay
-    /// `(category, kind)`-uniform at the judgment sites. Scheduling is a
-    /// permutation of *processing* order only — outputs are bitwise
-    /// identical either way (and the serial pipeline ignores the knob).
-    /// The schedule orders per-contact threads, so it reaches the narrow
-    /// phase and transfer always but assembly only under
-    /// [`AssemblyReuse::Recompute`]: the default gather's threads are block
-    /// pairs.
+    /// Ignored by every driver (see [`ContactOrder`]); kept only because
+    /// `benchmark/` still sets it, and goes with ROADMAP item 4.
     pub contact_order: ContactOrder,
-    /// Non-diagonal assembly path (see [`AssemblyReuse`]); bitwise-inert,
-    /// like `contact_order`.
+    /// Non-diagonal assembly path (see [`AssemblyReuse`]); bitwise-inert.
     pub assembly_reuse: AssemblyReuse,
     /// Initial-iterate policy for the per-iteration solves (see
     /// [`SolverWarmStart`]); the default `PrevIterate` trades bitwise
@@ -180,12 +186,6 @@ impl DdaParams {
     /// Selects the broad-phase algorithm (builder style).
     pub fn with_broad_phase(mut self, mode: BroadPhaseMode) -> DdaParams {
         self.broad_phase = mode;
-        self
-    }
-
-    /// Selects the contact-stream scheduling order (builder style).
-    pub fn with_contact_order(mut self, o: ContactOrder) -> DdaParams {
-        self.contact_order = o;
         self
     }
 

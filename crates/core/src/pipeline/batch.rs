@@ -297,13 +297,6 @@ impl SceneBatch {
             .map(|sc| (sc.ws.cache.hits, sc.ws.cache.rebuilds))
     }
 
-    /// Scene `i`'s ordering-cache diagnostics `(resorts, reuses,
-    /// switches)` (all zero under
-    /// [`ContactOrder::Discovery`](crate::contact::ContactOrder::Discovery)).
-    pub fn contact_order_stats(&self, i: usize) -> Option<(u64, u64, u64)> {
-        self.scene(i).map(|sc| sc.ws.order.stats())
-    }
-
     /// Sum of all scenes' module times.
     pub fn total_times(&self) -> ModuleTimes {
         let mut t = ModuleTimes::default();

@@ -1,6 +1,6 @@
 //! The serial reference pipeline (Fig 1), timed under the E5620 model.
 
-use super::driver::{StepOutcome, MAX_RETRIES};
+use super::driver::{self, StepOutcome};
 use super::health::{all_finite, StepError};
 use super::{ModuleTimes, StepReport};
 use crate::assembly::assemble_contacts_serial;
@@ -91,7 +91,7 @@ impl CpuPipeline {
     /// was before the step (the commit phase never ran).
     pub fn try_step(&mut self) -> Result<StepReport, StepError> {
         let mut report = StepReport::default();
-        let touch = self.params.touch_tol * self.params.max_displacement;
+        let touch = driver::touch_distance(&self.params);
 
         // ---- Contact detection ---------------------------------------------
         let mut cd = CpuCounter::new();
@@ -105,14 +105,12 @@ impl CpuPipeline {
         transfer_contacts_serial(&self.contacts, &mut contacts, &mut cd);
         init_contacts_serial(&self.sys, &mut contacts, touch, &mut cd);
         self.contacts = contacts;
-        // `params.broad_phase` and `params.contact_order` are accepted but
-        // inert here: every broad phase finds the all-pairs set, and the
-        // serial path has no warps, so a scheduling permutation could only
-        // change processing order — which by construction never changes
-        // outputs. Keeping them no-ops preserves CPU↔GPU trajectory
-        // identity under any knob setting without a second code path.
-        // `params.assembly_reuse` and `params.warm_start` are inert the
-        // same way: the serial pipeline is the reference oracle the
+        // `params.broad_phase` is accepted but inert here: every broad
+        // phase finds the all-pairs set, so keeping it a no-op preserves
+        // CPU↔GPU trajectory identity under either setting without a
+        // second code path. `params.contact_order` is ignored by every
+        // driver. `params.assembly_reuse` and `params.warm_start` are
+        // inert too: the serial pipeline is the reference oracle the
         // incremental/warm paths are validated against, so it always
         // recomputes in full and always starts PCG from the previous
         // step's solution.
@@ -167,7 +165,7 @@ impl CpuPipeline {
     /// with a structured [`StepError`] instead of propagating garbage into
     /// the system state.
     fn drive(&mut self, report: &mut StepReport) -> Result<StepOutcome, StepError> {
-        let open_tol = 1e-6 * self.params.max_displacement;
+        let open_tol = driver::open_tol(&self.params);
         let mut attempt = 0;
         loop {
             // Diagonal building (depends on Δt, so it is redone per attempt).
@@ -183,7 +181,7 @@ impl CpuPipeline {
             for oc_iter in 0..self.params.oc_max_iters {
                 report.oc_iterations += 1;
                 let oc_iteration = report.oc_iterations;
-                let freeze = oc_iter + 3 >= self.params.oc_max_iters;
+                let freeze = driver::freeze(&self.params, oc_iter);
 
                 let mut nd = CpuCounter::new();
                 let asm = assemble_contacts_serial(
@@ -255,8 +253,8 @@ impl CpuPipeline {
                     max_displacement: maxd,
                 });
             }
-            let too_big = maxd > 2.0 * self.params.max_displacement;
-            if (too_big || !oc_converged) && attempt < MAX_RETRIES && self.params.reduce_dt() {
+            let too_big = driver::too_big(&self.params, maxd);
+            if driver::retry(&mut self.params, attempt, too_big, oc_converged) {
                 report.retries += 1;
                 attempt += 1;
                 continue;

@@ -1,14 +1,51 @@
-//! What loop 2 (displacement control) settles on, shared by the serial
-//! reference pipeline and the GPU step engine. The loops themselves are
-//! deliberately *not* shared: the serial pipeline is the oracle the engine
-//! is checked against, so it must not run the code it checks.
+//! The loop controls and what loop 2 (displacement control) settles on,
+//! shared by the serial reference pipeline and the GPU step engine. The
+//! loops themselves are deliberately *not* shared: the serial pipeline is
+//! the oracle the engine is checked against, so it must not run the code
+//! it checks. The thresholds those loops test are shared, so both read
+//! them from one place.
 
 use crate::interpenetration::GapArrays;
 use crate::params::DdaParams;
 
 /// Maximum times a step is redone with a reduced Δt before being accepted
 /// as-is (Shi's code behaves the same once the Δt floor is hit).
-pub(crate) const MAX_RETRIES: usize = 4;
+const MAX_RETRIES: usize = 4;
+
+/// Contact initialization closes every open contact within this distance.
+pub(crate) fn touch_distance(params: &DdaParams) -> f64 {
+    params.touch_tol * params.max_displacement
+}
+
+/// The open–close update opens any contact separated by more than this.
+pub(crate) fn open_tol(params: &DdaParams) -> f64 {
+    1e-6 * params.max_displacement
+}
+
+/// Whether open–close iteration `oc_iter` (from 0) freezes flip-flopping
+/// contacts: the last three iterations of the budget do.
+pub(crate) fn freeze(params: &DdaParams, oc_iter: usize) -> bool {
+    oc_iter + 3 >= params.oc_max_iters
+}
+
+/// Whether an attempt's largest displacement `maxd` exceeds loop 2's
+/// bound, twice the allowed displacement.
+pub(crate) fn too_big(params: &DdaParams, maxd: f64) -> bool {
+    maxd > 2.0 * params.max_displacement
+}
+
+/// Loop 2's retry decision for attempt `attempt` (from 0): an attempt that
+/// overshot or whose open–close loop did not converge is redone at a cut
+/// Δt, until `MAX_RETRIES` or the Δt floor. Cuts `params.dt` when it
+/// returns `true`.
+pub(crate) fn retry(
+    params: &mut DdaParams,
+    attempt: usize,
+    too_big: bool,
+    oc_converged: bool,
+) -> bool {
+    (too_big || !oc_converged) && attempt < MAX_RETRIES && params.reduce_dt()
+}
 
 /// What loop 2 settled on: the accepted displacements and gap measures,
 /// plus the quality of the acceptance. Unlike the old `Option` + `expect`

@@ -16,16 +16,15 @@
 //! the slot lifecycle (admission, health, quarantine) around many.
 
 use super::batch::SceneState;
-use super::driver::{StepOutcome, MAX_RETRIES};
+use super::driver::{self, StepOutcome};
 use super::health::{all_finite, SceneHealth, StepError};
 use super::solver_cache::SolverCache;
 use super::{ModuleTimes, Phase, StepReport};
-use crate::assembly::{assemble_contacts_gpu_scheduled, AssembledSystem};
+use crate::assembly::{assemble_contacts_gpu, AssembledSystem};
 use crate::assembly_cache::{AssemblyCache, AssemblyStats};
 use crate::contact::init::init_contacts_classified;
 use crate::contact::{
-    detect_broad_gpu, narrow_phase_gpu_scheduled, transfer_contacts_gpu_scheduled, Contact,
-    ContactOrder, ContactWorkspace, GeomSoa,
+    detect_broad_gpu, narrow_phase_gpu, transfer_contacts_gpu, Contact, ContactWorkspace, GeomSoa,
 };
 use crate::interpenetration::{check_gpu, BranchScheme, GapArrays};
 use crate::openclose::{categorize_gpu, open_close_gpu};
@@ -476,8 +475,8 @@ pub(crate) fn step_scenes(
                 });
                 continue;
             }
-            let too_big = maxd > 2.0 * l.sc.params.max_displacement;
-            if (too_big || !l.oc_converged) && attempt < MAX_RETRIES && l.sc.params.reduce_dt() {
+            let too_big = driver::too_big(&l.sc.params, maxd);
+            if driver::retry(&mut l.sc.params, attempt, too_big, l.oc_converged) {
                 l.report.retries += 1; // stays active for the next attempt
                 continue;
             }
@@ -531,7 +530,7 @@ pub(crate) fn step_scenes(
 /// geometry, inheriting state from the last committed set.
 fn detect(dev: &Device, l: &mut Lane<'_>) {
     let sc = &mut *l.sc;
-    let touch = sc.params.touch_tol * sc.params.max_displacement;
+    let touch = driver::touch_distance(&sc.params);
     detect_broad_gpu(
         dev,
         &l.gsoa,
@@ -540,39 +539,10 @@ fn detect(dev: &Device, l: &mut Lane<'_>) {
         sc.params.broad_slack,
         &mut sc.ws,
     );
-    let class_sorted = sc.params.contact_order == ContactOrder::ClassSorted;
-    let mut contacts = narrow_phase_gpu_scheduled(
-        dev,
-        &l.gsoa,
-        &sc.ws.pairs,
-        sc.params.contact_range,
-        if class_sorted {
-            sc.ws.order.pair_schedule(sc.ws.pairs.len())
-        } else {
-            None
-        },
-    );
-    transfer_contacts_gpu_scheduled(
-        dev,
-        &sc.contacts,
-        &mut contacts,
-        if class_sorted {
-            sc.ws.order.contact_schedule(sc.contacts.len())
-        } else {
-            None
-        },
-    );
+    let mut contacts = narrow_phase_gpu(dev, &l.gsoa, &sc.ws.pairs, sc.params.contact_range);
+    transfer_contacts_gpu(dev, &sc.contacts, &mut contacts);
     init_contacts_classified(dev, &l.gsoa, &mut contacts, touch);
     l.committed_contacts = std::mem::replace(&mut sc.contacts, contacts);
-    if class_sorted {
-        // Revalidate (or device-re-sort) the scheduling permutation
-        // against the freshly classified stream; the radix-sort cost
-        // lands in this module's time like the rest of detection.
-        let resorted = sc.ws.order.refresh(dev, &sc.contacts);
-        sc.ws
-            .order
-            .refresh_pairs(&sc.ws.pairs, &sc.contacts, resorted);
-    }
     l.report.n_contacts = sc.contacts.len();
     for c in sc.contacts.iter_mut() {
         c.flips = 0;
@@ -588,24 +558,11 @@ fn detect(dev: &Device, l: &mut Lane<'_>) {
 /// Non-diagonal building: contact springs assembled onto the diagonal.
 fn assemble(dev: &Device, l: &mut Lane<'_>) {
     let sc = &mut *l.sc;
-    // Only Fig 4 has per-contact threads for the schedule to order.
-    let sched = if sc.params.contact_order == ContactOrder::ClassSorted {
-        sc.ws.order.contact_schedule(sc.contacts.len())
-    } else {
-        None
-    };
     let (diag, rhs0) = (l.diag.0.clone(), l.diag.1.clone());
     let mut asm = match sc.params.assembly_reuse {
-        AssemblyReuse::Recompute => assemble_contacts_gpu_scheduled(
-            dev,
-            &sc.sys,
-            &l.gsoa,
-            &sc.contacts,
-            &sc.params,
-            diag,
-            rhs0,
-            sched,
-        ),
+        AssemblyReuse::Recompute => {
+            assemble_contacts_gpu(dev, &sc.sys, &l.gsoa, &sc.contacts, &sc.params, diag, rhs0)
+        }
         AssemblyReuse::Incremental => {
             sc.acache
                 .assemble(dev, &sc.sys, &l.gsoa, &sc.contacts, &sc.params, diag, rhs0)
@@ -634,8 +591,8 @@ fn assemble(dev: &Device, l: &mut Lane<'_>) {
 /// own loop-3 exit decision.
 fn check_and_update(dev: &Device, l: &mut Lane<'_>, oc_iter: usize) {
     let sc = &mut *l.sc;
-    let open_tol = 1e-6 * sc.params.max_displacement;
-    let freeze = oc_iter + 3 >= sc.params.oc_max_iters;
+    let open_tol = driver::open_tol(&sc.params);
+    let freeze = driver::freeze(&sc.params, oc_iter);
     l.gaps = check_gpu(
         dev,
         &l.gsoa,
@@ -700,13 +657,6 @@ fn commit(dev: &Device, l: &mut Lane<'_>) {
     // Committed geometry moved at most the accepted step's largest vertex
     // displacement — the broad-phase cache's validity bound.
     sc.ws.cache.note_motion(l.report.max_displacement);
-    // Open–close flips of the committed step are class switches the
-    // standing scheduling permutation has not seen; charge its budget.
-    if sc.params.contact_order == ContactOrder::ClassSorted {
-        sc.ws
-            .order
-            .note_flips(sc.contacts.iter().map(|c| c.flips as u64).sum());
-    }
 }
 
 #[cfg(test)]

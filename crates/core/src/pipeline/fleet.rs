@@ -15,8 +15,8 @@
 //! Submissions carry an opaque *locality key* ([`FleetSubmission`]).
 //! Scenes sharing a key are routed to the device that last hosted that
 //! key (kinematic families tend to share contact topology, so co-locating
-//! them keeps batch divergence low — the same argument the class-sorted
-//! contact ordering makes within a batch). Beyond the locality
+//! them keeps batch divergence low — the same argument the paper's
+//! per-class contact kernels make within a scene). Beyond the locality
 //! preference, placement is *load-feedback driven*: the router keeps a
 //! per-device EWMA of modeled seconds per in-flight scene (seeded from
 //! the profile's `1 / dp_gflops`, so an unmeasured fleet ranks exactly

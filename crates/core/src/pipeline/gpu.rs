@@ -118,11 +118,11 @@ impl GpuPipeline {
         self.acache.stats()
     }
 
-    /// Ordering-cache diagnostics: `(resorts, reuses, switches)` of the
-    /// class-sorted contact scheduler (all zero under
-    /// [`ContactOrder::Discovery`](crate::contact::ContactOrder::Discovery)).
+    /// Always `(0, 0, 0)`: the class-sorted scheduler whose `(resorts,
+    /// reuses, switches)` this reported is gone. Kept only because
+    /// `benchmark/` still reads it; goes with ROADMAP item 4.
     pub fn contact_order_stats(&self) -> (u64, u64, u64) {
-        self.ws.order.stats()
+        (0, 0, 0)
     }
 
     /// Lifetime count of solves that had to leave the configured

@@ -261,7 +261,7 @@ impl Block {
     }
 
     /// Records a branch at `site` from an explicit mask the caller expects
-    /// to be a contiguous front (the class-sorted scheduling invariant).
+    /// to be a contiguous front (lanes sorted by the branch outcome).
     /// The shape is checked per call: a true front takes the cheap
     /// [`Block::branch_front`] accounting, a scattered mask is routed to
     /// the exact [`Block::branch_mask`] path instead of being silently

@@ -1,10 +1,10 @@
 //! Budgets and shape claims of the layers built on top of the paper's
 //! pipeline, checked beside `paper_claims.rs` on the same axis: modeled
 //! device seconds and trace counters, which are deterministic. Each claim
-//! first asserts the condition that arms it (migrations happened, warps
-//! really mix classes), so none can pass by running at a size where it
-//! has nothing to check. Host-axis numbers for
-//! the same layers come from `benchmark/`.
+//! first asserts the condition that arms it (for example, that migrations
+//! happened), so none can pass by running at a size where it has nothing
+//! to check. Host-axis numbers for the same layers come from
+//! `benchmark/`.
 //!
 //! The two claims that need thousands of blocks are `#[ignore]`d and run
 //! in release by CI: `cargo test --release --test beyond_paper_claims --
@@ -14,16 +14,13 @@
 use dda_harness::experiments::{
     case1_matrix_stiff, fleet_churn_config, run_fleet_churn, wal_overhead_pct, WAL_BUDGET_PCT,
 };
-use dda_repro::core::contact::{
-    detect_broad_gpu, BroadPhaseMode, Contact, ContactOrder, ContactWorkspace, GeomSoa,
-};
-use dda_repro::core::pipeline::{system_fingerprint, FleetRouter, GpuPipeline};
-use dda_repro::core::AssemblyReuse;
+use dda_repro::core::contact::{detect_broad_gpu, BroadPhaseMode, ContactWorkspace, GeomSoa};
+use dda_repro::core::pipeline::FleetRouter;
 use dda_repro::simt::{Device, DeviceProfile};
 use dda_repro::solver::precond::BlockJacobi;
 use dda_repro::solver::{pcg_fused, pcg_fused_mixed, PcgOptions, PcgWorkspace};
 use dda_repro::sparse::{Hsbcsr, Hsbcsr32};
-use dda_repro::workloads::{rockfall_case, scatter_case, RockfallConfig, ScatterConfig};
+use dda_repro::workloads::{scatter_case, ScatterConfig};
 
 /// The harness binaries' default workload seed.
 const SEED: u64 = 20170529;
@@ -103,76 +100,6 @@ fn migration_records_cost_at_most_one_percent_of_aggregate_step_time() {
     assert!(
         pct > 0.0 && pct <= BUDGET_PCT,
         "migration records cost {pct:.3}% of aggregate modeled step time, budget {BUDGET_PCT}%"
-    );
-}
-
-/// The contact-stream kernels the class-ordering cache schedules.
-/// `nondiag.compute` belongs to the Fig 4 oracle: only under
-/// `AssemblyReuse::Recompute` does the schedule reach assembly.
-const SCHEDULED_KERNELS: [&str; 4] = [
-    "narrow.count",
-    "narrow.emit",
-    "transfer.apply",
-    "nondiag.compute",
-];
-
-fn divergent_groups(pipe: &GpuPipeline) -> u64 {
-    let by_kernel = pipe.device().trace().by_kernel();
-    SCHEDULED_KERNELS
-        .iter()
-        .filter_map(|k| by_kernel.get(*k))
-        .map(|(stats, _)| stats.divergent_branch_groups)
-        .sum()
-}
-
-/// Whether any 32-lane warp of the discovery-order stream holds more than
-/// one `(category, kind)` class — without that a permutation has nothing
-/// to regroup.
-fn has_mixed_warps(contacts: &[Contact]) -> bool {
-    let class = |c: &Contact| (c.category(), c.kind as u8);
-    contacts
-        .chunks(32)
-        .any(|warp| warp.iter().any(|c| class(c) != class(&warp[0])))
-}
-
-/// `ContactOrder::ClassSorted` strictly cuts the divergent branch groups of
-/// the scheduled kernels once the contact stream spans two warps that mix
-/// classes; 32 rocks is the smallest rockfall that does (67 contacts). It
-/// buys that with scattered loads — the modeled step does not get faster
-/// (EXPERIMENTS.md, class-sorted scheduling) — so only the divergence
-/// count is claimed.
-#[test]
-fn class_sorting_cuts_divergent_branch_groups_where_warps_mix_classes() {
-    let (sys, params) = rockfall_case(&RockfallConfig::default().with_rocks(32));
-    let params = params.with_assembly_reuse(AssemblyReuse::Recompute);
-    let mut settle = GpuPipeline::new(sys, params, k40());
-    settle.step(); // the rocks land: a real contact population exists
-    let landed = settle.scene_state();
-    let measure = |order: ContactOrder| {
-        let mut state = landed.clone();
-        state.params.contact_order = order;
-        let mut pipe = GpuPipeline::from_state(state, k40());
-        pipe.step(); // warm: format build and the first re-sort
-        let before = divergent_groups(&pipe);
-        pipe.run(3);
-        (divergent_groups(&pipe) - before, pipe)
-    };
-    let (discovery, disc) = measure(ContactOrder::Discovery);
-    let (class_sorted, sorted) = measure(ContactOrder::ClassSorted);
-    assert!(
-        disc.contacts().len() >= 64 && has_mixed_warps(disc.contacts()),
-        "{} contacts: sorting has nothing to regroup",
-        disc.contacts().len()
-    );
-    assert_eq!(disc.contacts().len(), sorted.contacts().len());
-    assert_eq!(
-        system_fingerprint(&disc.sys),
-        system_fingerprint(&sorted.sys),
-        "scheduling is a processing order, never physics"
-    );
-    assert!(
-        class_sorted < discovery,
-        "divergent branch groups: discovery {discovery}, class-sorted {class_sorted}"
     );
 }
 
