@@ -5,11 +5,16 @@
 //! on the serial pipeline, on the GPU pipeline under both assembly paths
 //! (the deleted schedule used to reach the Fig 4 oracle's per-contact
 //! threads) and in a batch slot, `ClassSorted` gives the `Discovery` state
-//! and the `Discovery` modeled seconds per phase, bit for bit.
+//! and the `Discovery` modeled seconds per phase, bit for bit. The
+//! step-by-step tests below hold the same per step: the contact stream and
+//! the trajectory under every broad-phase mode, a `ClassSorted` batch
+//! against its solo runs, a restored checkpoint that keeps the tag, and
+//! the serial pipeline.
 
-use dda_repro::core::contact::ContactOrder;
+use dda_repro::core::contact::{BroadPhaseMode, Contact, ContactOrder};
 use dda_repro::core::pipeline::{
     system_fingerprint, CpuPipeline, GpuPipeline, ModuleTimes, Phase, SceneBatch,
+    SceneCheckpoint,
 };
 use dda_repro::core::{AssemblyReuse, BlockSystem, DdaParams};
 use dda_repro::simt::{Device, DeviceProfile};
@@ -19,6 +24,47 @@ const STEPS: usize = 8;
 
 fn k40() -> Device {
     Device::new(DeviceProfile::tesla_k40()).with_conflict_checking(true)
+}
+
+fn rockfall(rocks: usize) -> (BlockSystem, DdaParams) {
+    rockfall_case(&RockfallConfig::default().with_rocks(rocks))
+}
+
+fn class_sorted(params: DdaParams) -> DdaParams {
+    DdaParams {
+        contact_order: ContactOrder::ClassSorted,
+        ..params
+    }
+}
+
+/// Every trajectory-bearing bit of one system, flattened for `assert_eq`.
+fn sys_bits(sys: &BlockSystem) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for b in &sys.blocks {
+        let c = b.centroid();
+        bits.push(c.x.to_bits());
+        bits.push(c.y.to_bits());
+        for dof in 0..6 {
+            bits.push(b.velocity[dof].to_bits());
+        }
+        for k in 0..3 {
+            bits.push(b.stress[k].to_bits());
+        }
+    }
+    bits
+}
+
+/// Contact identity and history in stored order, flattened.
+fn contact_bits(contacts: &[Contact]) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for c in contacts {
+        bits.push(c.key());
+        bits.push(c.state as u64);
+        bits.push(c.normal_disp.to_bits());
+        bits.push(c.shear_disp.to_bits());
+        bits.push(c.edge_ratio.to_bits());
+    }
+    bits
 }
 
 /// The state fingerprint and the per-phase modeled seconds, as bits.
@@ -78,6 +124,112 @@ fn contact_order_is_inert_on_every_driver() {
             slot(ContactOrder::ClassSorted),
             slot(ContactOrder::Discovery),
             "SceneBatch slot, {reuse:?}"
+        );
+    }
+}
+
+#[test]
+fn class_sorted_is_bitwise_identical_across_broad_phase_modes() {
+    for mode in [BroadPhaseMode::AllPairs, BroadPhaseMode::GridCached] {
+        let (sys, params) = rockfall(14);
+        let params = params.with_broad_phase(mode);
+        let mut disc = GpuPipeline::new(sys.clone(), params.clone(), k40());
+        let mut sorted = GpuPipeline::new(sys, class_sorted(params), k40());
+        for step in 0..8 {
+            let rd = disc.step();
+            let rs = sorted.step();
+            assert_eq!(rd.n_contacts, rs.n_contacts, "{mode:?} step {step}");
+            assert_eq!(rd.oc_iterations, rs.oc_iterations, "{mode:?} step {step}");
+            assert_eq!(rd.retries, rs.retries, "{mode:?} step {step}");
+            assert_eq!(rd.categories, rs.categories, "{mode:?} step {step}");
+            assert_eq!(
+                contact_bits(disc.contacts()),
+                contact_bits(sorted.contacts()),
+                "{mode:?} step {step}: contact stream diverged"
+            );
+            assert_eq!(
+                sys_bits(&disc.sys),
+                sys_bits(&sorted.sys),
+                "{mode:?} step {step}: trajectory diverged"
+            );
+        }
+        assert_eq!(sorted.contact_order_stats(), (0, 0, 0), "{mode:?}");
+        assert_eq!(disc.contact_order_stats(), (0, 0, 0), "{mode:?}");
+    }
+}
+
+#[test]
+fn class_sorted_batch_matches_solo_bitwise() {
+    let scenes: Vec<_> = (0..3)
+        .map(|k| {
+            let (sys, params) = rockfall(6 + 2 * k);
+            (sys, class_sorted(params))
+        })
+        .collect();
+    let mut solos: Vec<_> = scenes
+        .iter()
+        .map(|(sys, params)| GpuPipeline::new(sys.clone(), params.clone(), k40()))
+        .collect();
+    let mut batch = SceneBatch::new(k40(), scenes);
+    for step in 0..6 {
+        let rb = batch.step();
+        for (i, solo) in solos.iter_mut().enumerate() {
+            let rs = solo.step();
+            assert_eq!(rs.n_contacts, rb[i].n_contacts, "scene {i} step {step}");
+            assert_eq!(
+                contact_bits(solo.contacts()),
+                contact_bits(batch.contacts(i).expect("scene runs")),
+                "scene {i} step {step}: batch contact stream diverged from solo"
+            );
+            assert_eq!(
+                sys_bits(&solo.sys),
+                sys_bits(batch.sys(i).expect("scene runs")),
+                "scene {i} step {step}: batch trajectory diverged from solo"
+            );
+        }
+    }
+}
+
+#[test]
+fn class_sorted_round_trips_through_checkpoint() {
+    let (sys, params) = rockfall(8);
+    let mut original = GpuPipeline::new(sys, class_sorted(params), k40());
+    original.run(3);
+    let text = SceneCheckpoint {
+        state: original.scene_state(),
+        taken_at_step: 3,
+    }
+    .encode();
+    let decoded = SceneCheckpoint::decode(&text).expect("checkpoint decodes");
+    assert_eq!(
+        decoded.state.params.contact_order,
+        ContactOrder::ClassSorted,
+        "the tag must survive the codec"
+    );
+    let mut restored = GpuPipeline::from_state(decoded.state, k40());
+    for step in 0..4 {
+        original.step();
+        restored.step();
+        assert_eq!(
+            sys_bits(&original.sys),
+            sys_bits(&restored.sys),
+            "step {step} after restore: trajectory diverged"
+        );
+    }
+}
+
+#[test]
+fn cpu_pipeline_ignores_the_knob_bitwise() {
+    let (sys, params) = rockfall(8);
+    let mut disc = CpuPipeline::new(sys.clone(), params.clone());
+    let mut sorted = CpuPipeline::new(sys, class_sorted(params));
+    for step in 0..6 {
+        disc.step();
+        sorted.step();
+        assert_eq!(
+            sys_bits(&disc.sys),
+            sys_bits(&sorted.sys),
+            "step {step}: the serial path must ignore the tag"
         );
     }
 }
