@@ -47,11 +47,12 @@ const STEPS: usize = 8;
 
 /// `(run, final-state digest, launch records)` of every golden run.
 #[rustfmt::skip]
-const RUNS: [(&str, u64, usize); 21] = [
+const RUNS: [(&str, u64, usize); 22] = [
     ("solo/slope", 0x5460d3339a279b08, 13308),
     ("solo/rockfall", 0x983c222c68080d0a, 1061),
     ("solo/scatter", 0x3a4c13915604f5e0, 1075),
     ("batch", 0x21e518eb5dc00225, 10594),
+    ("bridged/ssor-rockfall", 0x41210df805441e83, 1379),
     ("mixed/bj-rockfall", 0x33e01540d5c1d381, 1346),
     ("mixed/bj-slope", 0x00c144d5fe61267c, 13680),
     ("mixed/ssor-rockfall", 0x24fc7238207ad762, 1947),
@@ -73,7 +74,7 @@ const RUNS: [(&str, u64, usize); 21] = [
 
 /// `(run, phase, digest of the run's records under that phase)`.
 #[rustfmt::skip]
-const LEDGER: [(&str, &str, u64); 126] = [
+const LEDGER: [(&str, &str, u64); 132] = [
     ("solo/slope", "contact_detection", 0xa3a8ea095d820516),
     ("solo/slope", "diag_building", 0x1eb09a30241c30e9),
     ("solo/slope", "nondiag_building", 0x46af8b12650817ef),
@@ -98,6 +99,12 @@ const LEDGER: [(&str, &str, u64); 126] = [
     ("batch", "solving", 0xa59d544f4ac38760),
     ("batch", "interpenetration", 0x900b656acd0c8bc7),
     ("batch", "updating", 0x90b19a843d76f76d),
+    ("bridged/ssor-rockfall", "contact_detection", 0x7a0a2ec21f675d88),
+    ("bridged/ssor-rockfall", "diag_building", 0x6fe18c05efa0d605),
+    ("bridged/ssor-rockfall", "nondiag_building", 0xe2a1833305e4a1b1),
+    ("bridged/ssor-rockfall", "solving", 0xf7173fd5512f8ebc),
+    ("bridged/ssor-rockfall", "interpenetration", 0x40c4cbfef41ec206),
+    ("bridged/ssor-rockfall", "updating", 0x2a3c57c5e91a6f3d),
     ("mixed/bj-rockfall", "contact_detection", 0x7a0a2ec21f675d88),
     ("mixed/bj-rockfall", "diag_building", 0x6fe18c05efa0d605),
     ("mixed/bj-rockfall", "nondiag_building", 0xe2a1833305e4a1b1),
@@ -381,6 +388,23 @@ fn batch_trace_matches_the_parent_commit() {
     let mut batch = SceneBatch::new(k40(), batch_scenes());
     let reports = batch.run(STEPS);
     assert_ledger(&[batch_run("batch", &batch, &reports)]);
+}
+
+/// The fused solver's bridged iteration (`axpy2norm`, the preconditioner's
+/// own apply, `xpby_beta`), which every preconditioner but Block-Jacobi and
+/// the identity takes: SSOR-AI on the Fig 4 rockfall.
+#[test]
+fn bridged_solo_trace_matches_the_parent_commit() {
+    let (sys, params) = fig4(rockfall_case(&RockfallConfig::default().with_rocks(40)));
+    let params = params.with_precond(PrecondKind::SsorAi);
+    let mut pipe = GpuPipeline::new(sys, params, k40());
+    let reports = pipe.run(STEPS);
+    let by = pipe.device().trace().by_kernel();
+    for kernel in ["pcg.fused.axpy2norm", "pcg.fused.xpby_beta"] {
+        assert!(by.contains_key(kernel), "{kernel} never ran");
+    }
+    assert!(!by.contains_key("pcg.fused.update"), "a solve took the fast path");
+    assert_ledger(&[solo_run("bridged/ssor-rockfall", &pipe, &reports)]);
 }
 
 #[test]
