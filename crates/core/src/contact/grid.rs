@@ -170,17 +170,9 @@ impl GridSpec {
 /// # Precision invariant
 ///
 /// The validity argument above is a *geometric* one over fp64 AABBs and
-/// fp64 accumulated motion, and it must stay that way regardless of
-/// [`SolverPrecision`](dda_solver::SolverPrecision): the solver's `Mixed`
-/// mode demotes only the *matrix value* arrays inside the equation-solving
-/// module — block geometry, displacement bounds, `range`, `slack`, and
-/// this cache's `motion` accumulator are never narrowed. Were the slack
-/// accounting ever run in fp32, a rounded-down motion sum could keep the
-/// cache "valid" after the true motion consumed the slack, silently
-/// dropping contact candidates. The precision knob therefore threads no
-/// further than the PCG kernels, and the slack arithmetic here is
-/// precision-independent by construction (regression-tested in
-/// `tests/solver_precision.rs`).
+/// fp64 accumulated motion. Were the slack accounting ever run in fp32, a
+/// rounded-down motion sum could keep the cache "valid" after the true
+/// motion consumed the slack, silently dropping contact candidates.
 #[derive(Debug, Default)]
 pub struct BroadPhaseCache {
     /// Cached candidate pairs (overlapping at `range + slack`), sorted.

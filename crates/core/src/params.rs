@@ -104,14 +104,8 @@ pub struct DdaParams {
     /// a stiff scene can opt into ILU0 while its batch-mates stay on
     /// Block-Jacobi.
     pub precond: PrecondKind,
-    /// Solver storage precision: `Full` keeps every array fp64; `Mixed`
-    /// streams matrix values as fp32 inside an fp64 iterative-refinement
-    /// loop (same convergence criterion, roughly half the SpMV traffic).
-    ///
-    /// The knob stops at the solver: contact detection — including the
-    /// broad phase and its displacement-bounded cache — always runs on
-    /// the fp64 geometry, so candidate pair sets and cache slack
-    /// accounting are identical under either precision.
+    /// Ignored by every driver (see [`SolverPrecision`]); kept only because
+    /// `benchmark/` still sets it, and goes with ROADMAP item 4.
     pub precision: SolverPrecision,
     /// Dynamics factor in `[0, 1]`: 1 carries full velocity between steps
     /// (dynamic analysis, case 2), 0 restarts each step from rest (static
@@ -207,10 +201,15 @@ impl DdaParams {
         self
     }
 
-    /// Selects the solver storage precision (builder style).
-    pub fn with_precision(mut self, p: SolverPrecision) -> DdaParams {
-        self.precision = p;
-        self
+    /// Contact initialization closes every open contact within this
+    /// distance.
+    pub fn touch_distance(&self) -> f64 {
+        self.touch_tol * self.max_displacement
+    }
+
+    /// The open–close update opens any contact separated by more than this.
+    pub fn open_tol(&self) -> f64 {
+        1e-6 * self.max_displacement
     }
 
     /// The degradation ladder the solver walks, derived from the

@@ -91,7 +91,7 @@ impl CpuPipeline {
     /// was before the step (the commit phase never ran).
     pub fn try_step(&mut self) -> Result<StepReport, StepError> {
         let mut report = StepReport::default();
-        let touch = driver::touch_distance(&self.params);
+        let touch = self.params.touch_distance();
 
         // ---- Contact detection ---------------------------------------------
         let mut cd = CpuCounter::new();
@@ -165,7 +165,7 @@ impl CpuPipeline {
     /// with a structured [`StepError`] instead of propagating garbage into
     /// the system state.
     fn drive(&mut self, report: &mut StepReport) -> Result<StepOutcome, StepError> {
-        let open_tol = driver::open_tol(&self.params);
+        let open_tol = self.params.open_tol();
         let mut attempt = 0;
         loop {
             // Diagonal building (depends on Δt, so it is redone per attempt).

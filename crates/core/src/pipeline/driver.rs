@@ -3,7 +3,8 @@
 //! loops themselves are deliberately *not* shared: the serial pipeline is
 //! the oracle the engine is checked against, so it must not run the code
 //! it checks. The thresholds those loops test are shared, so both read
-//! them from one place.
+//! them from one place (here, and the contact distances on
+//! [`DdaParams`]).
 
 use crate::interpenetration::GapArrays;
 use crate::params::DdaParams;
@@ -11,16 +12,6 @@ use crate::params::DdaParams;
 /// Maximum times a step is redone with a reduced Δt before being accepted
 /// as-is (Shi's code behaves the same once the Δt floor is hit).
 const MAX_RETRIES: usize = 4;
-
-/// Contact initialization closes every open contact within this distance.
-pub(crate) fn touch_distance(params: &DdaParams) -> f64 {
-    params.touch_tol * params.max_displacement
-}
-
-/// The open–close update opens any contact separated by more than this.
-pub(crate) fn open_tol(params: &DdaParams) -> f64 {
-    1e-6 * params.max_displacement
-}
 
 /// Whether open–close iteration `oc_iter` (from 0) freezes flip-flopping
 /// contacts: the last three iterations of the budget do.

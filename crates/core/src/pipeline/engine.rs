@@ -34,7 +34,7 @@ use crate::system::BlockSystem;
 use crate::update::{max_displacement, update_system};
 use dda_simt::serial::CpuCounter;
 use dda_simt::{BatchSummary, Device, Fault, KernelStats};
-use dda_solver::{pcg_fused_batch, SolveResult, SolverPrecision};
+use dda_solver::{pcg_fused_batch, SolveResult};
 use dda_sparse::Block6;
 
 /// One scene as the engine sees it: the evolving system and everything
@@ -327,9 +327,8 @@ fn solve_ladder(
             if level > 0 {
                 cache.clear_warm();
             }
-            let f32_shadow = params.precision == SolverPrecision::Mixed;
             let kind = params.solver_ladder()[level];
-            match cache.prepare(dev, &job.asm.matrix, kind, f32_shadow) {
+            match cache.prepare(dev, &job.asm.matrix, kind) {
                 Ok(rung) => prepared.push((k, warm, rung, &*x0, job.asm, &*params)),
                 Err(error) => failed.push((k, StepError::PreconditionerFailed { error })),
             }
@@ -337,7 +336,7 @@ fn solve_ladder(
         let prep = dev.batch_end();
         let mut entries: Vec<_> = prepared
             .iter_mut()
-            .map(|(_, _, rung, x0, asm, p)| rung.entry(&asm.rhs, x0, p.pcg, p.precision))
+            .map(|(_, _, rung, x0, asm, p)| rung.entry(&asm.rhs, x0, p.pcg))
             .collect();
         let (results, pcg) = pcg_fused_batch(dev, &mut entries);
         drop(entries);
@@ -530,7 +529,7 @@ pub(crate) fn step_scenes(
 /// geometry, inheriting state from the last committed set.
 fn detect(dev: &Device, l: &mut Lane<'_>) {
     let sc = &mut *l.sc;
-    let touch = driver::touch_distance(&sc.params);
+    let touch = sc.params.touch_distance();
     detect_broad_gpu(
         dev,
         &l.gsoa,
@@ -591,7 +590,7 @@ fn assemble(dev: &Device, l: &mut Lane<'_>) {
 /// own loop-3 exit decision.
 fn check_and_update(dev: &Device, l: &mut Lane<'_>, oc_iter: usize) {
     let sc = &mut *l.sc;
-    let open_tol = driver::open_tol(&sc.params);
+    let open_tol = sc.params.open_tol();
     let freeze = driver::freeze(&sc.params, oc_iter);
     l.gaps = check_gpu(
         dev,

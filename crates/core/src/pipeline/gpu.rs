@@ -18,7 +18,6 @@ use super::health::{SceneHealth, StepError};
 use super::StepReport;
 use crate::contact::Contact;
 use dda_simt::Device;
-use dda_solver::SolverPrecision;
 
 // The policy enum lives with the preconditioners; re-exported here because
 // the pipeline API has always been its home.
@@ -59,13 +58,6 @@ impl GpuPipeline {
     /// [`DdaParams::precond`](crate::params::DdaParams::precond)).
     pub fn with_precond(mut self, p: PrecondKind) -> GpuPipeline {
         self.params.precond = p;
-        self
-    }
-
-    /// Selects the solver storage precision (shorthand for setting
-    /// [`DdaParams::precision`](crate::params::DdaParams::precision)).
-    pub fn with_precision(mut self, p: SolverPrecision) -> GpuPipeline {
-        self.params.precision = p;
         self
     }
 
@@ -269,44 +261,6 @@ mod tests {
             assert!(r.oc_converged, "{pk:?} failed to converge: {r:?}");
             assert_eq!(r.fallback_rung, pk, "healthy step stays on {pk:?}");
         }
-    }
-
-    #[test]
-    fn mixed_precision_pipeline_tracks_full_trajectory() {
-        // The mixed solver converges to the same outer criterion, so the
-        // physical trajectory must agree with pure fp64 within solver
-        // tolerance — and the f32 SpMV kernels must actually run.
-        let (sys, params) = stack();
-        let mut full = GpuPipeline::new(sys.clone(), params.clone(), k40());
-        let mut mixed = GpuPipeline::new(sys, params, k40()).with_precision(SolverPrecision::Mixed);
-        for step in 0..3 {
-            let rf = full.step();
-            let rm = mixed.step();
-            assert_eq!(rf.n_contacts, rm.n_contacts, "step {step}");
-            assert_eq!(rf.oc_iterations, rm.oc_iterations, "step {step}");
-            for (bf, bm) in full.sys.blocks.iter().zip(&mixed.sys.blocks) {
-                assert!(
-                    bf.centroid().dist(bm.centroid()) < 1e-7,
-                    "step {step}: mixed trajectory drifted"
-                );
-            }
-        }
-        let trace = mixed.device().trace();
-        assert!(
-            trace
-                .records
-                .iter()
-                .any(|r| r.name == "spmv.hsbcsr.stage1.f32"),
-            "mixed pipeline must stream fp32 matrix values"
-        );
-        assert!(
-            full.device()
-                .trace()
-                .records
-                .iter()
-                .all(|r| !r.name.ends_with(".f32")),
-            "full-precision pipeline must never touch fp32 kernels"
-        );
     }
 
     #[test]

@@ -2,16 +2,14 @@
 
 use dda_simt::{Device, Fault, KernelStats};
 use dda_solver::precond::{BlockJacobi, Identity, Ilu0, Jacobi, Preconditioner, SsorAi};
-use dda_solver::{PcgBatchEntry, PcgOptions, PcgWorkspace, PrecondError};
-use dda_solver::{PrecondKind, SolverPrecision};
-use dda_sparse::{Csr, Hsbcsr, Hsbcsr32, SymBlockMatrix};
+use dda_solver::{PcgBatchEntry, PcgOptions, PcgWorkspace, PrecondError, PrecondKind};
+use dda_sparse::{Csr, Hsbcsr, SymBlockMatrix};
 
 /// Everything one ladder rung's solve borrows from the cache: the
-/// refreshed format (and fp32 shadow), the rung's preconditioner, and the
-/// persistent PCG workspace.
+/// refreshed format, the rung's preconditioner, and the persistent PCG
+/// workspace.
 pub(crate) struct RungSolve<'a> {
     h: &'a Hsbcsr,
-    h32: Option<&'a Hsbcsr32>,
     m: RungPrecond<'a>,
     ws: &'a mut PcgWorkspace,
 }
@@ -30,11 +28,9 @@ impl RungSolve<'_> {
         b: &'e [f64],
         x0: &'e [f64],
         opts: PcgOptions,
-        precision: SolverPrecision,
     ) -> PcgBatchEntry<'e> {
         PcgBatchEntry {
             h: self.h,
-            h32: self.h32,
             b,
             x0,
             m: match &self.m {
@@ -42,7 +38,6 @@ impl RungSolve<'_> {
                 RungPrecond::Built(m) => m.as_ref(),
             },
             opts,
-            precision,
             ws: self.ws,
         }
     }
@@ -54,13 +49,10 @@ impl RungSolve<'_> {
 /// padding) is stable: the cache then refills values in place instead of
 /// rebuilding, reuses the Block-Jacobi storage (refactoring values with the
 /// same single launch), and keeps the PCG/SpMV workspace warm so the whole
-/// solve path stops allocating. Mixed-precision scenes additionally keep an
-/// fp32 value shadow, refreshed in the *same* refill sweep as the fp64
-/// values (zero extra passes over the matrix).
+/// solve path stops allocating.
 #[derive(Default)]
 pub(crate) struct SolverCache {
     h: Option<Hsbcsr>,
-    h32: Option<Hsbcsr32>,
     bj: Option<BlockJacobi>,
     pub(crate) pcg_ws: PcgWorkspace,
     /// Diagnostics: how many solves reused the symbolic structure.
@@ -103,10 +95,9 @@ impl SolverCache {
         dev: &Device,
         matrix: &SymBlockMatrix,
         kind: PrecondKind,
-        want_f32: bool,
     ) -> Result<RungSolve<'_>, PrecondError> {
         let want_bj = kind == PrecondKind::BlockJacobi;
-        let (h, h32, bj, ws) = self.try_prepare(dev, matrix, want_bj, want_f32)?;
+        let (h, bj, ws) = self.try_prepare(dev, matrix, want_bj)?;
         let m = match kind {
             PrecondKind::None => RungPrecond::Built(Box::new(Identity)),
             PrecondKind::BlockJacobi => {
@@ -122,20 +113,19 @@ impl SolverCache {
             }
             PrecondKind::Jacobi => RungPrecond::Built(Box::new(Jacobi::try_new(dev, h)?)),
         };
-        Ok(RungSolve { h, h32, m, ws })
+        Ok(RungSolve { h, m, ws })
     }
 
     /// Refreshes the cached format (and, when `want_bj`, the Block-Jacobi
-    /// factorization; when `want_f32`, the fp32 value shadow) for `matrix`,
-    /// charging the format-building traffic on `dev`, and hands back
-    /// disjoint borrows of everything a fused PCG call needs.
+    /// factorization) for `matrix`, charging the format-building traffic on
+    /// `dev`, and hands back disjoint borrows of everything a fused PCG call
+    /// needs.
     ///
     /// Format building is charged as part of the solving module's time via
     /// an explicit record — the paper's pipeline equally pays it on device.
     /// When the sparsity pattern matches the cached format, only the value
     /// arrays are rewritten; the index derivation and its traffic are
-    /// skipped. The shadow rides the same sweep, adding only its own
-    /// half-width store traffic.
+    /// skipped.
     ///
     /// A singular diagonal sub-matrix (malformed scene input) surfaces as
     /// a structured [`PrecondError`] so the caller's fallback ladder can
@@ -146,19 +136,9 @@ impl SolverCache {
         dev: &Device,
         matrix: &SymBlockMatrix,
         want_bj: bool,
-        want_f32: bool,
-    ) -> Result<
-        (
-            &Hsbcsr,
-            Option<&Hsbcsr32>,
-            Option<&BlockJacobi>,
-            &mut PcgWorkspace,
-        ),
-        PrecondError,
-    > {
+    ) -> Result<(&Hsbcsr, Option<&BlockJacobi>, &mut PcgWorkspace), PrecondError> {
         let SolverCache {
             h: h_slot,
-            h32: h32_slot,
             bj: bj_slot,
             pcg_ws,
             refills,
@@ -166,42 +146,17 @@ impl SolverCache {
             ..
         } = self;
 
-        if want_f32 && h32_slot.is_none() {
-            *h32_slot = Some(Hsbcsr32::new());
-        }
-        let refilled = match h_slot.as_mut() {
-            Some(h) => match h32_slot.as_mut().filter(|_| want_f32) {
-                // Steady state: one sweep writes both precisions.
-                Some(sh) => h.refill_values_with_shadow(matrix, sh),
-                None => h.refill_values(matrix),
-            },
-            None => false,
-        };
+        let refilled = h_slot.as_mut().is_some_and(|h| h.refill_values(matrix));
         if !refilled {
-            let h = Hsbcsr::from_sym(matrix);
-            if let Some(sh) = h32_slot.as_mut().filter(|_| want_f32) {
-                sh.refill_from(&h);
-            }
-            *h_slot = Some(h);
+            *h_slot = Some(Hsbcsr::from_sym(matrix));
             *rebuilds += 1;
         } else {
             *refills += 1;
         }
         let h = h_slot.as_ref().expect("cache holds a format after refill");
-        let h32 = if want_f32 {
-            let sh = h32_slot.as_ref().expect("want_f32 installed a shadow");
-            debug_assert!(sh.matches(h), "shadow refreshed alongside the format");
-            Some(sh)
-        } else {
-            None
-        };
         let bytes = h.data_bytes() as u64;
-        // Rebuilds pay the symbolic derivation (2×); the fp32 shadow adds
-        // its half-width stores on top of whichever path ran.
-        let mut charged = if refilled { bytes } else { 2 * bytes };
-        if want_f32 {
-            charged += bytes / 2;
-        }
+        // Rebuilds pay the symbolic derivation (2×).
+        let charged = if refilled { bytes } else { 2 * bytes };
         dev.record_external(
             "format.hsbcsr",
             KernelStats {
@@ -225,6 +180,6 @@ impl SolverCache {
         } else {
             None
         };
-        Ok((h, h32, bj, pcg_ws))
+        Ok((h, bj, pcg_ws))
     }
 }

@@ -39,23 +39,7 @@ pub fn case1_system(blocks: usize, seed: u64) -> (BlockSystem, DdaParams) {
 /// Develops the case-1 contact network for `warm` steps and returns the
 /// assembled stiffness matrix (the Fig-10 test matrix).
 pub fn case1_matrix(blocks: usize, warm: usize, seed: u64) -> SymBlockMatrix {
-    case1_matrix_stiff(blocks, warm, seed, 1.0)
-}
-
-/// [`case1_matrix`] with the contact penalty stiffened by `contrast`.
-///
-/// [`DdaParams::for_model`] picks Δt so the inertial diagonal matches the
-/// penalty springs — the well-conditioned regime where Block-Jacobi
-/// converges in a handful of iterations. Scaling the penalty alone breaks
-/// that balance: the off-diagonal contact coupling grows past the
-/// diagonal and the iteration count climbs with `contrast`. This is the
-/// iteration-heavy regime where mixed precision earns its keep
-/// (the operator of `beyond_paper_claims`' mixed-precision claim), and it
-/// is physical: Shi's `p ∈ [10·E, 1000·E]` recommendation spans exactly
-/// this range.
-pub fn case1_matrix_stiff(blocks: usize, warm: usize, seed: u64, contrast: f64) -> SymBlockMatrix {
-    let (sys, mut params) = case1_system(blocks, seed);
-    params.penalty *= contrast;
+    let (sys, params) = case1_system(blocks, seed);
     let mut pipe = CpuPipeline::new(sys, params);
     for _ in 0..warm {
         pipe.step();
@@ -395,7 +379,7 @@ pub fn divergence_study(blocks: usize, seed: u64) -> DivergenceStudy {
     let mut cnt = CpuCounter::new();
     let pairs = broad_phase_serial(&sys, params.contact_range, &mut cnt);
     let contacts = narrow_phase_serial(&sys, &pairs, params.contact_range, &mut cnt);
-    let touch = params.touch_tol * params.max_displacement;
+    let touch = params.touch_distance();
     let soa = GeomSoa::build(&sys);
 
     // The monolithic baseline processes contacts in *discovery order* — a

@@ -35,8 +35,8 @@ pub mod tri;
 pub mod vecops;
 
 pub use pcg::{
-    pcg, pcg_fused, pcg_fused_batch, pcg_fused_mixed, PcgBatchEntry, PcgOptions, PcgWorkspace,
-    SolveError, SolveResult, SolverPrecision,
+    pcg, pcg_fused, pcg_fused_batch, PcgBatchEntry, PcgOptions, PcgWorkspace, SolveError,
+    SolveResult, SolverPrecision,
 };
 pub use precond::{
     BlockJacobi, Identity, Ilu0, Jacobi, PrecondError, PrecondKind, Preconditioner, SsorAi,

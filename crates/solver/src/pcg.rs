@@ -34,47 +34,30 @@
 use crate::precond::Preconditioner;
 use crate::traits::MatVec;
 use crate::vecops::{
-    axpy, axpy_widen, demote, dot, dot_partials_into, fused_axpy2_norm, fused_precond_rz,
-    fused_residual, fused_update, fused_xpby_beta, norm_sq, promote, reduce_partials, xpby,
+    axpy, dot, dot_partials_into, fused_axpy2_norm, fused_precond_rz, fused_residual, fused_update,
+    fused_xpby_beta, norm_sq, reduce_partials, xpby,
 };
 use dda_simt::{BatchSummary, Device};
 use dda_sparse::spmv::{
-    spmv_hsbcsr_f32, spmv_hsbcsr_f32_folded_pq, spmv_hsbcsr_folded_pq, spmv_hsbcsr_fused_pq,
-    spmv_hsbcsr_into, Fold, SpmvWorkspace, Stage1Smem,
+    spmv_hsbcsr_folded_pq, spmv_hsbcsr_fused_pq, spmv_hsbcsr_into, Fold, SpmvWorkspace, Stage1Smem,
 };
-use dda_sparse::{Hsbcsr, Hsbcsr32, Scalar};
+use dda_sparse::Hsbcsr;
 use serde::{Deserialize, Serialize};
 
-/// Numeric mode for the fused solver's value streams.
-///
-/// [`Full`](SolverPrecision::Full) is the historical pure-fp64 path.
-/// [`Mixed`](SolverPrecision::Mixed) runs the inner PCG iterations with
-/// fp32 *storage* of the matrix values, every iterate vector (`x`, `r`,
-/// `z`, `p`, `q`), the SpMV staging arrays, and the Block-Jacobi inverses
-/// — halving the bytes of essentially all inner-loop global traffic —
-/// while every accumulation, every update scalar, every partial sum, and
-/// every index stays fp64, wrapped in an fp64 outer iterative-refinement
-/// loop that restores full-precision residuals. When refinement stalls or
-/// the inner solve breaks down, [`pcg_fused_mixed`] falls back
-/// deterministically to the pure-fp64 solve from the original warm start —
-/// bit-identical to what `Full` would have produced.
+/// Solver storage precision: a name every solver accepts and ignores,
+/// since each one stores and computes in fp64. `Mixed` used to run the
+/// fused solver's inner iterations on fp32 copies of the matrix, the
+/// vectors and the Block-Jacobi inverses under fp64 refinement; it raised
+/// modeled step time on every benchmark workload, so it was deleted. The
+/// enum stays only because `benchmark/` still names it, and its checkpoint
+/// tags stay so older WAL records decode; it goes with ROADMAP item 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SolverPrecision {
-    /// Pure fp64 storage and arithmetic everywhere.
+    /// fp64 storage and arithmetic, the one precision every solver runs.
     #[default]
     Full,
-    /// fp32-storage/fp64-accumulate inner PCG under fp64 refinement.
+    /// The deleted mixed-precision solver; runs as `Full`.
     Mixed,
-}
-
-impl SolverPrecision {
-    /// Short name used in reports and benchmark records.
-    pub fn name(self) -> &'static str {
-        match self {
-            SolverPrecision::Full => "fp64",
-            SolverPrecision::Mixed => "mixed",
-        }
-    }
 }
 
 /// PCG controls.
@@ -289,19 +272,18 @@ pub fn pcg<A: MatVec + ?Sized, P: Preconditioner + ?Sized>(
     }
 }
 
-/// The iterate vectors of one fused solve and the SpMV staging arrays, all
-/// stored as `S`.
+/// The iterate vectors of one fused solve and the SpMV staging arrays.
 #[derive(Debug, Default)]
-struct IterVecs<S: Scalar> {
-    x: Vec<S>,
-    r: Vec<S>,
+struct IterVecs {
+    x: Vec<f64>,
+    r: Vec<f64>,
     // The fused update's output residual, swapped with `r` after it: the
     // update reads the old `r` in every block, so none may overwrite it.
-    r_next: Vec<S>,
-    z: Vec<S>,
-    p: Vec<S>,
-    q: Vec<S>,
-    spmv: SpmvWorkspace<S>,
+    r_next: Vec<f64>,
+    z: Vec<f64>,
+    p: Vec<f64>,
+    q: Vec<f64>,
+    spmv: SpmvWorkspace,
 }
 
 /// Persistent state for [`pcg_fused`]: the SpMV workspace plus every
@@ -310,14 +292,8 @@ struct IterVecs<S: Scalar> {
 /// returned solution is the only per-solve allocation).
 #[derive(Debug, Default)]
 pub struct PcgWorkspace {
-    v64: IterVecs<f64>,
-    // Iterates of the mixed driver's fp32 correction solves; empty until
-    // the first Mixed solve.
-    v32: IterVecs<f32>,
+    v: IterVecs,
     sums: Sums,
-    // Outer-loop state of the mixed-precision refinement driver.
-    outer_x: Vec<f64>,
-    outer_r: Vec<f64>,
 }
 
 impl PcgWorkspace {
@@ -327,8 +303,7 @@ impl PcgWorkspace {
     }
 }
 
-/// The reduction buffers and device scalars of a fused solve. Partial sums
-/// never narrow, so both storage types share them.
+/// The reduction buffers and device scalars of a fused solve.
 #[derive(Debug, Default)]
 struct Sums {
     /// `‖b‖²` tile partials of the set-up residual.
@@ -345,10 +320,10 @@ struct Sums {
 }
 
 /// How the iteration obtains `z = M⁻¹ r`.
-enum Apply<'a, S, F> {
+enum Apply<'a, F> {
     /// Inside the `update` kernel — the three-launch iteration: flat
     /// block-diagonal inverses, or `None` for the identity.
-    Fused(Option<&'a [S]>),
+    Fused(Option<&'a [f64]>),
     /// Through a separate apply `F(r, z)` between the fused BLAS-1 kernels
     /// (SSOR/ILU0/Jacobi applies are not single block-diagonal products).
     Bridged(F),
@@ -374,18 +349,18 @@ impl LoopEnd {
     }
 }
 
-/// The last set-up step, shared by both storage types: `z₀ = M⁻¹r`,
-/// `p₀ = z₀`, and `r·z₀` into `sums.scalars[0]`. The fused apply is one
-/// launch whose last block reduces the `r·z₀` partials and stores the
-/// scalar; a bridged apply is followed by the unfused dot.
-fn first_direction<S: Scalar>(
+/// The last set-up step: `z₀ = M⁻¹r`, `p₀ = z₀`, and `r·z₀` into
+/// `sums.scalars[0]`. The fused apply is one launch whose last block
+/// reduces the `r·z₀` partials and stores the scalar; a bridged apply is
+/// followed by the unfused dot.
+fn first_direction(
     dev: &Device,
-    apply: &mut Apply<'_, S, impl FnMut(&[S], &mut Vec<S>)>,
-    v: &mut IterVecs<S>,
+    apply: &mut Apply<'_, impl FnMut(&[f64], &mut Vec<f64>)>,
+    v: &mut IterVecs,
     sums: &mut Sums,
 ) {
     v.z.clear();
-    v.z.resize(v.r.len(), S::default());
+    v.z.resize(v.r.len(), 0.0);
     match apply {
         Apply::Fused(dinv) => {
             fused_precond_rz(dev, *dinv, &v.r, &mut v.z, &mut sums.rz, &mut sums.scalars);
@@ -400,29 +375,18 @@ fn first_direction<S: Scalar>(
     v.p.extend_from_slice(&v.z);
 }
 
-/// The fp64 SpMV of [`iterate`] on `h`.
-fn spmv_pq_f64<'f>(
-    dev: &'f Device,
-    h: &'f Hsbcsr,
-) -> impl FnMut(Option<Fold<'_, f64>>, &mut [f64], &mut SpmvWorkspace, &mut [f64]) + 'f {
-    move |fold, p, sws, q| match fold {
-        Some(fold) => spmv_hsbcsr_folded_pq(dev, h, fold, p, Stage1Smem::Proposed, sws, q),
-        None => spmv_hsbcsr_fused_pq(dev, h, p, Stage1Smem::Proposed, sws, q),
-    }
-}
-
-/// The fused PCG iteration, written once for both storage types. Expects
-/// `v.r`, `v.z`, `v.p = v.z` and `sums.scalars[0] = r·z` set up by the
-/// caller; `v.x` holds the iterate on return. `spmv_pq(fold, p, ws, q)`
-/// computes `q = A p` with the `p·q` partials fused into stage 2, first
-/// forming `p ← z + βp` in both stages when a [`Fold`] is given.
+/// The fused PCG iteration on `h`. Expects `v.r`, `v.z`, `v.p = v.z` and
+/// `sums.scalars[0] = r·z` set up by the caller; `v.x` holds the iterate on
+/// return. Each iteration computes `q = A p` with the `p·q` partials fused
+/// into SpMV stage 2, from the second iteration on forming `p ← z + βp` in
+/// both stages.
 #[deny(clippy::float_cmp)]
 #[allow(clippy::too_many_arguments)]
-fn iterate<S: Scalar>(
+fn iterate(
     dev: &Device,
-    mut spmv_pq: impl FnMut(Option<Fold<'_, S>>, &mut [S], &mut SpmvWorkspace<S>, &mut [S]),
-    mut apply: Apply<'_, S, impl FnMut(&[S], &mut Vec<S>)>,
-    v: &mut IterVecs<S>,
+    h: &Hsbcsr,
+    mut apply: Apply<'_, impl FnMut(&[f64], &mut Vec<f64>)>,
+    v: &mut IterVecs,
     sums: &mut Sums,
     mut r_norm_sq: f64,
     threshold_sq: f64,
@@ -437,9 +401,16 @@ fn iterate<S: Scalar>(
         iterations += 1;
         // Launches 1–2: q = A p with per-row-block p·q partials fused into
         // SpMV stage 2 (and p ← z + βp folded into both stages).
-        let beta = &sums.scalars[1..];
-        let fold_in = fold.then_some(Fold { z: &v.z, beta });
-        spmv_pq(fold_in, &mut v.p, &mut v.spmv, &mut v.q);
+        let scheme = Stage1Smem::Proposed;
+        if fold {
+            let fold = Fold {
+                z: &v.z,
+                beta: &sums.scalars[1..],
+            };
+            spmv_hsbcsr_folded_pq(dev, h, fold, &mut v.p, scheme, &mut v.spmv, &mut v.q);
+        } else {
+            spmv_hsbcsr_fused_pq(dev, h, &v.p, scheme, &mut v.spmv, &mut v.q);
+        }
         match &mut apply {
             Apply::Fused(dinv) => {
                 // Launch 3: α (device-guarded), x and r updates, z = D⁻¹r
@@ -559,13 +530,11 @@ pub fn pcg_fused<P: Preconditioner + ?Sized>(
     assert_eq!(x0.len(), n, "initial guess dimension mismatch");
 
     // Set-up launches 1–3 (the 3-launch budget is per iteration).
-    let mut r = std::mem::take(&mut ws.v64.r);
-    let (b_norm_sq, r_norm_sq) = residual(dev, h, b, x0, ws, &mut r);
-    ws.v64.r = r;
+    let (b_norm_sq, r_norm_sq) = residual(dev, h, b, x0, ws);
     if !b_norm_sq.is_finite() {
         return SolveResult::non_finite_rhs(x0);
     }
-    let PcgWorkspace { v64: v, sums, .. } = ws;
+    let PcgWorkspace { v, sums } = ws;
     v.x.clear();
     v.x.extend_from_slice(x0);
     let threshold_sq = threshold_sq(opts, b_norm_sq);
@@ -587,7 +556,7 @@ pub fn pcg_fused<P: Preconditioner + ?Sized>(
         first_direction(dev, &mut apply, v, sums);
         iterate(
             dev,
-            spmv_pq_f64(dev, h),
+            h,
             apply,
             v,
             sums,
@@ -605,241 +574,14 @@ pub fn pcg_fused<P: Preconditioner + ?Sized>(
     }
 }
 
-/// The fp32 correction solve of [`pcg_fused_mixed`]: `A₃₂ δ = b` from zero
-/// with every iterate vector stored fp32, so SpMV values, staging arrays,
-/// vectors, *and* the Block-Jacobi inverses all stream at half the bytes
-/// through the same [`iterate`] as the fp64 solve. `δ` stays in `ws.v32.x`
-/// (it folds into the fp64 outer iterate via [`axpy_widen`] without ever
-/// materialising an fp64 copy).
-///
-/// The set-up differs from [`pcg_fused`]'s in its residual only: `x0` is
-/// zero, so `r = b − A·0` collapses to one demotion launch, and `b_norm_sq`
-/// arrives from the caller, whose outer residual norm *is* `‖b‖²` here.
-/// Preconditioners without fp32 block-diagonal inverses bridge through
-/// their fp64 apply (promote → apply → demote) and pay that traffic
-/// honestly.
-#[deny(clippy::float_cmp)]
-#[allow(clippy::too_many_arguments)]
-fn correct_f32<P: Preconditioner + ?Sized>(
-    dev: &Device,
-    h: &Hsbcsr,
-    h32: &Hsbcsr32,
-    b: &[f64],
-    b_norm_sq: f64,
-    m: &P,
-    opts: PcgOptions,
-    ws: &mut PcgWorkspace,
-) -> LoopEnd {
-    let n = h.n * 6;
-    assert_eq!(b.len(), n, "rhs dimension mismatch");
-    let PcgWorkspace {
-        v64, v32: v, sums, ..
-    } = ws;
-
-    v.x.clear();
-    v.x.resize(n, 0.0);
-    if !b_norm_sq.is_finite() {
-        return LoopEnd::at_setup(b_norm_sq, Some(SolveError::NonFinite { iteration: 0 }));
-    }
-    let threshold_sq = threshold_sq(opts, b_norm_sq);
-
-    // x = 0 ⇒ r = b, demoted once.
-    demote(dev, b, &mut v.r);
-    if b_norm_sq <= threshold_sq {
-        return LoopEnd::at_setup(b_norm_sq, None);
-    }
-
-    let dinv = m.block_diag_inv_f32();
-    let mut apply = if dinv.is_some() || m.is_identity() {
-        Apply::Fused(dinv)
-    } else {
-        let r64 = &mut v64.q;
-        Apply::Bridged(move |r: &[f32], z: &mut Vec<f32>| {
-            promote(dev, r, r64);
-            let out = m.apply(dev, r64);
-            demote(dev, &out, z);
-        })
-    };
-
-    first_direction(dev, &mut apply, v, sums);
-    v.q.clear();
-    v.q.resize(n, 0.0);
-
-    let scheme = Stage1Smem::Proposed;
-    iterate(
-        dev,
-        |fold: Option<Fold<'_, f32>>, p: &mut [f32], sws: &mut _, q: &mut [f32]| match fold {
-            Some(fold) => spmv_hsbcsr_f32_folded_pq(dev, h, h32, fold, p, scheme, sws, q),
-            None => spmv_hsbcsr_f32(dev, h, h32, p, scheme, sws, q, true),
-        },
-        apply,
-        v,
-        sums,
-        b_norm_sq,
-        threshold_sq,
-        opts.max_iters,
-    )
-}
-
-/// Inner-loop relative tolerance for the fp32 correction solves: tighter
-/// buys nothing (fp32 matrix storage bounds the attainable inner accuracy),
-/// looser wastes outer passes.
-const MIXED_INNER_TOL: f64 = 1e-4;
-
-/// Each outer refinement pass must shrink the fp64 residual norm by at
-/// least this factor, or the fp32 corrections have hit their precision
-/// floor and the driver falls back to pure fp64.
-const MIXED_MIN_DROP: f64 = 0.5;
-
-/// Mixed-precision fused PCG: fp32-storage/fp64-accumulate inner solves
-/// under an fp64 iterative-refinement outer loop.
-///
-/// Each outer pass computes the full-precision residual `r = b − A₆₄x`,
-/// tests the *same* convergence criterion as [`pcg_fused`]
-/// (`‖r‖ ≤ tol·‖b‖`, so a converged mixed solve meets the pure-fp64
-/// tolerance by construction), then solves the correction system
-/// `A₃₂ δ = r` from zero with the fp32 value streams and adds `δ` back in
-/// fp64. Inner iterations draw on the shared `opts.max_iters` budget, so
-/// the iteration count in the result is comparable with the pure path.
-///
-/// **Deterministic fallback:** when an inner solve breaks down, the outer
-/// residual goes non-finite, or a pass fails to shrink `‖r‖` by
-/// [`MIXED_MIN_DROP`], the driver discards the refinement state and reruns
-/// [`pcg_fused`] in pure fp64 from the original `x0` — the result is then
-/// bit-identical to what [`SolverPrecision::Full`] would have produced,
-/// including its structured [`SolveError`]. Fault quarantine therefore
-/// behaves identically under both precisions.
-#[deny(clippy::float_cmp)]
-#[allow(clippy::too_many_arguments)]
-pub fn pcg_fused_mixed<P: Preconditioner + ?Sized>(
-    dev: &Device,
-    h: &Hsbcsr,
-    h32: &Hsbcsr32,
-    b: &[f64],
-    x0: &[f64],
-    m: &P,
-    opts: PcgOptions,
-    ws: &mut PcgWorkspace,
-) -> SolveResult {
-    let n = h.n * 6;
-    assert_eq!(b.len(), n, "rhs dimension mismatch");
-    assert_eq!(x0.len(), n, "initial guess dimension mismatch");
-    assert!(h32.matches(h), "fp32 shadow out of sync with its Hsbcsr");
-
-    // The inner solves reuse the workspace wholesale, so the outer state
-    // is moved out for the duration of the refinement.
-    let mut outer_x = std::mem::take(&mut ws.outer_x);
-    let mut outer_r = std::mem::take(&mut ws.outer_r);
-    let refined = refine_mixed(dev, h, h32, b, x0, m, opts, ws, &mut outer_x, &mut outer_r);
-    ws.outer_x = outer_x;
-    ws.outer_r = outer_r;
-    match refined {
-        Some(res) => res,
-        // Deterministic fallback: rerun pure fp64 from the original warm
-        // start, bit-identical to `SolverPrecision::Full`.
-        None => pcg_fused(dev, h, b, x0, m, opts, ws),
-    }
-}
-
-/// The refinement loop of [`pcg_fused_mixed`]. `None` means "fall back to
-/// pure fp64": the inner solve broke down, the outer residual went
-/// non-finite, or a pass stalled.
-#[allow(clippy::too_many_arguments)]
-fn refine_mixed<P: Preconditioner + ?Sized>(
-    dev: &Device,
-    h: &Hsbcsr,
-    h32: &Hsbcsr32,
-    b: &[f64],
-    x0: &[f64],
-    m: &P,
-    opts: PcgOptions,
-    ws: &mut PcgWorkspace,
-    outer_x: &mut Vec<f64>,
-    outer_r: &mut Vec<f64>,
-) -> Option<SolveResult> {
-    outer_x.clear();
-    outer_x.extend_from_slice(x0);
-
-    // Full-precision residual r = b − A₆₄ x (fp64 streams) — the set-up of
-    // the pure path, with the same early rejection and bit-identical outcome.
-    let (b_norm_sq, mut r_norm_sq) = residual(dev, h, b, outer_x, ws, outer_r);
-    if !b_norm_sq.is_finite() {
-        return Some(SolveResult::non_finite_rhs(x0));
-    }
-    let threshold_sq = threshold_sq(opts, b_norm_sq);
-    if r_norm_sq <= threshold_sq {
-        return Some(SolveResult {
-            x: outer_x.clone(),
-            iterations: 0,
-            converged: true,
-            residual: r_norm_sq.max(0.0).sqrt(),
-            error: None,
-        });
-    }
-
-    let mut iterations = 0;
-    while iterations < opts.max_iters {
-        // Correction solve A₃₂ δ = r from zero, on the remaining budget.
-        let inner_opts = PcgOptions {
-            tol: MIXED_INNER_TOL,
-            max_iters: opts.max_iters - iterations,
-        };
-        let inner = correct_f32(dev, h, h32, outer_r, r_norm_sq, m, inner_opts, ws);
-        iterations += inner.iterations.max(1);
-        if inner.error.is_some() {
-            return None;
-        }
-        // x ← x + δ (the fp32 correction lives in ws.v32.x after the
-        // solve; the fold-in widens on the fly).
-        axpy_widen(dev, &ws.v32.x, outer_x);
-        // Refresh the full-precision residual and retest convergence.
-        let (_, new_norm_sq) = residual(dev, h, b, outer_x, ws, outer_r);
-        if !new_norm_sq.is_finite() {
-            return None;
-        }
-        if new_norm_sq <= threshold_sq {
-            return Some(SolveResult {
-                x: outer_x.clone(),
-                iterations,
-                converged: true,
-                residual: new_norm_sq.max(0.0).sqrt(),
-                error: None,
-            });
-        }
-        if new_norm_sq > MIXED_MIN_DROP * MIXED_MIN_DROP * r_norm_sq {
-            // Stalled: fp32 corrections no longer move the fp64 residual.
-            return None;
-        }
-        r_norm_sq = new_norm_sq;
-    }
-
-    // Budget exhausted without breakdown — a normal Δt-retry exit, the
-    // same contract as the pure-fp64 iteration cap.
-    Some(SolveResult {
-        x: outer_x.clone(),
-        iterations,
-        converged: false,
-        residual: r_norm_sq.max(0.0).sqrt(),
-        error: None,
-    })
-}
-
-/// `r ← b − A₆₄·x` in three launches (two SpMV stages and the fused
-/// residual), returning `(‖b‖², ‖r‖²)`: the set-up of [`pcg_fused`] and the
-/// fp64 half of every refinement pass of [`pcg_fused_mixed`].
-fn residual(
-    dev: &Device,
-    h: &Hsbcsr,
-    b: &[f64],
-    x: &[f64],
-    ws: &mut PcgWorkspace,
-    r: &mut Vec<f64>,
-) -> (f64, f64) {
-    let v = &mut ws.v64;
+/// `ws.v.r ← b − A·x` in three launches (two SpMV stages and the fused
+/// residual), returning `(‖b‖², ‖r‖²)`: the set-up of [`pcg_fused`].
+fn residual(dev: &Device, h: &Hsbcsr, b: &[f64], x: &[f64], ws: &mut PcgWorkspace) -> (f64, f64) {
+    let PcgWorkspace { v, sums } = ws;
     v.q.clear();
     v.q.resize(h.n * 6, 0.0);
     spmv_hsbcsr_into(dev, h, x, Stage1Smem::Proposed, &mut v.spmv, &mut v.q);
-    fused_residual(dev, b, &v.q, r, &mut ws.sums.b, &mut ws.sums.norm)
+    fused_residual(dev, b, &v.q, &mut v.r, &mut sums.b, &mut sums.norm)
 }
 
 /// One scene's system inside a batched PCG call: the same inputs
@@ -848,9 +590,6 @@ fn residual(
 pub struct PcgBatchEntry<'a> {
     /// Scene operator in HSBCSR form.
     pub h: &'a Hsbcsr,
-    /// fp32 value shadow of `h`; required when `precision` is
-    /// [`SolverPrecision::Mixed`], ignored otherwise.
-    pub h32: Option<&'a Hsbcsr32>,
     /// Right-hand side.
     pub b: &'a [f64],
     /// Warm-start iterate.
@@ -859,18 +598,14 @@ pub struct PcgBatchEntry<'a> {
     pub m: &'a dyn Preconditioner,
     /// Per-scene tolerance and iteration cap.
     pub opts: PcgOptions,
-    /// Numeric mode for this scene's solve.
-    pub precision: SolverPrecision,
     /// The scene's persistent workspace.
     pub ws: &'a mut PcgWorkspace,
 }
 
 /// Batched fused PCG over N independent systems on one device.
 ///
-/// Each scene's solve runs the exact [`pcg_fused`] (or, for
-/// [`SolverPrecision::Mixed`] entries, [`pcg_fused_mixed`]) code path —
-/// results are bit-identical to solo solves under the same precision mode
-/// — inside a device batch region that merges
+/// Each scene's solve runs the exact [`pcg_fused`] code path — results are
+/// bit-identical to solo solves — inside a device batch region that merges
 /// iteration *k*'s kernels across scenes into one batched launch per kernel
 /// (three on the Block-Jacobi fast path; the masked lockstep a real
 /// multi-scene kernel would execute; see
@@ -888,13 +623,7 @@ pub fn pcg_fused_batch(
     let mut results = Vec::with_capacity(entries.len());
     for (i, e) in entries.iter_mut().enumerate() {
         dev.batch_segment(i);
-        results.push(match e.precision {
-            SolverPrecision::Full => pcg_fused(dev, e.h, e.b, e.x0, e.m, e.opts, e.ws),
-            SolverPrecision::Mixed => {
-                let h32 = e.h32.expect("Mixed batch entries carry an fp32 shadow");
-                pcg_fused_mixed(dev, e.h, h32, e.b, e.x0, e.m, e.opts, e.ws)
-            }
-        });
+        results.push(pcg_fused(dev, e.h, e.b, e.x0, e.m, e.opts, e.ws));
     }
     let summary = dev.batch_end();
     (results, summary)
@@ -1163,7 +892,7 @@ mod tests {
         }
         let threshold_sq = threshold_sq(opts, b_norm_sq);
         let mut ws = PcgWorkspace::new();
-        let PcgWorkspace { v64: v, sums, .. } = &mut ws;
+        let PcgWorkspace { v, sums } = &mut ws;
         v.x = x0.to_vec();
         v.q = HsbcsrMat { m: h }.apply(dev, x0);
         v.r = b.to_vec();
@@ -1185,7 +914,7 @@ mod tests {
             };
             let end = iterate(
                 dev,
-                spmv_pq_f64(dev, h),
+                h,
                 apply,
                 v,
                 sums,
@@ -1258,23 +987,21 @@ mod tests {
                 }
 
                 // The set-up's own values.
-                let mut r = Vec::new();
-                let (got_b_sq, _) = residual(&d, &h, b_, x0, &mut ws, &mut r);
+                let (got_b_sq, _) = residual(&d, &h, b_, x0, &mut ws);
                 assert_eq!(got_b_sq.to_bits(), b_sq.to_bits(), "{what}");
                 let Some((want_r, want_z, want_rz)) = first else {
                     continue;
                 };
-                assert_eq!(bits(&r), bits(&want_r), "{what}");
-                ws.v64.r = r;
+                assert_eq!(bits(&ws.v.r), bits(&want_r), "{what}");
                 let dinv = m_.block_diag_inv();
                 let mut apply = if dinv.is_some() || m_.is_identity() {
                     Apply::Fused(dinv)
                 } else {
                     Apply::Bridged(|r: &[f64], z: &mut Vec<f64>| *z = m_.apply(&d, r))
                 };
-                first_direction(&d, &mut apply, &mut ws.v64, &mut ws.sums);
-                assert_eq!(bits(&ws.v64.z), bits(&want_z), "{what}");
-                assert_eq!(bits(&ws.v64.p), bits(&want_z), "{what}");
+                first_direction(&d, &mut apply, &mut ws.v, &mut ws.sums);
+                assert_eq!(bits(&ws.v.z), bits(&want_z), "{what}");
+                assert_eq!(bits(&ws.v.p), bits(&want_z), "{what}");
                 let rz = ws.sums.scalars[0];
                 assert_eq!(rz.to_bits(), want_rz.to_bits(), "{what}");
             }
@@ -1309,19 +1036,7 @@ mod tests {
                 "pcg.fused.precond_rz"
             ]
         );
-
-        // The fp64 half of a Mixed refinement pass is the first three.
-        d.reset_trace();
-        let mut r = Vec::new();
-        residual(&d, &h, &b, &x0, &mut ws, &mut r);
-        assert_eq!(d.trace().records.len(), 3);
-        d.reset_trace();
-        let h32 = shadow_of(&h);
-        let mixed = pcg_fused_mixed(&d, &h, &h32, &b, &x0, &bj, PcgOptions::default(), &mut ws);
-        assert!(mixed.converged);
         let by = d.trace().by_kernel();
-        let passes = by["pcg.fused.residual"].0.launches;
-        assert_eq!(by["spmv.hsbcsr.stage1"].0.launches, passes);
         for gone in [
             "vec.axpy",
             "vec.dot.partial",
@@ -1386,11 +1101,11 @@ mod tests {
     /// [`iterate`] expects: the oracle the three-launch map is held to, bit
     /// for bit.
     #[allow(clippy::too_many_arguments)]
-    fn five_launch_iterate<S: Scalar>(
+    fn five_launch_iterate(
         dev: &Device,
-        mut spmv_pq: impl FnMut(&[S], &mut SpmvWorkspace<S>, &mut [S]),
-        dinv: Option<&[S]>,
-        v: &mut IterVecs<S>,
+        h: &Hsbcsr,
+        dinv: Option<&[f64]>,
+        v: &mut IterVecs,
         sums: &mut Sums,
         mut r_norm_sq: f64,
         threshold_sq: f64,
@@ -1401,7 +1116,7 @@ mod tests {
         end.converged = false;
         while end.iterations < max_iters {
             end.iterations += 1;
-            spmv_pq(&v.p, &mut v.spmv, &mut v.q);
+            spmv_hsbcsr_fused_pq(dev, h, &v.p, Stage1Smem::Proposed, &mut v.spmv, &mut v.q);
             let pq_partials = &v.spmv.pq_partials;
             let pq = fused_axpy2_norm(
                 dev,
@@ -1431,14 +1146,14 @@ mod tests {
     }
 
     /// [`Apply::Fused`], whose bridge type is never used.
-    type FusedApply<'a, S> = Apply<'a, S, fn(&[S], &mut Vec<S>)>;
+    type FusedApply<'a> = Apply<'a, fn(&[f64], &mut Vec<f64>)>;
 
     /// `(x bits, iterations, converged, residual bits, error)` of a solve.
     type Outcome = (Vec<u64>, usize, bool, u64, Option<SolveError>);
 
-    fn outcome<S: Scalar>(x: &[S], end: &LoopEnd) -> Outcome {
+    fn outcome(x: &[f64], end: &LoopEnd) -> Outcome {
         (
-            x.iter().map(|v| v.widen().to_bits()).collect(),
+            bits(x),
             end.iterations,
             end.converged,
             end.r_norm_sq.max(0.0).sqrt().to_bits(),
@@ -1448,7 +1163,7 @@ mod tests {
 
     /// [`pcg_fused`] on `h` with its set-up, as [`Outcome`], once through
     /// [`iterate`] and once through [`five_launch_iterate`].
-    fn both_loops_f64(
+    fn both_loops(
         dev: &Device,
         h: &Hsbcsr,
         b: &[f64],
@@ -1466,77 +1181,23 @@ mod tests {
             res.error,
         );
 
-        let mut r = Vec::new();
-        let (b_norm_sq, r_norm_sq) = residual(dev, h, b, x0, &mut ws, &mut r);
-        let PcgWorkspace { v64: v, sums, .. } = &mut ws;
-        v.r = r;
+        let (b_norm_sq, r_norm_sq) = residual(dev, h, b, x0, &mut ws);
+        let PcgWorkspace { v, sums } = &mut ws;
         v.x = x0.to_vec();
         let threshold_sq = threshold_sq(opts, b_norm_sq);
         let end = if r_norm_sq <= threshold_sq {
             LoopEnd::at_setup(r_norm_sq, None)
         } else {
             let dinv = m.block_diag_inv();
-            let mut apply: FusedApply<'_, f64> = Apply::Fused(dinv);
+            let mut apply: FusedApply<'_> = Apply::Fused(dinv);
             first_direction(dev, &mut apply, v, sums);
-            let spmv = |p: &[f64], sws: &mut SpmvWorkspace, q: &mut [f64]| {
-                spmv_hsbcsr_fused_pq(dev, h, p, Stage1Smem::Proposed, sws, q)
-            };
             five_launch_iterate(
                 dev,
-                spmv,
+                h,
                 dinv,
                 v,
                 sums,
                 r_norm_sq,
-                threshold_sq,
-                opts.max_iters,
-            )
-        };
-        (three, outcome(&v.x, &end))
-    }
-
-    /// The fp32 correction solve of [`pcg_fused_mixed`] from the same
-    /// set-up, as [`Outcome`], through both loops.
-    fn both_loops_f32(
-        dev: &Device,
-        h: &Hsbcsr,
-        b: &[f64],
-        m: &dyn Preconditioner,
-    ) -> (Outcome, Outcome) {
-        let h32 = shadow_of(h);
-        let opts = PcgOptions {
-            tol: 1e-6,
-            max_iters: 200,
-        };
-        let b_norm_sq = dot(dev, b, b);
-        let mut ws = PcgWorkspace::new();
-        let end = correct_f32(dev, h, &h32, b, b_norm_sq, m, opts, &mut ws);
-        let three = outcome(&ws.v32.x, &end);
-
-        let PcgWorkspace { v32: v, sums, .. } = &mut ws;
-        let n = h.n * 6;
-        v.x.clear();
-        v.x.resize(n, 0.0);
-        demote(dev, b, &mut v.r);
-        let threshold_sq = threshold_sq(opts, b_norm_sq);
-        let end = if b_norm_sq <= threshold_sq {
-            LoopEnd::at_setup(b_norm_sq, None)
-        } else {
-            let dinv = m.block_diag_inv_f32();
-            let mut apply: FusedApply<'_, f32> = Apply::Fused(dinv);
-            first_direction(dev, &mut apply, v, sums);
-            v.q.clear();
-            v.q.resize(n, 0.0);
-            let spmv = |p: &[f32], sws: &mut SpmvWorkspace<f32>, q: &mut [f32]| {
-                spmv_hsbcsr_f32(dev, h, &h32, p, Stage1Smem::Proposed, sws, q, true)
-            };
-            five_launch_iterate(
-                dev,
-                spmv,
-                dinv,
-                v,
-                sums,
-                b_norm_sq,
                 threshold_sq,
                 opts.max_iters,
             )
@@ -1565,15 +1226,12 @@ mod tests {
             let preconds: [(&str, &dyn Preconditioner); 2] = [("BJ", &bj), ("identity", &Identity)];
             for (pname, m_) in preconds {
                 for (cname, x0) in [("cold", &zero), ("warm", &warm), ("converged", &exact.x)] {
-                    let (three, five) = both_loops_f64(&d, &h, &b, x0, m_);
-                    let what = format!("f64, {n} blocks, {pname}, {cname}");
+                    let (three, five) = both_loops(&d, &h, &b, x0, m_);
+                    let what = format!("{n} blocks, {pname}, {cname}");
                     assert_eq!(three, five, "{what}");
                     // Only the converged start stops in the set-up.
                     assert_eq!(three.1 == 0, cname == "converged", "{what}");
                 }
-                let (three, five) = both_loops_f32(&d, &h, &b, m_);
-                assert_eq!(three, five, "f32, {n} blocks, {pname}");
-                assert!(three.1 > 0);
             }
         }
 
@@ -1589,10 +1247,7 @@ mod tests {
         let zero = vec![0.0; indef.dim()];
         let broke_late = |o: &Outcome| matches!(o.4, Some(SolveError::IndefiniteOperator { iteration, .. }) if iteration > 1);
         for m_ in [&bj as &dyn Preconditioner, &Identity] {
-            let (three, five) = both_loops_f64(&d, &h, &b, &zero, m_);
-            assert_eq!(three, five);
-            assert!(broke_late(&three), "{:?}", three.4);
-            let (three, five) = both_loops_f32(&d, &h, &b, m_);
+            let (three, five) = both_loops(&d, &h, &b, &zero, m_);
             assert_eq!(three, five);
             assert!(broke_late(&three), "{:?}", three.4);
         }
@@ -1755,12 +1410,10 @@ mod tests {
             {
                 entries.push(PcgBatchEntry {
                     h,
-                    h32: None,
                     b,
                     x0,
                     m: &**m_,
                     opts,
-                    precision: SolverPrecision::Full,
                     ws,
                 });
             }
@@ -1800,12 +1453,10 @@ mod tests {
         let mut ws = PcgWorkspace::new();
         let mut entries = [PcgBatchEntry {
             h: &h,
-            h32: None,
             b: &b,
             x0: &x0,
             m: &bj,
             opts: PcgOptions::default(),
-            precision: SolverPrecision::Full,
             ws: &mut ws,
         }];
         let (results, summary) = pcg_fused_batch(&d, &mut entries);
@@ -1815,206 +1466,6 @@ mod tests {
         assert_eq!(summary.launches_in, summary.launches_out);
         let total: f64 = summary.per_segment_seconds.iter().sum();
         assert!((total - summary.seconds).abs() <= 1e-12 * summary.seconds.max(1.0));
-    }
-
-    fn shadow_of(h: &Hsbcsr) -> Hsbcsr32 {
-        let mut s = Hsbcsr32::new();
-        s.refill_from(h);
-        s
-    }
-
-    #[test]
-    fn mixed_converges_within_tolerance_of_full() {
-        // The outer refinement tests the same ‖r‖ ≤ tol·‖b‖ criterion as
-        // the pure path, so a converged mixed solve satisfies the fp64
-        // tolerance on the *true* residual.
-        let (m, b) = problem(50, 61);
-        let h = Hsbcsr::from_sym(&m);
-        let h32 = shadow_of(&h);
-        let d = dev();
-        let bj = BlockJacobi::new(&d, &h);
-        let x0 = vec![0.0; m.dim()];
-        let opts = PcgOptions::default();
-        let mut ws = PcgWorkspace::new();
-
-        let full = pcg_fused(&d, &h, &b, &x0, &bj, opts, &mut ws);
-        let mixed = pcg_fused_mixed(&d, &h, &h32, &b, &x0, &bj, opts, &mut ws);
-        assert!(full.converged && mixed.converged);
-
-        // True fp64 residual of the mixed solution meets the tolerance.
-        let ax = m.mul_vec(&mixed.x);
-        let rnorm: f64 = ax
-            .iter()
-            .zip(&b)
-            .map(|(a, bv)| (a - bv) * (a - bv))
-            .sum::<f64>()
-            .sqrt();
-        let bn: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-        assert!(
-            rnorm <= opts.tol * bn * 10.0,
-            "mixed residual {rnorm} vs tol {}",
-            opts.tol * bn
-        );
-
-        // And the two solutions agree to the outer tolerance.
-        let scale = full.x.iter().fold(1.0f64, |a, v| a.max(v.abs()));
-        for i in 0..m.dim() {
-            assert!(
-                (mixed.x[i] - full.x[i]).abs() <= opts.tol.sqrt() * scale,
-                "i={i}: mixed {} vs full {}",
-                mixed.x[i],
-                full.x[i]
-            );
-        }
-    }
-
-    #[test]
-    fn mixed_inner_iterations_stream_f32_kernels() {
-        let (m, b) = problem(40, 62);
-        let h = Hsbcsr::from_sym(&m);
-        let h32 = shadow_of(&h);
-        let d = dev();
-        let bj = BlockJacobi::new(&d, &h);
-        let x0 = vec![0.0; m.dim()];
-        let mut ws = PcgWorkspace::new();
-        d.reset_trace();
-        let res = pcg_fused_mixed(&d, &h, &h32, &b, &x0, &bj, PcgOptions::default(), &mut ws);
-        assert!(res.converged);
-        let by = d.trace().by_kernel();
-        assert!(
-            by.contains_key("spmv.hsbcsr.stage1.f32"),
-            "inner iterations must stream the fp32 matrix values"
-        );
-        assert!(
-            by.contains_key("spmv.hsbcsr.stage1"),
-            "outer refinement must stream fp64 values"
-        );
-        // The fp32 iterations dominate: more inner SpMVs than outer ones
-        // (the first inner iteration of a pass multiplies p₀ = z₀, every
-        // later one folds p ← z + βp into the SpMV).
-        let inner =
-            by["spmv.hsbcsr.stage1.f32"].0.launches + by["spmv.hsbcsr.stage1_xpby.f32"].0.launches;
-        let outer = by["spmv.hsbcsr.stage1"].0.launches;
-        assert!(
-            inner > outer,
-            "inner {inner} vs outer {outer} SpMV launches"
-        );
-    }
-
-    #[test]
-    fn mixed_nan_rhs_rejected_identically_to_full() {
-        let (m, mut b) = problem(8, 63);
-        b[2] = f64::NAN;
-        let h = Hsbcsr::from_sym(&m);
-        let h32 = shadow_of(&h);
-        let d = dev();
-        let x0 = vec![0.0; m.dim()];
-        let mut ws = PcgWorkspace::new();
-        let mixed = pcg_fused_mixed(
-            &d,
-            &h,
-            &h32,
-            &b,
-            &x0,
-            &Identity,
-            PcgOptions::default(),
-            &mut ws,
-        );
-        let full = pcg_fused(&d, &h, &b, &x0, &Identity, PcgOptions::default(), &mut ws);
-        assert_eq!(mixed.error, Some(SolveError::NonFinite { iteration: 0 }));
-        assert_eq!(mixed.x, full.x);
-        assert_eq!(mixed.iterations, full.iterations);
-    }
-
-    #[test]
-    fn mixed_breakdown_falls_back_to_bitwise_full_result() {
-        // An indefinite operator breaks the fp32 inner solve; the driver
-        // must then produce the pure-fp64 result bit-for-bit, including
-        // the structured error — quarantine parity by construction.
-        let m = SymBlockMatrix::random_spd(12, 2.0, 64);
-        let mut indef = m.clone();
-        indef.diag[5] = indef.diag[5].scale(-25.0);
-        let h = Hsbcsr::from_sym(&indef);
-        let h32 = shadow_of(&h);
-        let d = dev();
-        let b: Vec<f64> = (0..indef.dim()).map(|i| (i as f64 * 0.4).sin()).collect();
-        let x0 = vec![0.0; indef.dim()];
-        let mut ws = PcgWorkspace::new();
-
-        let full = pcg_fused(&d, &h, &b, &x0, &Identity, PcgOptions::default(), &mut ws);
-        let mixed = pcg_fused_mixed(
-            &d,
-            &h,
-            &h32,
-            &b,
-            &x0,
-            &Identity,
-            PcgOptions::default(),
-            &mut ws,
-        );
-        assert!(full.broke_down() && mixed.broke_down());
-        assert_eq!(mixed.x, full.x, "fallback must be bit-identical to Full");
-        assert_eq!(mixed.error, full.error);
-        assert_eq!(mixed.iterations, full.iterations);
-        assert_eq!(mixed.residual, full.residual);
-    }
-
-    #[test]
-    fn mixed_batched_is_bit_identical_to_mixed_solo() {
-        let sizes = [(18usize, 71u64), (30, 72), (24, 73)];
-        let problems: Vec<(SymBlockMatrix, Vec<f64>)> =
-            sizes.iter().map(|&(n, s)| problem(n, s)).collect();
-        let hs: Vec<Hsbcsr> = problems.iter().map(|(m, _)| Hsbcsr::from_sym(m)).collect();
-        let shadows: Vec<Hsbcsr32> = hs.iter().map(shadow_of).collect();
-        let opts = PcgOptions::default();
-
-        let d_solo = dev();
-        let mut solo = Vec::new();
-        for ((m, b), (h, h32)) in problems.iter().zip(hs.iter().zip(&shadows)) {
-            let bj = BlockJacobi::new(&d_solo, h);
-            let mut ws = PcgWorkspace::new();
-            solo.push(pcg_fused_mixed(
-                &d_solo,
-                h,
-                h32,
-                b,
-                &vec![0.0; m.dim()],
-                &bj,
-                opts,
-                &mut ws,
-            ));
-        }
-
-        let d = dev();
-        let bjs: Vec<BlockJacobi> = hs.iter().map(|h| BlockJacobi::new(&d, h)).collect();
-        let x0s: Vec<Vec<f64>> = problems.iter().map(|(m, _)| vec![0.0; m.dim()]).collect();
-        let mut wss: Vec<PcgWorkspace> = (0..3).map(|_| PcgWorkspace::new()).collect();
-        let mut entries: Vec<PcgBatchEntry> = Vec::new();
-        for ((((h, h32), (_, b)), (bj, x0)), ws) in hs
-            .iter()
-            .zip(&shadows)
-            .zip(&problems)
-            .zip(bjs.iter().zip(&x0s))
-            .zip(&mut wss)
-        {
-            entries.push(PcgBatchEntry {
-                h,
-                h32: Some(h32),
-                b,
-                x0,
-                m: bj,
-                opts,
-                precision: SolverPrecision::Mixed,
-                ws,
-            });
-        }
-        let (batched, summary) = pcg_fused_batch(&d, &mut entries);
-        for (s, f) in solo.iter().zip(&batched) {
-            assert_eq!(s.x, f.x, "mixed batched iterate must be bit-identical");
-            assert_eq!(s.iterations, f.iterations);
-            assert_eq!(s.residual, f.residual);
-        }
-        assert!(summary.launches_out < summary.launches_in);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use super::{PrecondError, Preconditioner};
 use dda_simt::Device;
-use dda_sparse::{Block6, Hsbcsr, Scalar, Scratch};
+use dda_sparse::{Block6, Hsbcsr, Scratch};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// DDA blocks per thread block of the construction kernel (one thread each):
@@ -18,6 +18,11 @@ const TILE: usize = 128;
 
 /// Shared-memory row stride of one staged inverse, in 8-byte words.
 const SMEM_ROW: usize = 37;
+
+thread_local! {
+    /// Per-host-thread staging of the fp32 copy's stores.
+    static NARROW: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
 
 /// The row-major 6×6 block held in `row`.
 fn block_of(row: &[f64]) -> Block6 {
@@ -33,9 +38,7 @@ pub struct BlockJacobi {
     n: usize,
     /// Flat row-major inverses, 36 values per block row.
     dinv: Vec<f64>,
-    /// fp32 shadow of `dinv`, written by the same construction launch, so
-    /// the mixed solver's inner loop streams the inverses at half the
-    /// bytes without a separate demotion pass.
+    /// fp32 copy of `dinv`, written by the same construction launch.
     dinv32: Vec<f32>,
 }
 
@@ -101,7 +104,7 @@ impl BlockJacobi {
             let pad = m.pad_d;
             let flag = &singular;
             dev.launch_blocks("precond.bj.construct", n.div_ceil(TILE), TILE, |blk| {
-                f64::with_scratch(|scratch| {
+                Scratch::with(|scratch| {
                     let Scratch {
                         tiles: [slice, staged, ..],
                         words: [smem, ..],
@@ -147,8 +150,8 @@ impl BlockJacobi {
                         blk.smem_access(smem);
                     }
                     blk.sync();
-                    f32::with_scratch(|scratch32| {
-                        let narrow = &mut scratch32.tiles[0];
+                    NARROW.with(|narrow| {
+                        let narrow = &mut *narrow.borrow_mut();
                         for (pass, vals) in staged.chunks(TILE).enumerate() {
                             let flat = pass * TILE;
                             smem.clear();
@@ -232,10 +235,6 @@ impl Preconditioner for BlockJacobi {
     fn block_diag_inv(&self) -> Option<&[f64]> {
         Some(&self.dinv)
     }
-
-    fn block_diag_inv_f32(&self) -> Option<&[f32]> {
-        Some(&self.dinv32)
-    }
 }
 
 #[cfg(test)]
@@ -287,7 +286,7 @@ mod tests {
     fn assert_matches_host_inverse(bj: &BlockJacobi, m: &SymBlockMatrix) {
         let n = m.diag.len();
         assert_eq!(bj.n_blocks(), n);
-        let dinv32 = bj.block_diag_inv_f32().unwrap();
+        let dinv32 = &bj.dinv32;
         assert_eq!((bj.dinv().len(), dinv32.len()), (36 * n, 36 * n));
         for (i, d) in m.diag.iter().enumerate() {
             let want = d.inverse().expect("SPD diagonal block");

@@ -152,13 +152,6 @@ pub trait Preconditioner {
     fn block_diag_inv(&self) -> Option<&[f64]> {
         None
     }
-    /// fp32 shadow of [`Preconditioner::block_diag_inv`], maintained by
-    /// block-diagonal preconditioners so the mixed solver's fp32 inner
-    /// loop streams the inverses at half the bytes. `None` (the default)
-    /// makes the inner loop bridge through the fp64 apply instead.
-    fn block_diag_inv_f32(&self) -> Option<&[f32]> {
-        None
-    }
     /// True when apply is the identity (`z = r`), which the fused PCG also
     /// folds into its reduction kernel.
     fn is_identity(&self) -> bool {

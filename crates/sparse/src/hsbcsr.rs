@@ -22,7 +22,6 @@
 //! upper and the lower vector chunk and reduces per row.
 
 use crate::block6::Block6;
-use crate::scalar::Scalar;
 use crate::sym::SymBlockMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -54,51 +53,6 @@ pub struct Hsbcsr {
     /// For the `k`-th lower entry, the position of its transposed source in
     /// the upper listing.
     pub row_low_p: Vec<u32>,
-}
-
-/// Single-precision shadow of an [`Hsbcsr`]'s value arrays.
-///
-/// The mixed-precision solver streams matrix values as fp32 (half the
-/// bytes of the dominant SpMV traffic) while every accumulation stays
-/// fp64. Only the two value arrays are shadowed — the symbolic structure
-/// (`rc`, `row-up-i`, `row-low-i`, `row-low-p`, padding) is shared with
-/// the parent format, so the shadow costs no extra index storage and is
-/// refilled in the *same sweep* as the fp64 values
-/// ([`Hsbcsr::refill_values_with_shadow`]).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Hsbcsr32 {
-    /// Diagonal data, sliced layout, length `36 * pad_d`.
-    pub d_data: Vec<f32>,
-    /// Upper-triangle data, sliced layout, length `36 * pad_nd`.
-    pub nd_data_up: Vec<f32>,
-}
-
-impl Hsbcsr32 {
-    /// An empty shadow; arrays grow on first refill and are reused after.
-    pub fn new() -> Hsbcsr32 {
-        Hsbcsr32::default()
-    }
-
-    /// Rebuilds the shadow by demoting `h`'s value arrays (used after a
-    /// full symbolic rebuild; the steady-state path is the fused sweep in
-    /// [`Hsbcsr::refill_values_with_shadow`]). Reuses capacity once warm.
-    pub fn refill_from(&mut self, h: &Hsbcsr) {
-        self.d_data.clear();
-        self.d_data.extend(h.d_data.iter().map(|&v| v as f32));
-        self.nd_data_up.clear();
-        self.nd_data_up
-            .extend(h.nd_data_up.iter().map(|&v| v as f32));
-    }
-
-    /// True when the shadow's array lengths match `h`'s layout.
-    pub fn matches(&self, h: &Hsbcsr) -> bool {
-        self.d_data.len() == h.d_data.len() && self.nd_data_up.len() == h.nd_data_up.len()
-    }
-
-    /// Bytes of shadowed sub-matrix data (half of [`Hsbcsr::data_bytes`]).
-    pub fn data_bytes(&self) -> usize {
-        (self.d_data.len() + self.nd_data_up.len()) * 4
-    }
 }
 
 impl Hsbcsr {
@@ -305,20 +259,6 @@ impl Hsbcsr {
     /// only instead of re-deriving `rc` / `row-up-i` / `row-low-i` /
     /// `row-low-p` every solve.
     pub fn refill_values(&mut self, m: &SymBlockMatrix) -> bool {
-        self.refill_impl(m, None)
-    }
-
-    /// [`Hsbcsr::refill_values`] that additionally refreshes the fp32
-    /// `shadow` *in the same sweep*: each 6×6 block is read once and
-    /// written to both precisions, so keeping the shadow warm adds zero
-    /// extra passes over the matrix (and, once the shadow's capacity is
-    /// grown, zero allocations). Same pattern-match contract: on `false`
-    /// neither `self` nor `shadow` is modified.
-    pub fn refill_values_with_shadow(&mut self, m: &SymBlockMatrix, shadow: &mut Hsbcsr32) -> bool {
-        self.refill_impl(m, Some(shadow))
-    }
-
-    fn refill_impl(&mut self, m: &SymBlockMatrix, mut shadow: Option<&mut Hsbcsr32>) -> bool {
         if m.n_blocks() != self.n || m.n_upper() != self.n_nd {
             return false;
         }
@@ -328,22 +268,11 @@ impl Hsbcsr {
                 return false;
             }
         }
-        if let Some(sh) = shadow.as_deref_mut() {
-            sh.d_data.resize(self.d_data.len(), 0.0);
-            sh.nd_data_up.resize(self.nd_data_up.len(), 0.0);
-        }
-        // One sweep: each block is written to every precision while hot.
         for (i, b) in m.diag.iter().enumerate() {
             write_sliced(&mut self.d_data, self.pad_d, i, b);
-            if let Some(sh) = shadow.as_deref_mut() {
-                write_sliced(&mut sh.d_data, self.pad_d, i, b);
-            }
         }
         for (k, (_, _, b)) in m.upper.iter().enumerate() {
             write_sliced(&mut self.nd_data_up, self.pad_nd, k, b);
-            if let Some(sh) = shadow.as_deref_mut() {
-                write_sliced(&mut sh.nd_data_up, self.pad_nd, k, b);
-            }
         }
         true
     }
@@ -353,10 +282,10 @@ fn pad(n: usize) -> usize {
     n.div_ceil(SLICE_ALIGN) * SLICE_ALIGN
 }
 
-fn write_sliced<S: Scalar>(data: &mut [S], pad: usize, slot: usize, b: &Block6) {
+fn write_sliced(data: &mut [f64], pad: usize, slot: usize, b: &Block6) {
     for r in 0..6 {
         for c in 0..6 {
-            data[Hsbcsr::sliced_index(pad, slot, r, c)] = S::narrow(b.0[r][c]);
+            data[Hsbcsr::sliced_index(pad, slot, r, c)] = b.0[r][c];
         }
     }
 }
@@ -510,42 +439,6 @@ mod tests {
             assert!(!h.refill_values(&m3));
         }
         assert_eq!(h, before, "failed refill must leave the format untouched");
-    }
-
-    #[test]
-    fn shadow_refill_matches_full_demotion() {
-        let m1 = sym(25, 51);
-        let mut m2 = m1.clone();
-        for b in &mut m2.diag {
-            *b = b.scale(1.0 + 1.0 / 3.0);
-        }
-        let mut h = Hsbcsr::from_sym(&m1);
-        let mut sh = Hsbcsr32::new();
-        assert!(h.refill_values_with_shadow(&m2, &mut sh));
-        // The fused sweep must equal a from-scratch demotion of the fp64
-        // arrays it wrote.
-        let mut fresh = Hsbcsr32::new();
-        fresh.refill_from(&h);
-        assert_eq!(sh, fresh, "fused shadow refill must equal full demotion");
-        assert!(sh.matches(&h));
-        assert_eq!(sh.data_bytes() * 2, h.data_bytes());
-        // And the fp64 side is untouched by the fusion.
-        let mut h_plain = Hsbcsr::from_sym(&m1);
-        assert!(h_plain.refill_values(&m2));
-        assert_eq!(h, h_plain);
-    }
-
-    #[test]
-    fn shadow_refill_rejects_pattern_change_without_partial_writes() {
-        let m1 = sym(20, 7);
-        let mut h = Hsbcsr::from_sym(&m1);
-        let mut sh = Hsbcsr32::new();
-        assert!(h.refill_values_with_shadow(&m1, &mut sh));
-        let h_before = h.clone();
-        let sh_before = sh.clone();
-        assert!(!h.refill_values_with_shadow(&sym(21, 7), &mut sh));
-        assert_eq!(h, h_before);
-        assert_eq!(sh, sh_before, "failed refill must leave the shadow intact");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   row** format (Figs 6–7): sub-matrices sliced by local row, slices
 //!   padded to 32-multiples for coalescing, with the `rc`, `row-up-i`,
 //!   `row-low-i`, `row-low-p` index arrays;
-//! * [`scalar::Scalar`] — the one storage-type parameter (`f64` / `f32`) of
-//!   the solver's device kernels: fp64 accumulation, one rounding per store;
+//! * [`scratch::Scratch`] — the per-host-thread staging buffers of the
+//!   solver's device kernels;
 //! * [`spmv`] — SpMV kernels on the SIMT simulator: the cuSPARSE-like CSR
 //!   scalar/vector baselines, full-matrix BCSR, and the paper's two-stage
 //!   HSBCSR SpMV (Figs 8–9), plus instrumented serial references.
@@ -32,7 +32,7 @@ pub mod block6;
 pub mod csr;
 pub mod ell;
 pub mod hsbcsr;
-pub mod scalar;
+pub mod scratch;
 pub mod spmv;
 pub mod sym;
 
@@ -40,6 +40,6 @@ pub use bcsr::BlockCsr;
 pub use block6::{Block6, Vec6, BLOCK_DOF};
 pub use csr::Csr;
 pub use ell::Ell;
-pub use hsbcsr::{Hsbcsr, Hsbcsr32};
-pub use scalar::{Scalar, Scratch};
+pub use hsbcsr::Hsbcsr;
+pub use scratch::Scratch;
 pub use sym::SymBlockMatrix;

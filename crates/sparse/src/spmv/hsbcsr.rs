@@ -23,8 +23,8 @@
 //! (stage 1 per vector chunk, stage 2 per row); stage 2 stores the new `p`
 //! of its own rows, which no other block of that launch reads.
 
-use crate::hsbcsr::{Hsbcsr, Hsbcsr32};
-use crate::scalar::{Scalar, Scratch};
+use crate::hsbcsr::Hsbcsr;
+use crate::scratch::Scratch;
 use dda_simt::{Device, Lane};
 
 /// Shared-memory access pattern for the stage-1 sub-matrix reduction.
@@ -42,22 +42,22 @@ pub enum Stage1Smem {
 const ROWS_PER_BLOCK: usize = 32;
 
 /// Reusable buffers for [`spmv_hsbcsr_into`]: the `up-res` / `low-res`
-/// intermediate vectors (stored as `S`, like the vectors they stage) and
-/// the per-row-block `p·q` partials of the fused variant. Holding one
+/// intermediate vectors and the per-row-block `p·q` partials of the fused
+/// variant. Holding one
 /// workspace across calls makes the steady-state SpMV path allocation-free
 /// (per-block gather scratch is per-host-thread and equally reused).
 #[derive(Debug, Default)]
-pub struct SpmvWorkspace<S: Scalar = f64> {
-    up_res: Vec<S>,
-    low_res: Vec<S>,
+pub struct SpmvWorkspace {
+    up_res: Vec<f64>,
+    low_res: Vec<f64>,
     /// One partial sum of `x·y` per stage-2 row block, filled by
-    /// [`spmv_hsbcsr_fused_pq`]. Always fp64.
+    /// [`spmv_hsbcsr_fused_pq`].
     pub pq_partials: Vec<f64>,
 }
 
-impl<S: Scalar> SpmvWorkspace<S> {
+impl SpmvWorkspace {
     /// An empty workspace; buffers grow on first use and are reused after.
-    pub fn new() -> SpmvWorkspace<S> {
+    pub fn new() -> SpmvWorkspace {
         SpmvWorkspace::default()
     }
 }
@@ -83,18 +83,7 @@ pub fn spmv_hsbcsr_into(
     ws: &mut SpmvWorkspace,
     y: &mut [f64],
 ) {
-    let input = Input::Stored(x);
-    spmv_hsbcsr_stage12(
-        dev,
-        h,
-        &h.d_data,
-        &h.nd_data_up,
-        input,
-        scheme,
-        ws,
-        y,
-        false,
-    );
+    spmv_hsbcsr_stage12(dev, h, Input::Stored(x), scheme, ws, y, false);
 }
 
 /// Fused SpMV + dot: computes `y = A x` and, in the same stage-2 launch,
@@ -112,17 +101,16 @@ pub fn spmv_hsbcsr_fused_pq(
     ws: &mut SpmvWorkspace,
     y: &mut [f64],
 ) {
-    let input = Input::Stored(x);
-    spmv_hsbcsr_stage12(dev, h, &h.d_data, &h.nd_data_up, input, scheme, ws, y, true);
+    spmv_hsbcsr_stage12(dev, h, Input::Stored(x), scheme, ws, y, true);
 }
 
 /// The direction update `p ← z + β·p` folded into the SpMV that multiplies
 /// `p`: `beta` is the device scalar a previous launch stored (element 0 is
 /// read), `z` the preconditioned residual.
 #[derive(Debug, Clone, Copy)]
-pub struct Fold<'a, S> {
+pub struct Fold<'a> {
     /// The preconditioned residual.
-    pub z: &'a [S],
+    pub z: &'a [f64],
     /// Device scalar holding `β` at index 0.
     pub beta: &'a [f64],
 }
@@ -135,83 +123,36 @@ pub struct Fold<'a, S> {
 pub fn spmv_hsbcsr_folded_pq(
     dev: &Device,
     h: &Hsbcsr,
-    fold: Fold<'_, f64>,
+    fold: Fold<'_>,
     p: &mut [f64],
     scheme: Stage1Smem,
     ws: &mut SpmvWorkspace,
     y: &mut [f64],
 ) {
-    let input = Input::Folded(fold, p);
-    spmv_hsbcsr_stage12(dev, h, &h.d_data, &h.nd_data_up, input, scheme, ws, y, true);
-}
-
-/// Fully-fp32 `y = A x` for the mixed solver's inner loop: matrix values
-/// (the shadow `vals` of `h`) *and* vectors (input, output, and the stage-1
-/// staging arrays) stream at fp32, so every non-index byte of the SpMV's
-/// global traffic is halved. All products and reductions still accumulate
-/// in fp64; each store rounds once. With `fuse_pq` the stage-2 launch also
-/// writes the fp64 per-row-block `x·y` partials into `ws.pq_partials`, as
-/// [`spmv_hsbcsr_fused_pq`] does.
-#[deny(clippy::float_cmp)]
-#[allow(clippy::too_many_arguments)]
-pub fn spmv_hsbcsr_f32(
-    dev: &Device,
-    h: &Hsbcsr,
-    vals: &Hsbcsr32,
-    x: &[f32],
-    scheme: Stage1Smem,
-    ws: &mut SpmvWorkspace<f32>,
-    y: &mut [f32],
-    fuse_pq: bool,
-) {
-    assert!(vals.matches(h), "fp32 shadow out of sync with the format");
-    let (d, nd) = (&vals.d_data, &vals.nd_data_up);
-    spmv_hsbcsr_stage12(dev, h, d, nd, Input::Stored(x), scheme, ws, y, fuse_pq);
-}
-
-/// [`spmv_hsbcsr_folded_pq`] on the fp32 shadow, as [`spmv_hsbcsr_f32`]
-/// with `fuse_pq`.
-#[allow(clippy::too_many_arguments)]
-pub fn spmv_hsbcsr_f32_folded_pq(
-    dev: &Device,
-    h: &Hsbcsr,
-    vals: &Hsbcsr32,
-    fold: Fold<'_, f32>,
-    p: &mut [f32],
-    scheme: Stage1Smem,
-    ws: &mut SpmvWorkspace<f32>,
-    y: &mut [f32],
-) {
-    assert!(vals.matches(h), "fp32 shadow out of sync with the format");
-    let (d, nd) = (&vals.d_data, &vals.nd_data_up);
-    let input = Input::Folded(fold, p);
-    spmv_hsbcsr_stage12(dev, h, d, nd, input, scheme, ws, y, true);
+    spmv_hsbcsr_stage12(dev, h, Input::Folded(fold, p), scheme, ws, y, true);
 }
 
 /// The vector an SpMV multiplies.
-enum Input<'a, S> {
+enum Input<'a> {
     /// `x` as stored.
-    Stored(&'a [S]),
+    Stored(&'a [f64]),
     /// `z + β·p`, formed on load; stage 2 stores it over `p`.
-    Folded(Fold<'a, S>, &'a mut [S]),
+    Folded(Fold<'a>, &'a mut [f64]),
 }
 
-/// `z + β·p`, rounded once as the stored direction element is.
+/// `z + β·p`, rounded as the stored direction element is.
 #[inline]
-fn xpby<S: Scalar>(z: S, beta: f64, p: S) -> S {
-    S::narrow(z.widen() + beta * p.widen())
+fn xpby(z: f64, beta: f64, p: f64) -> f64 {
+    z + beta * p
 }
 
-#[allow(clippy::too_many_arguments)]
-fn spmv_hsbcsr_stage12<S: Scalar>(
+fn spmv_hsbcsr_stage12(
     dev: &Device,
     h: &Hsbcsr,
-    d_data: &[S],
-    nd_data: &[S],
-    mut input: Input<'_, S>,
+    mut input: Input<'_>,
     scheme: Stage1Smem,
-    ws: &mut SpmvWorkspace<S>,
-    y: &mut [S],
+    ws: &mut SpmvWorkspace,
+    y: &mut [f64],
     fuse_pq: bool,
 ) {
     let (x, fold) = match &input {
@@ -234,13 +175,13 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
     } = ws;
     // Stage 1 overwrites every element, so only the lengths matter;
     // `resize` reuses capacity once warmed.
-    up_res.resize(h.n_nd * 6, S::default());
-    low_res.resize(h.n_nd * 6, S::default());
+    up_res.resize(h.n_nd * 6, 0.0);
+    low_res.resize(h.n_nd * 6, 0.0);
     let b_fold = fold.map(|f| (dev.bind_ro(f.z), dev.bind_ro(f.beta)));
 
     // ---- Stage 1: per-sub-matrix products ---------------------------------
     if h.n_nd > 0 {
-        let b_nd = dev.bind_ro(nd_data);
+        let b_nd = dev.bind_ro(&h.nd_data_up);
         let b_rc = dev.bind_ro(&h.rc);
         let b_x = dev.bind_ro(x);
         let b_up = dev.bind(up_res.as_mut_slice());
@@ -248,9 +189,9 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
         let pad = h.pad_nd;
         let nnd = h.n_nd;
         let name = if fold.is_some() {
-            S::SPMV_STAGE1_XPBY
+            "spmv.hsbcsr.stage1_xpby"
         } else {
-            S::SPMV_STAGE1
+            "spmv.hsbcsr.stage1"
         };
         dev.launch(name, h.n_nd, |lane| {
             let k = lane.gid;
@@ -271,9 +212,9 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
                     Some((b_z, beta)) => {
                         let zv = lane.ld_tex(b_z, i);
                         lane.flop(2);
-                        xpby(zv, beta, v).widen()
+                        xpby(zv, beta, v)
                     }
-                    None => v.widen(),
+                    None => v,
                 }
             };
             let mut xr = [0.0f64; 6];
@@ -286,7 +227,7 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
             // consecutive addresses → coalesced.
             for r in 0..6 {
                 for c in 0..6 {
-                    let a = lane.ld(&b_nd, Hsbcsr::sliced_index(pad, k, r, c)).widen();
+                    let a = lane.ld(&b_nd, Hsbcsr::sliced_index(pad, k, r, c));
                     lane.flop(4);
                     up[r] += a * xc[c];
                     low[c] += a * xr[r];
@@ -307,8 +248,8 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
             // the warp's stores are consecutive — the coalesced pattern the
             // paper achieves by staging in shared memory (Fig 8).
             for r in 0..6 {
-                lane.st(&b_up, r * nnd + k, S::narrow(up[r]));
-                lane.st(&b_low, r * nnd + k, S::narrow(low[r]));
+                lane.st(&b_up, r * nnd + k, up[r]);
+                lane.st(&b_low, r * nnd + k, low[r]);
             }
         });
     }
@@ -321,9 +262,9 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
         pq_partials.clear();
     }
     let stage2_name: &'static str = match (fuse_pq, fold.is_some()) {
-        (false, _) => S::SPMV_STAGE2,
-        (true, false) => S::SPMV_STAGE2_PQ,
-        (true, true) => S::SPMV_STAGE2_PQ_XPBY,
+        (false, _) => "spmv.hsbcsr.stage2",
+        (true, false) => "spmv.hsbcsr.stage2_pq",
+        (true, true) => "spmv.hsbcsr.stage2_pq_xpby",
     };
     {
         let b_up = dev.bind_ro(up_res.as_slice());
@@ -331,7 +272,7 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
         let b_rui = dev.bind_ro(&h.row_up_i);
         let b_rli = dev.bind_ro(&h.row_low_i);
         let b_rlp = dev.bind_ro(&h.row_low_p);
-        let b_d = dev.bind_ro(d_data);
+        let b_d = dev.bind_ro(&h.d_data);
         // Folded, this block's rows of `p` are read and then overwritten.
         let b_x = match &mut input {
             Input::Stored(x) => dev.bind_ro(x),
@@ -342,7 +283,7 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
         let pad_d = h.pad_d;
         let n_nd = h.n_nd.max(1);
         dev.launch_blocks(stage2_name, n_blocks, 256, |blk| {
-            S::with_scratch(|scratch| {
+            Scratch::with(|scratch| {
                 // The six-slice buffers serve the upper loads, then the
                 // lower gathers, then the x chunk: each is reduced into
                 // `acc` before the next overwrites it.
@@ -394,7 +335,7 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
                         let hi = end as usize;
                         for k in lo..hi {
                             for r in 0..6 {
-                                acc[w][r] += six[r][k - up_lo].widen();
+                                acc[w][r] += six[r][k - up_lo];
                             }
                         }
                         lo = hi;
@@ -418,7 +359,7 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
                         let hi = end as usize;
                         for l in lo..hi {
                             for r in 0..6 {
-                                acc[w][r] += six[r][l - low_lo].widen();
+                                acc[w][r] += six[r][l - low_lo];
                             }
                         }
                         lo = hi;
@@ -459,7 +400,7 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
                         );
                         blk.flop_masked(rows, 2);
                         for w in 0..rows {
-                            acc[w][r] += dvals[w].widen() * six[c][w].widen();
+                            acc[w][r] += dvals[w] * six[c][w];
                         }
                     }
                 }
@@ -472,7 +413,7 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
                     let mut partial = 0.0f64;
                     for w in 0..rows {
                         for r in 0..6 {
-                            partial += acc[w][r] * six[r][w].widen();
+                            partial += acc[w][r] * six[r][w];
                         }
                     }
                     blk.flop_masked(rows, 12);
@@ -482,7 +423,7 @@ fn spmv_hsbcsr_stage12<S: Scalar>(
 
                 // Coalesced result store.
                 flat.clear();
-                flat.extend(acc.iter().flat_map(|a| a.iter().map(|&v| S::narrow(v))));
+                flat.extend(acc.iter().flatten());
                 blk.gst_range(&b_y, i0 * 6, flat);
             });
         });
@@ -642,13 +583,11 @@ mod tests {
     fn folded_direction_update_is_bitwise_xpby_then_spmv() {
         // p ← z + βp folded into both stages against the stored update
         // followed by the plain p·q-fused SpMV: same p, y and partials, bit
-        // for bit, for both storage types — with off-diagonal blocks and
-        // without (stage 1 skipped, stage 2 alone forms p).
+        // for bit — with off-diagonal blocks and without (stage 1 skipped,
+        // stage 2 alone forms p).
         for (n, density) in [(70usize, 4.0), (33, 0.0)] {
             let m = SymBlockMatrix::random_spd(n, density, 9);
             let h = Hsbcsr::from_sym(&m);
-            let mut sh = Hsbcsr32::new();
-            sh.refill_from(&h);
             let z: Vec<f64> = (0..m.dim()).map(|i| (i as f64 * 0.31).sin()).collect();
             let p_old: Vec<f64> = (0..m.dim()).map(|i| (i as f64 * 0.17).cos()).collect();
             let beta = [0.37];
@@ -665,119 +604,11 @@ mod tests {
             spmv_hsbcsr_folded_pq(&d, &h, fold, &mut p, scheme, &mut ws, &mut y);
             assert_eq!((&p, &y, &ws.pq_partials), (&p_ref, &y_ref, &pq_ref));
 
-            let z32: Vec<f32> = z.iter().map(|&v| v as f32).collect();
-            let p32_old: Vec<f32> = p_old.iter().map(|&v| v as f32).collect();
-            let p32_ref: Vec<f32> = z32
-                .iter()
-                .zip(&p32_old)
-                .map(|(&z, &p)| (f64::from(z) + beta[0] * f64::from(p)) as f32)
-                .collect();
-            let mut ws32 = SpmvWorkspace::new();
-            let mut y32_ref = vec![0.0f32; m.dim()];
-            spmv_hsbcsr_f32(&d, &h, &sh, &p32_ref, scheme, &mut ws32, &mut y32_ref, true);
-            let pq32_ref = ws32.pq_partials.clone();
-            let (mut p32, mut y32) = (p32_old, vec![0.0f32; m.dim()]);
-            let fold = Fold {
-                z: &z32,
-                beta: &beta,
-            };
-            spmv_hsbcsr_f32_folded_pq(&d, &h, &sh, fold, &mut p32, scheme, &mut ws32, &mut y32);
-            assert_eq!(
-                (&p32, &y32, &ws32.pq_partials),
-                (&p32_ref, &y32_ref, &pq32_ref)
-            );
-
             // The folded stages are kernels of their own in a per-kernel
             // table; stage 1 only where there are off-diagonal blocks.
             let by = d.trace().by_kernel();
-            for name in [f64::SPMV_STAGE1_XPBY, f32::SPMV_STAGE1_XPBY] {
-                assert_eq!(by.contains_key(name), h.n_nd > 0, "{name}");
-            }
-            for name in [f64::SPMV_STAGE2_PQ_XPBY, f32::SPMV_STAGE2_PQ_XPBY] {
-                assert_eq!(by[name].0.launches, 1, "{name}");
-            }
-        }
-    }
-
-    #[test]
-    fn f32_instantiation_matches_f64_within_rounding_at_half_the_bytes() {
-        // One kernel, two storage types. Fed the same fp32-representable
-        // matrix and vector, the instantiations differ only by the fp32
-        // rounding of the stage-1 staging stores and of the result store
-        // (every accumulation is fp64), and every non-index byte of global
-        // traffic halves. Checked with and without the fused p·q partials.
-        const EPS32: f64 = 1.0 / (1u64 << 24) as f64;
-        let m = SymBlockMatrix::random_spd(400, 5.0, 13);
-        let mut h = Hsbcsr::from_sym(&m);
-        for v in h.d_data.iter_mut().chain(h.nd_data_up.iter_mut()) {
-            *v = f64::from(*v as f32);
-        }
-        let mut sh = Hsbcsr32::new();
-        sh.refill_from(&h);
-        let x32: Vec<f32> = (0..m.dim()).map(|i| (i as f32 * 0.23).sin()).collect();
-        let x64: Vec<f64> = x32.iter().map(|&v| f64::from(v)).collect();
-
-        for fuse_pq in [false, true] {
-            let d64 = dev();
-            let mut ws64 = SpmvWorkspace::new();
-            let mut y64 = vec![0.0f64; m.dim()];
-            if fuse_pq {
-                spmv_hsbcsr_fused_pq(&d64, &h, &x64, Stage1Smem::Proposed, &mut ws64, &mut y64);
-            } else {
-                spmv_hsbcsr_into(&d64, &h, &x64, Stage1Smem::Proposed, &mut ws64, &mut y64);
-            }
-            let d32 = dev();
-            let mut ws32 = SpmvWorkspace::new();
-            let mut y32 = vec![0.0f32; m.dim()];
-            let scheme = Stage1Smem::Proposed;
-            spmv_hsbcsr_f32(&d32, &h, &sh, &x32, scheme, &mut ws32, &mut y32, fuse_pq);
-
-            // A row sums ~11 staged terms, each rounded once, plus the
-            // result rounding.
-            let scale = y64.iter().fold(1.0f64, |a, v| a.max(v.abs()));
-            for i in 0..m.dim() {
-                assert!(
-                    (f64::from(y32[i]) - y64[i]).abs() <= 8.0 * EPS32 * scale,
-                    "fuse_pq={fuse_pq} i={i}: f32 {} vs f64 {}",
-                    y32[i],
-                    y64[i]
-                );
-            }
-            assert_eq!(ws32.pq_partials.len(), ws64.pq_partials.len());
-            if fuse_pq {
-                // Partials never narrow: they are the fp64 dot of the
-                // stored x with the *unrounded* accumulators.
-                let pq32: f64 = ws32.pq_partials.iter().sum();
-                let pq64: f64 = ws64.pq_partials.iter().sum();
-                assert!((pq32 - pq64).abs() <= 8.0 * EPS32 * pq64.abs());
-            }
-
-            let (by64, by32) = (d64.trace().by_kernel(), d32.trace().by_kernel());
-            // Stage 1: matrix values (36/nd), x gathers (12/nd) and the
-            // up/low staging stores (12/nd) move at 4 bytes instead of 8.
-            let s1_64 = by64[<f64 as Scalar>::SPMV_STAGE1].0;
-            let s1_32 = by32[<f32 as Scalar>::SPMV_STAGE1].0;
-            assert_eq!(
-                s1_64.gmem_bytes - s1_32.gmem_bytes,
-                4 * (36 + 12 + 12) * h.n_nd as u64,
-                "stage 1 must halve matrix, vector, and staging streams"
-            );
-            assert!(s1_32.gmem_transactions < s1_64.gmem_transactions);
-            // Stage 2 halves everything except the index streams and the
-            // fp64 partials: up/low reductions (12 scalars per stored
-            // sub-matrix), the diagonal (36/row), the x gathers (6/row),
-            // and the y store (6/row).
-            let (n64, n32) = if fuse_pq {
-                (f64::SPMV_STAGE2_PQ, f32::SPMV_STAGE2_PQ)
-            } else {
-                (f64::SPMV_STAGE2, f32::SPMV_STAGE2)
-            };
-            assert_eq!(
-                by64[n64].0.gmem_bytes - by32[n32].0.gmem_bytes,
-                4 * (12 * h.n_nd as u64 + 48 * h.n as u64),
-                "stage 2 non-index traffic must exactly halve"
-            );
-            assert!(d32.modeled_seconds() < d64.modeled_seconds());
+            assert_eq!(by.contains_key("spmv.hsbcsr.stage1_xpby"), h.n_nd > 0);
+            assert_eq!(by["spmv.hsbcsr.stage2_pq_xpby"].0.launches, 1);
         }
     }
 

@@ -22,6 +22,6 @@ pub mod hsbcsr;
 pub use bcsr_kernel::spmv_bcsr;
 pub use csr::{spmv_csr_scalar, spmv_csr_vector};
 pub use hsbcsr::{
-    spmv_hsbcsr, spmv_hsbcsr_f32, spmv_hsbcsr_f32_folded_pq, spmv_hsbcsr_folded_pq,
-    spmv_hsbcsr_fused_pq, spmv_hsbcsr_into, Fold, SpmvWorkspace, Stage1Smem,
+    spmv_hsbcsr, spmv_hsbcsr_folded_pq, spmv_hsbcsr_fused_pq, spmv_hsbcsr_into, Fold,
+    SpmvWorkspace, Stage1Smem,
 };

@@ -2,11 +2,11 @@
 //! exercise the pipeline's health monitoring without any injector support.
 //!
 //! Production fleets ingest scene descriptions from files and upstream
-//! tools; a NaN velocity or a pathological stiffness contrast *will*
-//! arrive eventually. These generators produce the smallest scenes that
-//! reach each failure path through the ordinary public API, so the
-//! structured-error machinery ([`dda_core::StepError`], quarantine) is
-//! testable from real input — no feature flags, no internal hooks.
+//! tools; a NaN velocity *will* arrive eventually. These generators
+//! produce the smallest scenes that reach each failure path through the
+//! ordinary public API, so the structured-error machinery
+//! ([`dda_core::StepError`], quarantine) is testable from real input — no
+//! feature flags, no internal hooks.
 
 use crate::rockfall::{rockfall_case, RockfallConfig};
 use dda_core::{BlockSystem, DdaParams};
@@ -25,20 +25,6 @@ pub fn nan_contaminated_scene(rocks: usize, poison_rock: usize) -> (BlockSystem,
     (sys, params)
 }
 
-/// A rockfall scene with a pathological stiffness contrast: the rock
-/// material is `contrast` times stiffer than the base. Extreme contrasts
-/// push the assembled system toward ill-conditioning — the scene still
-/// steps, but stresses the preconditioner ladder and Δt control rather
-/// than the happy path.
-pub fn stiff_contrast_scene(rocks: usize, contrast: f64) -> (BlockSystem, DdaParams) {
-    assert!(contrast > 0.0, "contrast must be positive");
-    let (mut sys, params) = rockfall_case(&RockfallConfig::default().with_rocks(rocks));
-    for m in sys.block_materials.iter_mut() {
-        *m = m.with_young(m.young * contrast);
-    }
-    (sys, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,14 +40,5 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(bad, vec![4], "exactly the poisoned rock carries NaN");
-    }
-
-    #[test]
-    fn stiff_scene_scales_modulus() {
-        let (base, _) = rockfall_case(&RockfallConfig::default().with_rocks(3));
-        let (stiff, _) = stiff_contrast_scene(3, 1e4);
-        for (b, s) in base.block_materials.iter().zip(&stiff.block_materials) {
-            assert!((s.young / b.young - 1e4).abs() < 1e-6);
-        }
     }
 }

@@ -9,8 +9,8 @@
 //! on — block count, contact density, matrix structure, and the
 //! static/dynamic split (see `DESIGN.md`, substitution table).
 //!
-//! * [`adversarial`] — malformed/hostile scenes (NaN contamination,
-//!   stiffness contrast) for the health-monitoring and quarantine paths;
+//! * [`adversarial`] — malformed/hostile scenes (NaN contamination) for
+//!   the health-monitoring and quarantine paths;
 //! * [`cutter`] — joint-set block cutter: convex regions split by families
 //!   of parallel joint lines;
 //! * [`slope`] — case-1 generator (jointed slope cross-section);
@@ -34,7 +34,7 @@ pub mod scatter;
 pub mod slope;
 pub mod traffic;
 
-pub use adversarial::{nan_contaminated_scene, stiff_contrast_scene};
+pub use adversarial::nan_contaminated_scene;
 pub use fleet::{rockfall_fleet, FleetConfig};
 pub use rockfall::{rockfall_case, RockfallConfig};
 pub use scatter::{scatter_case, ScatterConfig};

@@ -19,7 +19,6 @@ use dda_repro::core::pipeline::{
 };
 use dda_repro::core::{BlockSystem, DdaParams, SlotState};
 use dda_repro::simt::{Device, DeviceProfile};
-use dda_repro::solver::SolverPrecision;
 use dda_repro::workloads::{
     nan_contaminated_scene, rockfall_case, rockfall_fleet, scatter_case, FleetConfig,
     RockfallConfig, ScatterConfig,
@@ -198,17 +197,10 @@ fn scene_batch_matches_solo_pipelines_bitwise() {
 
 /// A batch honours each scene's configured preconditioner: one scene per
 /// `PrecondKind`, stepped together, is bitwise the five solo runs — state,
-/// PCG iteration counts and the rung that carried the step — under both
-/// solver precisions. (The batched solve used to run Block-Jacobi whatever
-/// the scene asked for.)
+/// PCG iteration counts and the rung that carried the step. (The batched
+/// solve used to run Block-Jacobi whatever the scene asked for.)
 #[test]
 fn mixed_preconditioner_batch_matches_solo_pipelines_bitwise() {
-    for precision in [SolverPrecision::Full, SolverPrecision::Mixed] {
-        preconditioner_batch_matches_solos(precision);
-    }
-}
-
-fn preconditioner_batch_matches_solos(precision: SolverPrecision) {
     const KINDS: [PrecondKind; 5] = [
         PrecondKind::None,
         PrecondKind::BlockJacobi,
@@ -219,10 +211,7 @@ fn preconditioner_batch_matches_solos(precision: SolverPrecision) {
     let scenes: Vec<_> = rockfall_fleet(&FleetConfig::default().with_scenes(5).with_rocks(4))
         .into_iter()
         .zip(KINDS)
-        .map(|((sys, params), kind)| {
-            let params = params.with_precond(kind).with_precision(precision);
-            (sys, params)
-        })
+        .map(|((sys, params), kind)| (sys, params.with_precond(kind)))
         .collect();
     let mut solos: Vec<GpuPipeline> = scenes
         .iter()
@@ -260,13 +249,6 @@ fn preconditioner_batch_matches_solos(precision: SolverPrecision) {
         "None {} vs ILU0 {}",
         iterations[0],
         iterations[3]
-    );
-    // And the precision really differs: only `Mixed` launches fp32 kernels.
-    let by_kernel = batch.device().trace().by_kernel();
-    assert_eq!(
-        by_kernel.keys().any(|k| k.ends_with(".f32")),
-        precision == SolverPrecision::Mixed,
-        "{precision:?}"
     );
 }
 

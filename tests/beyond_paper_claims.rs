@@ -6,20 +6,17 @@
 //! to check. Host-axis numbers for the same layers come from
 //! `benchmark/`.
 //!
-//! The two claims that need thousands of blocks are `#[ignore]`d and run
-//! in release by CI: `cargo test --release --test beyond_paper_claims --
+//! The claim that needs thousands of blocks is `#[ignore]`d and runs in
+//! release by CI: `cargo test --release --test beyond_paper_claims --
 //! --include-ignored --skip wal_cost_is_at_most`. The skipped one is the
 //! WAL budget, `#[ignore]`d because it is not met today.
 
 use dda_harness::experiments::{
-    case1_matrix_stiff, fleet_churn_config, run_fleet_churn, wal_overhead_pct, WAL_BUDGET_PCT,
+    fleet_churn_config, run_fleet_churn, wal_overhead_pct, WAL_BUDGET_PCT,
 };
 use dda_repro::core::contact::{detect_broad_gpu, BroadPhaseMode, ContactWorkspace, GeomSoa};
 use dda_repro::core::pipeline::FleetRouter;
 use dda_repro::simt::{Device, DeviceProfile};
-use dda_repro::solver::precond::BlockJacobi;
-use dda_repro::solver::{pcg_fused, pcg_fused_mixed, PcgOptions, PcgWorkspace};
-use dda_repro::sparse::{Hsbcsr, Hsbcsr32};
 use dda_repro::workloads::{scatter_case, ScatterConfig};
 
 /// The harness binaries' default workload seed.
@@ -148,47 +145,5 @@ fn grid_broad_phase_beats_all_pairs_and_wins_harder_as_n_grows() {
         build_large > build_small && hit_large > hit_small,
         "speed-up must grow with n: build {build_small:.2}× → {build_large:.2}×, \
          hit {hit_small:.2}× → {hit_large:.2}×"
-    );
-}
-
-/// `SolverPrecision::Mixed` is a bandwidth win that needs iterations to
-/// amortise its fp64 refinement passes: on the stiff case-1 operator
-/// (penalty contrast 1e6, 4 800 blocks) one cold Block-Jacobi solve models
-/// at least 1.3× faster than pure fp64. Smaller or better-conditioned
-/// systems lose (1.21× at 3 200 blocks, 0.66× at 800 well-conditioned).
-#[test]
-#[ignore = "4 800-block operator: run in release by the CI claims step"]
-fn mixed_precision_models_1_3x_on_the_stiff_4800_block_operator() {
-    let m = case1_matrix_stiff(4800, 2, SEED, 1e6);
-    let h = Hsbcsr::from_sym(&m);
-    let mut h32 = Hsbcsr32::new();
-    h32.refill_from(&h);
-    let b: Vec<f64> = (0..m.dim())
-        .map(|i| ((i % 23) as f64) * 0.13 - 1.1)
-        .collect();
-    let x0 = vec![0.0; m.dim()];
-    let opts = PcgOptions::default();
-    // Modeled seconds of one solve, construction excluded.
-    let solve = |mixed: bool| {
-        let dev = k40();
-        let bj = BlockJacobi::new(&dev, &h);
-        let mut ws = PcgWorkspace::new();
-        let built = dev.modeled_seconds();
-        let r = if mixed {
-            pcg_fused_mixed(&dev, &h, &h32, &b, &x0, &bj, opts, &mut ws)
-        } else {
-            pcg_fused(&dev, &h, &b, &x0, &bj, opts, &mut ws)
-        };
-        assert!(
-            r.converged && r.iterations >= 20,
-            "{} iterations",
-            r.iterations
-        );
-        dev.modeled_seconds() - built
-    };
-    let speedup = solve(false) / solve(true);
-    assert!(
-        speedup >= 1.3,
-        "mixed precision models {speedup:.3}× equation solving, floor 1.3×"
     );
 }

@@ -11,16 +11,19 @@
 //! shift modeled-time attribution, never trajectory values — so the tests
 //! compare state bits, not modeled seconds.
 
-use dda_repro::core::pipeline::{CpuPipeline, GpuPipeline, SceneBatch, SceneCheckpoint};
-use dda_repro::core::BlockSystem;
+use dda_repro::core::pipeline::{
+    CpuPipeline, GpuPipeline, PrecondKind, SceneBatch, SceneCheckpoint,
+};
+use dda_repro::core::{BlockSystem, DdaParams};
 use dda_repro::simt::{Device, DeviceProfile};
-use dda_repro::workloads::{rockfall_case, RockfallConfig};
+use dda_repro::solver::SolverPrecision;
+use dda_repro::workloads::{rockfall_case, slope_case, RockfallConfig, SlopeConfig};
 
 fn k40() -> Device {
     Device::new(DeviceProfile::tesla_k40())
 }
 
-fn scene(rocks: usize, speed: f64) -> (BlockSystem, dda_repro::core::DdaParams) {
+fn scene(rocks: usize, speed: f64) -> (BlockSystem, DdaParams) {
     let mut cfg = RockfallConfig::default().with_rocks(rocks);
     cfg.initial_speed = speed;
     rockfall_case(&cfg)
@@ -180,4 +183,30 @@ fn checkpoint_text_is_stable_under_re_encode() {
     let text = ck.encode();
     let again = SceneCheckpoint::decode(&text).expect("decodes").encode();
     assert_eq!(text, again, "decode∘encode must be the identity on text");
+}
+
+/// The scene codec round-trips the configured preconditioner rung and the
+/// (inert) precision tag, and the resumed scene continues bitwise.
+#[test]
+fn checkpoint_round_trips_precond_and_precision() {
+    let (sys, params) = slope_case(&SlopeConfig::default().with_target_blocks(60));
+    let params = DdaParams {
+        precision: SolverPrecision::Mixed,
+        ..params.with_precond(PrecondKind::Ilu0)
+    };
+    let mut p = GpuPipeline::new(sys, params, k40());
+    p.step();
+    let ck = SceneCheckpoint {
+        state: p.scene_state(),
+        taken_at_step: 1,
+    };
+    let decoded = SceneCheckpoint::decode(&ck.encode()).expect("codec must round-trip");
+    assert_eq!(decoded.state.params.precond, PrecondKind::Ilu0);
+    assert_eq!(decoded.state.params.precision, SolverPrecision::Mixed);
+
+    let mut resumed = GpuPipeline::from_state(decoded.state, k40());
+    let ra = p.step();
+    let rb = resumed.step();
+    assert_eq!(ra.n_contacts, rb.n_contacts);
+    assert_sys_bits_eq(&p.sys, &resumed.sys, "resumed slope");
 }

@@ -10,14 +10,18 @@
 //! the trajectory under every broad-phase mode, a `ClassSorted` batch
 //! against its solo runs, a restored checkpoint that keeps the tag, and
 //! the serial pipeline.
+//!
+//! `SolverPrecision` is the other such name: every solver runs fp64, and
+//! `precision_is_inert_on_every_driver` holds `Mixed` to `Full` the same
+//! way, with the cached broad phase's hit/rebuild counts on top.
 
 use dda_repro::core::contact::{BroadPhaseMode, Contact, ContactOrder};
 use dda_repro::core::pipeline::{
-    system_fingerprint, CpuPipeline, GpuPipeline, ModuleTimes, Phase, SceneBatch,
-    SceneCheckpoint,
+    system_fingerprint, CpuPipeline, GpuPipeline, ModuleTimes, Phase, SceneBatch, SceneCheckpoint,
 };
 use dda_repro::core::{AssemblyReuse, BlockSystem, DdaParams};
 use dda_repro::simt::{Device, DeviceProfile};
+use dda_repro::solver::SolverPrecision;
 use dda_repro::workloads::{rockfall_case, RockfallConfig};
 
 const STEPS: usize = 8;
@@ -126,6 +130,59 @@ fn contact_order_is_inert_on_every_driver() {
             "SceneBatch slot, {reuse:?}"
         );
     }
+}
+
+#[test]
+fn precision_is_inert_on_every_driver() {
+    let (sys, params) = rockfall_case(&RockfallConfig::default().with_rocks(32));
+    let params = params.with_broad_phase(BroadPhaseMode::GridCached);
+    let with = |precision: SolverPrecision| DdaParams {
+        precision,
+        ..params.clone()
+    };
+    let cpu = |precision| {
+        let mut pipe = CpuPipeline::new(sys.clone(), with(precision));
+        pipe.run(STEPS);
+        observed(&pipe.sys, &pipe.times)
+    };
+    assert_eq!(
+        cpu(SolverPrecision::Mixed),
+        cpu(SolverPrecision::Full),
+        "CpuPipeline"
+    );
+
+    let gpu = |precision| {
+        let mut pipe = GpuPipeline::new(sys.clone(), with(precision), k40());
+        let reports = pipe.run(STEPS);
+        assert!(
+            reports.iter().any(|r| r.n_contacts > 64),
+            "too few contacts to fill two warps"
+        );
+        let cache = pipe.broad_cache_stats();
+        assert!(cache.0 + cache.1 > 0, "the cached broad phase never ran");
+        (observed(&pipe.sys, &pipe.times), cache)
+    };
+    assert_eq!(
+        gpu(SolverPrecision::Mixed),
+        gpu(SolverPrecision::Full),
+        "GpuPipeline, GridCached"
+    );
+
+    // Slot 1 carries the setting under test beside a Full mate.
+    let slot = |precision| {
+        let mate = (sys.clone(), with(SolverPrecision::Full));
+        let mut batch = SceneBatch::new(k40(), vec![mate, (sys.clone(), with(precision))]);
+        batch.run(STEPS);
+        observed(
+            batch.sys(1).expect("slot 1 runs"),
+            batch.times(1).expect("slot 1 runs"),
+        )
+    };
+    assert_eq!(
+        slot(SolverPrecision::Mixed),
+        slot(SolverPrecision::Full),
+        "SceneBatch slot"
+    );
 }
 
 #[test]

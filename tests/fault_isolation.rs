@@ -11,10 +11,10 @@
 //! faulted `GpuPipeline::try_step` returns the structured error with
 //! nothing committed.
 
-use dda_repro::core::pipeline::{system_fingerprint, GpuPipeline, SceneBatch};
+use dda_repro::core::pipeline::{system_fingerprint, GpuPipeline, PrecondKind, SceneBatch};
 use dda_repro::core::{BlockSystem, DdaParams, HealthPolicy, SlotState, StepError};
 use dda_repro::simt::{Device, DeviceProfile, Fault};
-use dda_repro::workloads::{rockfall_fleet, FleetConfig};
+use dda_repro::workloads::{rockfall_fleet, slope_case, FleetConfig, SlopeConfig};
 
 fn k40() -> Device {
     Device::new(DeviceProfile::tesla_k40())
@@ -293,4 +293,33 @@ fn solo_indefinite_operator_walks_the_ladder_to_its_last_rung() {
         batch.health(0).last_error,
         Some(StepError::SolverBreakdown { .. })
     ));
+}
+
+/// A zero ILU(0) pivot is a *setup* failure, not a solve failure: the
+/// ILU0 rung reports `ZeroPivot` and the ladder descends to SSOR-AI
+/// without burning PCG iterations.
+#[test]
+fn ilu0_zero_pivot_falls_back_to_ssor_ai() {
+    let dev = k40();
+    dev.arm_fault(0, Fault::IluZeroPivot, usize::MAX);
+    // A solo pipeline is segment 0 of a one-scene step.
+    let (sys, params) = slope_case(&SlopeConfig::default().with_target_blocks(60));
+    let mut p = GpuPipeline::new(sys, params, dev).with_precond(PrecondKind::Ilu0);
+    for step in 0..3 {
+        let r = p.step();
+        assert!(
+            r.max_displacement.is_finite(),
+            "step {step}: SSOR-AI must carry the step after ILU0 fails"
+        );
+        assert_eq!(
+            r.fallback_level, 1,
+            "step {step}: a zero pivot costs exactly one rung"
+        );
+        assert_eq!(
+            r.fallback_rung,
+            PrecondKind::SsorAi,
+            "step {step}: the rung below ILU0 is SSOR-AI"
+        );
+    }
+    assert!(p.fallback_solves() >= 3);
 }

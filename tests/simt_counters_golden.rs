@@ -38,7 +38,6 @@ use dda_repro::core::pipeline::{
 };
 use dda_repro::core::{AssemblyReuse, BlockSystem, DdaParams, SolverWarmStart};
 use dda_repro::simt::{Device, DeviceProfile, DeviceTrace, KernelStats};
-use dda_repro::solver::SolverPrecision;
 use dda_repro::workloads::{
     rockfall_case, scatter_case, slope_case, RockfallConfig, ScatterConfig, SlopeConfig,
 };
@@ -47,16 +46,12 @@ const STEPS: usize = 8;
 
 /// `(run, final-state digest, launch records)` of every golden run.
 #[rustfmt::skip]
-const RUNS: [(&str, u64, usize); 22] = [
+const RUNS: [(&str, u64, usize); 18] = [
     ("solo/slope", 0x5460d3339a279b08, 13308),
     ("solo/rockfall", 0x983c222c68080d0a, 1061),
     ("solo/scatter", 0x3a4c13915604f5e0, 1075),
     ("batch", 0x21e518eb5dc00225, 10594),
     ("bridged/ssor-rockfall", 0x41210df805441e83, 1379),
-    ("mixed/bj-rockfall", 0x33e01540d5c1d381, 1346),
-    ("mixed/bj-slope", 0x00c144d5fe61267c, 13680),
-    ("mixed/ssor-rockfall", 0x24fc7238207ad762, 1947),
-    ("mixed/batch", 0x6a57cf1a201d64ca, 12496),
     ("default/slope", 0x5460d3339a279b08, 4400),
     ("default/rockfall", 0x983c222c68080d0a, 594),
     ("default/scatter", 0x3a4c13915604f5e0, 431),
@@ -74,7 +69,7 @@ const RUNS: [(&str, u64, usize); 22] = [
 
 /// `(run, phase, digest of the run's records under that phase)`.
 #[rustfmt::skip]
-const LEDGER: [(&str, &str, u64); 132] = [
+const LEDGER: [(&str, &str, u64); 108] = [
     ("solo/slope", "contact_detection", 0xa3a8ea095d820516),
     ("solo/slope", "diag_building", 0x1eb09a30241c30e9),
     ("solo/slope", "nondiag_building", 0x46af8b12650817ef),
@@ -105,30 +100,6 @@ const LEDGER: [(&str, &str, u64); 132] = [
     ("bridged/ssor-rockfall", "solving", 0xf7173fd5512f8ebc),
     ("bridged/ssor-rockfall", "interpenetration", 0x40c4cbfef41ec206),
     ("bridged/ssor-rockfall", "updating", 0x2a3c57c5e91a6f3d),
-    ("mixed/bj-rockfall", "contact_detection", 0x7a0a2ec21f675d88),
-    ("mixed/bj-rockfall", "diag_building", 0x6fe18c05efa0d605),
-    ("mixed/bj-rockfall", "nondiag_building", 0xe2a1833305e4a1b1),
-    ("mixed/bj-rockfall", "solving", 0x6b412e08535de80d),
-    ("mixed/bj-rockfall", "interpenetration", 0x40c4cbfef41ec206),
-    ("mixed/bj-rockfall", "updating", 0x2a3c57c5e91a6f3d),
-    ("mixed/bj-slope", "contact_detection", 0xa3a8ea095d820516),
-    ("mixed/bj-slope", "diag_building", 0xe9bd0531a46c9f26),
-    ("mixed/bj-slope", "nondiag_building", 0xee9ad98a99a79731),
-    ("mixed/bj-slope", "solving", 0x780d614f9faf3a95),
-    ("mixed/bj-slope", "interpenetration", 0x9593ea43086f8944),
-    ("mixed/bj-slope", "updating", 0xded62577871edcd5),
-    ("mixed/ssor-rockfall", "contact_detection", 0x7a0a2ec21f675d88),
-    ("mixed/ssor-rockfall", "diag_building", 0x6fe18c05efa0d605),
-    ("mixed/ssor-rockfall", "nondiag_building", 0xe2a1833305e4a1b1),
-    ("mixed/ssor-rockfall", "solving", 0xa99d9552a5af71ac),
-    ("mixed/ssor-rockfall", "interpenetration", 0x40c4cbfef41ec206),
-    ("mixed/ssor-rockfall", "updating", 0x2a3c57c5e91a6f3d),
-    ("mixed/batch", "contact_detection", 0x024db4cb04f9b078),
-    ("mixed/batch", "diag_building", 0x47ff95140425c61a),
-    ("mixed/batch", "nondiag_building", 0x0ccd623839337f1d),
-    ("mixed/batch", "solving", 0xbd1479586d8bbfd3),
-    ("mixed/batch", "interpenetration", 0x061a348eb3d9c69b),
-    ("mixed/batch", "updating", 0x90b19a843d76f76d),
     ("default/slope", "contact_detection", 0xa3a8ea095d820516),
     ("default/slope", "diag_building", 0x1eb09a30241c30e9),
     ("default/slope", "nondiag_building", 0x6f374f5e1018ed3a),
@@ -403,55 +374,11 @@ fn bridged_solo_trace_matches_the_parent_commit() {
     for kernel in ["pcg.fused.axpy2norm", "pcg.fused.xpby_beta"] {
         assert!(by.contains_key(kernel), "{kernel} never ran");
     }
-    assert!(!by.contains_key("pcg.fused.update"), "a solve took the fast path");
+    assert!(
+        !by.contains_key("pcg.fused.update"),
+        "a solve took the fast path"
+    );
     assert_ledger(&[solo_run("bridged/ssor-rockfall", &pipe, &reports)]);
-}
-
-#[test]
-fn mixed_solo_traces_match_the_parent_commit() {
-    let rockfall = || fig4(rockfall_case(&RockfallConfig::default().with_rocks(40)));
-    let slope = fig4(slope_case(&SlopeConfig::default().with_target_blocks(60)));
-    let runs: Vec<_> = [
-        ("mixed/bj-rockfall", rockfall(), PrecondKind::BlockJacobi),
-        ("mixed/bj-slope", slope, PrecondKind::BlockJacobi),
-        ("mixed/ssor-rockfall", rockfall(), PrecondKind::SsorAi),
-    ]
-    .into_iter()
-    .map(|(name, (sys, params), precond)| {
-        let params = params
-            .with_precision(SolverPrecision::Mixed)
-            .with_precond(precond);
-        let mut pipe = GpuPipeline::new(sys, params, k40());
-        let reports = pipe.run(STEPS);
-        // The fp32 inner loop ran: the three-launch iteration on
-        // Block-Jacobi, the fp64 bridge on SSOR-AI.
-        let by = pipe.device().trace().by_kernel();
-        let inner = match precond {
-            PrecondKind::SsorAi => "pcg.fused.axpy2norm.f32",
-            _ => "pcg.fused.update.f32",
-        };
-        assert!(by.contains_key(inner), "{inner} never ran");
-        assert_eq!(
-            by.contains_key("vec.promote"),
-            precond == PrecondKind::SsorAi
-        );
-        solo_run(name, &pipe, &reports)
-    })
-    .collect();
-    assert_ledger(&runs);
-}
-
-#[test]
-fn mixed_batch_trace_matches_the_parent_commit() {
-    let scenes: Vec<_> = batch_scenes()
-        .into_iter()
-        .map(|(sys, params)| (sys, params.with_precision(SolverPrecision::Mixed)))
-        .collect();
-    let mut batch = SceneBatch::new(k40(), scenes);
-    let reports = batch.run(STEPS);
-    let run = batch_run("mixed/batch", &batch, &reports);
-    assert!(run.trace.by_kernel().contains_key("pcg.fused.update.f32"));
-    assert_ledger(&[run]);
 }
 
 /// The scene on the default assembly path, its solves still on the bitwise
