@@ -19,11 +19,6 @@ const TILE: usize = 128;
 /// Shared-memory row stride of one staged inverse, in 8-byte words.
 const SMEM_ROW: usize = 37;
 
-thread_local! {
-    /// Per-host-thread staging of the fp32 copy's stores.
-    static NARROW: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// The row-major 6×6 block held in `row`.
 fn block_of(row: &[f64]) -> Block6 {
     let mut b = Block6::ZERO;
@@ -38,8 +33,6 @@ pub struct BlockJacobi {
     n: usize,
     /// Flat row-major inverses, 36 values per block row.
     dinv: Vec<f64>,
-    /// fp32 copy of `dinv`, written by the same construction launch.
-    dinv32: Vec<f32>,
 }
 
 impl BlockJacobi {
@@ -61,7 +54,6 @@ impl BlockJacobi {
         let mut bj = BlockJacobi {
             n: m.n,
             dinv: vec![0.0f64; 36 * m.n],
-            dinv32: vec![0.0f32; 36 * m.n],
         };
         bj.compute(dev, m)?;
         Ok(bj)
@@ -85,8 +77,6 @@ impl BlockJacobi {
             self.n = m.n;
             self.dinv.clear();
             self.dinv.resize(36 * m.n, 0.0);
-            self.dinv32.clear();
-            self.dinv32.resize(36 * m.n, 0.0);
         }
         self.compute(dev, m)
     }
@@ -100,7 +90,6 @@ impl BlockJacobi {
             let n = m.n;
             let b_d = dev.bind_ro(&m.d_data);
             let b_out = dev.bind(self.dinv.as_mut_slice());
-            let b_out32 = dev.bind(self.dinv32.as_mut_slice());
             let pad = m.pad_d;
             let flag = &singular;
             dev.launch_blocks("precond.bj.construct", n.div_ceil(TILE), TILE, |blk| {
@@ -150,22 +139,15 @@ impl BlockJacobi {
                         blk.smem_access(smem);
                     }
                     blk.sync();
-                    NARROW.with(|narrow| {
-                        let narrow = &mut *narrow.borrow_mut();
-                        for (pass, vals) in staged.chunks(TILE).enumerate() {
-                            let flat = pass * TILE;
-                            smem.clear();
-                            smem.extend(
-                                (flat..flat + vals.len())
-                                    .map(|k| (k / 36 * SMEM_ROW + k % 36) as u32),
-                            );
-                            blk.smem_access(smem);
-                            blk.gst_range(&b_out, start * 36 + flat, vals);
-                            narrow.clear();
-                            narrow.extend(vals.iter().map(|&v| v as f32));
-                            blk.gst_range(&b_out32, start * 36 + flat, narrow);
-                        }
-                    });
+                    for (pass, vals) in staged.chunks(TILE).enumerate() {
+                        let flat = pass * TILE;
+                        smem.clear();
+                        smem.extend(
+                            (flat..flat + vals.len()).map(|k| (k / 36 * SMEM_ROW + k % 36) as u32),
+                        );
+                        blk.smem_access(smem);
+                        blk.gst_range(&b_out, start * 36 + flat, vals);
+                    }
                 });
             });
         }
@@ -282,17 +264,15 @@ mod tests {
         }
     }
 
-    /// Every stored inverse, fp64 and fp32, against the host oracle.
+    /// Every stored inverse against the host oracle.
     fn assert_matches_host_inverse(bj: &BlockJacobi, m: &SymBlockMatrix) {
         let n = m.diag.len();
         assert_eq!(bj.n_blocks(), n);
-        let dinv32 = &bj.dinv32;
-        assert_eq!((bj.dinv().len(), dinv32.len()), (36 * n, 36 * n));
+        assert_eq!(bj.dinv().len(), 36 * n);
         for (i, d) in m.diag.iter().enumerate() {
             let want = d.inverse().expect("SPD diagonal block");
             for (k, w) in want.0.as_flattened().iter().enumerate() {
                 assert_eq!(bj.dinv()[i * 36 + k].to_bits(), w.to_bits(), "block {i}");
-                assert_eq!(dinv32[i * 36 + k].to_bits(), (*w as f32).to_bits());
             }
         }
     }
@@ -313,7 +293,7 @@ mod tests {
             let trace = d.trace();
             assert_eq!(trace.records.len(), 1, "n = {n}");
             let stats = trace.records[0].stats;
-            assert_eq!(stats.gmem_bytes, (n * 36 * (8 + 8 + 4)) as u64);
+            assert_eq!(stats.gmem_bytes, (n * 36 * (8 + 8)) as u64);
             let ideal = stats.gmem_bytes.div_ceil(128);
             if n >= TILE {
                 assert!(

@@ -73,109 +73,109 @@ const LEDGER: [(&str, &str, u64); 108] = [
     ("solo/slope", "contact_detection", 0xa3a8ea095d820516),
     ("solo/slope", "diag_building", 0x1eb09a30241c30e9),
     ("solo/slope", "nondiag_building", 0x46af8b12650817ef),
-    ("solo/slope", "solving", 0x300a65b10dfa15d6),
+    ("solo/slope", "solving", 0x07e811c7b143f600),
     ("solo/slope", "interpenetration", 0x8db4ac41bc023767),
     ("solo/slope", "updating", 0xded62577871edcd5),
     ("solo/rockfall", "contact_detection", 0x7a0a2ec21f675d88),
     ("solo/rockfall", "diag_building", 0x6fe18c05efa0d605),
     ("solo/rockfall", "nondiag_building", 0xe2a1833305e4a1b1),
-    ("solo/rockfall", "solving", 0x5c8c9e88f1d83ee0),
+    ("solo/rockfall", "solving", 0xb33b21f58c5a7260),
     ("solo/rockfall", "interpenetration", 0x40c4cbfef41ec206),
     ("solo/rockfall", "updating", 0x2a3c57c5e91a6f3d),
     ("solo/scatter", "contact_detection", 0x22ad1fdd58d174e1),
     ("solo/scatter", "diag_building", 0xabac37aec3fae065),
     ("solo/scatter", "nondiag_building", 0x448d9fca56974c78),
-    ("solo/scatter", "solving", 0xdc74fdfc6e5a1230),
+    ("solo/scatter", "solving", 0x5d03fffca3905f9e),
     ("solo/scatter", "interpenetration", 0x8357b645f4314be0),
     ("solo/scatter", "updating", 0xa914465861504b72),
     ("batch", "contact_detection", 0x024db4cb04f9b078),
     ("batch", "diag_building", 0x47ff95140425c61a),
     ("batch", "nondiag_building", 0x467683c0e34b500e),
-    ("batch", "solving", 0xa59d544f4ac38760),
+    ("batch", "solving", 0x022afa279dd7445e),
     ("batch", "interpenetration", 0x900b656acd0c8bc7),
     ("batch", "updating", 0x90b19a843d76f76d),
     ("bridged/ssor-rockfall", "contact_detection", 0x7a0a2ec21f675d88),
     ("bridged/ssor-rockfall", "diag_building", 0x6fe18c05efa0d605),
     ("bridged/ssor-rockfall", "nondiag_building", 0xe2a1833305e4a1b1),
-    ("bridged/ssor-rockfall", "solving", 0xf7173fd5512f8ebc),
+    ("bridged/ssor-rockfall", "solving", 0xe7967ae050529824),
     ("bridged/ssor-rockfall", "interpenetration", 0x40c4cbfef41ec206),
     ("bridged/ssor-rockfall", "updating", 0x2a3c57c5e91a6f3d),
     ("default/slope", "contact_detection", 0xa3a8ea095d820516),
     ("default/slope", "diag_building", 0x1eb09a30241c30e9),
     ("default/slope", "nondiag_building", 0x6f374f5e1018ed3a),
-    ("default/slope", "solving", 0x300a65b10dfa15d6),
+    ("default/slope", "solving", 0x07e811c7b143f600),
     ("default/slope", "interpenetration", 0x8db4ac41bc023767),
     ("default/slope", "updating", 0xded62577871edcd5),
     ("default/rockfall", "contact_detection", 0x7a0a2ec21f675d88),
     ("default/rockfall", "diag_building", 0x6fe18c05efa0d605),
     ("default/rockfall", "nondiag_building", 0x273649ad3ae9bc96),
-    ("default/rockfall", "solving", 0x5c8c9e88f1d83ee0),
+    ("default/rockfall", "solving", 0xb33b21f58c5a7260),
     ("default/rockfall", "interpenetration", 0x40c4cbfef41ec206),
     ("default/rockfall", "updating", 0x2a3c57c5e91a6f3d),
     ("default/scatter", "contact_detection", 0x22ad1fdd58d174e1),
     ("default/scatter", "diag_building", 0xabac37aec3fae065),
     ("default/scatter", "nondiag_building", 0xee334e05ee4e83ab),
-    ("default/scatter", "solving", 0xdc74fdfc6e5a1230),
+    ("default/scatter", "solving", 0x5d03fffca3905f9e),
     ("default/scatter", "interpenetration", 0x8357b645f4314be0),
     ("default/scatter", "updating", 0xa914465861504b72),
     ("default/batch", "contact_detection", 0x024db4cb04f9b078),
     ("default/batch", "diag_building", 0x47ff95140425c61a),
     ("default/batch", "nondiag_building", 0x4b7844f6654f7622),
-    ("default/batch", "solving", 0xa59d544f4ac38760),
+    ("default/batch", "solving", 0x022afa279dd7445e),
     ("default/batch", "interpenetration", 0x900b656acd0c8bc7),
     ("default/batch", "updating", 0x90b19a843d76f76d),
     ("shipped/slope", "contact_detection", 0xa3a8ea095d820516),
     ("shipped/slope", "diag_building", 0xe9bd0531a46c9f26),
     ("shipped/slope", "nondiag_building", 0x753a371eb5852519),
-    ("shipped/slope", "solving", 0x2558f954828d4f25),
+    ("shipped/slope", "solving", 0x26b54a1771dc6349),
     ("shipped/slope", "interpenetration", 0xd119f855d19dcbe0),
     ("shipped/slope", "updating", 0xded62577871edcd5),
     ("shipped/rockfall", "contact_detection", 0x7a0a2ec21f675d88),
     ("shipped/rockfall", "diag_building", 0x6fe18c05efa0d605),
     ("shipped/rockfall", "nondiag_building", 0x273649ad3ae9bc96),
-    ("shipped/rockfall", "solving", 0x27442fd6b061b174),
+    ("shipped/rockfall", "solving", 0xeb8c0511226a8ff4),
     ("shipped/rockfall", "interpenetration", 0x40c4cbfef41ec206),
     ("shipped/rockfall", "updating", 0x2a3c57c5e91a6f3d),
     ("shipped/scatter", "contact_detection", 0x22ad1fdd58d174e1),
     ("shipped/scatter", "diag_building", 0xabac37aec3fae065),
     ("shipped/scatter", "nondiag_building", 0xee334e05ee4e83ab),
-    ("shipped/scatter", "solving", 0xdc74fdfc6e5a1230),
+    ("shipped/scatter", "solving", 0x5d03fffca3905f9e),
     ("shipped/scatter", "interpenetration", 0x8357b645f4314be0),
     ("shipped/scatter", "updating", 0xa914465861504b72),
     ("engine/stack-resting", "contact_detection", 0xdd2e11f9678c3a93),
     ("engine/stack-resting", "diag_building", 0x31f04e0e3ac9f445),
     ("engine/stack-resting", "nondiag_building", 0x00ea7dae5f2b44c5),
-    ("engine/stack-resting", "solving", 0xbdcb9d23ee549172),
+    ("engine/stack-resting", "solving", 0xdb5fb0a9b4f20a3a),
     ("engine/stack-resting", "interpenetration", 0x64265e2152fe22dd),
     ("engine/stack-resting", "updating", 0x7a9b55784b9c7cb9),
     ("engine/stack-dropped", "contact_detection", 0xdd2e11f9678c3a93),
     ("engine/stack-dropped", "diag_building", 0x31f04e0e3ac9f445),
     ("engine/stack-dropped", "nondiag_building", 0x92937e55cc57d065),
-    ("engine/stack-dropped", "solving", 0x03c48bef48842e97),
+    ("engine/stack-dropped", "solving", 0xd8b7cbf37a1d783f),
     ("engine/stack-dropped", "interpenetration", 0x64265e2152fe22dd),
     ("engine/stack-dropped", "updating", 0x7a9b55784b9c7cb9),
     ("engine/stack-offset", "contact_detection", 0xdd2e11f9678c3a93),
     ("engine/stack-offset", "diag_building", 0x31f04e0e3ac9f445),
     ("engine/stack-offset", "nondiag_building", 0x00ea7dae5f2b44c5),
-    ("engine/stack-offset", "solving", 0x588da6e474b5a635),
+    ("engine/stack-offset", "solving", 0x7a3960c15d82a7a9),
     ("engine/stack-offset", "interpenetration", 0x64265e2152fe22dd),
     ("engine/stack-offset", "updating", 0x7a9b55784b9c7cb9),
     ("engine/rockfall", "contact_detection", 0xb0e332a00e6e07ab),
     ("engine/rockfall", "diag_building", 0xac20d7ce5605592d),
     ("engine/rockfall", "nondiag_building", 0x22770997852c0e8c),
-    ("engine/rockfall", "solving", 0x71b2645376f695fa),
+    ("engine/rockfall", "solving", 0x7a63ea1da570f84f),
     ("engine/rockfall", "interpenetration", 0xc5a381fadaff5a8b),
     ("engine/rockfall", "updating", 0xab667fa3379dd8f5),
     ("engine/scatter", "contact_detection", 0xd4c06fe2051b65d1),
     ("engine/scatter", "diag_building", 0x92c72c26122afddd),
     ("engine/scatter", "nondiag_building", 0x631e0c2a4d4bb815),
-    ("engine/scatter", "solving", 0xb03abb22b22ebd48),
+    ("engine/scatter", "solving", 0x33b29c926ab45a7a),
     ("engine/scatter", "interpenetration", 0x22c203e5985be981),
     ("engine/scatter", "updating", 0x66c026cd215629b5),
     ("engine/batch", "contact_detection", 0xb713a365e9087a51),
     ("engine/batch", "diag_building", 0x07cfa1e42df77e81),
     ("engine/batch", "nondiag_building", 0x69fccd2c70b0bb32),
-    ("engine/batch", "solving", 0x82c1eb9065d3958b),
+    ("engine/batch", "solving", 0xf376531442f7c6ac),
     ("engine/batch", "interpenetration", 0xc1a9317394407615),
     ("engine/batch", "updating", 0x930a6891e1e5c8d9),
 ];
