@@ -292,15 +292,17 @@ impl CaseStudy {
 }
 
 fn run_case(label: &'static str, sys: BlockSystem, params: DdaParams, steps: usize) -> CaseStudy {
-    // Tables II/III measure the paper's Fig 4 assembly, every solve started
-    // from the previous step's solution, whatever the defaults are.
+    // Tables II/III measure the paper's Fig 4 assembly and Block-Jacobi
+    // preconditioner, every solve started from the previous step's
+    // solution, whatever the defaults are.
     let shipped = params
         .clone()
         .with_assembly_reuse(AssemblyReuse::default())
         .with_warm_start(SolverWarmStart::default());
     let params = params
         .with_assembly_reuse(AssemblyReuse::Recompute)
-        .with_warm_start(SolverWarmStart::PrevStep);
+        .with_warm_start(SolverWarmStart::PrevStep)
+        .with_precond(PrecondKind::BlockJacobi);
     let blocks = sys.len();
     let mut cpu = CpuPipeline::new(sys.clone(), params.clone());
     cpu.run(steps);

@@ -32,7 +32,7 @@ fn k40() -> Device {
 /// so the encoded text exercises the full codec (contacts, warm start,
 /// health) rather than just geometry.
 fn scene() -> (BlockSystem, DdaParams) {
-    let mut params = DdaParams::for_model(1.0, 5e9);
+    let mut params = DdaParams::for_model(1.0, 5e9).with_precond(PrecondKind::BlockJacobi);
     params.dt = 0.002;
     params.dt_max = 0.002;
     let sys = BlockSystem::new(

@@ -2,6 +2,7 @@
 //! holds their fingerprints, `tests/simt_counters_golden.rs` their
 //! `engine/*` ledger rows.
 
+use dda_repro::core::pipeline::PrecondKind;
 use dda_repro::core::{
     AssemblyReuse, Block, BlockMaterial, BlockSystem, DdaParams, JointMaterial, SolverWarmStart,
 };
@@ -25,8 +26,9 @@ fn stack(top: Polygon, params: DdaParams) -> (BlockSystem, DdaParams) {
 
 /// A block on a fixed floor — resting, dropped from 5 mm, and resting
 /// off-centre (the three scenes of `SceneBatch`'s unit tests) — then a
-/// 24-rock rockfall and a 48-rock scatter, pinned to the Fig 4 assembly and
-/// the bitwise warm-start oracle they were captured on.
+/// 24-rock rockfall and a 48-rock scatter, pinned to the Fig 4 assembly,
+/// the bitwise warm-start oracle and the Block-Jacobi preconditioner they
+/// were captured on.
 pub fn scenes() -> Vec<(BlockSystem, DdaParams)> {
     let statics = DdaParams::for_model(1.0, 5e9).static_analysis();
     let mut dynamic = DdaParams::for_model(1.0, 5e9);
@@ -42,7 +44,8 @@ pub fn scenes() -> Vec<(BlockSystem, DdaParams)> {
     .map(|(sys, params)| {
         let params = params
             .with_assembly_reuse(AssemblyReuse::Recompute)
-            .with_warm_start(SolverWarmStart::PrevStep);
+            .with_warm_start(SolverWarmStart::PrevStep)
+            .with_precond(PrecondKind::BlockJacobi);
         (sys, params)
     })
     .collect()

@@ -296,12 +296,14 @@ fn batch_run(name: &'static str, batch: &SceneBatch, reports: &[Vec<StepReport>]
     }
 }
 
-/// Pins a scene to the Fig 4 oracle and to the bitwise warm-start oracle
-/// (every solve starts from the previous step's solution).
+/// Pins a scene to the Fig 4 oracle, to the bitwise warm-start oracle
+/// (every solve starts from the previous step's solution) and to the
+/// paper's Block-Jacobi preconditioner.
 fn fig4((sys, params): (BlockSystem, DdaParams)) -> (BlockSystem, DdaParams) {
     let params = params
         .with_assembly_reuse(AssemblyReuse::Recompute)
-        .with_warm_start(SolverWarmStart::PrevStep);
+        .with_warm_start(SolverWarmStart::PrevStep)
+        .with_precond(PrecondKind::BlockJacobi);
     (sys, params)
 }
 
@@ -382,11 +384,12 @@ fn bridged_solo_trace_matches_the_parent_commit() {
 }
 
 /// The scene on the default assembly path, its solves still on the bitwise
-/// warm-start oracle.
+/// warm-start oracle and on Block-Jacobi.
 fn shipped((sys, params): (BlockSystem, DdaParams)) -> (BlockSystem, DdaParams) {
     let params = params
         .with_assembly_reuse(AssemblyReuse::default())
-        .with_warm_start(SolverWarmStart::PrevStep);
+        .with_warm_start(SolverWarmStart::PrevStep)
+        .with_precond(PrecondKind::BlockJacobi);
     assert_eq!(params.assembly_reuse, AssemblyReuse::Incremental);
     (sys, params)
 }
@@ -500,6 +503,7 @@ fn shipped_solo_traces_match_the_parent_commit() {
         .map(|(name, (sys, params))| {
             assert_eq!(params.assembly_reuse, AssemblyReuse::Incremental);
             assert_eq!(params.warm_start, SolverWarmStart::PrevIterate);
+            let params = params.with_precond(PrecondKind::BlockJacobi);
             let mut pipe = GpuPipeline::new(sys, params, k40());
             let reports = pipe.run(STEPS);
             let warm_starts: usize = reports.iter().map(|r| r.warm_starts).sum();

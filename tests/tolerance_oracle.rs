@@ -43,7 +43,7 @@
 //! measurement: when it fails, the slope decides lock and slide, and the
 //! slack can go.
 
-use dda_repro::core::pipeline::{GpuPipeline, SceneBatch, SceneState, StepReport};
+use dda_repro::core::pipeline::{GpuPipeline, PrecondKind, SceneBatch, SceneState, StepReport};
 use dda_repro::core::{BlockSystem, DdaParams, SolverWarmStart};
 use dda_repro::simt::{Device, DeviceProfile};
 use dda_repro::workloads::{
@@ -221,7 +221,9 @@ fn judge(
     apply: impl Fn(&mut DdaParams),
     shells: &[Shell],
 ) -> Vec<(Shell, Verdict)> {
-    let params = params.with_warm_start(SolverWarmStart::PrevStep);
+    let params = params
+        .with_warm_start(SolverWarmStart::PrevStep)
+        .with_precond(PrecondKind::BlockJacobi);
     let mut oracle = GpuPipeline::new(sys, params, k40());
     let mut verdicts: Vec<_> = shells.iter().map(|&s| (s, Verdict::default())).collect();
     for step in 0..STEPS {
