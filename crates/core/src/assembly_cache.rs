@@ -19,7 +19,7 @@
 //!   launch of 128-thread blocks, one thread per slot in plan order: each
 //!   thread recomputes its slot's spring terms if the contact is closed,
 //!   the terms cross shared memory, and one thread per (segment, entry)
-//!   adds them in plan order (see [`gather_segments`]). Nothing
+//!   adds them in plan order (see `assembly::gather_segments`). Nothing
 //!   per-contact is stored in between.
 //!
 //! The result is bitwise the system `AssemblyReuse::Recompute` — Fig 4 from

@@ -100,9 +100,10 @@ pub struct DdaParams {
     /// Linear solver controls (the paper caps PCG at 200 iterations).
     pub pcg: PcgOptions,
     /// Preconditioner the solver starts on; the degradation ladder
-    /// descends from here (see [`DdaParams::solver_ladder`]). Per-scene:
-    /// a stiff scene can opt into ILU0 while its batch-mates stay on
-    /// Block-Jacobi.
+    /// descends from here (see [`DdaParams::solver_ladder`]). The default
+    /// is the hub rung, Block-Jacobi with the scene's fixed blocks solved
+    /// exactly. Per-scene: a stiff scene can opt into ILU0 while its
+    /// batch-mates stay on the default.
     pub precond: PrecondKind,
     /// Ignored by every driver (see [`SolverPrecision`]); kept only because
     /// `benchmark/` still sets it, and goes with ROADMAP item 4.
@@ -214,8 +215,8 @@ impl DdaParams {
 
     /// The degradation ladder the solver walks, derived from the
     /// configured starting rung: ILU0 → SSOR-AI → Block-Jacobi → Jacobi,
-    /// entered at [`DdaParams::precond`]. Plain CG has no rungs to descend
-    /// to.
+    /// entered at [`DdaParams::precond`]; the default hub rung descends
+    /// straight to Jacobi. Plain CG has no rungs to descend to.
     pub fn solver_ladder(&self) -> &'static [PrecondKind] {
         self.precond.ladder()
     }
@@ -279,10 +280,16 @@ mod tests {
     #[test]
     fn solver_ladder_derives_from_configured_rung() {
         let p = DdaParams::for_model(1.0, 1e9);
-        assert_eq!(p.precond, PrecondKind::BlockJacobi, "default start rung");
+        assert_eq!(p.precond, PrecondKind::HubSchur, "default start rung");
         assert_eq!(p.precision, SolverPrecision::Full, "default precision");
         assert_eq!(
             p.solver_ladder(),
+            &[PrecondKind::HubSchur, PrecondKind::Jacobi]
+        );
+        assert_eq!(
+            p.clone()
+                .with_precond(PrecondKind::BlockJacobi)
+                .solver_ladder(),
             &[PrecondKind::BlockJacobi, PrecondKind::Jacobi]
         );
         let p = p.with_precond(PrecondKind::Ilu0);

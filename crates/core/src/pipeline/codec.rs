@@ -400,7 +400,9 @@ macro_rules! enum_tables {
             // deleted AMG2 rung and its singular-coarse error) decode as
             // malformed.
             BroadPhaseMode { AllPairs = 0, GridCached = 2 }
-            PrecondKind { None = 0, BlockJacobi = 1, SsorAi = 2, Ilu0 = 3, Jacobi = 4 }
+            PrecondKind {
+                None = 0, BlockJacobi = 1, SsorAi = 2, Ilu0 = 3, Jacobi = 4, HubSchur = 6,
+            }
             SolverPrecision { Full = 0, Mixed = 1 }
             ContactOrder { Discovery = 0, ClassSorted = 1 }
             AssemblyReuse { Recompute = 0, Incremental = 1 }
@@ -694,6 +696,12 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_hub_rung_takes_tag_6_and_the_amg_tag_stays_retired() {
+        assert_eq!(round_trip::<PrecondKind>(6), Ok(6));
+        assert!(round_trip::<PrecondKind>(5).is_err());
     }
 
     #[test]

@@ -63,6 +63,9 @@ pub struct SceneCore {
 impl SceneCore {
     pub(crate) fn new(sys: BlockSystem, params: DdaParams) -> SceneCore {
         let n = sys.len();
+        let fixed = (0..n as u32)
+            .filter(|&i| sys.blocks[i as usize].fixed)
+            .collect();
         SceneCore {
             sys,
             params,
@@ -70,7 +73,7 @@ impl SceneCore {
             contacts: Vec::new(),
             x_prev: vec![0.0; 6 * n],
             ws: ContactWorkspace::new(),
-            cache: SolverCache::default(),
+            cache: SolverCache::new(fixed),
             acache: AssemblyCache::new(),
             fallback_solves: 0,
             x0: Vec::new(),
@@ -678,6 +681,15 @@ mod tests {
 
     /// Runs the ladder for one scene configured on `start` over `matrix`.
     fn ladder(start: PrecondKind, matrix: SymBlockMatrix) -> (LadderSolve, SceneCore) {
+        ladder_with_hub(start, matrix, Vec::new())
+    }
+
+    /// [`ladder`] for a scene whose fixed blocks are `fixed`.
+    fn ladder_with_hub(
+        start: PrecondKind,
+        matrix: SymBlockMatrix,
+        fixed: Vec<u32>,
+    ) -> (LadderSolve, SceneCore) {
         let dev = Device::new(DeviceProfile::tesla_k40()).with_conflict_checking(true);
         let n = matrix.diag.len();
         let sys = BlockSystem::new(
@@ -687,6 +699,7 @@ mod tests {
         );
         let mut sc = SceneCore::new(sys, DdaParams::for_model(1.0, 5e9).with_precond(start));
         sc.x_prev = vec![0.0; 6 * n];
+        sc.cache = SolverCache::new(fixed);
         let asm = AssembledSystem {
             matrix,
             rhs: vec![1.0; 6 * n],
@@ -741,6 +754,36 @@ mod tests {
             "expected PreconditionerFailed, got {:?}",
             solve.res
         );
+    }
+
+    #[test]
+    fn the_hub_rung_solves_an_arrow_in_one_iteration() {
+        // Blocks 1..6 touch the fixed block 0 and nothing else.
+        let diag = (0..6)
+            .map(|i| Block6::diag(&[if i == 0 { 80.0 } else { 20.0 }; 6]))
+            .collect();
+        let upper = (1..6).map(|j| (0, j, Block6::diag(&[-3.0; 6]))).collect();
+        let m = SymBlockMatrix::new(diag, upper);
+        let (solve, sc) = ladder_with_hub(PrecondKind::HubSchur, m.clone(), vec![0]);
+        let res = solve.res.expect("SPD arrow solves");
+        assert_eq!((solve.level, res.iterations), (0, 1));
+        assert_eq!(sc.fallback_solves, 0);
+        // Without the hub the same rung is Block-Jacobi, which needs more.
+        let (solve, _) = ladder_with_hub(PrecondKind::HubSchur, m, Vec::new());
+        assert!(solve.res.expect("SPD").iterations > 1);
+    }
+
+    #[test]
+    fn a_singular_hub_descends_to_jacobi() {
+        // K = [I I; I I] with block 1 fixed: S = I − I·I⁻¹·I = 0, so the
+        // hub rung fails to factor and Jacobi solves the consistent system.
+        let id = Block6::identity();
+        let m = SymBlockMatrix::new(vec![id, id], vec![(0, 1, id)]);
+        let (solve, sc) = ladder_with_hub(PrecondKind::HubSchur, m, vec![1]);
+        assert_eq!(solve.level, 1, "one rung down");
+        assert_eq!(PrecondKind::HubSchur.ladder()[1], PrecondKind::Jacobi);
+        assert!(solve.res.expect("Jacobi solves it").converged);
+        assert_eq!(sc.fallback_solves, 1);
     }
 
     #[test]

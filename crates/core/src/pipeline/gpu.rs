@@ -254,6 +254,7 @@ mod tests {
             PrecondKind::SsorAi,
             PrecondKind::Ilu0,
             PrecondKind::Jacobi,
+            PrecondKind::HubSchur,
         ] {
             let (sys, params) = stack();
             let mut gpu = GpuPipeline::new(sys, params, k40()).with_precond(pk);
@@ -269,11 +270,13 @@ mod tests {
         // must not recover Δt. Every solve restarts from the previous step's
         // solution and stops after two PCG iterations, so the loop never
         // settles; warm-started re-solves would pile the iterations up and
-        // converge it.
+        // converge it, and so would the hub rung, which solves this
+        // block-on-a-fixed-floor scene exactly in one iteration.
         let (sys, mut params) = stack();
         params.pcg.tol = 1e-30;
         params.pcg.max_iters = 2;
         params.warm_start = crate::params::SolverWarmStart::PrevStep;
+        params.precond = PrecondKind::BlockJacobi;
         let mut gpu = GpuPipeline::new(sys, params, k40());
         for _ in 0..6 {
             let r = gpu.step();

@@ -173,12 +173,12 @@ pub struct StepReport {
     /// (should sit at the numerical-noise scale once loop 3 converges).
     pub max_open_penetration: f64,
     /// Deepest preconditioner fallback rung any solve of this step needed
-    /// (0 = the configured preconditioner; each +1 is one rung down the
-    /// ILU0 → SSOR-AI → Block-Jacobi → Jacobi ladder).
+    /// (0 = the configured preconditioner; each +1 is one rung down its
+    /// ladder, [`PrecondKind::ladder`]).
     pub fallback_level: usize,
     /// The ladder rung that depth lands on — the preconditioner the
     /// deepest-degraded solve of this step actually used (its name via
-    /// [`PrecondKind::name`]). Defaults to Block-Jacobi, matching the
+    /// [`PrecondKind::name`]). Defaults to the hub rung, matching the
     /// default configuration, for steps that never solve.
     pub fallback_rung: PrecondKind,
     /// Modeled seconds this step added to each pipeline module — the

@@ -1,7 +1,7 @@
 //! Cached equation-solving state of one scene, owned by the step engine.
 
 use dda_simt::{Device, Fault, KernelStats};
-use dda_solver::precond::{BlockJacobi, Identity, Ilu0, Jacobi, Preconditioner, SsorAi};
+use dda_solver::precond::{BlockJacobi, HubSchur, Identity, Ilu0, Jacobi, Preconditioner, SsorAi};
 use dda_solver::{PcgBatchEntry, PcgOptions, PcgWorkspace, PrecondError, PrecondKind};
 use dda_sparse::{Csr, Hsbcsr, SymBlockMatrix};
 
@@ -14,10 +14,10 @@ pub(crate) struct RungSolve<'a> {
     ws: &'a mut PcgWorkspace,
 }
 
-/// Block-Jacobi lives in the cache (refactored in place); every other
-/// rung is built per solve and borrows the cached format.
+/// Block-Jacobi and the hub rung live in the cache (refactored in place);
+/// every other rung is built per solve and borrows the cached format.
 enum RungPrecond<'a> {
-    Cached(&'a BlockJacobi),
+    Cached(&'a dyn Preconditioner),
     Built(Box<dyn Preconditioner + 'a>),
 }
 
@@ -34,7 +34,7 @@ impl RungSolve<'_> {
             b,
             x0,
             m: match &self.m {
-                RungPrecond::Cached(bj) => *bj,
+                RungPrecond::Cached(m) => *m,
                 RungPrecond::Built(m) => m.as_ref(),
             },
             opts,
@@ -47,13 +47,20 @@ impl RungSolve<'_> {
 /// time steps. The open–close loop usually toggles no contacts between
 /// consecutive solves, so the HSBCSR symbolic structure (index arrays,
 /// padding) is stable: the cache then refills values in place instead of
-/// rebuilding, reuses the Block-Jacobi storage (refactoring values with the
-/// same single launch), and keeps the PCG/SpMV workspace warm so the whole
-/// solve path stops allocating.
+/// rebuilding, reuses the Block-Jacobi and hub storage (refactoring values
+/// with the same launches), and keeps the PCG/SpMV workspace warm so the
+/// whole solve path stops allocating.
 #[derive(Default)]
 pub(crate) struct SolverCache {
     h: Option<Hsbcsr>,
     bj: Option<BlockJacobi>,
+    hub_schur: Option<HubSchur>,
+    /// The scene's fixed blocks, ascending (they never change).
+    fixed: Vec<u32>,
+    /// The hub the cached format's pattern couples
+    /// ([`HubSchur::hub_of`]; empty: the hub rung is Block-Jacobi),
+    /// decided when the format is rebuilt.
+    hub: Vec<u32>,
     pub(crate) pcg_ws: PcgWorkspace,
     /// Diagnostics: how many solves reused the symbolic structure.
     pub(crate) refills: usize,
@@ -68,6 +75,14 @@ pub(crate) struct SolverCache {
 }
 
 impl SolverCache {
+    /// An empty cache for a scene whose fixed blocks are `fixed`.
+    pub(crate) fn new(fixed: Vec<u32>) -> SolverCache {
+        SolverCache {
+            fixed,
+            ..SolverCache::default()
+        }
+    }
+
     /// The warm iterate, if one is armed.
     pub(crate) fn warm_iterate(&self) -> Option<&[f64]> {
         self.warm_valid.then_some(self.warm.as_slice())
@@ -96,12 +111,11 @@ impl SolverCache {
         matrix: &SymBlockMatrix,
         kind: PrecondKind,
     ) -> Result<RungSolve<'_>, PrecondError> {
-        let want_bj = kind == PrecondKind::BlockJacobi;
-        let (h, bj, ws) = self.try_prepare(dev, matrix, want_bj)?;
+        let (h, cached, ws) = self.try_prepare(dev, matrix, kind)?;
         let m = match kind {
             PrecondKind::None => RungPrecond::Built(Box::new(Identity)),
-            PrecondKind::BlockJacobi => {
-                RungPrecond::Cached(bj.expect("try_prepare(want_bj) returns a factorization"))
+            PrecondKind::BlockJacobi | PrecondKind::HubSchur => {
+                RungPrecond::Cached(cached.expect("try_prepare returns the cached rung"))
             }
             PrecondKind::SsorAi => RungPrecond::Built(Box::new(SsorAi::try_new(dev, h, 1.0)?)),
             PrecondKind::Ilu0 => {
@@ -116,10 +130,10 @@ impl SolverCache {
         Ok(RungSolve { h, m, ws })
     }
 
-    /// Refreshes the cached format (and, when `want_bj`, the Block-Jacobi
-    /// factorization) for `matrix`, charging the format-building traffic on
-    /// `dev`, and hands back disjoint borrows of everything a fused PCG call
-    /// needs.
+    /// Refreshes the cached format (and, for the Block-Jacobi and hub
+    /// rungs, their cached factorization) for `matrix`, charging the
+    /// format-building traffic on `dev`, and hands back disjoint borrows of
+    /// everything a fused PCG call needs.
     ///
     /// Format building is charged as part of the solving module's time via
     /// an explicit record — the paper's pipeline equally pays it on device.
@@ -135,11 +149,14 @@ impl SolverCache {
         &mut self,
         dev: &Device,
         matrix: &SymBlockMatrix,
-        want_bj: bool,
-    ) -> Result<(&Hsbcsr, Option<&BlockJacobi>, &mut PcgWorkspace), PrecondError> {
+        kind: PrecondKind,
+    ) -> Result<(&Hsbcsr, Option<&dyn Preconditioner>, &mut PcgWorkspace), PrecondError> {
         let SolverCache {
             h: h_slot,
             bj: bj_slot,
+            hub_schur,
+            fixed,
+            hub,
             pcg_ws,
             refills,
             rebuilds,
@@ -148,7 +165,8 @@ impl SolverCache {
 
         let refilled = h_slot.as_mut().is_some_and(|h| h.refill_values(matrix));
         if !refilled {
-            *h_slot = Some(Hsbcsr::from_sym(matrix));
+            let rebuilt = h_slot.insert(Hsbcsr::from_sym(matrix));
+            *hub = HubSchur::hub_of(rebuilt, fixed);
             *rebuilds += 1;
         } else {
             *refills += 1;
@@ -169,17 +187,25 @@ impl SolverCache {
             },
         );
 
-        let bj = if want_bj {
-            // Values change every solve (contact springs); the cache keeps
-            // the storage and refactors in place.
-            match bj_slot.as_mut() {
-                Some(bj) => bj.try_refactor(dev, h)?,
-                None => *bj_slot = Some(BlockJacobi::try_new(dev, h)?),
-            }
-            Some(bj_slot.as_ref().expect("cache holds a factorization"))
-        } else {
-            None
+        // Values change every solve (contact springs); the cache keeps the
+        // storage and refactors in place.
+        let cached: Option<&dyn Preconditioner> = match kind {
+            PrecondKind::BlockJacobi => Some(match bj_slot {
+                Some(bj) => {
+                    bj.try_refactor(dev, h)?;
+                    bj
+                }
+                None => bj_slot.insert(BlockJacobi::try_new(dev, h)?),
+            }),
+            PrecondKind::HubSchur => Some(match hub_schur {
+                Some(m) => {
+                    m.try_refactor(dev, h, hub)?;
+                    m
+                }
+                None => hub_schur.insert(HubSchur::try_new(dev, h, hub)?),
+            }),
+            _ => None,
         };
-        Ok((h, bj, pcg_ws))
+        Ok((h, cached, pcg_ws))
     }
 }

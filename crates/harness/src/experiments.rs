@@ -136,6 +136,13 @@ pub fn preconditioner_study(blocks: usize, steps: usize, seed: u64) -> Vec<Preco
                 time_of(&["precond.jacobi.apply"]),
                 applies,
             ),
+            // Not one of the paper's three; where its scene has a hub it
+            // applies in `precond.hub.*`, otherwise it is the BJ row.
+            PrecondKind::HubSchur => (
+                time_of(&["precond.bj.construct", "precond.hub.construct"]),
+                time_of(&["precond.hub.apply", "precond.hub.back"]),
+                applies,
+            ),
             PrecondKind::None => (0.0, 0.0, applies),
         };
 

@@ -39,6 +39,7 @@ pub use pcg::{
     SolveResult, SolverPrecision,
 };
 pub use precond::{
-    BlockJacobi, Identity, Ilu0, Jacobi, PrecondError, PrecondKind, Preconditioner, SsorAi,
+    BlockJacobi, HubSchur, Identity, Ilu0, Jacobi, PrecondError, PrecondKind, Preconditioner,
+    SsorAi,
 };
 pub use traits::{CsrScalarMat, CsrVectorMat, HsbcsrMat, MatVec};

@@ -34,8 +34,8 @@
 use crate::precond::Preconditioner;
 use crate::traits::MatVec;
 use crate::vecops::{
-    axpy, dot, dot_partials_into, fused_axpy2_norm, fused_precond_rz, fused_residual, fused_update,
-    fused_xpby_beta, norm_sq, reduce_partials, xpby,
+    axpy, dot, fused_axpy2_norm, fused_precond_rz, fused_residual, fused_update, fused_xpby_beta,
+    norm_sq, reduce_partials, xpby,
 };
 use dda_simt::{BatchSummary, Device};
 use dda_sparse::spmv::{
@@ -324,10 +324,18 @@ enum Apply<'a, F> {
     /// Inside the `update` kernel — the three-launch iteration: flat
     /// block-diagonal inverses, or `None` for the identity.
     Fused(Option<&'a [f64]>),
-    /// Through a separate apply `F(r, z)` between the fused BLAS-1 kernels
-    /// (SSOR/ILU0/Jacobi applies are not single block-diagonal products).
+    /// Through a separate apply between the fused BLAS-1 kernels (SSOR,
+    /// ILU0, Jacobi and the hub solve are not single block-diagonal
+    /// products): `F(r, z, rz_partials)` is
+    /// [`Preconditioner::apply_rz`].
     Bridged(F),
 }
+
+/// A bridged apply: `z = M⁻¹ r` and the `r·z` partials, with `r·z` when it
+/// reduced them itself (see [`Preconditioner::apply_rz`]).
+trait BridgedApply: FnMut(&[f64], &mut Vec<f64>, &mut Vec<f64>) -> Option<f64> {}
+
+impl<F: FnMut(&[f64], &mut Vec<f64>, &mut Vec<f64>) -> Option<f64>> BridgedApply for F {}
 
 /// How [`iterate`] ended.
 struct LoopEnd {
@@ -351,11 +359,11 @@ impl LoopEnd {
 
 /// The last set-up step: `z₀ = M⁻¹r`, `p₀ = z₀`, and `r·z₀` into
 /// `sums.scalars[0]`. The fused apply is one launch whose last block
-/// reduces the `r·z₀` partials and stores the scalar; a bridged apply is
-/// followed by the unfused dot.
+/// reduces the `r·z₀` partials and stores the scalar; a bridged apply
+/// leaves the partials, and the final reduction if it did not do it.
 fn first_direction(
     dev: &Device,
-    apply: &mut Apply<'_, impl FnMut(&[f64], &mut Vec<f64>)>,
+    apply: &mut Apply<'_, impl BridgedApply>,
     v: &mut IterVecs,
     sums: &mut Sums,
 ) {
@@ -366,9 +374,8 @@ fn first_direction(
             fused_precond_rz(dev, *dinv, &v.r, &mut v.z, &mut sums.rz, &mut sums.scalars);
         }
         Apply::Bridged(m_apply) => {
-            m_apply(&v.r, &mut v.z);
-            dot_partials_into(dev, &v.r, &v.z, &mut sums.rz);
-            sums.scalars[0] = reduce_partials(dev, &sums.rz);
+            sums.scalars[0] = m_apply(&v.r, &mut v.z, &mut sums.rz)
+                .unwrap_or_else(|| reduce_partials(dev, &sums.rz));
         }
     }
     v.p.clear();
@@ -385,7 +392,7 @@ fn first_direction(
 fn iterate(
     dev: &Device,
     h: &Hsbcsr,
-    mut apply: Apply<'_, impl FnMut(&[f64], &mut Vec<f64>)>,
+    mut apply: Apply<'_, impl BridgedApply>,
     v: &mut IterVecs,
     sums: &mut Sums,
     mut r_norm_sq: f64,
@@ -471,8 +478,7 @@ fn iterate(
                     converged = true;
                     break;
                 }
-                m_apply(&v.r, &mut v.z);
-                dot_partials_into(dev, &v.r, &v.z, &mut sums.rz);
+                m_apply(&v.r, &mut v.z, &mut sums.rz);
                 // β from the partials, p ← z + β p.
                 sums.scalars[0] = fused_xpby_beta(dev, &sums.rz, rz, &v.z, &mut v.p);
             }
@@ -546,10 +552,8 @@ pub fn pcg_fused<P: Preconditioner + ?Sized>(
         let mut apply = if dinv.is_some() || m.is_identity() {
             Apply::Fused(dinv)
         } else {
-            Apply::Bridged(|r: &[f64], z: &mut Vec<f64>| {
-                let out = m.apply(dev, r);
-                z.clear();
-                z.extend_from_slice(&out);
+            Apply::Bridged(|r: &[f64], z: &mut Vec<f64>, rz: &mut Vec<f64>| {
+                m.apply_rz(dev, r, z, rz)
             })
         };
         // Set-up launch 4 (fused apply): z₀, p₀ and r·z₀.
@@ -632,7 +636,7 @@ pub fn pcg_fused_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::{BlockJacobi, Identity, Ilu0, SsorAi};
+    use crate::precond::{BlockJacobi, HubSchur, Identity, Ilu0, PrecondKind, SsorAi};
     use crate::traits::{CsrVectorMat, HsbcsrMat};
     use crate::vecops::reduce_partials_host;
     use dda_simt::DeviceProfile;
@@ -910,7 +914,9 @@ mod tests {
             let apply = if dinv.is_some() || m.is_identity() {
                 Apply::Fused(dinv)
             } else {
-                Apply::Bridged(|r: &[f64], z: &mut Vec<f64>| *z = m.apply(dev, r))
+                Apply::Bridged(|r: &[f64], z: &mut Vec<f64>, rz: &mut Vec<f64>| {
+                    m.apply_rz(dev, r, z, rz)
+                })
             };
             let end = iterate(
                 dev,
@@ -997,7 +1003,9 @@ mod tests {
                 let mut apply = if dinv.is_some() || m_.is_identity() {
                     Apply::Fused(dinv)
                 } else {
-                    Apply::Bridged(|r: &[f64], z: &mut Vec<f64>| *z = m_.apply(&d, r))
+                    Apply::Bridged(|r: &[f64], z: &mut Vec<f64>, rz: &mut Vec<f64>| {
+                        m_.apply_rz(&d, r, z, rz)
+                    })
                 };
                 first_direction(&d, &mut apply, &mut ws.v, &mut ws.sums);
                 assert_eq!(bits(&ws.v.z), bits(&want_z), "{what}");
@@ -1146,7 +1154,7 @@ mod tests {
     }
 
     /// [`Apply::Fused`], whose bridge type is never used.
-    type FusedApply<'a> = Apply<'a, fn(&[f64], &mut Vec<f64>)>;
+    type FusedApply<'a> = Apply<'a, fn(&[f64], &mut Vec<f64>, &mut Vec<f64>) -> Option<f64>>;
 
     /// `(x bits, iterations, converged, residual bits, error)` of a solve.
     type Outcome = (Vec<u64>, usize, bool, u64, Option<SolveError>);
@@ -1365,27 +1373,47 @@ mod tests {
     fn batched_solves_are_bit_identical_to_solo() {
         // Three systems of different sizes and conditioning, solved solo
         // and batched: identical iterates, iteration counts, residuals.
-        // Once all on Block-Jacobi, once with the middle one on SSOR-AI, so
-        // a three-launch iteration shares the batch with a bridged one.
+        // Once all on Block-Jacobi, then with the middle one on SSOR-AI and
+        // on the hub preconditioner (block 0 as its hub), so a three-launch
+        // iteration shares the batch with a bridged one.
         let sizes = [(20usize, 21u64), (35, 22), (27, 23)];
         let problems: Vec<(SymBlockMatrix, Vec<f64>)> =
             sizes.iter().map(|&(n, s)| problem(n, s)).collect();
         let hs: Vec<Hsbcsr> = problems.iter().map(|(m, _)| Hsbcsr::from_sym(m)).collect();
         let opts = PcgOptions::default();
-        for with_ssor in [false, true] {
-            fn precond<'h>(d: &Device, ssor: bool, h: &'h Hsbcsr) -> Box<dyn Preconditioner + 'h> {
-                if ssor {
-                    Box::new(SsorAi::new(d, h, 1.0))
-                } else {
-                    Box::new(BlockJacobi::new(d, h))
+        for middle in [
+            PrecondKind::BlockJacobi,
+            PrecondKind::SsorAi,
+            PrecondKind::HubSchur,
+        ] {
+            fn precond<'h>(
+                d: &Device,
+                kind: PrecondKind,
+                h: &'h Hsbcsr,
+            ) -> Box<dyn Preconditioner + 'h> {
+                match kind {
+                    PrecondKind::SsorAi => Box::new(SsorAi::new(d, h, 1.0)),
+                    PrecondKind::HubSchur => {
+                        let hub = HubSchur::hub_of(h, &[0]);
+                        assert_eq!(hub, [0], "block 0 couples");
+                        Box::new(HubSchur::try_new(d, h, &hub).expect("SPD"))
+                    }
+                    _ => Box::new(BlockJacobi::new(d, h)),
                 }
             }
+            let kind = |k: usize| {
+                if k == 1 {
+                    middle
+                } else {
+                    PrecondKind::BlockJacobi
+                }
+            };
 
             // Solo reference.
             let d_solo = dev();
             let mut solo = Vec::new();
             for (k, ((m, b), h)) in problems.iter().zip(&hs).enumerate() {
-                let m_ = precond(&d_solo, with_ssor && k == 1, h);
+                let m_ = precond(&d_solo, kind(k), h);
                 let mut ws = PcgWorkspace::new();
                 let x0 = vec![0.0; m.dim()];
                 solo.push(pcg_fused(&d_solo, h, b, &x0, &*m_, opts, &mut ws));
@@ -1396,7 +1424,7 @@ mod tests {
             let ms: Vec<_> = hs
                 .iter()
                 .enumerate()
-                .map(|(k, h)| precond(&d, with_ssor && k == 1, h))
+                .map(|(k, h)| precond(&d, kind(k), h))
                 .collect();
             let x0s: Vec<Vec<f64>> = problems.iter().map(|(m, _)| vec![0.0; m.dim()]).collect();
             let mut wss: Vec<PcgWorkspace> = (0..3).map(|_| PcgWorkspace::new()).collect();
@@ -1426,7 +1454,12 @@ mod tests {
                 assert_eq!(s.residual, f.residual);
             }
             let by = d.trace().by_kernel();
-            assert_eq!(by.contains_key("pcg.fused.axpy2norm"), with_ssor);
+            let bridged = middle != PrecondKind::BlockJacobi;
+            assert_eq!(by.contains_key("pcg.fused.axpy2norm"), bridged);
+            assert_eq!(
+                by.contains_key("precond.hub.back"),
+                middle == PrecondKind::HubSchur
+            );
             assert!(by.contains_key("pcg.fused.update"));
 
             // Launch accounting: the batch must merge (fewer records out

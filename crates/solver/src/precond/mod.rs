@@ -9,28 +9,39 @@
 //! | [`BlockJacobi`] | trivial (6×6 inverses) | one block-diagonal product | slowest |
 //! | [`SsorAi`] | trivial (reuses the block inverses) | two triangular SpMVs | middle |
 //! | [`Ilu0`] | expensive factorization | two level-scheduled solves | fastest |
+//! | [`HubSchur`] (beyond the paper) | Block-Jacobi's, plus one launch (`W`, `S`, dense Cholesky of `S`) | two launches (`y` and `S x_H = t`; back-substitution fused with `r·z`) | exact on an arrow matrix: one iteration |
 //!
 //! ILU wins the iteration count (the paper: 93 vs 141 vs 275) and still
 //! loses the total time by an order of magnitude because the triangular
 //! solves and the factorization dominate.
+//!
+//! The shipped default is [`HubSchur`]: Block-Jacobi on the free blocks,
+//! with the scene's few fixed blocks (the hub every rockfall contact
+//! touches) solved exactly by block elimination. Where the pattern couples
+//! no block to the hub it is Block-Jacobi, launch for launch.
 
 mod block_jacobi;
+mod hub_schur;
 mod identity;
 mod ilu0;
 mod jacobi;
 mod ssor_ai;
 
 pub use block_jacobi::BlockJacobi;
+pub use hub_schur::{HubSchur, HUB_CAP};
 pub use identity::Identity;
 pub use ilu0::Ilu0;
 pub use jacobi::Jacobi;
 pub use ssor_ai::SsorAi;
 
+use crate::vecops::dot_partials_into;
 use dda_simt::Device;
 use serde::{Deserialize, Serialize};
 
 /// Preconditioner selection for the equation-solving module: the paper's
-/// Table I candidates, plain CG and the scalar-Jacobi last rung. This is
+/// Table I candidates, plain CG, the scalar-Jacobi last rung and the
+/// shipped default, Block-Jacobi with the fixed-block hub solved exactly
+/// ([`HubSchur`]). This is
 /// the *policy* enum the pipeline stores in its parameters and reports —
 /// the constructed preconditioners themselves implement
 /// [`Preconditioner`].
@@ -39,7 +50,6 @@ pub enum PrecondKind {
     /// Plain CG.
     None,
     /// Block-Jacobi (the paper's recommendation together with SSOR).
-    #[default]
     BlockJacobi,
     /// SSOR approximate inverse.
     SsorAi,
@@ -47,6 +57,11 @@ pub enum PrecondKind {
     Ilu0,
     /// Scalar-diagonal Jacobi — the last rung of the degradation ladder.
     Jacobi,
+    /// Block-Jacobi with the scene's fixed blocks (at most [`HUB_CAP`])
+    /// eliminated exactly through their Schur complement; plain
+    /// Block-Jacobi where the pattern couples nothing to them.
+    #[default]
+    HubSchur,
 }
 
 impl PrecondKind {
@@ -58,15 +73,17 @@ impl PrecondKind {
             PrecondKind::SsorAi => "SSOR-AI",
             PrecondKind::Ilu0 => "ILU0",
             PrecondKind::Jacobi => "Jacobi",
+            PrecondKind::HubSchur => "BJ+hub",
         }
     }
 
     /// The degradation ladder rooted at `self`: on construction failure or
     /// solver breakdown the pipeline descends ILU0 → SSOR-AI → Block-Jacobi
     /// → Jacobi, each rung cheaper and harder to break than the one above
-    /// (Jacobi only needs a nonzero scalar diagonal). Plain CG has no rungs
-    /// to descend to — a breakdown there is the operator's fault, not the
-    /// preconditioner's.
+    /// (Jacobi only needs a nonzero scalar diagonal). The hub rung descends
+    /// straight to Jacobi, as Block-Jacobi does: its factorization starts
+    /// with Block-Jacobi's. Plain CG has no rungs to descend to — a
+    /// breakdown there is the operator's fault, not the preconditioner's.
     pub fn ladder(self) -> &'static [PrecondKind] {
         match self {
             PrecondKind::None => &[PrecondKind::None],
@@ -83,6 +100,7 @@ impl PrecondKind {
             ],
             PrecondKind::BlockJacobi => &[PrecondKind::BlockJacobi, PrecondKind::Jacobi],
             PrecondKind::Jacobi => &[PrecondKind::Jacobi],
+            PrecondKind::HubSchur => &[PrecondKind::HubSchur, PrecondKind::Jacobi],
         }
     }
 }
@@ -94,7 +112,9 @@ impl PrecondKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PrecondError {
     /// A pivot was zero, nearly zero (relative to the largest diagonal
-    /// entry), or non-finite during ILU(0) factorization.
+    /// entry), or non-finite during ILU(0) factorization, or not positive
+    /// in the Cholesky factorization of [`HubSchur`]'s hub Schur
+    /// complement.
     ZeroPivot {
         /// Scalar row of the offending pivot.
         row: usize,
@@ -144,6 +164,24 @@ pub trait Preconditioner {
     fn name(&self) -> &'static str;
     /// Applies the preconditioner.
     fn apply(&self, dev: &Device, r: &[f64]) -> Vec<f64>;
+    /// `z = M⁻¹ r` with one `r·z` partial per tile in `rz_partials`, the
+    /// fused PCG's bridged step. Returns `r·z` when the apply also reduced
+    /// the partials on the device; `None` (the default, which follows
+    /// [`Preconditioner::apply`] with a `vec.dot.partial` launch) leaves
+    /// the reduction to the caller.
+    fn apply_rz(
+        &self,
+        dev: &Device,
+        r: &[f64],
+        z: &mut Vec<f64>,
+        rz_partials: &mut Vec<f64>,
+    ) -> Option<f64> {
+        let out = self.apply(dev, r);
+        z.clear();
+        z.extend_from_slice(&out);
+        dot_partials_into(dev, r, z, rz_partials);
+        None
+    }
     /// Flat row-major 6×6 block-diagonal inverses (36 scalars per block
     /// row) when [`Preconditioner::apply`] is exactly the block-diagonal
     /// product `z = D⁻¹ r` — the hook that lets the fused PCG compute `z`

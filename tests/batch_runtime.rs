@@ -196,19 +196,20 @@ fn scene_batch_matches_solo_pipelines_bitwise() {
 }
 
 /// A batch honours each scene's configured preconditioner: one scene per
-/// `PrecondKind`, stepped together, is bitwise the five solo runs — state,
+/// `PrecondKind`, stepped together, is bitwise the six solo runs — state,
 /// PCG iteration counts and the rung that carried the step. (The batched
 /// solve used to run Block-Jacobi whatever the scene asked for.)
 #[test]
 fn mixed_preconditioner_batch_matches_solo_pipelines_bitwise() {
-    const KINDS: [PrecondKind; 5] = [
+    const KINDS: [PrecondKind; 6] = [
         PrecondKind::None,
         PrecondKind::BlockJacobi,
         PrecondKind::SsorAi,
         PrecondKind::Ilu0,
         PrecondKind::Jacobi,
+        PrecondKind::HubSchur,
     ];
-    let scenes: Vec<_> = rockfall_fleet(&FleetConfig::default().with_scenes(5).with_rocks(4))
+    let scenes: Vec<_> = rockfall_fleet(&FleetConfig::default().with_scenes(6).with_rocks(4))
         .into_iter()
         .zip(KINDS)
         .map(|((sys, params), kind)| (sys, params.with_precond(kind)))
@@ -219,7 +220,7 @@ fn mixed_preconditioner_batch_matches_solo_pipelines_bitwise() {
         .map(|(sys, params)| GpuPipeline::new(sys, params, k40()))
         .collect();
     let mut batch = SceneBatch::new(k40(), scenes);
-    let mut iterations = [0; 5];
+    let mut iterations = [0; 6];
     for step in 0..4 {
         let rb = batch.step();
         for (i, solo) in solos.iter_mut().enumerate() {
@@ -243,12 +244,19 @@ fn mixed_preconditioner_batch_matches_solo_pipelines_bitwise() {
             iterations[i] += rs.pcg_iterations;
         }
     }
-    // The rungs really differ: plain CG needs more iterations than ILU(0).
+    // The rungs really differ: plain CG needs more iterations than ILU(0),
+    // and Block-Jacobi more than the hub rung.
     assert!(
         iterations[0] > iterations[3],
         "None {} vs ILU0 {}",
         iterations[0],
         iterations[3]
+    );
+    assert!(
+        iterations[1] > iterations[5],
+        "BJ {} vs BJ+hub {}",
+        iterations[1],
+        iterations[5]
     );
 }
 

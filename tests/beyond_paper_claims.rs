@@ -80,13 +80,17 @@ fn wal_cost_is_at_most_five_percent_of_aggregate_step_time() {
 /// a skewed stream (80 % of scenes on one locality key, one K40 against
 /// two K20s) the intent/commit records cost at most 1 % of the aggregate
 /// modeled step time, and the rebalanced run completes the same scenes.
+/// The stream runs 48 ticks: the rebalancer weighs backlog by modeled
+/// seconds per scene, and since the hub preconditioner made these rock
+/// scenes cheaper, 24 ticks no longer build a gap past its hysteresis
+/// band (48 ticks migrate twice, for 0.14 % of the step time).
 #[test]
 fn migration_records_cost_at_most_one_percent_of_aggregate_step_time() {
     const BUDGET_PCT: f64 = 1.0;
     let (k40, k20) = (DeviceProfile::tesla_k40(), DeviceProfile::tesla_k20());
     let fleet = [k40, k20.clone(), k20];
-    let fixed = churned_fleet("placement-static", &fleet, 800, false, 24);
-    let live = churned_fleet("placement-live", &fleet, 800, true, 24);
+    let fixed = churned_fleet("placement-static", &fleet, 800, false, 48);
+    let live = churned_fleet("placement-live", &fleet, 800, true, 48);
     assert_eq!(fixed.stats().rebalanced, 0);
     assert!(
         live.stats().rebalanced >= 1,

@@ -185,6 +185,33 @@ fn checkpoint_text_is_stable_under_re_encode() {
     assert_eq!(text, again, "decode∘encode must be the identity on text");
 }
 
+/// The scene codec round-trips the default hub rung (wire tag 6), and the
+/// resumed rockfall continues bitwise on it.
+#[test]
+fn checkpoint_round_trips_the_hub_rung() {
+    let (sys, params) = rockfall_case(&RockfallConfig::default().with_rocks(12));
+    assert_eq!(params.precond, PrecondKind::HubSchur);
+    let mut p = GpuPipeline::new(sys, params, k40());
+    p.run(3);
+    let text = SceneCheckpoint {
+        state: p.scene_state(),
+        taken_at_step: 3,
+    }
+    .encode();
+    let decoded = SceneCheckpoint::decode(&text).expect("codec must round-trip");
+    assert_eq!(decoded.state.params.precond, PrecondKind::HubSchur);
+    let mut resumed = GpuPipeline::from_state(decoded.state, k40());
+    for _ in 0..3 {
+        let (ra, rb) = (p.step(), resumed.step());
+        assert_eq!(ra.fallback_rung, PrecondKind::HubSchur);
+        assert_eq!(
+            (ra.pcg_iterations, ra.n_contacts),
+            (rb.pcg_iterations, rb.n_contacts)
+        );
+    }
+    assert_sys_bits_eq(&p.sys, &resumed.sys, "resumed rockfall");
+}
+
 /// The scene codec round-trips the configured preconditioner rung and the
 /// (inert) precision tag, and the resumed scene continues bitwise.
 #[test]

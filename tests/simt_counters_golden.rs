@@ -13,7 +13,10 @@
 //! Every run but `shipped/*` (the path users run: default assembly,
 //! warm-started re-solves) is pinned to the bitwise warm-start oracle
 //! `SolverWarmStart::PrevStep`; the Fig 4 runs also to
-//! `AssemblyReuse::Recompute`. The `default/*` runs are held to that oracle
+//! `AssemblyReuse::Recompute`. Every run but `shipped/hub-rockfall` is
+//! pinned to the Block-Jacobi preconditioner it was captured on; that one
+//! runs the default, the hub Schur-complement rung (`PrecondKind::HubSchur`),
+//! and was captured with it. The `default/*` runs are held to that oracle
 //! at run time: same scenes side by side, every step's state and every
 //! (phase, kernel) row outside `nondiag_building` equal. The `engine/*` runs
 //! are the scenes whose fingerprints `tests/step_engine.rs` holds. State
@@ -46,7 +49,7 @@ const STEPS: usize = 8;
 
 /// `(run, final-state digest, launch records)` of every golden run.
 #[rustfmt::skip]
-const RUNS: [(&str, u64, usize); 18] = [
+const RUNS: [(&str, u64, usize); 19] = [
     ("solo/slope", 0x5460d3339a279b08, 13308),
     ("solo/rockfall", 0x983c222c68080d0a, 1061),
     ("solo/scatter", 0x3a4c13915604f5e0, 1075),
@@ -59,6 +62,7 @@ const RUNS: [(&str, u64, usize); 18] = [
     ("shipped/slope", 0xd22770f0ad42c037, 3204),
     ("shipped/rockfall", 0xdb6624899052fd4a, 591),
     ("shipped/scatter", 0x9592357908560a83, 431),
+    ("shipped/hub-rockfall", 0x80cc46a81e62666d, 360),
     ("engine/stack-resting", 0x0b89cf53ba3313a8, 679),
     ("engine/stack-dropped", 0xee5e8ef0486d90e9, 922),
     ("engine/stack-offset", 0x20e949ece0bb1fbe, 688),
@@ -69,7 +73,7 @@ const RUNS: [(&str, u64, usize); 18] = [
 
 /// `(run, phase, digest of the run's records under that phase)`.
 #[rustfmt::skip]
-const LEDGER: [(&str, &str, u64); 108] = [
+const LEDGER: [(&str, &str, u64); 114] = [
     ("solo/slope", "contact_detection", 0xa3a8ea095d820516),
     ("solo/slope", "diag_building", 0x1eb09a30241c30e9),
     ("solo/slope", "nondiag_building", 0x46af8b12650817ef),
@@ -142,6 +146,12 @@ const LEDGER: [(&str, &str, u64); 108] = [
     ("shipped/scatter", "solving", 0x5d03fffca3905f9e),
     ("shipped/scatter", "interpenetration", 0x8357b645f4314be0),
     ("shipped/scatter", "updating", 0xa914465861504b72),
+    ("shipped/hub-rockfall", "contact_detection", 0x7a0a2ec21f675d88),
+    ("shipped/hub-rockfall", "diag_building", 0x6fe18c05efa0d605),
+    ("shipped/hub-rockfall", "nondiag_building", 0x273649ad3ae9bc96),
+    ("shipped/hub-rockfall", "solving", 0xf7e72a99d67b2154),
+    ("shipped/hub-rockfall", "interpenetration", 0x40c4cbfef41ec206),
+    ("shipped/hub-rockfall", "updating", 0x2a3c57c5e91a6f3d),
     ("engine/stack-resting", "contact_detection", 0xdd2e11f9678c3a93),
     ("engine/stack-resting", "diag_building", 0x31f04e0e3ac9f445),
     ("engine/stack-resting", "nondiag_building", 0x00ea7dae5f2b44c5),
@@ -512,6 +522,35 @@ fn shipped_solo_traces_match_the_parent_commit() {
         })
         .collect();
     assert_ledger(&runs);
+}
+
+/// The shipped solver on the rockfall: the hub preconditioner
+/// (`PrecondKind::HubSchur`, the default) with warm-started re-solves and
+/// the default assembly. Every contact joins a rock to one of the two
+/// fixed blocks, so each solve is one bridged iteration around the exact
+/// hub solve.
+#[test]
+fn shipped_hub_rockfall_trace_matches_the_ledger() {
+    let (sys, params) = rockfall_case(&RockfallConfig::default().with_rocks(40));
+    assert_eq!(params.precond, PrecondKind::HubSchur);
+    let mut pipe = GpuPipeline::new(sys, params, k40());
+    let reports = pipe.run(STEPS);
+    let by = pipe.device().trace().by_kernel();
+    for kernel in [
+        "precond.hub.construct",
+        "precond.hub.apply",
+        "precond.hub.back",
+    ] {
+        assert!(by.contains_key(kernel), "{kernel} never ran");
+    }
+    for (step, r) in reports.iter().enumerate() {
+        assert_eq!(r.fallback_rung, PrecondKind::HubSchur, "step {step}");
+        assert_eq!(
+            r.pcg_iterations, r.oc_iterations,
+            "step {step}: one per solve"
+        );
+    }
+    assert_ledger(&[solo_run("shipped/hub-rockfall", &pipe, &reports)]);
 }
 
 #[test]

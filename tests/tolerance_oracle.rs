@@ -2,12 +2,17 @@
 //! bitwise.
 //!
 //! Every other oracle in this repository compares bits. A change to how a
-//! PCG solve starts, or to how precisely it runs, moves the last bits of
-//! every solution by design, so it is held here instead, by tolerance. The
-//! oracle is `SolverWarmStart::PrevStep`: every solve starts from the
-//! previous step's accepted solution. The candidate is the default,
-//! `SolverWarmStart::PrevIterate`: an open–close re-solve starts from the
-//! previous iterate of the same step.
+//! PCG solve starts, to how precisely it runs or to how it is
+//! preconditioned moves the last bits of every solution by design, so it is
+//! held here instead, by tolerance. The oracle is Block-Jacobi with
+//! `SolverWarmStart::PrevStep`: every solve starts from the previous step's
+//! accepted solution. The candidate is the shipped defaults: the hub
+//! preconditioner (`PrecondKind::HubSchur`, Block-Jacobi with the fixed
+//! blocks eliminated exactly) and `SolverWarmStart::PrevIterate`, where an
+//! open–close re-solve starts from the previous iterate of the same step.
+//! On the rockfall every solve of the candidate is one PCG iteration; the
+//! slope's hub is past the cap and the scatter field couples nothing to its
+//! floor, so there the candidate's solves are Block-Jacobi's.
 //!
 //! The two step in lockstep on the smoke-size scenes of the benchmark's
 //! three solo workloads, for [`STEPS`] steps. Before every step the
@@ -50,17 +55,20 @@ use dda_repro::workloads::{
     rockfall_case, scatter_case, slope_case, RockfallConfig, ScatterConfig, SlopeConfig,
 };
 
-/// Steps per scene. Rockfall's first twelve steps leave the candidate one
-/// PCG iteration *above* the oracle (its three-iteration loops gain one or
-/// lose one); over 24 it saves 5 %.
+/// Steps per scene. Under Block-Jacobi, rockfall's first twelve steps left
+/// the warm start one PCG iteration *above* the oracle (its
+/// three-iteration loops gain one or lose one); the hub preconditioner
+/// solves each of them in one.
 const STEPS: usize = 24;
 
 /// The solution bound, in units of `tol·‖x_oracle‖`. The candidate's
-/// largest measured ratio is 55 (slope); rockfall's is 0.42 and scatter's
-/// 1.2e-3. The hundredfold looser candidate reaches 4.4e4 on the slope and
-/// 605 on scatter. On rockfall it stays at 47: there `‖x‖` is mostly free
-/// flight, which both solves get right, so the bound cannot see the
-/// loosening — the contact-bearing scenes are where it bites.
+/// largest measured ratio is 55 (slope); rockfall's is 0.022 (0.42 with
+/// the warm start alone, on Block-Jacobi) and scatter's 1.2e-3. The
+/// hundredfold looser candidate reaches 4.4e4 on the slope and 605 on
+/// scatter. On rockfall the looser warm start on Block-Jacobi stayed at 47:
+/// there `‖x‖` is mostly free flight, which both solves get right, so the
+/// bound cannot see the loosening — the contact-bearing scenes are where it
+/// bites.
 const C: f64 = 200.0;
 
 /// Largest share of contacts that may commit the other one of lock and
@@ -90,10 +98,12 @@ fn scatter() -> (BlockSystem, DdaParams) {
     scatter_case(&ScatterConfig::default().with_rocks(300))
 }
 
-/// The warm start under test: the one users run.
+/// The solver settings under test: the ones users run.
 fn candidate(p: &mut DdaParams) {
     p.warm_start = SolverWarmStart::default();
+    p.precond = PrecondKind::default();
     assert_eq!(p.warm_start, SolverWarmStart::PrevIterate);
+    assert_eq!(p.precond, PrecondKind::HubSchur);
 }
 
 /// What one step leaves behind: its report and the committed state.
@@ -260,6 +270,10 @@ fn judge(
 /// iterations there.
 fn accepts_the_candidate(name: &str, scene: (BlockSystem, DdaParams)) {
     for (shell, v) in judge(scene, candidate, &[Shell::Solo, Shell::BatchSlot]) {
+        println!(
+            "{name} {shell:?}: PCG iterations {} -> {}, largest ratio {:.3e}, lock/slide {}",
+            v.oracle_pcg, v.cand_pcg, v.max_ratio, v.max_shear
+        );
         assert_eq!(v.rejected, None, "{name} {shell:?}");
         assert!(
             v.warm_starts > 0,
