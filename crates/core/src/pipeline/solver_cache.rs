@@ -1,7 +1,7 @@
 //! Cached equation-solving state of one scene, owned by the step engine.
 
 use dda_simt::{Device, Fault, KernelStats};
-use dda_solver::precond::{BlockJacobi, HubSchur, Identity, Ilu0, Jacobi, Preconditioner, SsorAi};
+use dda_solver::precond::{HubSchur, Identity, Ilu0, Jacobi, Preconditioner, SsorAi};
 use dda_solver::{PcgBatchEntry, PcgOptions, PcgWorkspace, PrecondError, PrecondKind};
 use dda_sparse::{Csr, Hsbcsr, SymBlockMatrix};
 
@@ -17,7 +17,7 @@ pub(crate) struct RungSolve<'a> {
 /// Block-Jacobi and the hub rung live in the cache (refactored in place);
 /// every other rung is built per solve and borrows the cached format.
 enum RungPrecond<'a> {
-    Cached(&'a dyn Preconditioner),
+    Cached(&'a HubSchur),
     Built(Box<dyn Preconditioner + 'a>),
 }
 
@@ -53,8 +53,10 @@ impl RungSolve<'_> {
 #[derive(Default)]
 pub(crate) struct SolverCache {
     h: Option<Hsbcsr>,
-    bj: Option<BlockJacobi>,
-    hub_schur: Option<HubSchur>,
+    /// Block-Jacobi, with the hub eliminated on the hub rung. One
+    /// factorization serves both rungs: without a hub it *is* Block-Jacobi,
+    /// launch for launch and bit for bit.
+    bj: Option<HubSchur>,
     /// The scene's fixed blocks, ascending (they never change).
     fixed: Vec<u32>,
     /// The hub the cached format's pattern couples
@@ -150,11 +152,10 @@ impl SolverCache {
         dev: &Device,
         matrix: &SymBlockMatrix,
         kind: PrecondKind,
-    ) -> Result<(&Hsbcsr, Option<&dyn Preconditioner>, &mut PcgWorkspace), PrecondError> {
+    ) -> Result<(&Hsbcsr, Option<&HubSchur>, &mut PcgWorkspace), PrecondError> {
         let SolverCache {
             h: h_slot,
             bj: bj_slot,
-            hub_schur,
             fixed,
             hub,
             pcg_ws,
@@ -189,23 +190,18 @@ impl SolverCache {
 
         // Values change every solve (contact springs); the cache keeps the
         // storage and refactors in place.
-        let cached: Option<&dyn Preconditioner> = match kind {
-            PrecondKind::BlockJacobi => Some(match bj_slot {
-                Some(bj) => {
-                    bj.try_refactor(dev, h)?;
-                    bj
-                }
-                None => bj_slot.insert(BlockJacobi::try_new(dev, h)?),
-            }),
-            PrecondKind::HubSchur => Some(match hub_schur {
-                Some(m) => {
-                    m.try_refactor(dev, h, hub)?;
-                    m
-                }
-                None => hub_schur.insert(HubSchur::try_new(dev, h, hub)?),
-            }),
-            _ => None,
+        let hub: &[u32] = match kind {
+            PrecondKind::HubSchur => hub,
+            PrecondKind::BlockJacobi => &[],
+            _ => return Ok((h, None, pcg_ws)),
         };
-        Ok((h, cached, pcg_ws))
+        let cached = match bj_slot {
+            Some(m) => {
+                m.try_refactor(dev, h, hub)?;
+                m
+            }
+            None => bj_slot.insert(HubSchur::try_new(dev, h, hub)?),
+        };
+        Ok((h, Some(cached), pcg_ws))
     }
 }

@@ -256,12 +256,13 @@ pub struct CaseStudy {
     /// Tesla K40 modeled times.
     pub k40: ModuleTimes,
     /// Tesla K40 modeled times on the shipped defaults: the default
-    /// assembly path (plan per contact list + gather per iteration) and
-    /// warm-started re-solves (`SolverWarmStart::PrevIterate`). Every other
-    /// field measures the paper's Fig 4 stream with every solve started
-    /// from the previous step's solution. The two trajectories agree to the
-    /// solver's tolerance, so `nondiag_building` and `solving` are the
-    /// rows that differ from [`CaseStudy::k40`].
+    /// assembly path (plan per contact list + gather per iteration), the
+    /// hub preconditioner (`PrecondKind::HubSchur`) and warm-started
+    /// re-solves (`SolverWarmStart::PrevIterate`). Every other field
+    /// measures the paper's Fig 4 stream on Block-Jacobi with every solve
+    /// started from the previous step's solution. The two trajectories
+    /// agree to the solver's tolerance, so `nondiag_building` and `solving`
+    /// are the rows that differ from [`CaseStudy::k40`].
     pub k40_default: ModuleTimes,
     /// Mean contacts per step (K40 run).
     pub mean_contacts: f64,
@@ -291,7 +292,7 @@ impl CaseStudy {
             ),
             row(
                 "Equation solving",
-                "(re-solves warm-started from the previous iterate)",
+                "(hub preconditioner, re-solves warm-started from the previous iterate)",
                 |t| t.solving
             )
         )

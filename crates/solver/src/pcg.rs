@@ -320,22 +320,15 @@ struct Sums {
 }
 
 /// How the iteration obtains `z = M⁻¹ r`.
-enum Apply<'a, F> {
+enum Apply<'a, P: ?Sized> {
     /// Inside the `update` kernel — the three-launch iteration: flat
     /// block-diagonal inverses, or `None` for the identity.
     Fused(Option<&'a [f64]>),
-    /// Through a separate apply between the fused BLAS-1 kernels (SSOR,
-    /// ILU0, Jacobi and the hub solve are not single block-diagonal
-    /// products): `F(r, z, rz_partials)` is
-    /// [`Preconditioner::apply_rz`].
-    Bridged(F),
+    /// Through the preconditioner's [`Preconditioner::apply_rz`] between
+    /// the fused BLAS-1 kernels (SSOR, ILU0, Jacobi and the hub solve are
+    /// not single block-diagonal products).
+    Bridged(&'a P),
 }
-
-/// A bridged apply: `z = M⁻¹ r` and the `r·z` partials, with `r·z` when it
-/// reduced them itself (see [`Preconditioner::apply_rz`]).
-trait BridgedApply: FnMut(&[f64], &mut Vec<f64>, &mut Vec<f64>) -> Option<f64> {}
-
-impl<F: FnMut(&[f64], &mut Vec<f64>, &mut Vec<f64>) -> Option<f64>> BridgedApply for F {}
 
 /// How [`iterate`] ended.
 struct LoopEnd {
@@ -363,7 +356,7 @@ impl LoopEnd {
 /// leaves the partials, and the final reduction if it did not do it.
 fn first_direction(
     dev: &Device,
-    apply: &mut Apply<'_, impl BridgedApply>,
+    apply: &Apply<'_, impl Preconditioner + ?Sized>,
     v: &mut IterVecs,
     sums: &mut Sums,
 ) {
@@ -373,8 +366,9 @@ fn first_direction(
         Apply::Fused(dinv) => {
             fused_precond_rz(dev, *dinv, &v.r, &mut v.z, &mut sums.rz, &mut sums.scalars);
         }
-        Apply::Bridged(m_apply) => {
-            sums.scalars[0] = m_apply(&v.r, &mut v.z, &mut sums.rz)
+        Apply::Bridged(m) => {
+            sums.scalars[0] = m
+                .apply_rz(dev, &v.r, &mut v.z, &mut sums.rz)
                 .unwrap_or_else(|| reduce_partials(dev, &sums.rz));
         }
     }
@@ -392,7 +386,7 @@ fn first_direction(
 fn iterate(
     dev: &Device,
     h: &Hsbcsr,
-    mut apply: Apply<'_, impl BridgedApply>,
+    apply: Apply<'_, impl Preconditioner + ?Sized>,
     v: &mut IterVecs,
     sums: &mut Sums,
     mut r_norm_sq: f64,
@@ -418,7 +412,7 @@ fn iterate(
         } else {
             spmv_hsbcsr_fused_pq(dev, h, &v.p, scheme, &mut v.spmv, &mut v.q);
         }
-        match &mut apply {
+        match &apply {
             Apply::Fused(dinv) => {
                 // Launch 3: α (device-guarded), x and r updates, z = D⁻¹r
                 // (or z = r), ‖r‖² and r·z partials and reduces, β.
@@ -453,7 +447,7 @@ fn iterate(
                 }
                 fold = true;
             }
-            Apply::Bridged(m_apply) => {
+            Apply::Bridged(m) => {
                 // Launch 3: α from the partials (device-guarded), x and r
                 // updates, ‖r‖² tile partials.
                 let rz = sums.scalars[0];
@@ -478,7 +472,7 @@ fn iterate(
                     converged = true;
                     break;
                 }
-                m_apply(&v.r, &mut v.z, &mut sums.rz);
+                m.apply_rz(dev, &v.r, &mut v.z, &mut sums.rz);
                 // β from the partials, p ← z + β p.
                 sums.scalars[0] = fused_xpby_beta(dev, &sums.rz, rz, &v.z, &mut v.p);
             }
@@ -549,15 +543,13 @@ pub fn pcg_fused<P: Preconditioner + ?Sized>(
         LoopEnd::at_setup(r_norm_sq, None)
     } else {
         let dinv = m.block_diag_inv();
-        let mut apply = if dinv.is_some() || m.is_identity() {
+        let apply = if dinv.is_some() || m.is_identity() {
             Apply::Fused(dinv)
         } else {
-            Apply::Bridged(|r: &[f64], z: &mut Vec<f64>, rz: &mut Vec<f64>| {
-                m.apply_rz(dev, r, z, rz)
-            })
+            Apply::Bridged(m)
         };
         // Set-up launch 4 (fused apply): z₀, p₀ and r·z₀.
-        first_direction(dev, &mut apply, v, sums);
+        first_direction(dev, &apply, v, sums);
         iterate(
             dev,
             h,
@@ -914,9 +906,7 @@ mod tests {
             let apply = if dinv.is_some() || m.is_identity() {
                 Apply::Fused(dinv)
             } else {
-                Apply::Bridged(|r: &[f64], z: &mut Vec<f64>, rz: &mut Vec<f64>| {
-                    m.apply_rz(dev, r, z, rz)
-                })
+                Apply::Bridged(m)
             };
             let end = iterate(
                 dev,
@@ -1000,14 +990,12 @@ mod tests {
                 };
                 assert_eq!(bits(&ws.v.r), bits(&want_r), "{what}");
                 let dinv = m_.block_diag_inv();
-                let mut apply = if dinv.is_some() || m_.is_identity() {
+                let apply = if dinv.is_some() || m_.is_identity() {
                     Apply::Fused(dinv)
                 } else {
-                    Apply::Bridged(|r: &[f64], z: &mut Vec<f64>, rz: &mut Vec<f64>| {
-                        m_.apply_rz(&d, r, z, rz)
-                    })
+                    Apply::Bridged(m_)
                 };
-                first_direction(&d, &mut apply, &mut ws.v, &mut ws.sums);
+                first_direction(&d, &apply, &mut ws.v, &mut ws.sums);
                 assert_eq!(bits(&ws.v.z), bits(&want_z), "{what}");
                 assert_eq!(bits(&ws.v.p), bits(&want_z), "{what}");
                 let rz = ws.sums.scalars[0];
@@ -1154,7 +1142,7 @@ mod tests {
     }
 
     /// [`Apply::Fused`], whose bridge type is never used.
-    type FusedApply<'a> = Apply<'a, fn(&[f64], &mut Vec<f64>, &mut Vec<f64>) -> Option<f64>>;
+    type FusedApply<'a> = Apply<'a, Identity>;
 
     /// `(x bits, iterations, converged, residual bits, error)` of a solve.
     type Outcome = (Vec<u64>, usize, bool, u64, Option<SolveError>);
@@ -1197,8 +1185,8 @@ mod tests {
             LoopEnd::at_setup(r_norm_sq, None)
         } else {
             let dinv = m.block_diag_inv();
-            let mut apply: FusedApply<'_> = Apply::Fused(dinv);
-            first_direction(dev, &mut apply, v, sums);
+            let apply: FusedApply<'_> = Apply::Fused(dinv);
+            first_direction(dev, &apply, v, sums);
             five_launch_iterate(
                 dev,
                 h,

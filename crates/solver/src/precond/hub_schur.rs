@@ -237,7 +237,7 @@ impl HubSchur {
                     let count = CPL_TILE.min(nc.saturating_sub(start));
                     let tile = &cpl[start..start + count];
                     // Entry e of every thread's K_iH, one gather per entry
-                    // as the threads of a warp issue them (the sliced layout
+                    // as the threads of a warp load them (the sliced layout
                     // puts a row's slots side by side). Each D_i⁻¹ is 36
                     // contiguous words, which 36 threads load together and
                     // stage in shared memory.
@@ -361,7 +361,13 @@ impl HubSchur {
 
     /// `z = M⁻¹ r` in two launches; with `rz` the second also leaves the
     /// `r·z` tile partials there and returns their reduction.
-    fn solve(&self, dev: &Device, r: &[f64], z: &mut Vec<f64>, rz: Option<&mut Vec<f64>>) -> f64 {
+    fn solve(
+        &self,
+        dev: &Device,
+        r: &[f64],
+        z: &mut Vec<f64>,
+        mut rz: Option<&mut Vec<f64>>,
+    ) -> f64 {
         let n = self.bj.n_blocks();
         assert_eq!(r.len(), 6 * n);
         let m = self.hub.len();
@@ -428,7 +434,7 @@ impl HubSchur {
                     words.extend(
                         cpl[c0..c1]
                             .iter()
-                            .flat_map(|c| (0..6).map(move |k| (6 * c.hub + k) as u32)),
+                            .flat_map(|c| (0..6).map(move |k| 6 * c.hub + k)),
                     );
                     blk.smem_access(words);
                     blk.sync();
@@ -460,8 +466,7 @@ impl HubSchur {
         }
         cholesky_solve(&self.l, d, &mut xh);
 
-        let mut rz_part = rz;
-        if let Some(p) = rz_part.as_deref_mut() {
+        if let Some(p) = rz.as_deref_mut() {
             p.clear();
             p.resize(n_tiles, 0.0);
         }
@@ -472,7 +477,7 @@ impl HubSchur {
             let b_hp = dev.bind_ro(hub_pos);
             let b_xh = dev.bind_ro(&xh);
             let b_z = dev.bind(z.as_mut_slice());
-            let b_rz = rz_part.as_deref_mut().map(|p| dev.bind(p.as_mut_slice()));
+            let b_rz = rz.as_deref_mut().map(|p| dev.bind(p.as_mut_slice()));
             let mut scalar = [0.0f64; 1];
             let b_s = dev.bind(&mut scalar[..]);
             dev.launch_blocks("precond.hub.back", n_tiles, 256, |blk| {
@@ -509,7 +514,7 @@ impl HubSchur {
                     out.clear();
                     let (mut wk, mut xk) = (0, 0);
                     for g in lo..lo + count {
-                        let (i, _) = (g / 6, g % 6);
+                        let i = g / 6;
                         let (s, e) = (bc[i - b0] as usize, bc[i - b0 + 1] as usize);
                         let mut v = y[g - lo];
                         for _ in s..e {
@@ -545,7 +550,7 @@ impl HubSchur {
                 });
             });
         }
-        rz_part.map_or(0.0, |p| reduce_partials_host(p))
+        rz.map_or(0.0, |p| reduce_partials_host(p))
     }
 }
 

@@ -22,13 +22,10 @@ use std::collections::BTreeSet;
 use dda_repro::core::pipeline::GpuPipeline;
 use dda_repro::core::{BlockSystem, DdaParams};
 use dda_repro::simt::{Device, DeviceProfile};
+use dda_repro::solver::precond::HUB_CAP;
 use dda_repro::workloads::{
     rockfall_case, scatter_case, slope_case, RockfallConfig, ScatterConfig, SlopeConfig,
 };
-
-/// The largest hub the solver factors densely (`dda_solver::precond`'s
-/// `HUB_CAP`): the slope's hub must exceed it.
-const HUB_CAP: usize = 8;
 
 /// What one step's contact list couples.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
