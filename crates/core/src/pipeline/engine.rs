@@ -63,8 +63,11 @@ pub struct SceneCore {
 impl SceneCore {
     pub(crate) fn new(sys: BlockSystem, params: DdaParams) -> SceneCore {
         let n = sys.len();
-        let fixed = (0..n as u32)
-            .filter(|&i| sys.blocks[i as usize].fixed)
+        let fixed = sys
+            .blocks
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| b.fixed.then_some(i as u32))
             .collect();
         SceneCore {
             sys,

@@ -136,16 +136,6 @@ impl HubSchur {
         self.factor_hub(dev, h, hub)
     }
 
-    /// The hub this factorization eliminates (empty: plain Block-Jacobi).
-    pub fn hub(&self) -> &[u32] {
-        &self.hub
-    }
-
-    /// Number of free–hub coupling blocks.
-    pub fn n_couplings(&self) -> usize {
-        self.cpl.len()
-    }
-
     /// Rebuilds the coupling index (host-side, from the pattern) and runs
     /// `precond.hub.construct`.
     fn factor_hub(&mut self, dev: &Device, h: &Hsbcsr, hub: &[u32]) -> Result<(), PrecondError> {
@@ -772,10 +762,7 @@ mod tests {
             let d = dev();
             assert_eq!(HubSchur::hub_of(&h, &hub), hub);
             let p = HubSchur::try_new(&d, &h, &hub).expect("SPD arrow factors");
-            assert_eq!(
-                p.n_couplings(),
-                m.n_upper() - hub.len() * (hub.len() - 1) / 2
-            );
+            assert_eq!(p.cpl.len(), m.n_upper() - hub.len() * (hub.len() - 1) / 2);
             // The apply is K⁻¹: K z = r to rounding.
             let r = rhs(n);
             let z = p.apply(&d, &r);
